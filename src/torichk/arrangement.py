@@ -10,6 +10,8 @@ normal forms decide whether active normal sets extend to a Z-basis of Z^n.
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -123,6 +125,17 @@ class Flat:
         object.__setattr__(self, "mass", mass)
 
 
+class FlatFrame(NamedTuple):
+    """Read-only per-flat arrays: normals U (d, n), offsets l1 and
+    lc = l2 + i l3, masses a and normal lengths norms = |u_k|, each (d,)."""
+
+    U: np.ndarray
+    l1: np.ndarray
+    lc: np.ndarray
+    a: np.ndarray
+    norms: np.ndarray
+
+
 @dataclass(frozen=True)
 class FlatArrangement:
     dimension: int
@@ -157,9 +170,6 @@ class FlatArrangement:
             return np.zeros((0, self.dimension))
         return np.array([f.normal.entries for f in self.flats], dtype=float)
 
-    def normal_rows(self) -> list:
-        return [list(f.normal.entries) for f in self.flats]
-
     def offset_matrix(self) -> np.ndarray:
         if not self.flats:
             return np.zeros((0, 3))
@@ -167,6 +177,27 @@ class FlatArrangement:
 
     def masses(self) -> np.ndarray:
         return np.array([f.mass for f in self.flats], dtype=float)
+
+    @cached_property
+    def frame(self) -> FlatFrame:
+        """The per-flat arrays, built once per arrangement."""
+        U = self.normal_matrix()
+        lam = self.offset_matrix()
+        return FlatFrame(*(_as_readonly(m) for m in (
+            U, lam[:, 0].copy(), lam[:, 1] + 1j * lam[:, 2], self.masses(),
+            np.linalg.norm(U, axis=1))))
+
+    def svr(self, x, z):
+        """Per-flat data at x (..., n) real and z (..., n) complex, each (..., d):
+
+            s_k = <x,u_k> - l1_k,  v_k = <z,u_k> - lc_k,  r_k = sqrt(s_k^2 + |v_k|^2).
+
+        Every evaluator and sampler derives its flat distances from this.
+        """
+        U, l1, lc = self.frame[:3]
+        s = x @ U.T - l1
+        v = z @ U.T - lc
+        return s, v, np.sqrt(s * s + (v * v.conj()).real)
 
 
 class DeformationMatrix:
@@ -246,6 +277,7 @@ class ClassificationReport:
     volume_growth_exponent: int | None = None
     ale_label: int | None = None
     cone_over_3sasakian: bool | None = None
+    strata: tuple = ()  # every stratum, enumerated once; not part of as_dict
 
     def as_dict(self) -> dict:
         return {
@@ -263,12 +295,7 @@ class ClassificationReport:
 
 def flat_distances(arr: FlatArrangement, p: Point3n) -> np.ndarray:
     """Per-flat deviation |s_k| + |v_k| (exactly 0 on the flat)."""
-    if not arr.flats:
-        return np.zeros(0)
-    U = arr.normal_matrix()
-    lam = arr.offset_matrix()
-    s = U @ p.x - lam[:, 0]
-    v = U @ p.z - (lam[:, 1] + 1j * lam[:, 2])
+    s, v, _ = arr.svr(p.x, p.z)
     return np.abs(s) + np.abs(v)
 
 
@@ -282,7 +309,7 @@ def _solve_flat_system(arr, subset, tol):
     Solves the stacked real/complex linear systems with a rank-revealing
     least-squares solve and checks the residual against tol.
     """
-    U = arr.normal_matrix()[list(subset)]
+    U = arr.frame.U[list(subset)]
     lam = arr.offset_matrix()[list(subset)]
     x, _, _, _ = np.linalg.lstsq(U, lam[:, 0], rcond=None)
     z, _, _, _ = np.linalg.lstsq(U.astype(complex), lam[:, 1] + 1j * lam[:, 2],
@@ -297,7 +324,7 @@ def _solve_flat_system(arr, subset, tol):
 
 def _closure(arr, subset, base_point, tol):
     """All flat indices whose flat contains the intersection through base_point."""
-    U = arr.normal_matrix()
+    U = arr.frame.U
     sub = U[list(subset)]
     dist = flat_distances(arr, base_point)
     out = []
@@ -322,8 +349,7 @@ def _nullspace(U):
 
 def _witness(arr, active, base, rng, tol):
     """Perturb the min-norm intersection point off every non-active flat."""
-    U = arr.normal_matrix()[list(active)]
-    null = _nullspace(U)
+    null = _nullspace(arr.frame.U[list(active)])
     others = [j for j in range(len(arr.flats)) if j not in active]
     if null.shape[1] == 0 or not others:
         return base
@@ -390,13 +416,19 @@ def intersection_strata(arr: FlatArrangement, cfg: Tolerances = DEFAULT,
     return strata
 
 
-def smoothness_check(arr: FlatArrangement, cfg: Tolerances = DEFAULT):
-    """(smooth, failing_stratum): Z-basis extendability of every stratum."""
-    for stratum in intersection_strata(arr, cfg):
+def _failing_stratum(arr, strata):
+    """The first stratum whose active normals do not extend to a Z-basis."""
+    for stratum in strata:
         rows = [arr.flats[k].normal.entries for k in stratum.active]
         if len(rows) > arr.dimension or not lattice.extends_to_zbasis(rows):
-            return False, stratum
-    return True, None
+            return stratum
+    return None
+
+
+def smoothness_check(arr: FlatArrangement, cfg: Tolerances = DEFAULT):
+    """(smooth, failing_stratum): Z-basis extendability of every stratum."""
+    failing = _failing_stratum(arr, intersection_strata(arr, cfg))
+    return failing is None, failing
 
 
 def isotropy_at(arr: FlatArrangement, p: Point3n, cfg: Tolerances = DEFAULT):
@@ -423,12 +455,12 @@ def classification_report(arr: FlatArrangement, B: DeformationMatrix,
     """Like classify_topology but reports non-smooth inputs instead of raising."""
     if B.dimension != arr.dimension:
         raise ArrangementError("deformation matrix dimension mismatch")
-    smooth, failing = smoothness_check(arr, cfg)
-    if not smooth:
-        return ClassificationReport(smooth=False, failing_stratum=failing)
+    strata = tuple(intersection_strata(arr, cfg))
+    failing = _failing_stratum(arr, strata)
+    if failing is not None:
+        return ClassificationReport(smooth=False, failing_stratum=failing, strata=strata)
     n = arr.dimension
     d = len(arr.flats)
-    strata = intersection_strata(arr, cfg)
     max_rank = max((s.rank for s in strata), default=0)
     m = B.order
     ale = d - 1 if (n == 1 and m == 0 and d >= 1) else None
@@ -443,6 +475,7 @@ def classification_report(arr: FlatArrangement, B: DeformationMatrix,
         volume_growth_exponent=4 * n - m,
         ale_label=ale,
         cone_over_3sasakian=cone,
+        strata=strata,
     )
 
 

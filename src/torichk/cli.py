@@ -14,8 +14,7 @@ from . import verify as ver
 from .catalog import catalog as catalog_entries
 from .catalog import entry as catalog_entry
 from .catalog import entry_names
-from .arrangement import (Point3n, classification_report,
-                          intersection_strata, smoothness_check)
+from .arrangement import Point3n, classification_report, smoothness_check
 from .config import DEFAULT
 from .errors import (ArrangementError, EvaluationError,
                      InsufficientSamplesError)
@@ -130,7 +129,7 @@ def _cmd_classify(args):
     arr, B, _ = _resolve(args.target)
     report = classification_report(arr, B)
     doc = report.as_dict()
-    doc["strata"] = [s.as_dict() for s in intersection_strata(arr)]
+    doc["strata"] = [s.as_dict() for s in report.strata]
     _emit(doc)
     return 0
 

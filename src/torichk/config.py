@@ -23,7 +23,6 @@ class Tolerances:
     # finite differences
     fd_step: float = 1e-4          # Hessian checks of F and K
     phi_fd_step: float = 1e-3      # Richardson base step for the Phi oracle
-    phi_fd_richardson: bool = True  # pair of central Hessians vs a single one
     poly_step: float = 5e-4        # 7-point Laplacian of F
     harmonic_step: float = 5e-4    # 7-point Laplacian of the conformal factor
     curvature_step: float = 1e-3   # nested Christoffel differences

@@ -27,27 +27,6 @@ def hessian(f, w, h):
     return H
 
 
-def mixed_second(f, w, i, j, h):
-    w = np.asarray(w, dtype=float)
-    ei = np.zeros(w.size)
-    ej = np.zeros(w.size)
-    ei[i] = h
-    ej[j] = h
-    if i == j:
-        return (f(w + ei) - 2.0 * f(w) + f(w - ei)) / (h * h)
-    return (f(w + ei + ej) - f(w + ei - ej) - f(w - ei + ej) + f(w - ei - ej)) / (4.0 * h * h)
-
-
-def gradient(f, w, h):
-    w = np.asarray(w, dtype=float)
-    out = np.empty(w.size)
-    for i in range(w.size):
-        e = np.zeros(w.size)
-        e[i] = h
-        out[i] = (f(w + e) - f(w - e)) / (2.0 * h)
-    return out
-
-
 def laplacian3(f, c, h):
     """7-point Laplacian of f: R^3 -> R at center c."""
     c = np.asarray(c, dtype=float)

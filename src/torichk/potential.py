@@ -7,8 +7,11 @@ Everything derives from one scalar potential on R^n x C^n,
 
 with per-flat quantities s_k = <x,u_k> - l1_k, v_k = <z,u_k> - (l2_k + i l3_k)
 and r_k = sqrt(s_k^2 + |v_k|^2) (the Euclidean-style distance data of the
-flat).  F is harmonic on every affine 3-plane spanned by one copy of R^3; all
-geometric quantities below are closed-form derivatives of it:
+flat).  One kernel computes them: FlatArrangement.svr, over the per-flat
+arrays FlatArrangement.frame that are built once per arrangement.  The scalar
+evaluators below and the batched phi_batch are thin wrappers over it.  F is
+harmonic on every affine 3-plane spanned by one copy of R^3; all geometric
+quantities below are closed-form derivatives of it:
 
     Phi      = (1/4) F_xx          = B + (1/4) sum_k a_k u_k u_k^T / r_k
     C[j][l]  = F_{x_j z_l}         = sum_k a_k u_kj u_kl conj(v_k)
@@ -32,7 +35,6 @@ normalizations elsewhere depend on this choice.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -48,17 +50,6 @@ __all__ = [
 ]
 
 
-@lru_cache(maxsize=128)
-def _frame(arr: FlatArrangement):
-    """Cached array view of an arrangement: (U, l1, l2 + i l3, masses)."""
-    U = arr.normal_matrix()
-    lam = arr.offset_matrix()
-    a = arr.masses()
-    for m in (U, lam, a):
-        m.setflags(write=False)
-    return U, lam[:, 0].copy(), (lam[:, 1] + 1j * lam[:, 2]), a
-
-
 def _bmat(B, n: int) -> np.ndarray:
     if B is None:
         return np.zeros((n, n))
@@ -69,14 +60,6 @@ def _bmat(B, n: int) -> np.ndarray:
     if mat.shape != (n, n):
         raise ValueError(f"deformation matrix has shape {mat.shape}, expected {(n, n)}")
     return mat
-
-
-def _svr(arr: FlatArrangement, p: Point3n):
-    U, l1, lc, _ = _frame(arr)
-    s = U @ p.x - l1
-    v = U @ p.z - lc
-    r = np.sqrt(s * s + (v * v.conj()).real)
-    return s, v, r
 
 
 def _check_off_flats(arr, r, tol):
@@ -94,8 +77,8 @@ def _check_off_branch(arr, s, r, tol):
 
 def eval_F(arr: FlatArrangement, B, p: Point3n, cfg: Tolerances = DEFAULT) -> float:
     """The master potential at p.  Linear-in-x gauge terms are fixed to zero."""
-    _, _, _, a = _frame(arr)
-    s, v, r = _svr(arr, p)
+    a = arr.frame.a
+    s, v, r = arr.svr(p.x, p.z)
     _check_off_flats(arr, r, cfg.on_flat)
     _check_off_branch(arr, s, r, cfg.branch)
     total = float(np.sum(a * (s * np.log(s + r) - r))) if r.size else 0.0
@@ -106,8 +89,8 @@ def eval_F(arr: FlatArrangement, B, p: Point3n, cfg: Tolerances = DEFAULT) -> fl
 
 def eval_F_z(arr: FlatArrangement, B, p: Point3n, cfg: Tolerances = DEFAULT) -> np.ndarray:
     """Wirtinger gradient dF/dz_l = -sum_k a_k (u_k)_l conj(v_k)/(2(s_k+r_k)) - (B conj(z))_l."""
-    U, _, _, a = _frame(arr)
-    s, v, r = _svr(arr, p)
+    U, a = arr.frame.U, arr.frame.a
+    s, v, r = arr.svr(p.x, p.z)
     _check_off_flats(arr, r, cfg.on_flat)
     _check_off_branch(arr, s, r, cfg.branch)
     g = -(_bmat(B, arr.dimension) @ p.z.conj())
@@ -118,8 +101,8 @@ def eval_F_z(arr: FlatArrangement, B, p: Point3n, cfg: Tolerances = DEFAULT) -> 
 
 def eval_Phi(arr: FlatArrangement, B, p: Point3n, cfg: Tolerances = DEFAULT) -> np.ndarray:
     """Closed-form Phi(p) = B + (1/4) sum_k a_k u_k u_k^T / r_k, (n, n) SPD off flats."""
-    U, _, _, a = _frame(arr)
-    s, v, r = _svr(arr, p)
+    U, a = arr.frame.U, arr.frame.a
+    s, v, r = arr.svr(p.x, p.z)
     _check_off_flats(arr, r, cfg.on_flat)
     phi = _bmat(B, arr.dimension).copy()
     if r.size:
@@ -147,8 +130,8 @@ class ConnectionForm:
 def eval_connection(arr: FlatArrangement, B, p: Point3n,
                     cfg: Tolerances = DEFAULT) -> ConnectionForm:
     """Mixed-derivative matrix C of F at p; B contributes nothing."""
-    U, _, _, a = _frame(arr)
-    s, v, r = _svr(arr, p)
+    U, a = arr.frame.U, arr.frame.a
+    s, v, r = arr.svr(p.x, p.z)
     _check_off_flats(arr, r, cfg.on_flat)
     _check_off_branch(arr, s, r, cfg.branch)
     n = arr.dimension
@@ -215,10 +198,8 @@ class KahlerChartPoint:
 
 
 def _grad_x(arr, Bm, x, z):
-    U, l1, lc, a = _frame(arr)
-    s = U @ x - l1
-    v = U @ z - lc
-    r = np.sqrt(s * s + (v * v.conj()).real)
+    U, a = arr.frame.U, arr.frame.a
+    s, _, r = arr.svr(x, z)
     t = s + r
     if t.size and t.min() <= 0.0:
         return None, None
@@ -328,13 +309,11 @@ def reconstruct_F_from_K(kahler, u, z, step: float = DEFAULT.reconstruct_step,
 
 def phi_batch(arr: FlatArrangement, B, X: np.ndarray, Z: np.ndarray) -> np.ndarray:
     """Phi at many points: X (N, n) real, Z (N, n) complex -> (N, n, n)."""
-    U, l1, lc, a = _frame(arr)
+    U, a = arr.frame.U, arr.frame.a
     n = arr.dimension
     Bm = _bmat(B, n)
     out = np.broadcast_to(Bm, (X.shape[0], n, n)).copy()
     if len(arr.flats):
-        S = X @ U.T - l1
-        V = Z @ U.T - lc
-        R = np.sqrt(S * S + (V * V.conj()).real)
+        _, _, R = arr.svr(X, Z)
         out += np.einsum("Nk,ki,kj->Nij", a / (4.0 * R), U, U)
     return out

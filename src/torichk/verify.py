@@ -29,7 +29,9 @@ from . import fd
 from .arrangement import (DeformationMatrix, FlatArrangement, Point3n,
                           classification_report)
 from .config import DEFAULT, Tolerances, thread_cap
-from .errors import InsufficientSamplesError, StencilClippedError
+from .errors import (DomainEscapeError, EvaluationError,
+                     InsufficientSamplesError, NoConvergenceError,
+                     StencilClippedError)
 from .potential import (eval_F, eval_F_z, eval_Phi, eval_connection,
                         eval_metric, legendre_solve, phi_batch,
                         reconstruct_F_from_K)
@@ -75,27 +77,27 @@ def _box_scale(arr: FlatArrangement) -> float:
     return float(np.abs(off).max(initial=0.0)) + 2.0
 
 
+def _clearance(arr: FlatArrangement, x, z) -> float:
+    """Euclidean clearance of (x, z) from every flat and branch locus, min(r/|u|, s+r)."""
+    if not arr.flats:
+        return math.inf
+    s, _, r = arr.svr(x, z)
+    return min(float((r / arr.frame.norms).min()), float((s + r).min()))
+
+
 def sample_points(arr: FlatArrangement, count: int, rng,
-                  clearance: float = DEFAULT.sample_clearance,
-                  box: float | None = None) -> list:
+                  clearance: float = DEFAULT.sample_clearance) -> list:
     """Seeded random points with Euclidean clearance from flats and branch loci."""
     n = arr.dimension
-    U = arr.normal_matrix()
-    norms = np.linalg.norm(U, axis=1) if len(arr.flats) else np.zeros(0)
-    scale = box if box is not None else _box_scale(arr)
+    scale = _box_scale(arr)
     out = []
     for _ in range(200 * count):
         if len(out) == count:
             break
         x = rng.uniform(-scale, scale, n)
         z = rng.uniform(-scale, scale, n) + 1j * rng.uniform(-scale, scale, n)
-        if len(arr.flats):
-            lam = arr.offset_matrix()
-            s = U @ x - lam[:, 0]
-            v = U @ z - (lam[:, 1] + 1j * lam[:, 2])
-            r = np.sqrt(s * s + (v * v.conj()).real)
-            if (r / norms).min() < clearance or (s + r).min() < clearance:
-                continue
+        if _clearance(arr, x, z) < clearance:
+            continue
         out.append(Point3n(x, z))
     if len(out) < count:
         raise RuntimeError("rejection sampling failed to reach the requested count")
@@ -105,7 +107,10 @@ def sample_points(arr: FlatArrangement, count: int, rng,
 def sample_chart_points(arr: FlatArrangement, B, count: int, rng,
                         clearance: float = 0.2,
                         cfg: Tolerances = DEFAULT) -> list:
-    """Seeded random solved chart points whose x-solution is clear of flats."""
+    """Seeded random solved chart points whose x-solution is clear of flats.
+
+    Unlike sample_points, the rule here bounds r itself, not r / |u|.
+    """
     out = []
     scale = _box_scale(arr)
     for _ in range(200 * count):
@@ -116,14 +121,10 @@ def sample_chart_points(arr: FlatArrangement, B, count: int, rng,
             + 1j * rng.uniform(-scale, scale, arr.dimension)
         try:
             chart = legendre_solve(arr, B, u, z, cfg=cfg)
-        except Exception:
+        except (EvaluationError, NoConvergenceError, DomainEscapeError):
             continue
         if len(arr.flats):
-            U = arr.normal_matrix()
-            lam = arr.offset_matrix()
-            s = U @ chart.x - lam[:, 0]
-            v = U @ z - (lam[:, 1] + 1j * lam[:, 2])
-            r = np.sqrt(s * s + (v * v.conj()).real)
+            s, _, r = arr.svr(chart.x, z)
             if r.min() < clearance or (s + r).min() < clearance:
                 continue
         out.append(chart)
@@ -295,17 +296,10 @@ def ricci_residual(arr: FlatArrangement, B, p: Point3n,
     locus so the nested stencil stays in the domain.
     """
     n = arr.dimension
-    if len(arr.flats):
-        U = arr.normal_matrix()
-        lam = arr.offset_matrix()
-        norms = np.linalg.norm(U, axis=1)
-        s = U @ p.x - lam[:, 0]
-        v = U @ p.z - (lam[:, 1] + 1j * lam[:, 2])
-        r = np.sqrt(s * s + (v * v.conj()).real)
-        clear = min(float((r / norms).min()), float((s + r).min()))
-        if clear < cfg.stencil_clearance * step:
-            raise StencilClippedError(
-                f"flat clearance {clear:.3e} below {cfg.stencil_clearance * step:.3e}")
+    clear = _clearance(arr, p.x, p.z)
+    if clear < cfg.stencil_clearance * step:
+        raise StencilClippedError(
+            f"flat clearance {clear:.3e} below {cfg.stencil_clearance * step:.3e}")
     base = 3 * n
     total = 4 * n
     gfun = _metric_on_base(arr, B, cfg)
@@ -461,8 +455,12 @@ def _growth_chunk(arr, B, base_coords, dirs, radii, n):
 
 
 def growth_fit(arr: FlatArrangement, B, base: Point3n, radii, samples: int = 4096,
-               rng=None, nbatch: int = 8, cfg: Tolerances = DEFAULT) -> GrowthFit:
-    """Monte-Carlo fit of the volume-growth exponent d log V / d log R."""
+               rng=None, cfg: Tolerances = DEFAULT) -> GrowthFit:
+    """Monte-Carlo fit of the volume-growth exponent d log V / d log R.
+
+    The standard error is that of the slopes fitted to 8 interleaved batches
+    of the directions.
+    """
     radii = np.asarray(radii, dtype=float)
     if radii.ndim != 1 or radii.size < 2 or np.any(np.diff(radii) <= 0) or radii[0] <= 0:
         raise ValueError("radii must be a strictly increasing positive sequence")
@@ -499,8 +497,8 @@ def growth_fit(arr: FlatArrangement, B, base: Point3n, radii, samples: int = 409
     exponent = float(np.linalg.lstsq(A, np.log(volumes), rcond=None)[0][0])
 
     batch_slopes = []
-    for b in range(nbatch):
-        sel = per_dir[b::nbatch].mean(axis=0)
+    for b in range(8):
+        sel = per_dir[b::8].mean(axis=0)
         if np.any(sel <= 0):
             continue
         batch_slopes.append(float(np.linalg.lstsq(A, np.log(sphere * fiber_vol * sel),
@@ -525,12 +523,13 @@ def volume_growth_exponent(arr: FlatArrangement, B, base: Point3n, radii,
 # --------------------------------------------------------------------------
 # check harness
 
-def _report(name, points, residuals, tol, start, samples=None, detail=None):
+def _report(name, points, residuals, tol, start, samples=None, detail=None, ok=True):
+    """A report that passes when ok holds and every residual is within tol."""
     residuals = [float(r) for r in residuals]
     mx = max(residuals) if residuals else 0.0
     return ResidualReport(
         check_name=name, points=points, residuals=residuals,
-        max_residual=mx, tolerance=tol, passed=mx <= tol,
+        max_residual=mx, tolerance=tol, passed=bool(ok) and mx <= tol,
         samples=samples if samples is not None else len(residuals),
         wall_time_s=time.perf_counter() - start, detail=detail or {})
 
@@ -539,146 +538,121 @@ def _rng_for(seed, check_id):
     return np.random.default_rng([seed, check_id])
 
 
-def _check_phi_fd(arr, B, seed, cfg):
-    start = time.perf_counter()
-    rng = _rng_for(seed, 1)
-    pts = sample_points(arr, 100, rng)
-    res = []
-    for p in pts:
-        phi = eval_Phi(arr, B, p, cfg)
-
-        def f(w):
-            return eval_F(arr, B, Point3n(w, p.z), cfg)
-
-        if cfg.phi_fd_richardson:
-            # Richardson pair of central Hessians: O(h^4) truncation
-            h = cfg.phi_fd_step
-            Hx = (4.0 * fd.hessian(f, p.x, h) - fd.hessian(f, p.x, 2.0 * h)) / 3.0
-        else:
-            Hx = fd.hessian(f, p.x, cfg.fd_step)
-        rel = np.abs(phi - 0.25 * Hx).max() / max(np.abs(phi).max(), 1e-12)
-        res.append(rel)
-    return _report("phi-fd", pts, res, cfg.phi_fd_rel, start)
-
-
-def _check_polyharmonic(arr, B, seed, cfg):
-    start = time.perf_counter()
-    rng = _rng_for(seed, 2)
-    pts = sample_points(arr, 50, rng, clearance=0.35)
-    dirs = [rational_direction(arr.dimension, rng) for _ in pts]
-    coarse = [polyharmonic_residual(arr, B, p, v, 2 * cfg.poly_step, cfg)
-              for p, v in zip(pts, dirs)]
-    fine = [polyharmonic_residual(arr, B, p, v, cfg.poly_step, cfg)
-            for p, v in zip(pts, dirs)]
+def _halving_order(coarse, fine):
+    """Step-halving order test on residuals at steps 2h and h: (ok, detail)."""
     # below this, both steps sit at arithmetic noise (which grows as the
     # step shrinks) and the order-of-accuracy ratio is moot
     floor = 1e-6
     mx_c, mx_f = max(coarse), max(fine)
     ratio = mx_c / mx_f if mx_f > floor else float("inf")
-    ok_order = mx_c <= floor or ratio >= 3.0
-    rep = _report("polyharmonic", pts, fine, cfg.polyharmonic, start,
-                  detail={"coarse_max": mx_c, "step_ratio": ratio,
-                          "order_ok": bool(ok_order)})
-    if not ok_order:
-        rep = ResidualReport(**{**rep.__dict__, "passed": False})
-    return rep
+    ok = mx_c <= floor or ratio >= 3.0
+    return ok, {"coarse_max": mx_c, "step_ratio": ratio, "order_ok": bool(ok)}
 
 
-def _check_monge_ampere(arr, B, seed, cfg):
+def _run(name, seed, check_id, tol, sample, residual, point=None, step=None):
+    """The skeleton of every sampled check: timer, seeded sampler, residuals, report.
+
+    sample(rng) gives the items, residual(item) a float and point(item) the
+    Point3n recorded for it (the item itself by default).  With a step, the
+    residual(item, h) is taken at h = step and 2 * step, and the check must
+    also pass the step-halving order test.
+    """
     start = time.perf_counter()
-    rng = _rng_for(seed, 3)
-    charts = sample_chart_points(arr, B, 20, rng, cfg=cfg)
-    res = [monge_ampere_residual(arr, B, ch, cfg.fd_step, cfg) for ch in charts]
-    pts = [Point3n(ch.x, ch.z) for ch in charts]
-    return _report("monge-ampere", pts, res, cfg.monge_ampere, start)
+    items = sample(_rng_for(seed, check_id))
+    points = items if point is None else [point(it) for it in items]
+    if step is None:
+        return _report(name, points, [residual(it) for it in items], tol, start)
+    fine = [residual(it, step) for it in items]
+    ok, detail = _halving_order([residual(it, 2 * step) for it in items], fine)
+    return _report(name, points, fine, tol, start, detail=detail, ok=ok)
 
 
-def _check_hessian_identity(arr, B, seed, cfg):
-    start = time.perf_counter()
-    rng = _rng_for(seed, 4)
-    charts = sample_chart_points(arr, B, 10, rng, cfg=cfg)
-    res = [hessian_identity_residual(arr, B, ch, cfg.fd_step, cfg) for ch in charts]
-    pts = [Point3n(ch.x, ch.z) for ch in charts]
-    return _report("hessian-identity", pts, res, cfg.hessian_identity, start)
+def _phi_fd_residual(arr, B, p, cfg):
+    """Relative deviation of Phi from F_xx / 4 by a Richardson pair of Hessians."""
+    phi = eval_Phi(arr, B, p, cfg)
+
+    def f(w):
+        return eval_F(arr, B, Point3n(w, p.z), cfg)
+
+    # Richardson pair of central Hessians: O(h^4) truncation
+    h = cfg.phi_fd_step
+    Hx = (4.0 * fd.hessian(f, p.x, h) - fd.hessian(f, p.x, 2.0 * h)) / 3.0
+    return np.abs(phi - 0.25 * Hx).max() / max(np.abs(phi).max(), 1e-12)
 
 
-def _check_sp(arr, B, seed, cfg):
-    start = time.perf_counter()
-    rng = _rng_for(seed, 5)
-    charts = sample_chart_points(arr, B, 10, rng, cfg=cfg)
-    res = [sp_condition_residual(arr, B, ch, cfg.fd_step, cfg) for ch in charts]
-    pts = [Point3n(ch.x, ch.z) for ch in charts]
-    return _report("sp-condition", pts, res, cfg.sp_condition, start)
+def _check_phi_fd(arr, B, seed, cfg, classification):
+    return _run("phi-fd", seed, 1, cfg.phi_fd_rel,
+                lambda rng: sample_points(arr, 100, rng),
+                lambda p: _phi_fd_residual(arr, B, p, cfg))
 
 
-def _check_ricci(arr, B, seed, cfg):
-    start = time.perf_counter()
-    rng = _rng_for(seed, 6)
+def _check_polyharmonic(arr, B, seed, cfg, classification):
+    def sample(rng):
+        pts = sample_points(arr, 50, rng, clearance=0.35)
+        return [(p, rational_direction(arr.dimension, rng)) for p in pts]
+
+    return _run("polyharmonic", seed, 2, cfg.polyharmonic, sample,
+                lambda pv, h: polyharmonic_residual(arr, B, *pv, h, cfg),
+                point=lambda pv: pv[0], step=cfg.poly_step)
+
+
+def _check_ricci(arr, B, seed, cfg, classification):
     clearance = max(0.35, cfg.stencil_clearance * 2 * cfg.curvature_step)
-    pts = sample_points(arr, 10, rng, clearance=clearance)
-    fine = [ricci_residual(arr, B, p, cfg.curvature_step, cfg) for p in pts]
-    coarse = [ricci_residual(arr, B, p, 2 * cfg.curvature_step, cfg) for p in pts]
-    floor = 1e-6
-    mx_c, mx_f = max(coarse), max(fine)
-    ratio = mx_c / mx_f if mx_f > floor else float("inf")
-    ok_order = mx_c <= floor or ratio >= 3.0
-    rep = _report("ricci", pts, fine, cfg.ricci, start,
-                  detail={"coarse_max": mx_c, "step_ratio": ratio,
-                          "order_ok": bool(ok_order)})
-    if not ok_order:
-        rep = ResidualReport(**{**rep.__dict__, "passed": False})
-    return rep
+    return _run("ricci", seed, 6, cfg.ricci,
+                lambda rng: sample_points(arr, 10, rng, clearance=clearance),
+                lambda p, h: ricci_residual(arr, B, p, h, cfg),
+                step=cfg.curvature_step)
 
 
-def _check_conformal(arr, B, seed, cfg):
-    start = time.perf_counter()
-    rng = _rng_for(seed, 7)
-    pts = sample_points(arr, 20, rng)
-    res = [conformal_factor_check(arr, B, p.coords(), cfg.harmonic_step, cfg)
-           for p in pts]
-    return _report("conformal", pts, res, cfg.harmonic, start)
+def _check_conformal(arr, B, seed, cfg, classification):
+    return _run("conformal", seed, 7, cfg.harmonic,
+                lambda rng: sample_points(arr, 20, rng),
+                lambda p: conformal_factor_check(arr, B, p.coords(), cfg.harmonic_step, cfg))
 
 
-def _check_growth(arr, B, seed, cfg):
+def _roundtrip_residual(arr, B, chart, step, cfg):
+    """|F at the chart point - F rebuilt by reconstruct_F_from_K from K alone|."""
+    def kfun(u, z):
+        return legendre_solve(arr, B, u, z, x0=chart.x, cfg=cfg).K
+
+    rec = reconstruct_F_from_K(kfun, chart.u, chart.z, step, cfg)
+    return abs(rec.value - eval_F(arr, B, Point3n(chart.x, chart.z), cfg))
+
+
+def _chart_check(name, check_id, count, residual, tol, step="fd_step"):
+    """Runner of a check measured at solved chart points.
+
+    residual(arr, B, chart, step, cfg) is measured at `count` charts; tol and
+    step name the Tolerances fields of its threshold and its step.
+    """
+    def run(arr, B, seed, cfg, classification):
+        h = getattr(cfg, step)
+        return _run(name, seed, check_id, getattr(cfg, tol),
+                    lambda rng: sample_chart_points(arr, B, count, rng, cfg=cfg),
+                    lambda ch: residual(arr, B, ch, h, cfg),
+                    point=lambda ch: Point3n(ch.x, ch.z))
+    return run
+
+
+def _check_growth(arr, B, seed, cfg, classification):
     start = time.perf_counter()
     rng = _rng_for(seed, 8)
-    report = classification_report(arr, B, cfg)
-    expected = report.volume_growth_exponent
+    expected = classification.volume_growth_exponent
     radii = np.geomspace(60.0, 960.0, 9)
     base = Point3n(np.zeros(arr.dimension), np.zeros(arr.dimension))
     fit = growth_fit(arr, B, base, radii, samples=4096, rng=rng, cfg=cfg)
-    res = abs(fit.exponent - expected)
-    rep = _report("growth", [base], [res], cfg.growth_tolerance, start,
-                  samples=fit.samples,
-                  detail={"exponent": fit.exponent, "expected": expected,
-                          "std_error": fit.std_error,
-                          "volumes": fit.volumes.tolist(),
-                          "radii": fit.radii.tolist()})
-    if fit.std_error > cfg.growth_max_stderr:
-        rep = ResidualReport(**{**rep.__dict__, "passed": False})
-    return rep
+    return _report("growth", [base], [abs(fit.exponent - expected)],
+                   cfg.growth_tolerance, start, samples=fit.samples,
+                   detail={"exponent": fit.exponent, "expected": expected,
+                           "std_error": fit.std_error,
+                           "volumes": fit.volumes.tolist(),
+                           "radii": fit.radii.tolist()},
+                   ok=fit.std_error <= cfg.growth_max_stderr)
 
 
-def _check_roundtrip(arr, B, seed, cfg):
-    start = time.perf_counter()
-    rng = _rng_for(seed, 9)
-    charts = sample_chart_points(arr, B, 20, rng, cfg=cfg)
-    res = []
-    for ch in charts:
-        def kfun(u, z, _arr=arr, _B=B, _x0=ch.x):
-            return legendre_solve(_arr, _B, u, z, x0=_x0, cfg=cfg).K
-        rec = reconstruct_F_from_K(kfun, ch.u, ch.z, cfg.reconstruct_step, cfg)
-        truth = eval_F(arr, B, Point3n(ch.x, ch.z), cfg)
-        res.append(abs(rec.value - truth))
-    pts = [Point3n(ch.x, ch.z) for ch in charts]
-    return _report("roundtrip", pts, res, cfg.roundtrip, start)
-
-
-def _check_classification(arr, B, seed, cfg, expected):
+def _check_classification(arr, B, seed, cfg, report, expected):
     from . import lattice
-    from .arrangement import intersection_strata
     start = time.perf_counter()
-    report = classification_report(arr, B, cfg)
     got = report.as_dict()
     mismatches = {}
     rng = _rng_for(seed, 11)
@@ -702,7 +676,7 @@ def _check_classification(arr, B, seed, cfg, expected):
                 if have != tuple(want):
                     miss(key, list(want), list(have))
         elif key == "stratum_count":
-            have = len(intersection_strata(arr, cfg))
+            have = len(report.strata)
             if have != want:
                 miss(key, want, have)
         elif key == "phi_constant":
@@ -726,7 +700,7 @@ def _check_classification(arr, B, seed, cfg, expected):
                    detail={"mismatches": mismatches, "report": got})
 
 
-def _check_local_models(arr, B, seed, cfg):
+def _check_local_models(arr, B, seed, cfg, classification):
     from . import localmodel
     start = time.perf_counter()
     rng = _rng_for(seed, 10)
@@ -743,17 +717,22 @@ def _check_local_models(arr, B, seed, cfg):
                    detail={"slice_constant": slice_c})
 
 
+# name -> (runner, whether the check is the n = 1 statement only)
 _CHECKS = {
-    "phi-fd": (_check_phi_fd, lambda arr, B: True),
-    "polyharmonic": (_check_polyharmonic, lambda arr, B: True),
-    "monge-ampere": (_check_monge_ampere, lambda arr, B: arr.dimension == 1),
-    "hessian-identity": (_check_hessian_identity, lambda arr, B: arr.dimension == 1),
-    "sp-condition": (_check_sp, lambda arr, B: True),
-    "ricci": (_check_ricci, lambda arr, B: arr.dimension == 1),
-    "conformal": (_check_conformal, lambda arr, B: arr.dimension == 1),
-    "growth": (_check_growth, lambda arr, B: arr.dimension == 1),
-    "roundtrip": (_check_roundtrip, lambda arr, B: True),
-    "local-models": (_check_local_models, lambda arr, B: True),
+    "phi-fd": (_check_phi_fd, False),
+    "polyharmonic": (_check_polyharmonic, False),
+    "monge-ampere": (_chart_check("monge-ampere", 3, 20, monge_ampere_residual,
+                                  "monge_ampere"), True),
+    "hessian-identity": (_chart_check("hessian-identity", 4, 10, hessian_identity_residual,
+                                      "hessian_identity"), True),
+    "sp-condition": (_chart_check("sp-condition", 5, 10, sp_condition_residual,
+                                  "sp_condition"), False),
+    "ricci": (_check_ricci, True),
+    "conformal": (_check_conformal, True),
+    "growth": (_check_growth, True),
+    "roundtrip": (_chart_check("roundtrip", 9, 20, _roundtrip_residual, "roundtrip",
+                               step="reconstruct_step"), False),
+    "local-models": (_check_local_models, False),
 }
 
 
@@ -776,12 +755,12 @@ def run_checks(arr: FlatArrangement, B, checks=None, seed=None,
         seed = cfg.default_seed
     if B is None:
         B = DeformationMatrix.zero(arr.dimension)
-    smooth = classification_report(arr, B, cfg).smooth
+    classification = classification_report(arr, B, cfg)
     reports = []
     if checks is None:
-        selected = [name for name, (_, applies) in _CHECKS.items()
-                    if applies(arr, B) and name != "local-models"]
-        if not smooth:
+        selected = [name for name, (_, n1_only) in _CHECKS.items()
+                    if (arr.dimension == 1 or not n1_only) and name != "local-models"]
+        if not classification.smooth:
             selected = [s for s in selected if s != "growth"]
         if include_local:
             selected.append("local-models")
@@ -791,12 +770,13 @@ def run_checks(arr: FlatArrangement, B, checks=None, seed=None,
         selected = list(checks)
     for name in selected:
         if name == "classification":
-            reports.append(_check_classification(arr, B, seed, cfg, expected or {}))
+            reports.append(_check_classification(arr, B, seed, cfg, classification,
+                                                 expected or {}))
             continue
         if name not in _CHECKS:
             raise ValueError(f"unknown check {name!r}; known: {', '.join(check_names())}")
-        runner, applies = _CHECKS[name]
-        if not applies(arr, B):
+        runner, n1_only = _CHECKS[name]
+        if n1_only and arr.dimension != 1:
             raise ValueError(f"check {name!r} does not apply to this arrangement")
-        reports.append(runner(arr, B, seed, cfg))
+        reports.append(runner(arr, B, seed, cfg, classification))
     return reports

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from torichk import (ArrangementError, DeformationMatrix, Flat,
-                     FlatArrangement, Normal, Point3n, classification_report,
-                     classify_topology, entry, flat_distances,
-                     intersection_strata, isotropy_at, on_flats,
-                     smoothness_check, translate)
+                     FlatArrangement, Normal, Point3n, catalog,
+                     classification_report, classify_topology, entry,
+                     flat_distances, intersection_strata, isotropy_at,
+                     on_flats, smoothness_check, translate)
 
 
 def _flat(u, lam=(0.0, 0.0, 0.0), a=1.0):
@@ -72,6 +72,22 @@ def test_on_flats_and_distances():
     assert on_flats(arr, p) == [0]
     d = flat_distances(arr, p)
     assert d[0] == 0.0 and d[1] > 0.0
+
+
+def test_svr_batched_matches_row_by_row():
+    rng = np.random.default_rng(11)
+    for e in catalog():
+        arr = e.arrangement
+        n, d = arr.dimension, len(arr.flats)
+        X = rng.uniform(-3.0, 3.0, (40, n))
+        Z = rng.uniform(-3.0, 3.0, (40, n)) + 1j * rng.uniform(-3.0, 3.0, (40, n))
+        batched = arr.svr(X, Z)
+        rows = [arr.svr(x, z) for x, z in zip(X, Z)]
+        for i, part in enumerate(batched):
+            assert part.shape == (40, d)
+            assert np.array_equal(part, np.array([row[i] for row in rows]))
+        assert arr.frame is arr.frame
+        assert not arr.frame.U.flags.writeable
 
 
 def test_strata_axes_pair():

@@ -34,17 +34,6 @@ def test_hessian_second_order_truncation():
     assert err_c / err_f >= 3.0
 
 
-def test_gradient_and_mixed_second():
-    def f(w):
-        return float(w[0] ** 3 + 2.0 * w[0] * w[1] ** 2)
-
-    w = np.array([1.5, -2.0])
-    g = fd.gradient(f, w, 1e-5)
-    assert np.abs(g - [3 * 1.5 ** 2 + 2 * 4.0, 2 * 2 * 1.5 * (-2.0)]).max() <= 1e-6
-    assert abs(fd.mixed_second(f, w, 0, 1, 1e-4) - 4 * (-2.0)) <= 1e-6
-    assert abs(fd.mixed_second(f, w, 0, 0, 1e-4) - 6 * 1.5) <= 1e-5
-
-
 def test_laplacian3_on_harmonic_and_nonharmonic():
     # 1/|w| is harmonic away from 0
     def newton(w):

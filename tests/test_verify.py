@@ -6,7 +6,7 @@ import pytest
 from torichk import (DeformationMatrix, FlatArrangement, InsufficientSamplesError,
                      KahlerChartPoint, Point3n, StencilClippedError, entry,
                      eval_Phi, legendre_solve)
-from torichk import verify
+from torichk import arrangement, classification_report, verify
 from torichk.verify import (ResidualReport, conformal_factor_check, growth_fit,
                             hessian_identity_residual, monge_ampere_residual,
                             polyharmonic_residual, ricci_residual, run_checks,
@@ -254,3 +254,41 @@ def test_classification_check_counts_mismatches():
     assert bad.max_residual >= 1
     assert any("volume_growth_exponent" in miss for miss in
                bad.detail["mismatches"])
+
+
+def test_strata_enumerated_once_per_report_and_per_run(monkeypatch):
+    real = arrangement.intersection_strata
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    def fake_fit(arr, B, base, radii, samples=4096, rng=None, cfg=None):
+        return verify.GrowthFit(exponent=4.0, std_error=0.01, radii=radii,
+                                volumes=np.ones(len(radii)), samples=samples)
+
+    monkeypatch.setattr(arrangement, "intersection_strata", counting)
+    monkeypatch.setattr(verify, "growth_fit", fake_fit)
+    n2 = entry("n2-unimodular")
+    rep = classification_report(n2.arrangement, n2.deformation)
+    assert len(calls) == 1
+    assert rep.smooth and len(rep.strata) == 6
+    calls.clear()
+    got = run_checks(n2.arrangement, n2.deformation, checks=["classification"],
+                     expected=n2.expected_values())
+    assert got[0].passed and len(calls) == 1
+    calls.clear()
+    got = run_checks(EH.arrangement, EH.deformation, checks=["growth", "classification"],
+                     expected=EH.expected_values())
+    assert got[0].detail["expected"] == 4 and got[1].passed and len(calls) == 1
+
+
+def test_chart_sampler_propagates_programming_errors(monkeypatch):
+    def broken(*args, **kwargs):
+        raise TypeError("not a rejected sample")
+
+    monkeypatch.setattr(verify, "legendre_solve", broken)
+    with pytest.raises(TypeError, match="not a rejected sample"):
+        verify.sample_chart_points(EH.arrangement, EH.deformation, 3,
+                                   np.random.default_rng(0))
