@@ -16,7 +16,7 @@ from .config import DEFAULT, Tolerances
 from .errors import (ArrangementError, BranchLocusError, DifferentiationError,
                      DomainEscapeError, EvaluationError,
                      InsufficientSamplesError, NoConvergenceError,
-                     OnFlatError, StencilClippedError)
+                     OnFlatError, SamplingError, StencilClippedError)
 from .io import dump_arrangement, load_arrangement, parse_arrangement
 from .potential import (ConnectionForm, KahlerChartPoint, ReconstructedPotential,
                         eval_F, eval_F_z, eval_Phi, eval_connection,
@@ -36,7 +36,7 @@ __all__ = [
     "DifferentiationError", "DomainEscapeError", "EvaluationError", "Expected",
     "Flat", "FlatArrangement", "GrowthFit", "InsufficientSamplesError",
     "KahlerChartPoint", "NoConvergenceError", "Normal", "OnFlatError",
-    "Point3n", "ReconstructedPotential", "ResidualReport",
+    "Point3n", "ReconstructedPotential", "ResidualReport", "SamplingError",
     "StencilClippedError", "Stratum", "Tolerances", "catalog",
     "classification_report", "classify_topology", "conformal_factor_check",
     "dump_arrangement", "entry", "entry_names", "eval_F", "eval_F_z",

@@ -6,6 +6,7 @@ All JSON output is key-sorted so runs with the same seed are byte-identical.
 
 import argparse
 import json
+import re
 import sys
 
 import numpy as np
@@ -17,7 +18,7 @@ from .catalog import entry_names
 from .arrangement import Point3n, classification_report, smoothness_check
 from .config import DEFAULT
 from .errors import (ArrangementError, EvaluationError,
-                     InsufficientSamplesError)
+                     InsufficientSamplesError, SamplingError)
 from .io import dump_arrangement, load_arrangement
 from .potential import eval_F, eval_Phi, eval_metric, quotient_metric
 
@@ -290,25 +291,40 @@ _COMMANDS = {
 }
 
 
+# options whose values are coordinates or ranges and so may start with "-"
+_SIGNED_VALUE_FLAGS = ("--point", "--base", "--range", "--fixed")
+
+
+def _attach_signed_values(argv):
+    """Rewrite "--range -3:3:5" as "--range=-3:3:5".
+
+    argparse reads a token that starts with "-" as an option unless it is a
+    plain negative number, so "-3:3:5" or "-1,0,0" would be refused as a
+    value; the "=" form passes any value.
+    """
+    out = []
+    for tok in argv:
+        if out and out[-1] in _SIGNED_VALUE_FLAGS and re.match(r"-[\d.]", tok):
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 def run_cli(argv=None) -> int:
     ap = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = ap.parse_args(argv)
+        args = ap.parse_args(_attach_signed_values(argv))
     except SystemExit as exc:
         # argparse exits 2 on usage errors already; normalize other codes
         return 2 if exc.code not in (0,) else 0
     try:
         return _COMMANDS[args.command](args)
-    except ArrangementError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except InsufficientSamplesError as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return 1
-    except EvaluationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (ArrangementError, EvaluationError, SamplingError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -61,5 +61,9 @@ class InsufficientSamplesError(Exception):
         )
 
 
+class SamplingError(RuntimeError):
+    """A sampler or the growth integrator could not produce its points or rays."""
+
+
 class DifferentiationError(Exception):
     """Numerical differentiation of a sampled potential failed to stabilize."""

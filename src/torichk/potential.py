@@ -232,9 +232,11 @@ def legendre_solve(arr: FlatArrangement, B, u, z, x0=None,
     for it in range(1, cfg.newton_max_iter + 1):
         res = float(np.abs(grad).max()) if n else 0.0
         if res <= cfg.newton_residual:
-            pt = Point3n(x, z)
-            K = eval_F(arr, B, pt, cfg) - float(tau @ x)
-            return KahlerChartPoint(u=u, z=z, x=x, K=K, residual=res, iterations=it - 1)
+            # fval is already K = F(x, z) - tau.x; only the domain checks remain
+            s, _, r = arr.svr(x, z)
+            _check_off_flats(arr, r, cfg.on_flat)
+            _check_off_branch(arr, s, r, cfg.branch)
+            return KahlerChartPoint(u=u, z=z, x=x, K=fval, residual=res, iterations=it - 1)
         hess = 4.0 * eval_Phi(arr, B, Point3n(x, z), cfg)
         try:
             step = -np.linalg.solve(hess, grad)

@@ -31,7 +31,7 @@ from .arrangement import (DeformationMatrix, FlatArrangement, Point3n,
 from .config import DEFAULT, Tolerances, thread_cap
 from .errors import (DomainEscapeError, EvaluationError,
                      InsufficientSamplesError, NoConvergenceError,
-                     StencilClippedError)
+                     SamplingError, StencilClippedError)
 from .potential import (eval_F, eval_F_z, eval_Phi, eval_connection,
                         eval_metric, legendre_solve, phi_batch,
                         reconstruct_F_from_K)
@@ -100,7 +100,7 @@ def sample_points(arr: FlatArrangement, count: int, rng,
             continue
         out.append(Point3n(x, z))
     if len(out) < count:
-        raise RuntimeError("rejection sampling failed to reach the requested count")
+        raise SamplingError("rejection sampling failed to reach the requested count")
     return out
 
 
@@ -129,7 +129,7 @@ def sample_chart_points(arr: FlatArrangement, B, count: int, rng,
                 continue
         out.append(chart)
     if len(out) < count:
-        raise RuntimeError("chart sampling failed to reach the requested count")
+        raise SamplingError("chart sampling failed to reach the requested count")
     return out
 
 
@@ -392,45 +392,70 @@ class GrowthFit:
     samples: int
 
 
+def _rays(arr, B, base_coords, dirs, T, n):
+    """Radial rays over the node grid geomspace(1e-4, T, 512), one per direction.
+
+    Returns the nodes t, the distance proxy (cumulative radial path length in
+    the quotient metric plus a torus-fiber diameter bound, forced monotone)
+    and det Phi, both of shape (len(dirs), 512).  Each row depends only on its
+    own direction.
+    """
+    nodes = 512
+    t = np.geomspace(1e-4, T, nodes)
+    P = base_coords[None, None, :] + t[None, :, None] * dirs[:, None, :]
+    flatP = P.reshape(-1, 3 * n)
+    X = flatP[:, :n]
+    Z = flatP[:, n:2 * n] + 1j * flatP[:, 2 * n:]
+    phi = phi_batch(arr, B, X, Z).reshape(dirs.shape[0], nodes, n, n)
+    speed2 = (np.einsum("di,dtij,dj->dt", dirs[:, :n], phi, dirs[:, :n])
+              + np.einsum("di,dtij,dj->dt", dirs[:, n:2 * n], phi, dirs[:, n:2 * n])
+              + np.einsum("di,dtij,dj->dt", dirs[:, 2 * n:], phi, dirs[:, 2 * n:]))
+    speed = np.sqrt(speed2)
+    if n == 1:
+        lam_min = phi[:, :, 0, 0]
+        detphi = phi[:, :, 0, 0]
+    else:
+        lam_min = np.linalg.eigvalsh(phi)[..., 0]
+        detphi = np.linalg.det(phi)
+    dt = np.diff(t)
+    L = np.empty_like(speed)
+    L[:, 0] = speed[:, 0] * t[0]
+    L[:, 1:] = 0.5 * (speed[:, 1:] + speed[:, :-1]) * dt[None, :]
+    np.cumsum(L, axis=1, out=L)
+    fiber = math.pi * math.sqrt(n) / np.sqrt(lam_min)
+    proxy = np.maximum.accumulate(L + fiber, axis=1)
+    return t, proxy, detphi
+
+
 def _growth_chunk(arr, B, base_coords, dirs, radii, n):
     """Per-direction ball volumes: integrate det Phi along radial rays.
 
-    The ball is measured with a distance proxy: cumulative radial path length
-    in the quotient metric plus a torus-fiber diameter bound, forced monotone.
+    The ball is measured with the distance proxy of _rays.  The ray length T
+    starts at max(rmax, 4) and grows by 1.8x until every direction's proxy
+    reaches the largest radius.  Each T round is screened first with one probe
+    direction (the chunk's first, then the shortest one of the last failed
+    full pass): when the probe falls short, the full chunk would fail too, so
+    T grows without integrating the other rays.  A round is thus skipped only
+    when the unscreened loop fails it as well, and the volumes come from the
+    same final T and the same full integration.  This rests on each row of
+    phi_batch not depending on the batch it is computed in.
     """
     rmax = float(radii[-1])
-    nodes = 512
     T = max(rmax, 4.0)
+    probe = dirs[:1]
     for _ in range(80):
-        t = np.geomspace(1e-4, T, nodes)
-        P = base_coords[None, None, :] + t[None, :, None] * dirs[:, None, :]
-        flatP = P.reshape(-1, 3 * n)
-        X = flatP[:, :n]
-        Z = flatP[:, n:2 * n] + 1j * flatP[:, 2 * n:]
-        phi = phi_batch(arr, B, X, Z).reshape(dirs.shape[0], nodes, n, n)
-        speed2 = (np.einsum("di,dtij,dj->dt", dirs[:, :n], phi, dirs[:, :n])
-                  + np.einsum("di,dtij,dj->dt", dirs[:, n:2 * n], phi, dirs[:, n:2 * n])
-                  + np.einsum("di,dtij,dj->dt", dirs[:, 2 * n:], phi, dirs[:, 2 * n:]))
-        speed = np.sqrt(speed2)
-        if n == 1:
-            lam_min = phi[:, :, 0, 0]
-            detphi = phi[:, :, 0, 0]
-        else:
-            lam_min = np.linalg.eigvalsh(phi)[..., 0]
-            detphi = np.linalg.det(phi)
-        dt = np.diff(t)
-        L = np.empty_like(speed)
-        L[:, 0] = speed[:, 0] * t[0]
-        L[:, 1:] = 0.5 * (speed[:, 1:] + speed[:, :-1]) * dt[None, :]
-        np.cumsum(L, axis=1, out=L)
-        fiber = math.pi * math.sqrt(n) / np.sqrt(lam_min)
-        proxy = np.maximum.accumulate(L + fiber, axis=1)
-        if proxy[:, -1].min() >= rmax:
-            break
+        _, proxy, _ = _rays(arr, B, base_coords, probe, T, n)
+        if proxy[0, -1] >= rmax:
+            t, proxy, detphi = _rays(arr, B, base_coords, dirs, T, n)
+            if proxy[:, -1].min() >= rmax:
+                break
+            probe = dirs[[int(np.argmin(proxy[:, -1]))]]
         T *= 1.8
     else:
-        raise RuntimeError("radial integration range failed to cover the largest radius")
+        raise SamplingError("radial integration range failed to cover the largest radius")
 
+    nodes = t.size
+    dt = np.diff(t)
     integrand = detphi * t[None, :] ** (3 * n - 1)
     Vc = np.empty_like(integrand)
     Vc[:, 0] = integrand[:, 0] * t[0] / (3.0 * n)

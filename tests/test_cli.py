@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from torichk import parse_arrangement
+from torichk import SamplingError, parse_arrangement, verify
 from torichk.cli import run_cli
 
 
@@ -173,6 +173,32 @@ def test_export_grid_nan_on_flat(capsys, tmp_path):
         assert any(tok == "nan" for tok in row.split(",")[3:])
     assert "nan" not in rows[2].lower()
     assert float(rows[2].split(",")[0]) == 1.0
+
+
+@pytest.mark.parametrize("argv, flag, value", [
+    (["export-grid", "flat-H", "--axis", "x1", "--out", "-"], "--range", "-3:3:5"),
+    (["export-grid", "flat-H", "--axis", "x1", "--range=1:3:3", "--out", "-"],
+     "--fixed", "-1,0.5,0"),
+    (["eval", "flat-H"], "--point", "-1,0.5,0"),
+    (["growth", "flat-H", "--radii", "60,240", "--samples", "64", "--seed", "3"],
+     "--base", "-.5,1,0"),
+], ids=["range", "fixed", "point", "base"])
+def test_option_value_may_start_with_minus(capsys, argv, flag, value):
+    joined = _run(capsys, *argv, f"{flag}={value}")
+    spaced = _run(capsys, *argv, flag, value)
+    assert spaced[0] == 0
+    assert spaced == joined
+
+
+def test_sampling_failure_exits_two(capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise SamplingError("rejection sampling failed to reach the requested count")
+
+    monkeypatch.setattr(verify, "sample_points", fail)
+    code, out, err = _run(capsys, "verify", "flat-H", "--checks", "phi-fd")
+    assert code == 2
+    assert out == ""
+    assert err == "error: rejection sampling failed to reach the requested count\n"
 
 
 def test_catalog_listing_roundtrips(capsys):

@@ -11,6 +11,7 @@ from torichk import (BranchLocusError, DeformationMatrix, DifferentiationError,
                      eval_F, eval_F_z, eval_Phi, eval_connection, eval_metric,
                      legendre_solve, moment_map, phi_batch, quotient_metric,
                      reconstruct_F_from_K, translate)
+from torichk.catalog import catalog
 from torichk.config import with_overrides
 
 FLAT_H = entry("flat-H")
@@ -264,6 +265,20 @@ def test_phi_batch_matches_pointwise():
         batch = phi_batch(arr, B, X, Z)
         for i, p in enumerate(pts):
             assert np.allclose(batch[i], eval_Phi(arr, B, p), atol=1e-14)
+
+
+@pytest.mark.parametrize("e", catalog(), ids=lambda e: e.name)
+def test_phi_batch_rows_do_not_depend_on_the_batch(e):
+    # the growth integrator screens T rounds with a one-ray batch and relies
+    # on each row coming out exactly as it does in the full batch
+    arr, B = e.arrangement, e.deformation
+    n = arr.dimension
+    rng = np.random.default_rng(16)
+    X = rng.normal(scale=50.0, size=(300, n))
+    Z = rng.normal(scale=50.0, size=(300, n)) + 1j * rng.normal(scale=50.0, size=(300, n))
+    full = phi_batch(arr, B, X, Z)
+    for rows in ([0], [299], [7, 3], list(range(0, 300, 7))):
+        assert np.array_equal(phi_batch(arr, B, X[rows], Z[rows]), full[rows])
 
 
 def test_moment_map_is_identity_in_model_coordinates():

@@ -1,11 +1,14 @@
 """Residual estimators and the check harness."""
 
+import math
+
 import numpy as np
 import pytest
 
 from torichk import (DeformationMatrix, FlatArrangement, InsufficientSamplesError,
-                     KahlerChartPoint, Point3n, StencilClippedError, entry,
-                     eval_Phi, legendre_solve)
+                     KahlerChartPoint, Point3n, SamplingError,
+                     StencilClippedError, catalog, entry, eval_Phi,
+                     legendre_solve)
 from torichk import arrangement, classification_report, verify
 from torichk.verify import (ResidualReport, conformal_factor_check, growth_fit,
                             hessian_identity_residual, monge_ampere_residual,
@@ -208,6 +211,122 @@ def test_growth_validates_radii():
         growth_fit(FLAT_H.arrangement, None, base, [10.0, 5.0])
     with pytest.raises(ValueError, match="increasing"):
         growth_fit(FLAT_H.arrangement, None, base, [100.0])
+
+
+def _unscreened_growth_chunk(arr, B, base_coords, dirs, radii, n):
+    """The growth chunk without probe screening: every T round integrates
+    all of dirs.  Kept as the reference the screened loop must reproduce."""
+    rmax = float(radii[-1])
+    nodes = 512
+    T = max(rmax, 4.0)
+    for _ in range(80):
+        t = np.geomspace(1e-4, T, nodes)
+        P = base_coords[None, None, :] + t[None, :, None] * dirs[:, None, :]
+        flatP = P.reshape(-1, 3 * n)
+        X = flatP[:, :n]
+        Z = flatP[:, n:2 * n] + 1j * flatP[:, 2 * n:]
+        phi = verify.phi_batch(arr, B, X, Z).reshape(dirs.shape[0], nodes, n, n)
+        speed2 = (np.einsum("di,dtij,dj->dt", dirs[:, :n], phi, dirs[:, :n])
+                  + np.einsum("di,dtij,dj->dt", dirs[:, n:2 * n], phi, dirs[:, n:2 * n])
+                  + np.einsum("di,dtij,dj->dt", dirs[:, 2 * n:], phi, dirs[:, 2 * n:]))
+        speed = np.sqrt(speed2)
+        if n == 1:
+            lam_min = phi[:, :, 0, 0]
+            detphi = phi[:, :, 0, 0]
+        else:
+            lam_min = np.linalg.eigvalsh(phi)[..., 0]
+            detphi = np.linalg.det(phi)
+        dt = np.diff(t)
+        L = np.empty_like(speed)
+        L[:, 0] = speed[:, 0] * t[0]
+        L[:, 1:] = 0.5 * (speed[:, 1:] + speed[:, :-1]) * dt[None, :]
+        np.cumsum(L, axis=1, out=L)
+        fiber = math.pi * math.sqrt(n) / np.sqrt(lam_min)
+        proxy = np.maximum.accumulate(L + fiber, axis=1)
+        if proxy[:, -1].min() >= rmax:
+            break
+        T *= 1.8
+    else:
+        raise RuntimeError("radial integration range failed to cover the largest radius")
+
+    integrand = detphi * t[None, :] ** (3 * n - 1)
+    Vc = np.empty_like(integrand)
+    Vc[:, 0] = integrand[:, 0] * t[0] / (3.0 * n)
+    Vc[:, 1:] = 0.5 * (integrand[:, 1:] + integrand[:, :-1]) * dt[None, :]
+    np.cumsum(Vc, axis=1, out=Vc)
+
+    out = np.empty((dirs.shape[0], radii.size))
+    for j, R in enumerate(radii):
+        idx = (proxy < R).sum(axis=1)
+        idx = np.clip(idx, 1, nodes - 1)
+        lo = idx - 1
+        rows = np.arange(dirs.shape[0])
+        p_lo = proxy[rows, lo]
+        p_hi = proxy[rows, idx]
+        v_lo = Vc[rows, lo]
+        v_hi = Vc[rows, idx]
+        frac = np.clip((R - p_lo) / np.where(p_hi > p_lo, p_hi - p_lo, 1.0), 0.0, 1.0)
+        vals = v_lo + frac * (v_hi - v_lo)
+        vals = np.where(proxy[:, 0] >= R, 0.0, vals)
+        out[:, j] = vals
+    return out
+
+
+GROWTH_RADII = np.geomspace(60.0, 960.0, 9)
+
+
+@pytest.mark.parametrize("name", [e.name for e in catalog()
+                                  if e.arrangement.dimension == 1]
+                         + ["n2-unimodular"])
+def test_growth_screening_reproduces_unscreened_loop(name, monkeypatch):
+    e = entry(name)
+    arr, B = e.arrangement, e.deformation
+    base = _pt(np.zeros(arr.dimension), np.zeros(arr.dimension))
+
+    def fit():
+        return growth_fit(arr, B, base, GROWTH_RADII, samples=512,
+                          rng=np.random.default_rng(212))
+
+    screened = fit()
+    monkeypatch.setattr(verify, "_growth_chunk", _unscreened_growth_chunk)
+    reference = fit()
+    assert np.array_equal(screened.volumes, reference.volumes)
+    assert screened.exponent == reference.exponent
+    assert screened.std_error == reference.std_error
+
+
+def test_growth_chunk_integrates_all_rays_once(monkeypatch):
+    # failed T rounds are caught by a single 512-node probe ray, so the
+    # 512-direction chunk is integrated in full exactly once
+    sizes = []
+    phi_batch = verify.phi_batch
+
+    def counting(arr, B, X, Z):
+        sizes.append(X.shape[0])
+        return phi_batch(arr, B, X, Z)
+
+    monkeypatch.setattr(verify, "phi_batch", counting)
+    dirs = np.random.default_rng(213).standard_normal((512, 3))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    verify._growth_chunk(EH.arrangement, EH.deformation, np.zeros(3), dirs,
+                         GROWTH_RADII, 1)
+    full = [k for k in sizes if k == 512 * 512]
+    probes = [k for k in sizes if k != 512 * 512]
+    assert len(full) == 1
+    assert probes and all(k == 512 for k in probes)
+
+
+def test_growth_chunk_raises_sampling_error_when_rays_stay_short(monkeypatch):
+    def short_rays(arr, B, base_coords, dirs, T, n):
+        t = np.geomspace(1e-4, T, 512)
+        zero = np.zeros((dirs.shape[0], t.size))
+        return t, zero, zero
+
+    monkeypatch.setattr(verify, "_rays", short_rays)
+    dirs = np.eye(3)
+    with pytest.raises(SamplingError, match="largest radius"):
+        verify._growth_chunk(EH.arrangement, None, np.zeros(3), dirs,
+                             GROWTH_RADII, 1)
 
 
 # -- harness ------------------------------------------------------------------
