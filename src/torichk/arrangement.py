@@ -27,7 +27,12 @@ def _as_readonly(a):
 
 @dataclass(frozen=True)
 class Point3n:
-    """A point (x, z) in R^n x C^n, the moment-map target R^3 (x) R^n."""
+    """A point (x, z) in R^n x C^n, the moment-map target R^3 (x) R^n.
+
+    x and z may carry leading batch axes, shape (..., n): then the object is
+    a batch of points, and the evaluators of the potential module return one
+    result per point along the same axes.
+    """
 
     x: np.ndarray
     z: np.ndarray
@@ -35,28 +40,28 @@ class Point3n:
     def __post_init__(self):
         x = np.atleast_1d(np.asarray(self.x, dtype=float))
         z = np.atleast_1d(np.asarray(self.z, dtype=complex))
-        if x.ndim != 1 or z.ndim != 1 or x.shape != z.shape:
-            raise ValueError("x and z must be equal-length vectors")
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(z.view(float)))):
+        if x.shape != z.shape:
+            raise ValueError("x and z must have equal shapes (..., n)")
+        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(z))):
             raise ValueError("point coordinates must be finite")
         object.__setattr__(self, "x", _as_readonly(x))
         object.__setattr__(self, "z", _as_readonly(z))
 
     @property
     def n(self) -> int:
-        return self.x.shape[0]
+        return self.x.shape[-1]
 
     def coords(self) -> np.ndarray:
-        """Block coordinates (x_1..x_n, Re z_1..Re z_n, Im z_1..Im z_n)."""
-        return np.concatenate([self.x, self.z.real, self.z.imag])
+        """Block coordinates (x_1..x_n, Re z_1..Re z_n, Im z_1..Im z_n), (..., 3n)."""
+        return np.concatenate([self.x, self.z.real, self.z.imag], axis=-1)
 
     @classmethod
     def from_coords(cls, w) -> "Point3n":
         w = np.asarray(w, dtype=float)
-        if w.ndim != 1 or w.size % 3:
-            raise ValueError("expected a flat vector of length 3n")
-        n = w.size // 3
-        return cls(w[:n], w[n:2 * n] + 1j * w[2 * n:])
+        if w.ndim < 1 or w.shape[-1] % 3:
+            raise ValueError("expected coordinates of length 3n along the last axis")
+        n = w.shape[-1] // 3
+        return cls(w[..., :n], w[..., n:2 * n] + 1j * w[..., 2 * n:])
 
     def shifted(self, t, w) -> "Point3n":
         return Point3n(self.x + np.asarray(t, float),

@@ -49,7 +49,7 @@ def _parse_point(text, n, flag="--point"):
     try:
         vals = np.array([float(p) for p in parts])
     except ValueError as exc:
-        raise ArrangementError(f"--point: {exc}") from exc
+        raise ArrangementError(f"{flag}: {exc}") from exc
     return Point3n.from_coords(vals)
 
 
@@ -220,7 +220,33 @@ def _parse_range(text):
         raise ArrangementError(f"--range {text!r}: {exc}") from exc
     if count < 1:
         raise ArrangementError(f"--range {text!r}: COUNT must be positive")
-    return np.linspace(start, stop, count)
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = np.linspace(start, stop, count)
+    # catches nan/inf bounds and finite bounds whose step overflows
+    if not np.all(np.isfinite(values)):
+        raise ArrangementError(f"--range {text!r}: every grid value must be finite")
+    return values
+
+
+# grid points evaluated per batch; bounds the memory of large grids
+GRID_BLOCK = 4096
+
+
+def _grid_rows(arr, B, w):
+    """CSV rows for the grid points w (N, 3n): coordinates, Phi, det Phi and
+    det g, with NaN values where a point lies on a flat or a branch locus."""
+    n = arr.dimension
+    p = Point3n.from_coords(w)
+    s, _, r = arr.svr(p.x, p.z)
+    off = ~((r.min(axis=-1, initial=np.inf) <= DEFAULT.on_flat)
+            | ((s + r).min(axis=-1, initial=np.inf) <= DEFAULT.branch))
+    q = Point3n(p.x[off], p.z[off])
+    phi = eval_Phi(arr, B, q)
+    g = eval_metric(arr, B, q)
+    vals = np.full((len(w), n * n + 2), np.nan)
+    vals[off] = np.column_stack([phi.reshape(-1, n * n),
+                                 np.linalg.det(phi), np.linalg.det(g)])
+    return [",".join(map(repr, row)) for row in np.hstack([w, vals]).tolist()]
 
 
 def _cmd_export_grid(args):
@@ -240,28 +266,23 @@ def _cmd_export_grid(args):
               + [f"imz{i+1}" for i in range(n)]
               + [f"phi{i+1}{j+1}" for i in range(n) for j in range(n)]
               + ["det_phi", "det_g"])
-    rows = []
     mesh = np.meshgrid(*grids, indexing="ij")
-    for flat_idx in range(mesh[0].size if mesh else 1):
-        w = fixed.copy()
-        for ax, m in zip(idxs, mesh):
-            w[ax] = m.reshape(-1)[flat_idx]
-        p = Point3n.from_coords(w)
-        try:
-            phi = eval_Phi(arr, B, p)
-            g = eval_metric(arr, B, p)
-            vals = (list(w) + [phi[i, j] for i in range(n) for j in range(n)]
-                    + [float(np.linalg.det(phi)), float(np.linalg.det(g))])
-        except EvaluationError:
-            vals = list(w) + [float("nan")] * (n * n + 2)
-        rows.append(",".join(repr(float(v)) for v in vals))
+    w = np.tile(fixed, (mesh[0].size, 1))
+    for ax, m in zip(idxs, mesh):
+        w[:, ax] = m.reshape(-1)
+    rows = [",".join(header)]
+    for start in range(0, len(w), GRID_BLOCK):
+        rows += _grid_rows(arr, B, w[start:start + GRID_BLOCK])
 
-    text = "\n".join([",".join(header)] + rows) + "\n"
+    text = "\n".join(rows) + "\n"
     if args.out == "-":
         sys.stdout.write(text)
-    else:
+        return 0
+    try:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise ArrangementError(f"--out: cannot write {args.out}: {exc.strerror}") from exc
     return 0
 
 

@@ -8,8 +8,11 @@ Everything derives from one scalar potential on R^n x C^n,
 with per-flat quantities s_k = <x,u_k> - l1_k, v_k = <z,u_k> - (l2_k + i l3_k)
 and r_k = sqrt(s_k^2 + |v_k|^2) (the Euclidean-style distance data of the
 flat).  One kernel computes them: FlatArrangement.svr, over the per-flat
-arrays FlatArrangement.frame that are built once per arrangement.  The scalar
-evaluators below and the batched phi_batch are thin wrappers over it.  F is
+arrays FlatArrangement.frame that are built once per arrangement.  eval_Phi,
+eval_connection, eval_metric and quotient_metric take a Point3n whose x and z
+have shape (..., n) and return one matrix per point, (..., n, n) and so on;
+a single point is the (n,) case of the same code, and phi_batch is Phi over
+plain (N, n) arrays.  eval_F and eval_F_z take a single point.  F is
 harmonic on every affine 3-plane spanned by one copy of R^3; all geometric
 quantities below are closed-form derivatives of it:
 
@@ -62,25 +65,34 @@ def _bmat(B, n: int) -> np.ndarray:
     return mat
 
 
-def _check_off_flats(arr, r, tol):
+def _check_off_flats(r, tol):
+    """Raise OnFlatError if any point of r (..., d) lies within tol of a flat."""
     if r.size and r.min() <= tol:
-        k = int(np.argmin(r))
-        raise OnFlatError(k, float(r[k]))
+        at = np.unravel_index(np.argmin(r), r.shape)
+        raise OnFlatError(int(at[-1]), float(r[at]))
 
 
-def _check_off_branch(arr, s, r, tol):
+def _check_off_branch(s, r, tol):
+    """Raise BranchLocusError if any point has s_k + r_k <= tol."""
     t = s + r
     if t.size and t.min() <= tol:
-        k = int(np.argmin(t))
-        raise BranchLocusError(k, float(t[k]))
+        at = np.unravel_index(np.argmin(t), t.shape)
+        raise BranchLocusError(int(at[-1]), float(t[at]))
+
+
+def _single(p: Point3n):
+    if p.x.ndim != 1:
+        raise ValueError(f"expected a single point of shape (n,), got {p.x.shape}")
 
 
 def eval_F(arr: FlatArrangement, B, p: Point3n, cfg: Tolerances = DEFAULT) -> float:
-    """The master potential at p.  Linear-in-x gauge terms are fixed to zero."""
+    """The master potential at a single point p.  Linear-in-x gauge terms are
+    fixed to zero."""
+    _single(p)
     a = arr.frame.a
     s, v, r = arr.svr(p.x, p.z)
-    _check_off_flats(arr, r, cfg.on_flat)
-    _check_off_branch(arr, s, r, cfg.branch)
+    _check_off_flats(r, cfg.on_flat)
+    _check_off_branch(s, r, cfg.branch)
     total = float(np.sum(a * (s * np.log(s + r) - r))) if r.size else 0.0
     Bm = _bmat(B, arr.dimension)
     total += 2.0 * float(p.x @ Bm @ p.x) - float((p.z @ Bm @ p.z.conj()).real)
@@ -88,26 +100,33 @@ def eval_F(arr: FlatArrangement, B, p: Point3n, cfg: Tolerances = DEFAULT) -> fl
 
 
 def eval_F_z(arr: FlatArrangement, B, p: Point3n, cfg: Tolerances = DEFAULT) -> np.ndarray:
-    """Wirtinger gradient dF/dz_l = -sum_k a_k (u_k)_l conj(v_k)/(2(s_k+r_k)) - (B conj(z))_l."""
+    """Wirtinger gradient dF/dz_l = -sum_k a_k (u_k)_l conj(v_k)/(2(s_k+r_k)) - (B conj(z))_l
+    at a single point p."""
+    _single(p)
     U, a = arr.frame.U, arr.frame.a
     s, v, r = arr.svr(p.x, p.z)
-    _check_off_flats(arr, r, cfg.on_flat)
-    _check_off_branch(arr, s, r, cfg.branch)
+    _check_off_flats(r, cfg.on_flat)
+    _check_off_branch(s, r, cfg.branch)
     g = -(_bmat(B, arr.dimension) @ p.z.conj())
     if r.size:
         g = g - (a * v.conj() / (2.0 * (s + r))) @ U.astype(complex)
     return g
 
 
-def eval_Phi(arr: FlatArrangement, B, p: Point3n, cfg: Tolerances = DEFAULT) -> np.ndarray:
-    """Closed-form Phi(p) = B + (1/4) sum_k a_k u_k u_k^T / r_k, (n, n) SPD off flats."""
+def _phi(arr: FlatArrangement, Bm: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """B + (1/4) sum_k a_k u_k u_k^T / r_k for flat distances r (..., d)."""
+    if not r.shape[-1]:
+        return np.broadcast_to(Bm, r.shape[:-1] + Bm.shape).copy()
     U, a = arr.frame.U, arr.frame.a
-    s, v, r = arr.svr(p.x, p.z)
-    _check_off_flats(arr, r, cfg.on_flat)
-    phi = _bmat(B, arr.dimension).copy()
-    if r.size:
-        phi += np.einsum("k,ki,kj->ij", a / (4.0 * r), U, U)
-    return 0.5 * (phi + phi.T)
+    return Bm + np.einsum("...k,ki,kj->...ij", a / (4.0 * r), U, U)
+
+
+def eval_Phi(arr: FlatArrangement, B, p: Point3n, cfg: Tolerances = DEFAULT) -> np.ndarray:
+    """Closed-form Phi(p) = B + (1/4) sum_k a_k u_k u_k^T / r_k, (..., n, n) SPD off flats."""
+    _, _, r = arr.svr(p.x, p.z)
+    _check_off_flats(r, cfg.on_flat)
+    phi = _phi(arr, _bmat(B, arr.dimension), r)
+    return 0.5 * (phi + np.swapaxes(phi, -1, -2))
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,62 +141,67 @@ class ConnectionForm:
     coefficients: np.ndarray
 
     def real_coefficients(self):
-        """(coeff of dRe z, coeff of dIm z) as two real (n, n) matrices."""
+        """(coeff of dRe z, coeff of dIm z) as two real (..., n, n) arrays."""
         C = self.coefficients
         return 0.5 * C.imag, 0.5 * C.real
 
 
 def eval_connection(arr: FlatArrangement, B, p: Point3n,
                     cfg: Tolerances = DEFAULT) -> ConnectionForm:
-    """Mixed-derivative matrix C of F at p; B contributes nothing."""
+    """Mixed-derivative matrix C of F at p, (..., n, n); B contributes nothing."""
     U, a = arr.frame.U, arr.frame.a
     s, v, r = arr.svr(p.x, p.z)
-    _check_off_flats(arr, r, cfg.on_flat)
-    _check_off_branch(arr, s, r, cfg.branch)
+    _check_off_flats(r, cfg.on_flat)
+    _check_off_branch(s, r, cfg.branch)
     n = arr.dimension
-    if r.size:
+    if r.shape[-1]:
         w = a * v.conj() / (2.0 * r * (s + r))
-        C = np.einsum("k,kj,kl->jl", w, U.astype(complex), U.astype(complex))
+        C = np.einsum("...k,kj,kl->...jl", w, U.astype(complex), U.astype(complex))
     else:
-        C = np.zeros((n, n), dtype=complex)
+        C = np.zeros(r.shape[:-1] + (n, n), dtype=complex)
     return ConnectionForm(C)
 
 
 def eval_metric(arr: FlatArrangement, B, p: Point3n,
                 cfg: Tolerances = DEFAULT) -> np.ndarray:
-    """The 4n x 4n metric matrix in coordinates (x, Re z, Im z, y).
+    """The 4n x 4n metric matrix in coordinates (x, Re z, Im z, y), (..., 4n, 4n).
 
     g = Phi on each of the three base blocks plus W^T Phi^{-1} W with
     W = [0 | Im C / 2 | Re C / 2 | I], the fiber term (dy + A)^2.  Raises
     BranchLocus on the connection's gauge (Dirac-string) locus, where this
     coordinate expression of the fiber form degenerates.
     """
-    n = arr.dimension
     phi = eval_Phi(arr, B, p, cfg)
     wim, wre = eval_connection(arr, B, p, cfg).real_coefficients()
-    W = np.hstack([np.zeros((n, n)), wim, wre, np.eye(n)])
+    n = arr.dimension
+    W = np.zeros(phi.shape[:-1] + (4 * n,))
+    W[..., n:2 * n] = wim
+    W[..., 2 * n:3 * n] = wre
+    W[..., 3 * n:] = np.eye(n)
     try:
         chol = np.linalg.cholesky(phi)
     except np.linalg.LinAlgError:
         raise ValueError("Phi is not positive definite at this point; "
                          "metric undefined") from None
     half = np.linalg.solve(chol, W)
-    g = np.zeros((4 * n, 4 * n))
+    g = _three_blocks(phi, 4)
+    g += np.swapaxes(half, -1, -2) @ half
+    return 0.5 * (g + np.swapaxes(g, -1, -2))
+
+
+def _three_blocks(phi: np.ndarray, size: int) -> np.ndarray:
+    """(..., size*n, size*n) zeros with phi on the first three diagonal blocks."""
+    n = phi.shape[-1]
+    g = np.zeros(phi.shape[:-2] + (size * n, size * n))
     for b in range(3):
-        g[b * n:(b + 1) * n, b * n:(b + 1) * n] = phi
-    g += half.T @ half
-    return 0.5 * (g + g.T)
+        g[..., b * n:(b + 1) * n, b * n:(b + 1) * n] = phi
+    return g
 
 
 def quotient_metric(arr: FlatArrangement, B, p: Point3n,
                     cfg: Tolerances = DEFAULT) -> np.ndarray:
-    """Metric induced on the torus quotient: Phi (+) Phi (+) Phi, 3n x 3n."""
-    n = arr.dimension
-    phi = eval_Phi(arr, B, p, cfg)
-    g = np.zeros((3 * n, 3 * n))
-    for b in range(3):
-        g[b * n:(b + 1) * n, b * n:(b + 1) * n] = phi
-    return g
+    """Metric induced on the torus quotient: Phi (+) Phi (+) Phi, (..., 3n, 3n)."""
+    return _three_blocks(eval_Phi(arr, B, p, cfg), 3)
 
 
 def moment_map(p: Point3n) -> np.ndarray:
@@ -234,8 +258,8 @@ def legendre_solve(arr: FlatArrangement, B, u, z, x0=None,
         if res <= cfg.newton_residual:
             # fval is already K = F(x, z) - tau.x; only the domain checks remain
             s, _, r = arr.svr(x, z)
-            _check_off_flats(arr, r, cfg.on_flat)
-            _check_off_branch(arr, s, r, cfg.branch)
+            _check_off_flats(r, cfg.on_flat)
+            _check_off_branch(s, r, cfg.branch)
             return KahlerChartPoint(u=u, z=z, x=x, K=fval, residual=res, iterations=it - 1)
         hess = 4.0 * eval_Phi(arr, B, Point3n(x, z), cfg)
         try:
@@ -310,12 +334,7 @@ def reconstruct_F_from_K(kahler, u, z, step: float = DEFAULT.reconstruct_step,
 # -- batched evaluators (volume integration hot path) -----------------------
 
 def phi_batch(arr: FlatArrangement, B, X: np.ndarray, Z: np.ndarray) -> np.ndarray:
-    """Phi at many points: X (N, n) real, Z (N, n) complex -> (N, n, n)."""
-    U, a = arr.frame.U, arr.frame.a
-    n = arr.dimension
-    Bm = _bmat(B, n)
-    out = np.broadcast_to(Bm, (X.shape[0], n, n)).copy()
-    if len(arr.flats):
-        _, _, R = arr.svr(X, Z)
-        out += np.einsum("Nk,ki,kj->Nij", a / (4.0 * R), U, U)
-    return out
+    """Phi at many points: X (N, n) real, Z (N, n) complex -> (N, n, n).
+
+    The formula of eval_Phi without its point validation and flat checks."""
+    return _phi(arr, _bmat(B, arr.dimension), arr.svr(X, Z)[2])

@@ -64,6 +64,32 @@ def test_point_coords_roundtrip():
     assert np.array_equal(p.x, q.x)
     assert np.array_equal(p.z, q.z)
     assert p.n == 2
+    # a batch (..., n) round-trips along the last axis
+    rng = np.random.default_rng(3)
+    w = rng.normal(size=(4, 5, 6))
+    b = Point3n.from_coords(w)
+    assert b.x.shape == b.z.shape == (4, 5, 2) and b.n == 2
+    assert np.array_equal(b.coords(), w)
+    assert np.array_equal(b.coords()[1, 2], Point3n.from_coords(w[1, 2]).coords())
+
+
+def test_point_batch_validation():
+    with pytest.raises(ValueError, match="equal shapes"):
+        Point3n(np.zeros((3, 2)), np.zeros((2, 2)))
+    with pytest.raises(ValueError, match="equal shapes"):
+        Point3n(np.zeros((3, 2)), np.zeros(2))
+    for bad in (np.nan, np.inf, -np.inf):
+        x = np.zeros((5, 2))
+        z = np.zeros((5, 2), dtype=complex)
+        x[3, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            Point3n(x, z)
+        x[3, 1] = 0.0
+        z[4, 0] = complex(0.0, bad)
+        with pytest.raises(ValueError, match="finite"):
+            Point3n(x, z)
+    with pytest.raises(ValueError, match="last axis"):
+        Point3n.from_coords(np.zeros((4, 5)))
 
 
 def test_on_flats_and_distances():

@@ -5,8 +5,9 @@ import json
 import numpy as np
 import pytest
 
-from torichk import SamplingError, parse_arrangement, verify
-from torichk.cli import run_cli
+from torichk import (EvaluationError, Point3n, SamplingError, catalog, entry,
+                     eval_Phi, eval_metric, parse_arrangement, verify)
+from torichk.cli import GRID_BLOCK, run_cli
 
 
 def _run(capsys, *argv):
@@ -173,6 +174,102 @@ def test_export_grid_nan_on_flat(capsys, tmp_path):
         assert any(tok == "nan" for tok in row.split(",")[3:])
     assert "nan" not in rows[2].lower()
     assert float(rows[2].split(",")[0]) == 1.0
+
+
+def _reference_grid_csv(arr, B, axes):
+    """export-grid's CSV for `axes` (name, start, stop, count) with the other
+    coordinates at 0, built point by point from the scalar evaluators."""
+    n = arr.dimension
+    header = ([f"x{i+1}" for i in range(n)] + [f"rez{i+1}" for i in range(n)]
+              + [f"imz{i+1}" for i in range(n)]
+              + [f"phi{i+1}{j+1}" for i in range(n) for j in range(n)]
+              + ["det_phi", "det_g"])
+    prefixes = [name.rstrip("0123456789") for name, *_ in axes]
+    cols = [{"x": 0, "rez": 1, "imz": 2}[prefix] * n + int(name[len(prefix):]) - 1
+            for prefix, (name, *_) in zip(prefixes, axes)]
+    mesh = np.meshgrid(*[np.linspace(a, b, c) for _, a, b, c in axes], indexing="ij")
+    lines = [",".join(header)]
+    for k in range(mesh[0].size):
+        w = np.zeros(3 * n)
+        for col, m in zip(cols, mesh):
+            w[col] = m.reshape(-1)[k]
+        p = Point3n.from_coords(w)
+        try:
+            phi = eval_Phi(arr, B, p)
+            g = eval_metric(arr, B, p)
+            vals = (list(w) + [phi[i, j] for i in range(n) for j in range(n)]
+                    + [float(np.linalg.det(phi)), float(np.linalg.det(g))])
+        except EvaluationError:
+            vals = list(w) + [float("nan")] * (n * n + 2)
+        lines.append(",".join(repr(float(v)) for v in vals))
+    return "\n".join(lines) + "\n"
+
+
+def _grid_cases():
+    # every grid passes through flats (offsets on the grid lines, z = 0) and
+    # through the branch cuts on their negative side
+    n1 = [("x1", -3.0, 3.0, 25), ("imz1", -1.0, 1.0, 9)]
+    n2 = [("x1", -1.0, 1.0, 9), ("x2", -1.0, 1.0, 9), ("imz2", -0.5, 0.5, 3)]
+    for e in catalog():
+        yield pytest.param(e.name, n1 if e.arrangement.dimension == 1 else n2, id=e.name)
+    side = 65
+    yield pytest.param("flat-H", [("x1", -3.0, 3.0, side),
+                                  ("rez1", -2.0, 2.0, GRID_BLOCK // side + 2)],
+                       id="flat-H-larger-than-a-block")
+
+
+@pytest.mark.parametrize("name, axes", _grid_cases())
+def test_export_grid_matches_pointwise_reference(capsys, name, axes):
+    e = entry(name)
+    arr, B = e.arrangement, e.deformation
+    argv = ["export-grid", name]
+    for ax, start, stop, count in axes:
+        argv += ["--axis", ax, f"--range={start!r}:{stop!r}:{count}"]
+    code, out, err = _run(capsys, *argv, "--out", "-")
+    assert code == 0 and err == ""
+    assert out == _reference_grid_csv(arr, B, axes)
+    nan_rows = sum(line.endswith(",nan") for line in out.splitlines())
+    if len(arr.flats):
+        assert 0 < nan_rows < len(out.splitlines()) - 1
+
+
+def test_export_grid_without_flats_or_deformation_exits_two(capsys, tmp_path):
+    path = _write_arrangement(tmp_path, {"n": 1, "flats": []})
+    out_path = tmp_path / "grid.csv"
+    code, out, err = _run(capsys, "export-grid", path, "--axis", "x1",
+                          "--range=-1:1:3", "--out", str(out_path))
+    assert code == 2
+    assert err == "error: Phi is not positive definite at this point; metric undefined\n"
+    assert not out_path.exists()
+
+
+def test_export_grid_out_into_missing_directory_exits_two(capsys, tmp_path):
+    out_path = tmp_path / "missing" / "grid.csv"
+    code, out, err = _run(capsys, "export-grid", "flat-H", "--axis", "x1",
+                          "--range=1:3:3", "--out", str(out_path))
+    assert code == 2 and out == ""
+    assert err == f"error: --out: cannot write {out_path}: No such file or directory\n"
+    assert not out_path.parent.exists()
+
+
+@pytest.mark.parametrize("value", ["nan:1:3", "0:inf:3", "-inf:1:1", "0:NaN:3",
+                                   "-1e308:1e308:3"])
+def test_range_rejects_non_finite_values(capsys, value):
+    code, out, err = _run(capsys, "export-grid", "flat-H", "--axis", "x1",
+                          f"--range={value}", "--out", "-")
+    assert code == 2 and out == ""
+    assert err == f"error: --range {value!r}: every grid value must be finite\n"
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["eval", "flat-H"], "--point"),
+    (["export-grid", "flat-H", "--axis", "x1", "--range=1:3:3", "--out", "-"], "--fixed"),
+    (["growth", "flat-H", "--radii", "60,240", "--samples", "64"], "--base"),
+], ids=["point", "fixed", "base"])
+def test_point_parse_error_names_its_option(capsys, argv, flag):
+    code, out, err = _run(capsys, *argv, f"{flag}=0,abc,0")
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {flag}: could not convert string to float: 'abc'")
 
 
 @pytest.mark.parametrize("argv, flag, value", [

@@ -281,6 +281,78 @@ def test_phi_batch_rows_do_not_depend_on_the_batch(e):
         assert np.array_equal(phi_batch(arr, B, X[rows], Z[rows]), full[rows])
 
 
+def _near_locus_batch(arr, rng, count=120):
+    """Generic points plus points 1e-8..1e-2 from a flat or from the branch
+    cut s_k + r_k = 0, all of them off every locus: x, z (N, n) and each
+    point's least r_k or s_k + r_k."""
+    n = arr.dimension
+    X = rng.uniform(-3.0, 3.0, (count, n))
+    Z = rng.uniform(-3.0, 3.0, (count, n)) + 1j * rng.uniform(-3.0, 3.0, (count, n))
+    if len(arr.flats):
+        U, l1, lc = arr.frame[:3]
+        k = rng.integers(len(arr.flats), size=count)
+        foot = U[k] / (U[k] ** 2).sum(axis=1)[:, None]
+        eps = 10.0 ** rng.uniform(-8.0, -2.0, (count, 1))
+        # on flat k plus a small step, or on its cut (s_k < 0, v_k = 0) plus one
+        back = np.where(rng.random((count, 1)) < 0.5, 0.0, -rng.uniform(0.5, 2.0, (count, 1)))
+        X[::2] = ((l1[k] + back[:, 0])[:, None] * foot + eps * rng.normal(size=(count, n)))[::2]
+        Z[::2] = (lc[k][:, None] * foot + eps * (rng.normal(size=(count, n))
+                                                 + 1j * rng.normal(size=(count, n))))[::2]
+    s, _, r = arr.svr(X, Z)
+    gap = np.minimum(r, s + r).min(axis=1, initial=np.inf)
+    return X[gap > 1e-9], Z[gap > 1e-9], gap[gap > 1e-9]
+
+
+@pytest.mark.parametrize("e", catalog(), ids=lambda e: e.name)
+def test_batched_evaluators_match_row_by_row(e):
+    arr, B = e.arrangement, e.deformation
+    n = arr.dimension
+    X, Z, gap = _near_locus_batch(arr, np.random.default_rng(18))
+    if len(arr.flats):
+        assert (gap < 1e-4).sum() >= 10
+    X, Z = X[:2 * (len(X) // 2)], Z[:2 * (len(X) // 2)]
+    evaluators = {
+        "phi": lambda p: eval_Phi(arr, B, p),
+        "connection": lambda p: eval_connection(arr, B, p).coefficients,
+        "metric": lambda p: eval_metric(arr, B, p),
+        "quotient": lambda p: quotient_metric(arr, B, p),
+    }
+    batch = Point3n(X, Z)
+    # two leading axes take the same code as one
+    grid = Point3n(X.reshape(2, -1, n), Z.reshape(2, -1, n))
+    for name, fn in evaluators.items():
+        rows = np.array([fn(Point3n(x, z)) for x, z in zip(X, Z)])
+        assert np.array_equal(fn(batch), rows), name
+        assert np.array_equal(fn(grid), rows.reshape((2, -1) + rows.shape[1:])), name
+    assert np.array_equal(phi_batch(arr, B, X, Z), eval_Phi(arr, B, batch))
+
+
+def test_batched_evaluators_raise_if_any_row_is_on_a_locus():
+    arr = EH.arrangement
+    X = np.array([[0.0], [3.0], [1.0], [0.5]])
+    Z = np.array([[1.0], [0.5j], [0.0], [2.0]])
+    # row 2 lies on flat 1 (x = 1, z = 0)
+    with pytest.raises(OnFlatError) as exc:
+        eval_Phi(arr, None, Point3n(X, Z))
+    assert exc.value.index == 1 and exc.value.distance == 0.0
+    with pytest.raises(OnFlatError):
+        eval_metric(arr, None, Point3n(X, Z))
+    # row 2 on the cut of flat 1 (s < 0, v = 0): Phi is defined, the connection is not
+    X = X.copy()
+    X[2, 0] = 0.0
+    phi = eval_Phi(arr, None, Point3n(X, Z))
+    assert phi.shape == (4, 1, 1)
+    with pytest.raises(BranchLocusError) as exc:
+        eval_connection(arr, None, Point3n(X, Z))
+    assert exc.value.index == 1
+    with pytest.raises(BranchLocusError):
+        eval_metric(arr, None, Point3n(X, Z))
+    # F and its z-gradient are single-point evaluators
+    for fn in (eval_F, eval_F_z):
+        with pytest.raises(ValueError, match="single point"):
+            fn(arr, None, Point3n(X[:2] + 5.0, Z[:2]))
+
+
 def test_moment_map_is_identity_in_model_coordinates():
     p = _pt([0.5, -2.0], [1.0 + 2.0j, -3.0j])
     assert np.array_equal(moment_map(p), p.coords())
