@@ -38,8 +38,9 @@ class Point3n:
     z: np.ndarray
 
     def __post_init__(self):
-        x = np.atleast_1d(np.asarray(self.x, dtype=float))
-        z = np.atleast_1d(np.asarray(self.z, dtype=complex))
+        # private copies: freezing the caller's own arrays would make them read-only
+        x = np.array(self.x, dtype=float, ndmin=1)
+        z = np.array(self.z, dtype=complex, ndmin=1)
         if x.shape != z.shape:
             raise ValueError("x and z must have equal shapes (..., n)")
         if not (np.all(np.isfinite(x)) and np.all(np.isfinite(z))):

@@ -2,37 +2,51 @@
 
 These are deliberately independent of the closed-form derivative code they
 are used to check: plain second-order central differences on scalar
-functions of a real vector.
+functions of a real vector.  f takes a stack of nodes (K, m) and returns
+their values (K,); each stencil calls it once with all of its nodes.
 """
 
 import numpy as np
 
 
+def star(w, h):
+    """The centre w (..., m) and its 2m neighbours, (..., 1 + 2m, m).
+
+    Node 0 is w; nodes 1 + 2c and 2 + 2c are w + h e_c and w - h e_c.
+    """
+    w = np.asarray(w, dtype=float)
+    m = w.shape[-1]
+    E = h * np.eye(m)
+    pm = np.stack([w[..., None, :] + E, w[..., None, :] - E], axis=-2)
+    return np.concatenate([w[..., None, :], pm.reshape(w.shape[:-1] + (2 * m, m))], axis=-2)
+
+
 def hessian(f, w, h):
     """Full symmetric Hessian of f: R^m -> R at w, central differences."""
-    w = np.asarray(w, dtype=float)
-    m = w.size
-    f0 = f(w)
+    S = star(w, h)
+    m = S.shape[-1]
+    E = h * np.eye(m)
+    plus, minus = S[1::2], S[2::2]
+    # nodes: the star of w, then (w +- e_i) +- e_j for each pair i < j
+    pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
+    nodes = [S]
+    if pairs:
+        i, j = np.array(pairs).T
+        nodes += [plus[i] + E[j], plus[i] - E[j], minus[i] + E[j], minus[i] - E[j]]
+    vals = f(np.concatenate(nodes))
+    fpp, fpm, fmp, fmm = vals[1 + 2 * m:].reshape(4, len(pairs))
     H = np.empty((m, m))
     for i in range(m):
-        ei = np.zeros(m)
-        ei[i] = h
-        H[i, i] = (f(w + ei) - 2.0 * f0 + f(w - ei)) / (h * h)
-        for j in range(i + 1, m):
-            ej = np.zeros(m)
-            ej[j] = h
-            H[i, j] = H[j, i] = (
-                f(w + ei + ej) - f(w + ei - ej) - f(w - ei + ej) + f(w - ei - ej)
-            ) / (4.0 * h * h)
+        H[i, i] = (vals[1 + 2 * i] - 2.0 * vals[0] + vals[2 + 2 * i]) / (h * h)
+    for k, (i, j) in enumerate(pairs):
+        H[i, j] = H[j, i] = (fpp[k] - fpm[k] - fmp[k] + fmm[k]) / (4.0 * h * h)
     return H
 
 
 def laplacian3(f, c, h):
     """7-point Laplacian of f: R^3 -> R at center c."""
-    c = np.asarray(c, dtype=float)
-    total = -6.0 * f(c)
+    vals = f(star(c, h))
+    total = -6.0 * vals[0]
     for i in range(3):
-        e = np.zeros(3)
-        e[i] = h
-        total += f(c + e) + f(c - e)
+        total += vals[1 + 2 * i] + vals[2 + 2 * i]
     return total / (h * h)

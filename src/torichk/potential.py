@@ -12,9 +12,10 @@ arrays FlatArrangement.frame that are built once per arrangement.  eval_Phi,
 eval_connection, eval_metric and quotient_metric take a Point3n whose x and z
 have shape (..., n) and return one matrix per point, (..., n, n) and so on;
 a single point is the (n,) case of the same code, and phi_batch is Phi over
-plain (N, n) arrays.  eval_F and eval_F_z take a single point.  F is
-harmonic on every affine 3-plane spanned by one copy of R^3; all geometric
-quantities below are closed-form derivatives of it:
+plain (N, n) arrays.  eval_F takes the same batches and returns (...), a
+float for a single point; eval_F_z takes a single point.  F is harmonic on
+every affine 3-plane spanned by one copy of R^3; all geometric quantities
+below are closed-form derivatives of it:
 
     Phi      = (1/4) F_xx          = B + (1/4) sum_k a_k u_k u_k^T / r_k
     C[j][l]  = F_{x_j z_l}         = sum_k a_k u_kj u_kl conj(v_k)
@@ -85,18 +86,20 @@ def _single(p: Point3n):
         raise ValueError(f"expected a single point of shape (n,), got {p.x.shape}")
 
 
-def eval_F(arr: FlatArrangement, B, p: Point3n, cfg: Tolerances = DEFAULT) -> float:
-    """The master potential at a single point p.  Linear-in-x gauge terms are
-    fixed to zero."""
-    _single(p)
+def eval_F(arr: FlatArrangement, B, p: Point3n, cfg: Tolerances = DEFAULT):
+    """The master potential at p: a float for a single point, (...) for a batch.
+
+    Linear-in-x gauge terms are fixed to zero."""
     a = arr.frame.a
     s, v, r = arr.svr(p.x, p.z)
     _check_off_flats(r, cfg.on_flat)
     _check_off_branch(s, r, cfg.branch)
-    total = float(np.sum(a * (s * np.log(s + r) - r))) if r.size else 0.0
+    total = np.sum(a * (s * np.log(s + r) - r), axis=-1)
     Bm = _bmat(B, arr.dimension)
-    total += 2.0 * float(p.x @ Bm @ p.x) - float((p.z @ Bm @ p.z.conj()).real)
-    return total
+    q1 = np.einsum("...i,ij,...j->...", p.x, Bm, p.x)
+    q2 = np.einsum("...i,ij,...j->...", p.z, Bm, p.z.conj()).real
+    total = total + (2.0 * q1 - q2)
+    return float(total) if total.ndim == 0 else total
 
 
 def eval_F_z(arr: FlatArrangement, B, p: Point3n, cfg: Tolerances = DEFAULT) -> np.ndarray:

@@ -157,9 +157,9 @@ def polyharmonic_residual(arr: FlatArrangement, B, p: Point3n, v,
     v = np.asarray(v, dtype=float)
     vhat = v / np.linalg.norm(v)
 
-    def f(c):
-        return eval_F(arr, B, Point3n(p.x + c[0] * vhat,
-                                      p.z + (c[1] + 1j * c[2]) * vhat), cfg)
+    def f(C):
+        return eval_F(arr, B, Point3n(p.x + C[:, :1] * vhat,
+                                      p.z + (C[:, 1:2] + 1j * C[:, 2:]) * vhat), cfg)
 
     return abs(fd.laplacian3(f, np.zeros(3), step))
 
@@ -265,21 +265,15 @@ def sp_condition_residual(arr: FlatArrangement, B, chart,
     return float(np.abs(M.T @ J @ M - J).max())
 
 
-def _metric_on_base(arr, B, cfg):
-    def g(w):
-        return eval_metric(arr, B, Point3n.from_coords(w), cfg)
-    return g
+def _christoffel(g, h, base, total):
+    """Gamma^a_{bc} from the metric on an fd.star stencil, g (1 + 2 base, total, total).
 
-
-def _christoffel(gfun, w, h, base, total):
-    """Gamma^a_{bc} at w; the metric is constant in the trailing fiber coords."""
-    g0 = gfun(w)
-    ginv = np.linalg.inv(g0)
+    The metric is constant in the trailing fiber coords.
+    """
+    ginv = np.linalg.inv(g[0])
     dg = np.zeros((total, total, total))
     for c in range(base):
-        e = np.zeros(base)
-        e[c] = h
-        dg[c] = (gfun(w + e) - gfun(w - e)) / (2.0 * h)
+        dg[c] = (g[1 + 2 * c] - g[2 + 2 * c]) / (2.0 * h)
     # T_{dbc} = d_b g_{dc} + d_c g_{db} - d_d g_{bc}
     T = np.transpose(dg, (1, 0, 2)) + np.transpose(dg, (1, 2, 0)) - dg
     return 0.5 * np.einsum("ad,dbc->abc", ginv, T)
@@ -302,18 +296,14 @@ def ricci_residual(arr: FlatArrangement, B, p: Point3n,
             f"flat clearance {clear:.3e} below {cfg.stencil_clearance * step:.3e}")
     base = 3 * n
     total = 4 * n
-    gfun = _metric_on_base(arr, B, cfg)
-    w0 = p.coords()
-
-    def gamma_at(w):
-        return _christoffel(gfun, w, step, base, total)
-
-    G0 = gamma_at(w0)
+    # the nested stencil: the metric at a star around every node of a star
+    g = eval_metric(arr, B, Point3n.from_coords(fd.star(fd.star(p.coords(), step), step)),
+                    cfg)
+    gamma = [_christoffel(gk, step, base, total) for gk in g]
+    G0 = gamma[0]
     dG = np.zeros((base, total, total, total))
     for c in range(base):
-        e = np.zeros(base)
-        e[c] = step
-        dG[c] = (gamma_at(w0 + e) - gamma_at(w0 - e)) / (2.0 * step)
+        dG[c] = (gamma[1 + 2 * c] - gamma[2 + 2 * c]) / (2.0 * step)
 
     # Ric_{sn} = d_m G^m_{ns} - d_n G^m_{ms} + G^m_{ml} G^l_{ns} - G^m_{nl} G^l_{ms}
     trace = np.einsum("mml->l", G0)
@@ -345,15 +335,12 @@ def conformal_factor_check(arr: FlatArrangement, B, x3,
     centers = arr.offset_matrix()
     masses = arr.masses()
 
-    def phi_scalar(w):
-        return float(eval_Phi(arr, B, _point_from_r3(w), cfg)[0, 0])
+    def phi(W):
+        """Phi at the R^3 points W (K, 3), (K,)."""
+        return eval_Phi(arr, B, Point3n(W[:, :1], W[:, 1:2] + 1j * W[:, 2:]), cfg)[:, 0, 0]
 
-    dists = np.linalg.norm(centers - x3, axis=1) if len(arr.flats) else np.zeros(0)
-    closed = b + float(np.sum(masses / (4.0 * dists))) if len(arr.flats) else b
-    identity = abs(phi_scalar(x3) - closed)
-    harmonic = abs(fd.laplacian3(phi_scalar, x3, step))
-
-    bounded = 0.0
+    # boundedness probes centers[k] + t * direction, with their mass term and bound
+    probes, terms, bounds = [x3], [], []
     direction = np.array([0.57735026919, 0.57735026919, 0.57735026919])
     for k in range(len(arr.flats)):
         others = [j for j in range(len(arr.flats)) if j != k]
@@ -361,11 +348,18 @@ def conformal_factor_check(arr: FlatArrangement, B, x3,
         bound = b + sum(masses[j] / (4.0 * (np.linalg.norm(centers[j] - centers[k]) - 1e-2))
                         for j in others) + 1e-9
         for t in np.geomspace(1e-6, 1e-2, 5):
-            w = centers[k] + t * direction
             if sep is not None and t >= sep:
                 continue
-            phi_rem = phi_scalar(w) - masses[k] / (4.0 * t)
-            bounded = max(bounded, max(0.0, abs(phi_rem) - bound))
+            probes.append(centers[k] + t * direction)
+            terms.append(masses[k] / (4.0 * t))
+            bounds.append(bound)
+    values = phi(np.stack(probes))
+
+    dists = np.linalg.norm(centers - x3, axis=1) if len(arr.flats) else np.zeros(0)
+    closed = b + float(np.sum(masses / (4.0 * dists))) if len(arr.flats) else b
+    identity = abs(float(values[0]) - closed)
+    harmonic = abs(fd.laplacian3(phi, x3, step))
+    bounded = float(np.max(np.abs(values[1:] - terms) - bounds, initial=0.0))
     return float(max(identity, harmonic, bounded))
 
 
@@ -374,10 +368,6 @@ def _bscalar(B):
         return 0.0
     mat = B.entries if isinstance(B, DeformationMatrix) else np.asarray(B, float)
     return mat[0, 0]
-
-
-def _point_from_r3(w):
-    return Point3n(np.array([w[0]]), np.array([w[1] + 1j * w[2]]))
 
 
 # --------------------------------------------------------------------------
@@ -596,8 +586,8 @@ def _phi_fd_residual(arr, B, p, cfg):
     """Relative deviation of Phi from F_xx / 4 by a Richardson pair of Hessians."""
     phi = eval_Phi(arr, B, p, cfg)
 
-    def f(w):
-        return eval_F(arr, B, Point3n(w, p.z), cfg)
+    def f(W):
+        return eval_F(arr, B, Point3n(W, np.broadcast_to(p.z, W.shape)), cfg)
 
     # Richardson pair of central Hessians: O(h^4) truncation
     h = cfg.phi_fd_step

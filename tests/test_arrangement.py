@@ -92,6 +92,19 @@ def test_point_batch_validation():
         Point3n.from_coords(np.zeros((4, 5)))
 
 
+def test_point_keeps_a_frozen_copy_of_the_callers_arrays():
+    x = np.zeros(2)
+    z = np.zeros(2, dtype=complex)
+    p = Point3n(x, z)
+    x[0] = 1.0
+    z[1] = 2.0j
+    assert p.x[0] == 0.0 and p.z[1] == 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        p.x[0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        p.z[0] = 1.0
+
+
 def test_on_flats_and_distances():
     arr = _axes_n2()
     p = Point3n(np.array([0.0, 0.7]), np.array([0.0j, 0.3j]))

@@ -1,4 +1,7 @@
-"""The stencils themselves, pinned against hand-differentiated functions."""
+"""The stencils themselves, pinned against hand-differentiated functions.
+
+Each f takes a stack of nodes (K, m) and returns their values (K,).
+"""
 
 import numpy as np
 
@@ -6,8 +9,8 @@ from torichk import fd
 
 
 def _quadratic(A, b):
-    def f(w):
-        return 0.5 * float(w @ A @ w) + float(b @ w)
+    def f(W):
+        return 0.5 * np.einsum("ki,ij,kj->k", W, A, W) + W @ b
     return f
 
 
@@ -23,8 +26,8 @@ def test_hessian_exact_on_quadratics():
 
 
 def test_hessian_second_order_truncation():
-    def f(w):
-        return float(np.exp(w[0]) * np.cos(w[1]))
+    def f(W):
+        return np.exp(W[:, 0]) * np.cos(W[:, 1])
 
     w = np.array([0.3, -0.7])
     want = np.array([[np.exp(0.3) * np.cos(-0.7), -np.exp(0.3) * np.sin(-0.7)],
@@ -36,8 +39,8 @@ def test_hessian_second_order_truncation():
 
 def test_laplacian3_on_harmonic_and_nonharmonic():
     # 1/|w| is harmonic away from 0
-    def newton(w):
-        return 1.0 / float(np.linalg.norm(w))
+    def newton(W):
+        return 1.0 / np.linalg.norm(W, axis=1)
 
     c = np.array([0.8, -0.4, 0.5])
     assert abs(fd.laplacian3(newton, c, 1e-3)) <= 1e-5
@@ -46,7 +49,21 @@ def test_laplacian3_on_harmonic_and_nonharmonic():
     fine = abs(fd.laplacian3(newton, c, 1e-3))
     assert coarse / fine >= 3.5
     # |w|^2 has Laplacian exactly 6
-    def square(w):
-        return float(w @ w)
+    def square(W):
+        return np.einsum("ki,ki->k", W, W)
 
     assert abs(fd.laplacian3(square, c, 1e-3) - 6.0) <= 1e-7
+
+
+def test_each_stencil_calls_f_once():
+    calls = []
+
+    def f(W):
+        calls.append(W.shape)
+        return np.einsum("ki,ki->k", W, W)
+
+    fd.hessian(f, np.array([0.3, -0.7, 1.1]), 1e-3)
+    assert calls == [(1 + 2 * 3 + 4 * 3, 3)]
+    calls.clear()
+    fd.laplacian3(f, np.array([0.8, -0.4, 0.5]), 1e-3)
+    assert calls == [(7, 3)]

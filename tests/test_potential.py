@@ -337,6 +337,9 @@ def test_batched_evaluators_raise_if_any_row_is_on_a_locus():
     assert exc.value.index == 1 and exc.value.distance == 0.0
     with pytest.raises(OnFlatError):
         eval_metric(arr, None, Point3n(X, Z))
+    with pytest.raises(OnFlatError) as exc:
+        eval_F(arr, None, Point3n(X, Z))
+    assert exc.value.index == 1
     # row 2 on the cut of flat 1 (s < 0, v = 0): Phi is defined, the connection is not
     X = X.copy()
     X[2, 0] = 0.0
@@ -347,10 +350,25 @@ def test_batched_evaluators_raise_if_any_row_is_on_a_locus():
     assert exc.value.index == 1
     with pytest.raises(BranchLocusError):
         eval_metric(arr, None, Point3n(X, Z))
-    # F and its z-gradient are single-point evaluators
-    for fn in (eval_F, eval_F_z):
-        with pytest.raises(ValueError, match="single point"):
-            fn(arr, None, Point3n(X[:2] + 5.0, Z[:2]))
+    with pytest.raises(BranchLocusError) as exc:
+        eval_F(arr, None, Point3n(X, Z))
+    assert exc.value.index == 1
+    # the z-gradient of F is a single-point evaluator
+    with pytest.raises(ValueError, match="single point"):
+        eval_F_z(arr, None, Point3n(X[:2] + 5.0, Z[:2]))
+
+
+@pytest.mark.parametrize("e", catalog(), ids=lambda e: e.name)
+def test_batched_eval_F_matches_row_by_row(e):
+    arr, B = e.arrangement, e.deformation
+    n = arr.dimension
+    X, Z, _ = _near_locus_batch(arr, np.random.default_rng(19))
+    X, Z = X[:2 * (len(X) // 2)], Z[:2 * (len(X) // 2)]
+    rows = [eval_F(arr, B, Point3n(x, z)) for x, z in zip(X, Z)]
+    assert all(type(v) is float for v in rows)
+    assert np.array_equal(eval_F(arr, B, Point3n(X, Z)), rows)
+    grid = eval_F(arr, B, Point3n(X.reshape(2, -1, n), Z.reshape(2, -1, n)))
+    assert np.array_equal(grid, np.reshape(rows, (2, -1)))
 
 
 def test_moment_map_is_identity_in_model_coordinates():

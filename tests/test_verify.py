@@ -5,10 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from torichk import (DeformationMatrix, FlatArrangement, InsufficientSamplesError,
-                     KahlerChartPoint, Point3n, SamplingError,
-                     StencilClippedError, catalog, entry, eval_Phi,
-                     legendre_solve)
+from torichk import (DEFAULT, DeformationMatrix, Flat, FlatArrangement,
+                     InsufficientSamplesError, KahlerChartPoint, Point3n,
+                     SamplingError, StencilClippedError, catalog, entry, eval_F,
+                     eval_metric, eval_Phi, legendre_solve)
 from torichk import arrangement, classification_report, verify
 from torichk.verify import (ResidualReport, conformal_factor_check, growth_fit,
                             hessian_identity_residual, monge_ampere_residual,
@@ -163,6 +163,192 @@ def test_conformal_factor_check_residuals():
     with pytest.raises(ValueError, match="n=1"):
         conformal_factor_check(entry("n2-unimodular").arrangement, None,
                                [0.0, 0.0, 0.0])
+
+
+# -- one evaluator call per stencil ------------------------------------------
+#
+# The residuals evaluate each finite-difference stencil in one batched call.
+# The pointwise loops below, which evaluate one node per call, are kept as
+# the reference those residuals must reproduce bit for bit.
+
+def _pointwise_hessian(f, w, h):
+    w = np.asarray(w, dtype=float)
+    m = w.size
+    f0 = f(w)
+    H = np.empty((m, m))
+    for i in range(m):
+        ei = np.zeros(m)
+        ei[i] = h
+        H[i, i] = (f(w + ei) - 2.0 * f0 + f(w - ei)) / (h * h)
+        for j in range(i + 1, m):
+            ej = np.zeros(m)
+            ej[j] = h
+            H[i, j] = H[j, i] = (
+                f(w + ei + ej) - f(w + ei - ej) - f(w - ei + ej) + f(w - ei - ej)
+            ) / (4.0 * h * h)
+    return H
+
+
+def _pointwise_laplacian3(f, c, h):
+    c = np.asarray(c, dtype=float)
+    total = -6.0 * f(c)
+    for i in range(3):
+        e = np.zeros(3)
+        e[i] = h
+        total += f(c + e) + f(c - e)
+    return total / (h * h)
+
+
+def _pointwise_phi_fd(arr, B, p, cfg=DEFAULT):
+    phi = eval_Phi(arr, B, p, cfg)
+
+    def f(w):
+        return eval_F(arr, B, Point3n(w, p.z), cfg)
+
+    h = cfg.phi_fd_step
+    Hx = (4.0 * _pointwise_hessian(f, p.x, h) - _pointwise_hessian(f, p.x, 2.0 * h)) / 3.0
+    return np.abs(phi - 0.25 * Hx).max() / max(np.abs(phi).max(), 1e-12)
+
+
+def _pointwise_polyharmonic(arr, B, p, v, step, cfg=DEFAULT):
+    vhat = v / np.linalg.norm(v)
+
+    def f(c):
+        return eval_F(arr, B, Point3n(p.x + c[0] * vhat,
+                                      p.z + (c[1] + 1j * c[2]) * vhat), cfg)
+
+    return abs(_pointwise_laplacian3(f, np.zeros(3), step))
+
+
+def _pointwise_christoffel(gfun, w, h, base, total):
+    g0 = gfun(w)
+    ginv = np.linalg.inv(g0)
+    dg = np.zeros((total, total, total))
+    for c in range(base):
+        e = np.zeros(base)
+        e[c] = h
+        dg[c] = (gfun(w + e) - gfun(w - e)) / (2.0 * h)
+    T = np.transpose(dg, (1, 0, 2)) + np.transpose(dg, (1, 2, 0)) - dg
+    return 0.5 * np.einsum("ad,dbc->abc", ginv, T)
+
+
+def _pointwise_ricci(arr, B, p, step, cfg=DEFAULT):
+    n = arr.dimension
+    base, total = 3 * n, 4 * n
+
+    def gfun(w):
+        return eval_metric(arr, B, Point3n.from_coords(w), cfg)
+
+    def gamma_at(w):
+        return _pointwise_christoffel(gfun, w, step, base, total)
+
+    w0 = p.coords()
+    G0 = gamma_at(w0)
+    dG = np.zeros((base, total, total, total))
+    for c in range(base):
+        e = np.zeros(base)
+        e[c] = step
+        dG[c] = (gamma_at(w0 + e) - gamma_at(w0 - e)) / (2.0 * step)
+    trace = np.einsum("mml->l", G0)
+    ric = np.zeros((total, total))
+    for nu in range(total):
+        for sig in range(total):
+            val = sum(dG[mu][mu, nu, sig] for mu in range(base))
+            if nu < base:
+                val -= sum(dG[nu][mu, mu, sig] for mu in range(total))
+            val += float(trace @ G0[:, nu, sig])
+            val -= float(np.einsum("ml,lm->", G0[:, nu, :], G0[:, :, sig]))
+            ric[nu, sig] = val
+    return float(np.abs(ric).max())
+
+
+def _pointwise_conformal(arr, B, x3, step, cfg=DEFAULT):
+    b = float(verify._bscalar(B))
+    centers = arr.offset_matrix()
+    masses = arr.masses()
+
+    def phi_scalar(w):
+        return float(eval_Phi(arr, B, Point3n(np.array([w[0]]),
+                                              np.array([w[1] + 1j * w[2]])), cfg)[0, 0])
+
+    dists = np.linalg.norm(centers - x3, axis=1) if len(arr.flats) else np.zeros(0)
+    closed = b + float(np.sum(masses / (4.0 * dists))) if len(arr.flats) else b
+    identity = abs(phi_scalar(x3) - closed)
+    harmonic = abs(_pointwise_laplacian3(phi_scalar, x3, step))
+    bounded = 0.0
+    direction = np.array([0.57735026919, 0.57735026919, 0.57735026919])
+    for k in range(len(arr.flats)):
+        others = [j for j in range(len(arr.flats)) if j != k]
+        sep = min((np.linalg.norm(centers[j] - centers[k]) for j in others), default=None)
+        bound = b + sum(masses[j] / (4.0 * (np.linalg.norm(centers[j] - centers[k]) - 1e-2))
+                        for j in others) + 1e-9
+        for t in np.geomspace(1e-6, 1e-2, 5):
+            w = centers[k] + t * direction
+            if sep is not None and t >= sep:
+                continue
+            phi_rem = phi_scalar(w) - masses[k] / (4.0 * t)
+            bounded = max(bounded, max(0.0, abs(phi_rem) - bound))
+    return float(max(identity, harmonic, bounded))
+
+
+@pytest.mark.parametrize("name", [e.name for e in catalog()])
+def test_stencil_residuals_equal_the_pointwise_loops(name):
+    e = entry(name)
+    arr, B = e.arrangement, e.deformation
+    rng = np.random.default_rng(214)
+    for p in sample_points(arr, 3, rng, clearance=0.35):
+        assert verify._phi_fd_residual(arr, B, p, DEFAULT) == _pointwise_phi_fd(arr, B, p)
+        v = verify.rational_direction(arr.dimension, rng)
+        for h in (DEFAULT.poly_step, 2 * DEFAULT.poly_step):
+            assert polyharmonic_residual(arr, B, p, v, h) == \
+                _pointwise_polyharmonic(arr, B, p, v, h)
+        for h in (DEFAULT.curvature_step, 2 * DEFAULT.curvature_step):
+            assert ricci_residual(arr, B, p, h) == _pointwise_ricci(arr, B, p, h)
+        if arr.dimension == 1:
+            step = DEFAULT.harmonic_step
+            assert conformal_factor_check(arr, B, p.coords(), step) == \
+                _pointwise_conformal(arr, B, p.coords(), step)
+
+
+def test_conformal_probes_near_each_center_match_the_pointwise_loop():
+    # three centers, one pair closer than the largest probe radius
+    arr = FlatArrangement(1, (Flat((1,), (0.0, 0.0, 0.0), 1.0),
+                              Flat((1,), (5e-3, 0.0, 0.0), 2.0),
+                              Flat((1,), (2.0, 1.0, 0.0), 0.5)))
+    B = DeformationMatrix([[0.3]])
+    x3 = np.array([0.7, -0.2, 0.4])
+    got = conformal_factor_check(arr, B, x3)
+    assert got == _pointwise_conformal(arr, B, x3, DEFAULT.harmonic_step)
+
+
+def test_one_evaluator_call_per_stencil(monkeypatch):
+    calls = []
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("eval_F", "eval_Phi", "eval_metric"):
+        monkeypatch.setattr(verify, name, counting(name, getattr(verify, name)))
+    for e in (EH, entry("n2-unimodular")):
+        arr, B = e.arrangement, e.deformation
+        p = sample_points(arr, 1, np.random.default_rng(215), clearance=0.5)[0]
+        calls.clear()
+        polyharmonic_residual(arr, B, p, np.ones(arr.dimension))
+        assert calls == ["eval_F"]
+        calls.clear()
+        ricci_residual(arr, B, p)
+        assert calls == ["eval_metric"]
+        calls.clear()
+        verify._phi_fd_residual(arr, B, p, DEFAULT)
+        # Phi itself, then one call per Hessian of the Richardson pair
+        assert calls == ["eval_Phi", "eval_F", "eval_F"]
+    calls.clear()
+    conformal_factor_check(EH.arrangement, EH.deformation, [0.2, 0.5, 0.1])
+    # the sample and every boundedness probe, then the Laplacian stencil
+    assert calls == ["eval_Phi", "eval_Phi"]
 
 
 # -- volume growth ------------------------------------------------------------
