@@ -205,6 +205,15 @@ class FlatArrangement:
         v = z @ U.T - lc
         return s, v, np.sqrt(s * s + (v * v.conj()).real)
 
+    def sr(self, x, vv):
+        """s and r of svr at x (..., n) for a given |v|^2 (..., d), by svr's arithmetic.
+
+        For callers that move x at a fixed z.
+        """
+        U, l1 = self.frame[:2]
+        s = x @ U.T - l1
+        return s, np.sqrt(s * s + vv)
+
 
 class DeformationMatrix:
     """Symmetric PSD matrix B adding the quadratic (Taub-NUT) potential term.

@@ -58,12 +58,17 @@ def with_overrides(**kw) -> Tolerances:
 
 
 def thread_cap() -> int | None:
-    """Parallelism cap from TORIC_HK_THREADS (None means no explicit cap)."""
+    """Parallelism cap from TORIC_HK_THREADS (None means no explicit cap).
+
+    Raises ValueError unless the variable is unset, empty or a positive integer.
+    """
     raw = os.environ.get("TORIC_HK_THREADS")
     if not raw:
         return None
     try:
         value = int(raw)
     except ValueError:
-        return None
-    return max(1, value)
+        value = 0
+    if value < 1:
+        raise ValueError(f"TORIC_HK_THREADS must be a positive integer, got {raw!r}")
+    return value

@@ -43,10 +43,23 @@ def hessian(f, w, h):
     return H
 
 
-def laplacian3(f, c, h):
-    """7-point Laplacian of f: R^3 -> R at center c."""
-    vals = f(star(c, h))
+def _laplacian(vals, h):
+    """The 7-point Laplacian from the values on a star of step h."""
     total = -6.0 * vals[0]
     for i in range(3):
         total += vals[1 + 2 * i] + vals[2 + 2 * i]
     return total / (h * h)
+
+
+def laplacian3(f, c, h):
+    """7-point Laplacian of f: R^3 -> R at center c."""
+    return _laplacian(f(star(c, h)), h)
+
+
+def richardson_laplacian3(f, c, h):
+    """(4 L(h) - L(2h)) / 3 for the 7-point Laplacian L: O(h^4) truncation.
+
+    f gets the nodes of both stars in one call.
+    """
+    vals = f(np.concatenate([star(c, h), star(c, 2.0 * h)]))
+    return (4.0 * _laplacian(vals[:7], h) - _laplacian(vals[7:], 2.0 * h)) / 3.0

@@ -13,7 +13,7 @@ eval_connection, eval_metric and quotient_metric take a Point3n whose x and z
 have shape (..., n) and return one matrix per point, (..., n, n) and so on;
 a single point is the (n,) case of the same code, and phi_batch is Phi over
 plain (N, n) arrays.  eval_F takes the same batches and returns (...), a
-float for a single point; eval_F_z takes a single point.  F is harmonic on
+float for a single point, and eval_F_z returns (..., n).  F is harmonic on
 every affine 3-plane spanned by one copy of R^3; all geometric quantities
 below are closed-form derivatives of it:
 
@@ -32,7 +32,13 @@ Kaehler potential of the chart (u, z) is the Legendre transform
 
 computed by a damped Newton iteration: F is strictly convex in x wherever
 Phi is positive definite, so the solve is globally convergent inside the
-domain {s_k + r_k > 0 for all k}.
+domain {s_k + r_k > 0 for all k}.  One kernel runs it over a stack of
+(u, z) rows, each with its own convergence test, Armijo backtracking,
+iteration count and failure; every row gets the values it gets when solved
+alone.  legendre_solve is its single-point form.  reconstruct_F_from_K
+takes a stacked chart potential, kahler(u (K, n), z (K, n)) -> (K,), and
+calls it once per chart point with every node of its stencils, so the
+verify module solves each chart stencil as one stack.
 
 The fiber coordinates y_i are normalized to period 2*pi; volume
 normalizations elsewhere depend on this choice.
@@ -45,7 +51,7 @@ import numpy as np
 from .arrangement import DeformationMatrix, FlatArrangement, Point3n
 from .config import DEFAULT, Tolerances
 from .errors import (BranchLocusError, DifferentiationError, DomainEscapeError,
-                     NoConvergenceError, OnFlatError)
+                     EvaluationError, NoConvergenceError, OnFlatError)
 
 __all__ = [
     "Point3n", "ConnectionForm", "KahlerChartPoint", "ReconstructedPotential",
@@ -81,11 +87,6 @@ def _check_off_branch(s, r, tol):
         raise BranchLocusError(int(at[-1]), float(t[at]))
 
 
-def _single(p: Point3n):
-    if p.x.ndim != 1:
-        raise ValueError(f"expected a single point of shape (n,), got {p.x.shape}")
-
-
 def eval_F(arr: FlatArrangement, B, p: Point3n, cfg: Tolerances = DEFAULT):
     """The master potential at p: a float for a single point, (...) for a batch.
 
@@ -103,16 +104,17 @@ def eval_F(arr: FlatArrangement, B, p: Point3n, cfg: Tolerances = DEFAULT):
 
 
 def eval_F_z(arr: FlatArrangement, B, p: Point3n, cfg: Tolerances = DEFAULT) -> np.ndarray:
-    """Wirtinger gradient dF/dz_l = -sum_k a_k (u_k)_l conj(v_k)/(2(s_k+r_k)) - (B conj(z))_l
-    at a single point p."""
-    _single(p)
+    """Wirtinger gradient dF/dz_l = -sum_k a_k (u_k)_l conj(v_k)/(2(s_k+r_k)) - (B conj(z))_l,
+    (..., n) complex."""
     U, a = arr.frame.U, arr.frame.a
     s, v, r = arr.svr(p.x, p.z)
     _check_off_flats(r, cfg.on_flat)
     _check_off_branch(s, r, cfg.branch)
-    g = -(_bmat(B, arr.dimension) @ p.z.conj())
-    if r.size:
-        g = g - (a * v.conj() / (2.0 * (s + r))) @ U.astype(complex)
+    # one-row gemv calls, as for a single point
+    g = -(_bmat(B, arr.dimension) @ p.z.conj()[..., None])[..., 0]
+    if r.shape[-1]:
+        w = a * v.conj() / (2.0 * (s + r))
+        g = g - (w[..., None, :] @ U.astype(complex))[..., 0, :]
     return g
 
 
@@ -224,18 +226,129 @@ class KahlerChartPoint:
     iterations: int = 0
 
 
-def _grad_x(arr, Bm, x, z):
+def _dot(a, b):
+    """Row-wise dot product of two (K, n) stacks, one dot call of a @ b per row."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def _legendre_objective(arr, Bm, x, s, r, zbz, tau):
+    """K = F - tau.x and its x-gradient at the rows of x (K, n), z held fixed.
+
+    s, r (K, d) are the flat data of the rows and zbz (K,) is
+    Re(z B conj(z)).  Returns (ok, grad, K), where ok (K,) marks the rows
+    inside the domain (every s_k + r_k > 0); the other rows carry
+    placeholder values.  Each product is a stack of the one-row BLAS calls
+    (gemv or dot) that a single point makes, so no row depends on the stack
+    it is in.
+    """
     U, a = arr.frame.U, arr.frame.a
-    s, _, r = arr.svr(x, z)
-    t = s + r
-    if t.size and t.min() <= 0.0:
-        return None, None
-    g = 4.0 * (Bm @ x)
-    if t.size:
-        g = g + (a * np.log(t)) @ U
-    val = float(np.sum(a * (s * np.log(t) - r))) if t.size else 0.0
-    val += 2.0 * float(x @ Bm @ x) - float((z @ Bm @ z.conj()).real)
-    return g, val
+    g = 4.0 * (Bm @ x[:, :, None])[:, :, 0]
+    val = 2.0 * _dot((x[:, None, :] @ Bm)[:, 0], x) - zbz
+    if r.shape[1]:
+        t = s + r
+        ok = np.minimum.reduce(t, axis=1) > 0.0
+        logt = np.log(t if ok.all() else np.where(ok[:, None], t, 1.0))
+        g = g + ((a * logt)[:, None, :] @ U)[:, 0]
+        val = np.add.reduce(a * (s * logt - r), axis=1) + val
+    else:
+        ok = np.ones(len(x), dtype=bool)
+        val = 0.0 + val  # the empty sum over flats; turns -0.0 into 0.0
+    return ok, g - tau, val - _dot(tau, x)
+
+
+def _newton(arr, B, u, z, x, cfg):
+    """Damped Newton for grad_x F(x, z) = 2(u + conj(u)) on each row of (K, n) stacks.
+
+    x holds the starting points, broadcast to (K, n).  Every row runs its own
+    iteration: Hessian 4 Phi at its iterate, convergence test, Armijo
+    backtracking, iteration count and failure, with the values a stack of
+    that one row gives.  Returns (x, K, residual, iterations), one entry per
+    row, or raises the error of the first failing row.
+    """
+    n = u.shape[1]
+    Bm = _bmat(B, n)
+    out_x, out_K = np.empty(u.shape), np.empty(len(u))
+    out_res, out_it = np.empty(len(u)), np.zeros(len(u), dtype=int)
+    errors = {}
+    rows = np.arange(len(u))
+    x = np.array(np.broadcast_to(x, u.shape), dtype=float)
+    tau = 2.0 * (u + u.conj()).real
+    s, v, r = arr.svr(x, z)
+    vv = (v * v.conj()).real
+    zbz = _dot((z[:, None, :] @ Bm.astype(complex))[:, 0], z.conj()).real
+    ok, g, f = _legendre_objective(arr, Bm, x, s, r, zbz, tau)
+    gone = ~ok  # rows that failed and still have to leave the stack
+    if not ok.all():
+        for j in gone.nonzero()[0]:
+            errors[j] = DomainEscapeError("initial point lies outside the potential's domain")
+    for it in range(1, cfg.newton_max_iter + 1):
+        res = np.maximum.reduce(np.abs(g), axis=1) if n else np.zeros(len(rows))
+        stop = gone | (res <= cfg.newton_residual)
+        if r.shape[1]:
+            # Phi, the Hessian, is undefined on a flat
+            stop |= np.minimum.reduce(r, axis=1) <= cfg.on_flat
+        if stop.any():
+            for j in (stop & ~gone).nonzero()[0]:
+                try:
+                    _check_off_flats(r[j], cfg.on_flat)
+                    _check_off_branch(s[j], r[j], cfg.branch)
+                except EvaluationError as exc:
+                    errors[rows[j]] = exc
+                    continue
+                out_x[rows[j]], out_K[rows[j]] = x[j], f[j]
+                out_res[rows[j]], out_it[rows[j]] = res[j], it - 1
+            if stop.all():
+                break
+            keep = ~stop
+            rows, x, vv, zbz, tau, g, f, s, r, res, gone = (
+                col[keep] for col in (rows, x, vv, zbz, tau, g, f, s, r, res, gone))
+        phi = _phi(arr, Bm, r)
+        # 4 times eval_Phi's 0.5 (phi + phi^T): scaling by 2 is exact
+        hess = 2.0 * (phi + np.swapaxes(phi, 1, 2))
+        try:
+            step = -np.linalg.solve(hess, g[:, :, None])[:, :, 0]
+        except np.linalg.LinAlgError:
+            # one singular row fails the whole stack: solve the rows one at a time
+            step = np.zeros_like(g)
+            for j in range(len(rows)):
+                try:
+                    step[j] = -np.linalg.solve(hess[j], g[j])
+                except np.linalg.LinAlgError:
+                    gone[j] = True
+                    errors[rows[j]] = NoConvergenceError(float(res[j]), it - 1)
+        slope = _dot(g, step)
+        # allow for floating noise in F so full steps survive near the minimum
+        noise = 4e-12 * np.maximum(1.0, np.abs(f))
+        alpha = np.ones(len(rows))
+        todo = ~gone
+        for _ in range(60):
+            trial = x + alpha[:, None] * step
+            s_new, r_new = arr.sr(trial, vv)
+            inside, g_new, f_new = _legendre_objective(arr, Bm, trial, s_new, r_new, zbz, tau)
+            acc = todo & inside & (f_new <= f + cfg.armijo * alpha * slope + noise)
+            if acc.all():
+                x, g, f, s, r = trial, g_new, f_new, s_new, r_new
+                break
+            x[acc], g[acc], f[acc], s[acc], r[acc] = (
+                trial[acc], g_new[acc], f_new[acc], s_new[acc], r_new[acc])
+            todo &= ~acc
+            if not todo.any():
+                break
+            alpha[todo] *= 0.5
+        else:
+            for j in todo.nonzero()[0]:
+                gone[j] = True
+                errors[rows[j]] = (
+                    NoConvergenceError(float(res[j]), it) if inside[j] else DomainEscapeError(
+                        "line search blocked by the domain boundary; "
+                        "the requested fiber point is outside the chart"))
+    else:
+        for j in (~gone).nonzero()[0]:
+            errors[rows[j]] = NoConvergenceError(float(np.abs(g[j]).max()),
+                                                 cfg.newton_max_iter)
+    if errors:
+        raise errors[min(errors)]
+    return out_x, out_K, out_res, out_it
 
 
 def legendre_solve(arr: FlatArrangement, B, u, z, x0=None,
@@ -246,52 +359,9 @@ def legendre_solve(arr: FlatArrangement, B, u, z, x0=None,
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     if u.shape != (n,) or z.shape != (n,):
         raise ValueError(f"u and z must have length {n}")
-    Bm = _bmat(B, n)
-    tau = 2.0 * (u + u.conj()).real
-
-    x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).copy()
-    grad, fval = _grad_x(arr, Bm, x, z)
-    if grad is None:
-        raise DomainEscapeError("initial point lies outside the potential's domain")
-    grad = grad - tau
-    fval = fval - float(tau @ x)
-
-    for it in range(1, cfg.newton_max_iter + 1):
-        res = float(np.abs(grad).max()) if n else 0.0
-        if res <= cfg.newton_residual:
-            # fval is already K = F(x, z) - tau.x; only the domain checks remain
-            s, _, r = arr.svr(x, z)
-            _check_off_flats(r, cfg.on_flat)
-            _check_off_branch(s, r, cfg.branch)
-            return KahlerChartPoint(u=u, z=z, x=x, K=fval, residual=res, iterations=it - 1)
-        hess = 4.0 * eval_Phi(arr, B, Point3n(x, z), cfg)
-        try:
-            step = -np.linalg.solve(hess, grad)
-        except np.linalg.LinAlgError:
-            raise NoConvergenceError(res, it - 1) from None
-        slope = float(grad @ step)
-        # allow for floating noise in F so full steps survive near the minimum
-        noise = 4e-12 * max(1.0, abs(fval))
-        alpha = 1.0
-        accepted = False
-        for _ in range(60):
-            trial = x + alpha * step
-            g_new, f_new = _grad_x(arr, Bm, trial, z)
-            if g_new is not None and (f_new - float(tau @ trial)
-                                      <= fval + cfg.armijo * alpha * slope + noise):
-                x = trial
-                grad = g_new - tau
-                fval = f_new - float(tau @ trial)
-                accepted = True
-                break
-            alpha *= 0.5
-        if not accepted:
-            if g_new is None:
-                raise DomainEscapeError(
-                    "line search blocked by the domain boundary; "
-                    "the requested fiber point is outside the chart")
-            raise NoConvergenceError(float(np.abs(grad).max()), it)
-    raise NoConvergenceError(float(np.abs(grad).max()), cfg.newton_max_iter)
+    x, K, res, its = _newton(arr, B, u[None], z[None], 0.0 if x0 is None else x0, cfg)
+    return KahlerChartPoint(u=u, z=z, x=x[0], K=float(K[0]), residual=float(res[0]),
+                            iterations=int(its[0]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -307,30 +377,29 @@ def reconstruct_F_from_K(kahler, u, z, step: float = DEFAULT.reconstruct_step,
     x_i = -(1/2) dK/du_i = -(1/4) dK/d(Re u_i) since K depends on u only
     through u + conj(u); then F = K + 2 sum_i (u_i + conj(u_i)) x_i.  The
     derivative uses a five-point stencil cross-validated at two spacings and
-    fails loudly when the samples cannot support it.
+    fails loudly when the samples cannot support it.  kahler takes stacked
+    points u (K, n) and z (K, n) and returns their K values (K,); it is
+    called once, with the 8n + 1 points u + 2h e_i, u + h e_i, u - h e_i,
+    u - 2h e_i for each i at h = step, then at h = step / 2, then u itself.
     """
     u = np.atleast_1d(np.asarray(u, dtype=complex))
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     n = u.shape[0]
-
-    def grad_a(h):
-        out = np.empty(n)
-        for i in range(n):
-            e = np.zeros(n)
-            e[i] = 1.0
-            out[i] = (-kahler(u + 2 * h * e, z) + 8.0 * kahler(u + h * e, z)
-                      - 8.0 * kahler(u - h * e, z) + kahler(u - 2 * h * e, z)) / (12.0 * h)
-        return out
-
-    g1 = grad_a(step)
-    g2 = grad_a(step / 2.0)
+    E = np.eye(n)
+    spacings = (step, step / 2.0)
+    U = np.concatenate([np.stack([u + 2 * h * E, u + h * E, u - h * E, u - 2 * h * E],
+                                 axis=1).reshape(4 * n, n) for h in spacings] + [u[None]])
+    k = np.asarray(kahler(U, np.repeat(z[None], len(U), axis=0)), dtype=float)
+    # each (2, n): one row per spacing, one column per direction
+    kp2, kp1, km1, km2 = k[:-1].reshape(2, n, 4).transpose(2, 0, 1)
+    g1, g2 = (-kp2 + 8.0 * kp1 - 8.0 * km1 + km2) / (12.0 * np.array(spacings)[:, None])
     scale = max(1.0, float(np.abs(g1).max(initial=0.0)))
     if float(np.abs(g1 - g2).max(initial=0.0)) > 1e-6 * scale:
         raise DifferentiationError(
             f"chart derivative did not stabilize (step {step:.2e}: "
             f"disagreement {float(np.abs(g1 - g2).max()):.2e})")
     x = -0.25 * g2
-    value = float(kahler(u, z)) + float((2.0 * (u + u.conj()).real) @ x)
+    value = float(k[-1]) + float((2.0 * (u + u.conj()).real) @ x)
     return ReconstructedPotential(value=value, x=x)
 
 

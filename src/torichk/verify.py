@@ -32,7 +32,7 @@ from .config import DEFAULT, Tolerances, thread_cap
 from .errors import (DomainEscapeError, EvaluationError,
                      InsufficientSamplesError, NoConvergenceError,
                      SamplingError, StencilClippedError)
-from .potential import (eval_F, eval_F_z, eval_Phi, eval_connection,
+from .potential import (_newton, eval_F, eval_F_z, eval_Phi, eval_connection,
                         eval_metric, legendre_solve, phi_batch,
                         reconstruct_F_from_K)
 
@@ -164,43 +164,16 @@ def polyharmonic_residual(arr: FlatArrangement, B, p: Point3n, v,
     return abs(fd.laplacian3(f, np.zeros(3), step))
 
 
-def _kahler_fn(arr, B, chart, cfg):
-    """K as a function of stacked (Re u, Re z, Im z), warm-started at the chart."""
-    n = chart.x.shape[0]
-    u0, z0 = chart.u, chart.z
-
-    def k(w):
-        u = u0 + w[:n]
-        z = z0 + w[n:2 * n] + 1j * w[2 * n:]
-        return legendre_solve(arr, B, u, z, x0=chart.x, cfg=cfg).K
-
-    return k
-
-
-def _k_gradient_fn(arr, B, chart, cfg):
-    """Exact gradient of K over stacked (Re u, Re z, Im z).
-
-    By the envelope theorem dK/du = -2x at the solved x, so dK/dRe u = -4x,
-    and dK/dz = F_z evaluated at the solution; only first derivatives of K
-    are analytic inputs here, so one central difference of this gradient
-    yields Hessian blocks with far less cancellation than double differences
-    of K values.
-    """
-    n = chart.x.shape[0]
-    u0, z0 = chart.u, chart.z
-
-    def grad(w):
-        u = u0 + w[:n]
-        z = z0 + w[n:2 * n] + 1j * w[2 * n:]
-        sol = legendre_solve(arr, B, u, z, x0=chart.x, cfg=cfg)
-        fz = eval_F_z(arr, B, Point3n(sol.x, z), cfg)
-        return np.concatenate([-4.0 * sol.x, 2.0 * fz.real, -2.0 * fz.imag])
-
-    return grad
-
-
 def _k_blocks(arr, B, chart, step, cfg):
     """Wirtinger blocks (K_uu-bar, K_uz-bar, K_zu-bar, K_zz-bar) via a real Hessian.
+
+    The exact gradient of K over stacked (Re u, Re z, Im z) is differenced
+    centrally: by the envelope theorem dK/du = -2x at the solved x, so
+    dK/dRe u = -4x, and dK/dz = F_z at the solution.  Only first derivatives
+    of K are analytic inputs here, so one central difference of this gradient
+    yields Hessian blocks with far less cancellation than double differences
+    of K values.  The 6n points +-step e_i are solved as one stack warm-started
+    at the chart, and F_z is evaluated at them in one call.
 
     K is independent of Im u on the chart, so the real Hessian over
     (Re u, Re z, Im z) determines every block:
@@ -209,12 +182,14 @@ def _k_blocks(arr, B, chart, step, cfg):
       K_zz-bar = (Kcc + Kdd)/4 + i (Kcd - Kdc)/4.
     """
     n = chart.x.shape[0]
-    grad = _k_gradient_fn(arr, B, chart, cfg)
-    J = np.empty((3 * n, 3 * n))
-    for i in range(3 * n):
-        e = np.zeros(3 * n)
-        e[i] = step
-        J[i] = (grad(e) - grad(-e)) / (2.0 * step)
+    E = step * np.eye(3 * n)
+    W = np.stack([E, -E], axis=1).reshape(6 * n, 3 * n)  # +e_0, -e_0, +e_1, ...
+    u = chart.u + W[:, :n]
+    z = chart.z + W[:, n:2 * n] + 1j * W[:, 2 * n:]
+    x = _newton(arr, B, u, z, chart.x, cfg)[0]
+    fz = eval_F_z(arr, B, Point3n(x, z), cfg)
+    grad = np.concatenate([-4.0 * x, 2.0 * fz.real, -2.0 * fz.imag], axis=1)
+    J = (grad[0::2] - grad[1::2]) / (2.0 * step)
     H = 0.5 * (J + J.T)
     Kaa = H[:n, :n]
     Kac = H[:n, n:2 * n]
@@ -325,8 +300,9 @@ def conformal_factor_check(arr: FlatArrangement, B, x3,
     """n=1 conformal-factor law: Phi = b + sum a_k/(4 |x - c_k|), harmonic off centers.
 
     Returns the max of (a) the deviation of eval_Phi from the closed
-    multi-center form, (b) the 7-point Laplacian of Phi at the sample, and
-    (c) any violation of boundedness of Phi - a_k/(4 r) near each center.
+    multi-center form, (b) the Laplacian of Phi at the sample, a Richardson
+    pair of 7-point Laplacians at steps step and 2 step, and (c) any
+    violation of boundedness of Phi - a_k/(4 r) near each center.
     """
     if arr.dimension != 1:
         raise ValueError("conformal factor law is the n=1 statement")
@@ -358,7 +334,7 @@ def conformal_factor_check(arr: FlatArrangement, B, x3,
     dists = np.linalg.norm(centers - x3, axis=1) if len(arr.flats) else np.zeros(0)
     closed = b + float(np.sum(masses / (4.0 * dists))) if len(arr.flats) else b
     identity = abs(float(values[0]) - closed)
-    harmonic = abs(fd.laplacian3(phi, x3, step))
+    harmonic = abs(fd.richardson_laplacian3(phi, x3, step))
     bounded = float(np.max(np.abs(values[1:] - terms) - bounds, initial=0.0))
     return float(max(identity, harmonic, bounded))
 
@@ -622,13 +598,14 @@ def _check_ricci(arr, B, seed, cfg, classification):
 def _check_conformal(arr, B, seed, cfg, classification):
     return _run("conformal", seed, 7, cfg.harmonic,
                 lambda rng: sample_points(arr, 20, rng),
-                lambda p: conformal_factor_check(arr, B, p.coords(), cfg.harmonic_step, cfg))
+                lambda p, h: conformal_factor_check(arr, B, p.coords(), h, cfg),
+                step=cfg.harmonic_step)
 
 
 def _roundtrip_residual(arr, B, chart, step, cfg):
     """|F at the chart point - F rebuilt by reconstruct_F_from_K from K alone|."""
     def kfun(u, z):
-        return legendre_solve(arr, B, u, z, x0=chart.x, cfg=cfg).K
+        return _newton(arr, B, u, z, chart.x, cfg)[1]
 
     rec = reconstruct_F_from_K(kfun, chart.u, chart.z, step, cfg)
     return abs(rec.value - eval_F(arr, B, Point3n(chart.x, chart.z), cfg))

@@ -125,6 +125,10 @@ def test_svr_batched_matches_row_by_row():
         for i, part in enumerate(batched):
             assert part.shape == (40, d)
             assert np.array_equal(part, np.array([row[i] for row in rows]))
+        # sr, at the |v|^2 of svr, gives svr's s and r
+        s, v, r = batched
+        for got, want in zip(arr.sr(X, (v * v.conj()).real), (s, r)):
+            assert np.array_equal(got, want)
         assert arr.frame is arr.frame
         assert not arr.frame.U.flags.writeable
 

@@ -8,6 +8,7 @@ import pytest
 from torichk import (EvaluationError, Point3n, SamplingError, catalog, entry,
                      eval_Phi, eval_metric, parse_arrangement, verify)
 from torichk.cli import GRID_BLOCK, run_cli
+from torichk.config import thread_cap
 
 
 def _run(capsys, *argv):
@@ -285,6 +286,26 @@ def test_option_value_may_start_with_minus(capsys, argv, flag, value):
     spaced = _run(capsys, *argv, flag, value)
     assert spaced[0] == 0
     assert spaced == joined
+
+
+@pytest.mark.parametrize("raw, want", [("1", 1), ("3", 3), (" 2 ", 2), ("", None)])
+def test_thread_cap_reads_a_positive_integer(monkeypatch, raw, want):
+    monkeypatch.setenv("TORIC_HK_THREADS", raw)
+    assert thread_cap() == want
+    monkeypatch.delenv("TORIC_HK_THREADS")
+    assert thread_cap() is None
+
+
+@pytest.mark.parametrize("raw", ["0", "-3", "two", "2.5"])
+def test_thread_cap_rejects_other_values(capsys, monkeypatch, raw):
+    monkeypatch.setenv("TORIC_HK_THREADS", raw)
+    with pytest.raises(ValueError, match="TORIC_HK_THREADS"):
+        thread_cap()
+    code, out, err = _run(capsys, "growth", "taub-nut", "--radii", "60,120",
+                          "--samples", "64")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: TORIC_HK_THREADS must be a positive integer, got {raw!r}\n"
 
 
 def test_sampling_failure_exits_two(capsys, monkeypatch):

@@ -53,6 +53,9 @@ def test_laplacian3_on_harmonic_and_nonharmonic():
         return np.einsum("ki,ki->k", W, W)
 
     assert abs(fd.laplacian3(square, c, 1e-3) - 6.0) <= 1e-7
+    # the Richardson pair cancels the O(h^2) term: far below the plain stencil
+    assert abs(fd.richardson_laplacian3(newton, c, 1e-2)) <= 1e-3 * abs(
+        fd.laplacian3(newton, c, 1e-2))
 
 
 def test_each_stencil_calls_f_once():
@@ -67,3 +70,6 @@ def test_each_stencil_calls_f_once():
     calls.clear()
     fd.laplacian3(f, np.array([0.8, -0.4, 0.5]), 1e-3)
     assert calls == [(7, 3)]
+    calls.clear()
+    fd.richardson_laplacian3(f, np.array([0.8, -0.4, 0.5]), 1e-3)
+    assert calls == [(14, 3)]

@@ -5,12 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from torichk import (BranchLocusError, DeformationMatrix, DifferentiationError,
-                     DomainEscapeError, Flat, FlatArrangement,
-                     NoConvergenceError, Normal, OnFlatError, Point3n, entry,
-                     eval_F, eval_F_z, eval_Phi, eval_connection, eval_metric,
-                     legendre_solve, moment_map, phi_batch, quotient_metric,
-                     reconstruct_F_from_K, translate)
+from torichk import (DEFAULT, ArrangementError, BranchLocusError, DeformationMatrix,
+                     DifferentiationError, DomainEscapeError, EvaluationError, Flat,
+                     FlatArrangement, KahlerChartPoint, NoConvergenceError, Normal,
+                     OnFlatError, Point3n, entry, eval_F, eval_F_z, eval_Phi,
+                     eval_connection, eval_metric, legendre_solve, moment_map,
+                     phi_batch, potential, quotient_metric, reconstruct_F_from_K,
+                     translate, verify)
 from torichk.catalog import catalog
 from torichk.config import with_overrides
 
@@ -316,6 +317,7 @@ def test_batched_evaluators_match_row_by_row(e):
         "connection": lambda p: eval_connection(arr, B, p).coefficients,
         "metric": lambda p: eval_metric(arr, B, p),
         "quotient": lambda p: quotient_metric(arr, B, p),
+        "F_z": lambda p: eval_F_z(arr, B, p),
     }
     batch = Point3n(X, Z)
     # two leading axes take the same code as one
@@ -340,6 +342,9 @@ def test_batched_evaluators_raise_if_any_row_is_on_a_locus():
     with pytest.raises(OnFlatError) as exc:
         eval_F(arr, None, Point3n(X, Z))
     assert exc.value.index == 1
+    with pytest.raises(OnFlatError) as exc:
+        eval_F_z(arr, None, Point3n(X, Z))
+    assert exc.value.index == 1
     # row 2 on the cut of flat 1 (s < 0, v = 0): Phi is defined, the connection is not
     X = X.copy()
     X[2, 0] = 0.0
@@ -353,9 +358,9 @@ def test_batched_evaluators_raise_if_any_row_is_on_a_locus():
     with pytest.raises(BranchLocusError) as exc:
         eval_F(arr, None, Point3n(X, Z))
     assert exc.value.index == 1
-    # the z-gradient of F is a single-point evaluator
-    with pytest.raises(ValueError, match="single point"):
-        eval_F_z(arr, None, Point3n(X[:2] + 5.0, Z[:2]))
+    with pytest.raises(BranchLocusError) as exc:
+        eval_F_z(arr, None, Point3n(X, Z))
+    assert exc.value.index == 1
 
 
 @pytest.mark.parametrize("e", catalog(), ids=lambda e: e.name)
@@ -413,20 +418,206 @@ def test_legendre_consistency_on_curved_entries():
 
 def test_reconstruct_inverts_the_chart():
     rng = np.random.default_rng(17)
+    calls = []
     for e in (FLAT_H, EH):
         arr, B = e.arrangement, e.deformation
 
-        def kahler(u, z, _arr=arr, _B=B):
-            return legendre_solve(_arr, _B, u, z).K
+        def kahler(U, Z, _arr=arr, _B=B):
+            calls.append(len(U))
+            return np.array([legendre_solve(_arr, _B, u, z).K for u, z in zip(U, Z)])
 
         for _ in range(4):
             u = rng.uniform(-1, 1, 1) + 0j
             z = rng.uniform(-2, 2, 1) + 1j * rng.uniform(-2, 2, 1)
+            calls.clear()
             rec = reconstruct_F_from_K(kahler, u, z)
+            # one stacked call: both five-point stencils, then the chart point
+            assert calls == [8 * arr.dimension + 1]
             sol = legendre_solve(arr, B, u, z)
             assert np.abs(rec.x - sol.x).max() <= 1e-8
             want = eval_F(arr, B, Point3n(sol.x, np.atleast_1d(z)))
             assert rec.value == pytest.approx(want, abs=1e-8)
+
+
+# -- the stacked Newton kernel ------------------------------------------------
+#
+# potential._newton solves a stack of (u, z) rows as one Newton iteration with
+# per-row masks.  The scalar loop below, one solve per call, is the Legendre
+# solver it replaced; it is kept as the reference each row must reproduce bit
+# for bit.
+
+def _scalar_grad_x(arr, Bm, x, z):
+    U, a = arr.frame.U, arr.frame.a
+    s, _, r = arr.svr(x, z)
+    t = s + r
+    if t.size and t.min() <= 0.0:
+        return None, None
+    g = 4.0 * (Bm @ x)
+    if t.size:
+        g = g + (a * np.log(t)) @ U
+    val = float(np.sum(a * (s * np.log(t) - r))) if t.size else 0.0
+    val += 2.0 * float(x @ Bm @ x) - float((z @ Bm @ z.conj()).real)
+    return g, val
+
+
+def _scalar_legendre_solve(arr, B, u, z, x0=None, cfg=DEFAULT):
+    n = arr.dimension
+    u = np.atleast_1d(np.asarray(u, dtype=complex))
+    z = np.atleast_1d(np.asarray(z, dtype=complex))
+    Bm = potential._bmat(B, n)
+    tau = 2.0 * (u + u.conj()).real
+    x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).copy()
+    grad, fval = _scalar_grad_x(arr, Bm, x, z)
+    if grad is None:
+        raise DomainEscapeError("initial point lies outside the potential's domain")
+    grad = grad - tau
+    fval = fval - float(tau @ x)
+    for it in range(1, cfg.newton_max_iter + 1):
+        res = float(np.abs(grad).max()) if n else 0.0
+        if res <= cfg.newton_residual:
+            s, _, r = arr.svr(x, z)
+            potential._check_off_flats(r, cfg.on_flat)
+            potential._check_off_branch(s, r, cfg.branch)
+            return KahlerChartPoint(u=u, z=z, x=x, K=fval, residual=res, iterations=it - 1)
+        hess = 4.0 * eval_Phi(arr, B, Point3n(x, z), cfg)
+        try:
+            step = -np.linalg.solve(hess, grad)
+        except np.linalg.LinAlgError:
+            raise NoConvergenceError(res, it - 1) from None
+        slope = float(grad @ step)
+        noise = 4e-12 * max(1.0, abs(fval))
+        alpha = 1.0
+        accepted = False
+        for _ in range(60):
+            trial = x + alpha * step
+            g_new, f_new = _scalar_grad_x(arr, Bm, trial, z)
+            if g_new is not None and (f_new - float(tau @ trial)
+                                      <= fval + cfg.armijo * alpha * slope + noise):
+                x = trial
+                grad = g_new - tau
+                fval = f_new - float(tau @ trial)
+                accepted = True
+                break
+            alpha *= 0.5
+        if not accepted:
+            if g_new is None:
+                raise DomainEscapeError(
+                    "line search blocked by the domain boundary; "
+                    "the requested fiber point is outside the chart")
+            raise NoConvergenceError(float(np.abs(grad).max()), it)
+    raise NoConvergenceError(float(np.abs(grad).max()), cfg.newton_max_iter)
+
+
+def _assert_rows_match(arr, B, u, z, x0, solve, cfg=DEFAULT):
+    """The stacked kernel on (u, z, x0) against solve(u_k, z_k, x0_k) row by row."""
+    x, K, res, its = potential._newton(arr, B, u, z, x0, cfg)
+    rows = [solve(arr, B, uk, zk, x0=xk, cfg=cfg) for uk, zk, xk in zip(u, z, x0)]
+    assert np.array_equal(x, [sol.x for sol in rows])
+    assert np.array_equal(K, [sol.K for sol in rows])
+    assert np.array_equal(its, [sol.iterations for sol in rows])
+    assert np.array_equal(res, [sol.residual for sol in rows])
+
+
+def _random_arrangement(rng, n, d):
+    """d flats with small integer normals in R^n and a general PSD B."""
+    flats = []
+    while len(flats) < d:
+        normal = tuple(int(c) for c in rng.integers(-2, 3, n))
+        if not any(normal):
+            continue
+        try:
+            flat = Flat(normal, tuple(rng.uniform(-1.0, 1.0, 3)), float(rng.uniform(0.5, 2.0)))
+            FlatArrangement(n, tuple(flats) + (flat,))
+        except ArrangementError:  # not primitive, or a duplicate
+            continue
+        flats.append(flat)
+    A = rng.normal(size=(n, n))
+    return FlatArrangement(n, tuple(flats)), DeformationMatrix(0.2 * A @ A.T)
+
+
+@pytest.mark.parametrize("e", catalog(), ids=lambda e: e.name)
+def test_stencil_solves_equal_the_scalar_loop(e, monkeypatch):
+    # every stack that the roundtrip and chart-Hessian stencils solve
+    arr, B = e.arrangement, e.deformation
+    stacks = []
+
+    def recording(arr, B, u, z, x, cfg):
+        stacks.append((u, z, np.broadcast_to(x, u.shape)))
+        return potential._newton(arr, B, u, z, x, cfg)
+
+    monkeypatch.setattr(verify, "_newton", recording)
+    for chart in verify.sample_chart_points(arr, B, 4, np.random.default_rng(31)):
+        verify._roundtrip_residual(arr, B, chart, DEFAULT.reconstruct_step, DEFAULT)
+        verify._k_blocks(arr, B, chart, DEFAULT.fd_step, DEFAULT)
+    n = arr.dimension
+    assert [len(u) for u, _, _ in stacks] == [8 * n + 1, 6 * n] * 4
+    for u, z, x0 in stacks:
+        _assert_rows_match(arr, B, u, z, x0, _scalar_legendre_solve)
+
+
+@pytest.mark.parametrize("solve", [legendre_solve, _scalar_legendre_solve],
+                         ids=["single-row", "scalar-loop"])
+def test_stack_rows_equal_their_single_row_solves(solve):
+    rng = np.random.default_rng(32)
+    cases = [(e.arrangement, e.deformation) for e in (EH, N2)]
+    cases += [_random_arrangement(rng, 3, 5) for _ in range(3)]
+    for arr, B in cases:
+        n = arr.dimension
+        # cold starts from spread-out points: rows stop at different iterations
+        u = rng.uniform(-1.0, 1.0, (24, n)) + 0j
+        z = rng.uniform(-2.0, 2.0, (24, n)) + 1j * rng.uniform(-2.0, 2.0, (24, n))
+        _assert_rows_match(arr, B, u, z, np.zeros((24, n)), solve)
+        # a warm-started stencil around one chart point
+        chart = legendre_solve(arr, B, u[0], z[0])
+        E = 1e-3 * np.eye(n)
+        U = np.concatenate([chart.u + E, chart.u - E, np.broadcast_to(chart.u, (n, n))])
+        Z = np.concatenate([np.broadcast_to(chart.z, (2 * n, n)), chart.z + 1j * E])
+        _assert_rows_match(arr, B, U, Z, np.broadcast_to(chart.x, U.shape), solve)
+
+
+def _first_error(arr, B, u, z, x0, cfg):
+    """The error the first failing row raises when the rows are solved in order."""
+    for uk, zk, xk in zip(u, z, x0):
+        try:
+            _scalar_legendre_solve(arr, B, uk, zk, x0=xk, cfg=cfg)
+        except (EvaluationError, NoConvergenceError, DomainEscapeError) as exc:
+            return exc
+    return None
+
+
+def test_a_failing_stack_raises_the_first_rows_error():
+    cfg = with_overrides(newton_max_iter=10)
+    arr = FLAT_H.arrangement
+    # on the cut z = 0 the solution is x = exp(4 u) / 2; among these rows two
+    # converge, and the others start outside the domain, end on the flat or
+    # need more than ten iterations
+    u = np.array([[0.2], [-5.5], [0.1], [-6.5], [0.3], [2.5], [-6.0]]) + 0j
+    z = np.array([[0.0], [0.0], [0.0], [0.0], [0.2], [0.0], [0.0]]) + 0j
+    x0 = np.array([[0.5], [1e-3], [-5.0], [1e-2], [2.0], [1e-2], [1e-9]])
+    kinds = set()
+    rng = np.random.default_rng(33)
+    orders = [[k] for k in range(7)] + [rng.permutation(7)[:rng.integers(2, 8)]
+                                        for _ in range(12)]
+    for order in orders:
+        want = _first_error(arr, None, u[order], z[order], x0[order], cfg)
+        if want is None:
+            _assert_rows_match(arr, None, u[order], z[order], x0[order],
+                               _scalar_legendre_solve, cfg)
+            continue
+        kinds.add(type(want))
+        with pytest.raises(type(want)) as exc:
+            potential._newton(arr, None, u[order], z[order], x0[order], cfg)
+        assert exc.value.args == want.args and vars(exc.value) == vars(want)
+    assert kinds == {DomainEscapeError, OnFlatError, NoConvergenceError}
+    # a singular Hessian: one flat in R^2 and B = 0 leave Phi rank one
+    arr = FlatArrangement(2, (Flat((1, 0), (0.0, 0.0, 0.0), 1.0),))
+    u, z = np.array([[0.2, 0.1]]) + 0j, np.array([[1.0, 0.5j]])
+    want = _first_error(arr, None, u, z, np.zeros((1, 2)), DEFAULT)
+    assert isinstance(want, NoConvergenceError) and want.iterations == 0
+    with pytest.raises(NoConvergenceError) as exc:
+        potential._newton(arr, None, np.repeat(u, 3, axis=0), np.repeat(z, 3, axis=0),
+                          np.zeros((3, 2)), DEFAULT)
+    assert exc.value.args == want.args and vars(exc.value) == vars(want)
 
 
 # -- failure modes -----------------------------------------------------------
@@ -465,8 +656,8 @@ def test_no_convergence_raises():
 def test_reconstruct_rejects_unstable_samples():
     # high-frequency ripple: the two stencil spacings cannot agree
     def wiggly(u, z):
-        a = float((u + np.conj(u)).real.sum())
-        return a + 1e-3 * math.sin(1e6 * a)
+        a = (u + np.conj(u)).real.sum(axis=-1)
+        return a + 1e-3 * np.sin(1e6 * a)
 
     with pytest.raises(DifferentiationError, match="did not stabilize"):
         reconstruct_F_from_K(wiggly, [0.3 + 0.0j], [0.0 + 0.0j])
