@@ -8,9 +8,8 @@ deformation order, volume growth).
 
 from .arrangement import (ClassificationReport, DeformationMatrix, Flat,
                           FlatArrangement, Normal, Point3n, Stratum,
-                          classification_report, classify_topology,
-                          flat_distances, intersection_strata, isotropy_at,
-                          on_flats, smoothness_check, translate)
+                          classification_report, flat_distances,
+                          intersection_strata, smoothness_check, translate)
 from .catalog import CatalogEntry, Expected, catalog, entry, entry_names
 from .config import DEFAULT, Tolerances
 from .errors import (ArrangementError, BranchLocusError, DifferentiationError,
@@ -20,7 +19,7 @@ from .errors import (ArrangementError, BranchLocusError, DifferentiationError,
 from .io import dump_arrangement, load_arrangement, parse_arrangement
 from .potential import (ConnectionForm, KahlerChartPoint, ReconstructedPotential,
                         eval_F, eval_F_z, eval_Phi, eval_connection,
-                        eval_metric, legendre_solve, moment_map, phi_batch,
+                        eval_metric, legendre_solve, phi_batch,
                         quotient_metric, reconstruct_F_from_K)
 from .verify import (GrowthFit, ResidualReport, conformal_factor_check,
                      growth_fit, hessian_identity_residual,
@@ -38,12 +37,11 @@ __all__ = [
     "KahlerChartPoint", "NoConvergenceError", "Normal", "OnFlatError",
     "Point3n", "ReconstructedPotential", "ResidualReport", "SamplingError",
     "StencilClippedError", "Stratum", "Tolerances", "catalog",
-    "classification_report", "classify_topology", "conformal_factor_check",
-    "dump_arrangement", "entry", "entry_names", "eval_F", "eval_F_z",
-    "eval_Phi", "eval_connection", "eval_metric", "flat_distances",
-    "growth_fit", "hessian_identity_residual", "intersection_strata",
-    "isotropy_at", "legendre_solve", "load_arrangement", "moment_map",
-    "monge_ampere_residual", "on_flats", "parse_arrangement", "phi_batch",
+    "classification_report", "conformal_factor_check", "dump_arrangement",
+    "entry", "entry_names", "eval_F", "eval_F_z", "eval_Phi",
+    "eval_connection", "eval_metric", "flat_distances", "growth_fit",
+    "hessian_identity_residual", "intersection_strata", "legendre_solve",
+    "load_arrangement", "monge_ampere_residual", "parse_arrangement", "phi_batch",
     "polyharmonic_residual", "quotient_metric", "reconstruct_F_from_K",
     "ricci_residual", "run_checks", "smoothness_check",
     "sp_condition_residual", "translate", "volume_growth_exponent",

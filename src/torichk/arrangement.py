@@ -4,7 +4,7 @@ An arrangement is a finite list of codimension-3 affine subspaces ("flats")
 H_k = { (x, z) : <x, u_k> = l1_k, <z, u_k> = l2_k + i l3_k } with primitive
 integer normals u_k, offsets (l1, l2, l3) and positive masses a_k, together
 with a symmetric PSD deformation matrix B.  Classification (smoothness,
-strata, isotropy, topology type) is exact integer lattice algebra: Smith
+strata, topology type) is exact integer lattice algebra: Smith
 normal forms decide whether active normal sets extend to a Z-basis of Z^n.
 """
 
@@ -314,10 +314,6 @@ def flat_distances(arr: FlatArrangement, p: Point3n) -> np.ndarray:
     return np.abs(s) + np.abs(v)
 
 
-def on_flats(arr: FlatArrangement, p: Point3n, tol: float = DEFAULT.on_flat) -> list:
-    return [int(k) for k in np.nonzero(flat_distances(arr, p) <= tol)[0]]
-
-
 def _solve_flat_system(arr, subset, tol):
     """Min-norm point of the intersection of the given flats, or None.
 
@@ -446,28 +442,13 @@ def smoothness_check(arr: FlatArrangement, cfg: Tolerances = DEFAULT):
     return failing is None, failing
 
 
-def isotropy_at(arr: FlatArrangement, p: Point3n, cfg: Tolerances = DEFAULT):
-    """Stabilizer data at p: active normals and the dimension of their span."""
-    active = on_flats(arr, p, cfg.on_flat)
-    basis = [arr.flats[k].normal for k in active]
-    dim = lattice.integer_rank([n.entries for n in basis]) if basis else 0
-    return basis, dim
-
-
-def classify_topology(arr: FlatArrangement, B: DeformationMatrix,
-                      cfg: Tolerances = DEFAULT) -> ClassificationReport:
-    """Topology classification of a smooth arrangement (raises otherwise)."""
-    report = classification_report(arr, B, cfg)
-    if not report.smooth:
-        raise ArrangementError(
-            f"arrangement is not smooth: stratum {list(report.failing_stratum.active)} "
-            "fails the Z-basis condition")
-    return report
-
-
 def classification_report(arr: FlatArrangement, B: DeformationMatrix,
                           cfg: Tolerances = DEFAULT) -> ClassificationReport:
-    """Like classify_topology but reports non-smooth inputs instead of raising."""
+    """Smoothness and topology of the arrangement with deformation B.
+
+    A non-smooth input is reported, not refused: smooth is False and
+    failing_stratum names the first stratum that fails the Z-basis test.
+    """
     if B.dimension != arr.dimension:
         raise ArrangementError("deformation matrix dimension mismatch")
     strata = tuple(intersection_strata(arr, cfg))

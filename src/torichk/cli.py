@@ -58,6 +58,17 @@ def _emit(doc):
     sys.stdout.write("\n")
 
 
+def _seed(text):
+    """A --seed value: a non-negative integer, as numpy's generators require."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return value
+
+
 def build_parser():
     ap = argparse.ArgumentParser(
         prog="torichk",
@@ -80,16 +91,14 @@ def build_parser():
     p.add_argument("target")
     p.add_argument("--checks", default=None,
                    help="comma-separated subset of: " + ", ".join(ver.check_names()))
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--local-models", action="store_true",
-                   help="include the orbit-chart model identities")
+    p.add_argument("--seed", type=_seed, default=None)
 
     p = sub.add_parser("growth", help="Monte-Carlo volume-growth exponent")
     p.add_argument("target")
     p.add_argument("--radii", required=True,
                    help="comma-separated increasing radii")
     p.add_argument("--samples", type=int, default=4096)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_seed, default=None)
     p.add_argument("--base", default=None,
                    help="3n comma-separated base-point coordinates (default origin)")
 
@@ -158,8 +167,7 @@ def _cmd_verify(args):
     if entry is not None:
         expected = entry.expected_values()
     reports = ver.run_checks(arr, B, checks=checks, seed=args.seed,
-                             expected=expected,
-                             include_local=args.local_models)
+                             expected=expected)
     doc = {
         "target": args.target,
         "seed": args.seed if args.seed is not None else DEFAULT.default_seed,
@@ -192,7 +200,7 @@ def _cmd_growth(args):
         "seed": seed,
     }
     _emit(doc)
-    if fit.std_error > DEFAULT.growth_max_stderr:
+    if not fit.std_error <= DEFAULT.growth_max_stderr:
         raise InsufficientSamplesError(fit.std_error, DEFAULT.growth_max_stderr)
     return 0
 

@@ -38,7 +38,6 @@ class Tolerances:
     ricci: float = 1e-3
     harmonic: float = 1e-6
     roundtrip: float = 1e-8
-    local_model: float = 1e-12
 
     # volume growth estimator
     growth_max_stderr: float = 0.2

@@ -1,4 +1,4 @@
-"""Flat local models on C^2n: moment maps, invariants, orbit charts, weights.
+"""Flat local models on C^2n: moment maps, invariants and orbit charts.
 
 Per quaternionic coordinate (z_i, w_i) the circle action e^{it}(z, w) =
 (e^{it} z, e^{-it} w) has moment map mu0 and invariant polynomials
@@ -17,16 +17,11 @@ a first component of plain "p1" fails both conditions, which the test suite
 demonstrates explicitly).
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from . import lattice
-
 __all__ = [
-    "WeightSystem", "flat_moment_map", "invariants_of", "orbit_chart",
-    "chart_inverse", "chart_inverse_printed", "weight_moment_map",
-    "stratum_weights", "sample_variety", "bilipschitz_check", "BilipschitzEstimate",
+    "flat_moment_map", "invariants_of", "variety_residual", "orbit_chart",
+    "chart_inverse", "chart_inverse_printed",
 ]
 
 
@@ -79,98 +74,3 @@ def chart_inverse_printed(p) -> np.ndarray:
     p = np.atleast_2d(np.asarray(p, dtype=float))
     norm = np.sqrt(np.sum(p * p, axis=1))
     return np.stack([p[:, 0], -p[:, 0] + norm, p[:, 1], p[:, 2]], axis=1)
-
-
-@dataclass(frozen=True)
-class WeightSystem:
-    """Isotropy representation weights: integer vectors forming part of a Z-basis."""
-
-    alphas: tuple
-
-    def __post_init__(self):
-        rows = tuple(tuple(int(c) for c in a) for a in self.alphas)
-        if rows and not lattice.extends_to_zbasis(list(map(list, rows))):
-            raise ValueError("weights do not extend to a Z-basis of their lattice")
-        object.__setattr__(self, "alphas", rows)
-
-    def __len__(self):
-        return len(self.alphas)
-
-    def matrix(self) -> np.ndarray:
-        return np.array(self.alphas, dtype=float)
-
-
-def weight_moment_map(ws: WeightSystem, z, w) -> np.ndarray:
-    """phi1 = (1/2) sum_k (|z_k|^2 - |w_k|^2) alpha_k in the isotropy algebra."""
-    z, w = _zw(z, w)
-    if z.shape[0] != len(ws):
-        raise ValueError(f"expected {len(ws)} coordinate pairs, got {z.shape[0]}")
-    coeff = 0.5 * (np.abs(z) ** 2 - np.abs(w) ** 2)
-    return coeff @ ws.matrix()
-
-
-def stratum_weights(normals) -> WeightSystem:
-    """Dual weights of the active normals of a smooth stratum.
-
-    Completes the rows {u_k} to a Z-basis M of Z^n and returns the first
-    |S| columns of M^{-1}: integer vectors with <u_k, alpha_j> = delta_kj,
-    so each u_k is orthogonal to every alpha_j with j != k.
-    """
-    rows = [list(r) for r in normals]
-    completion = lattice.zbasis_completion(rows) if len(rows) < len(rows[0]) else []
-    M = rows + completion
-    Minv = lattice.unimodular_inverse(M)
-    k = len(rows)
-    alphas = [tuple(Minv[i][j] for i in range(len(M))) for j in range(k)]
-    return WeightSystem(tuple(alphas))
-
-
-def sample_variety(n: int, radius: float, count: int, rng) -> np.ndarray:
-    """Random invariant coordinates near 0: (count, n, 4), on the variety."""
-    z = (rng.uniform(-1, 1, (count, n)) + 1j * rng.uniform(-1, 1, (count, n)))
-    w = (rng.uniform(-1, 1, (count, n)) + 1j * rng.uniform(-1, 1, (count, n)))
-    scale = np.sqrt(radius)
-    y = np.empty((count, n, 4))
-    zs, ws = scale * z, scale * w
-    zw = zs * ws
-    y[:, :, 0] = np.abs(zs) ** 2
-    y[:, :, 1] = np.abs(ws) ** 2
-    y[:, :, 2] = zw.real
-    y[:, :, 3] = zw.imag
-    return y
-
-
-@dataclass(frozen=True, eq=False)
-class BilipschitzEstimate:
-    constant: float
-    argmin: tuple
-    pairs: int
-
-
-def bilipschitz_check(samples) -> BilipschitzEstimate:
-    """Empirical best C with |mu0-bar(a) - mu0-bar(b)| >= C |a - b|.
-
-    samples: (N, n, 4) invariant coordinates.  Distances are Euclidean on the
-    stacked coordinates; the chart is applied per index and restacked.
-    """
-    y = np.asarray(samples, dtype=float)
-    N = y.shape[0]
-    flat_y = y.reshape(N, -1)
-    chart = np.stack([0.5 * (y[:, :, 0] - y[:, :, 1]), y[:, :, 2], y[:, :, 3]],
-                     axis=2).reshape(N, -1)
-    best = np.inf
-    arg = (0, 0)
-    pairs = 0
-    chunk = 512
-    for lo in range(0, N, chunk):
-        hi = min(lo + chunk, N)
-        dy = np.linalg.norm(flat_y[lo:hi, None, :] - flat_y[None, :, :], axis=2)
-        dc = np.linalg.norm(chart[lo:hi, None, :] - chart[None, :, :], axis=2)
-        mask = dy > 1e-12
-        pairs += int(mask.sum())
-        ratio = np.where(mask, dc / np.where(mask, dy, 1.0), np.inf)
-        idx = np.unravel_index(np.argmin(ratio), ratio.shape)
-        if ratio[idx] < best:
-            best = float(ratio[idx])
-            arg = (int(idx[0] + lo), int(idx[1]))
-    return BilipschitzEstimate(constant=best, argmin=arg, pairs=pairs // 2)

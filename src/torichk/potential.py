@@ -56,7 +56,7 @@ from .errors import (BranchLocusError, DifferentiationError, DomainEscapeError,
 __all__ = [
     "Point3n", "ConnectionForm", "KahlerChartPoint", "ReconstructedPotential",
     "eval_F", "eval_Phi", "eval_connection", "eval_metric", "quotient_metric",
-    "moment_map", "legendre_solve", "reconstruct_F_from_K",
+    "legendre_solve", "reconstruct_F_from_K",
 ]
 
 
@@ -207,11 +207,6 @@ def quotient_metric(arr: FlatArrangement, B, p: Point3n,
                     cfg: Tolerances = DEFAULT) -> np.ndarray:
     """Metric induced on the torus quotient: Phi (+) Phi (+) Phi, (..., 3n, 3n)."""
     return _three_blocks(eval_Phi(arr, B, p, cfg), 3)
-
-
-def moment_map(p: Point3n) -> np.ndarray:
-    """(x_i, Re z_i, Im z_i): the identity in model coordinates."""
-    return p.coords()
 
 
 @dataclass(frozen=True, eq=False)

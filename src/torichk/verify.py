@@ -21,6 +21,7 @@ halved step and require the expected decay before passing a verdict.
 
 import math
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -452,6 +453,8 @@ def growth_fit(arr: FlatArrangement, B, base: Point3n, radii, samples: int = 409
     The standard error is that of the slopes fitted to 8 interleaved batches
     of the directions.
     """
+    if samples < 8:
+        raise ValueError(f"samples must be at least 8 (one per batch), got {samples}")
     radii = np.asarray(radii, dtype=float)
     if radii.ndim != 1 or radii.size < 2 or np.any(np.diff(radii) <= 0) or radii[0] <= 0:
         raise ValueError("radii must be a strictly increasing positive sequence")
@@ -462,19 +465,12 @@ def growth_fit(arr: FlatArrangement, B, base: Point3n, radii, samples: int = 409
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     base_coords = base.coords()
 
-    chunks = []
-    cap = thread_cap()
-    chunk_size = 512
-    pieces = [dirs[lo:lo + chunk_size] for lo in range(0, samples, chunk_size)]
-    if cap == 1 or len(pieces) == 1:
-        chunks = [_growth_chunk(arr, B, base_coords, piece, radii, n) for piece in pieces]
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-        workers = cap if cap is not None else min(8, len(pieces))
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            chunks = list(ex.map(
-                lambda piece: _growth_chunk(arr, B, base_coords, piece, radii, n),
-                pieces))
+    # the chunks are independent and map keeps their order, so the volumes
+    # do not depend on the number of worker threads
+    pieces = [dirs[lo:lo + 512] for lo in range(0, samples, 512)]
+    with ThreadPoolExecutor(max_workers=thread_cap() or min(8, len(pieces))) as ex:
+        chunks = list(ex.map(
+            lambda piece: _growth_chunk(arr, B, base_coords, piece, radii, n), pieces))
     per_dir = np.vstack(chunks)  # (samples, nR)
 
     sphere = 2.0 * math.pi ** (1.5 * n) / math.gamma(1.5 * n)
@@ -506,7 +502,7 @@ def volume_growth_exponent(arr: FlatArrangement, B, base: Point3n, radii,
                            samples: int = 4096, rng=None,
                            cfg: Tolerances = DEFAULT) -> float:
     fit = growth_fit(arr, B, base, radii, samples=samples, rng=rng, cfg=cfg)
-    if fit.std_error > cfg.growth_max_stderr:
+    if not fit.std_error <= cfg.growth_max_stderr:
         raise InsufficientSamplesError(fit.std_error, cfg.growth_max_stderr)
     return fit.exponent
 
@@ -692,23 +688,6 @@ def _check_classification(arr, B, seed, cfg, report, expected):
                    detail={"mismatches": mismatches, "report": got})
 
 
-def _check_local_models(arr, B, seed, cfg, classification):
-    from . import localmodel
-    start = time.perf_counter()
-    rng = _rng_for(seed, 10)
-    p = rng.uniform(-2.0, 2.0, (10000, 3))
-    y = localmodel.chart_inverse(p)
-    back = localmodel.orbit_chart(y)
-    inv_res = float(np.abs(back - p).max())
-    rel_res = localmodel.variety_residual(y)
-    slice_samples = np.zeros((64, 1, 4))
-    slice_samples[:, 0, 0] = np.linspace(0.0, 1.0, 64)
-    slice_c = localmodel.bilipschitz_check(slice_samples).constant
-    res = [inv_res, rel_res, abs(slice_c - 0.5)]
-    return _report("local-models", [], res, cfg.local_model, start, samples=10000,
-                   detail={"slice_constant": slice_c})
-
-
 # name -> (runner, whether the check is the n = 1 statement only)
 _CHECKS = {
     "phi-fd": (_check_phi_fd, False),
@@ -724,7 +703,6 @@ _CHECKS = {
     "growth": (_check_growth, True),
     "roundtrip": (_chart_check("roundtrip", 9, 20, _roundtrip_residual, "roundtrip",
                                step="reconstruct_step"), False),
-    "local-models": (_check_local_models, False),
 }
 
 
@@ -733,15 +711,12 @@ def check_names():
 
 
 def run_checks(arr: FlatArrangement, B, checks=None, seed=None,
-               expected=None, include_local=False,
-               cfg: Tolerances = DEFAULT) -> list:
+               expected=None, cfg: Tolerances = DEFAULT) -> list:
     """Run named verification checks; None selects every applicable default.
 
-    The default set excludes "local-models" (chart-model identities are not a
-    property of a particular arrangement) unless include_local is set, and
-    excludes "growth" and "ricci" for non-smooth or higher-n inputs per each
-    check's applicability rule.  "classification" runs whenever expectations
-    are supplied.
+    The default set excludes the n = 1 only checks at higher n, and "growth"
+    for non-smooth inputs.  "classification" runs whenever expectations are
+    supplied.
     """
     if seed is None:
         seed = cfg.default_seed
@@ -751,11 +726,9 @@ def run_checks(arr: FlatArrangement, B, checks=None, seed=None,
     reports = []
     if checks is None:
         selected = [name for name, (_, n1_only) in _CHECKS.items()
-                    if (arr.dimension == 1 or not n1_only) and name != "local-models"]
+                    if arr.dimension == 1 or not n1_only]
         if not classification.smooth:
             selected = [s for s in selected if s != "growth"]
-        if include_local:
-            selected.append("local-models")
         if expected:
             selected.append("classification")
     else:

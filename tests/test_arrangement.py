@@ -5,9 +5,8 @@ import pytest
 
 from torichk import (ArrangementError, DeformationMatrix, Flat,
                      FlatArrangement, Normal, Point3n, catalog,
-                     classification_report, classify_topology, entry,
-                     flat_distances, intersection_strata, isotropy_at,
-                     on_flats, smoothness_check, translate)
+                     classification_report, entry, flat_distances,
+                     intersection_strata, smoothness_check, translate)
 
 
 def _flat(u, lam=(0.0, 0.0, 0.0), a=1.0):
@@ -105,10 +104,9 @@ def test_point_keeps_a_frozen_copy_of_the_callers_arrays():
         p.z[0] = 1.0
 
 
-def test_on_flats_and_distances():
+def test_flat_distances_vanish_on_the_flat():
     arr = _axes_n2()
     p = Point3n(np.array([0.0, 0.7]), np.array([0.0j, 0.3j]))
-    assert on_flats(arr, p) == [0]
     d = flat_distances(arr, p)
     assert d[0] == 0.0 and d[1] > 0.0
 
@@ -221,14 +219,6 @@ def test_smoothness_gl2z_invariance():
             assert len(intersection_strata(moved)) == want_count
 
 
-def test_isotropy_at():
-    arr = _axes_n2(0.0)
-    basis, dim = isotropy_at(arr, Point3n(np.zeros(2), np.zeros(2)))
-    assert dim == 2 and len(basis) == 2
-    basis, dim = isotropy_at(arr, Point3n(np.array([5.0, 5.0]), np.zeros(2)))
-    assert dim == 0 and basis == []
-
-
 def test_deformation_matrix_validation():
     with pytest.raises(ArrangementError, match="symmetric"):
         DeformationMatrix([[0.0, 1.0], [0.0, 0.0]])
@@ -274,12 +264,11 @@ def test_classification_cone_criterion():
     assert not rep.cone_over_3sasakian
 
 
-def test_classify_topology_raises_on_nonsmooth():
+def test_classification_report_on_nonsmooth():
     e = entry("n2-nonsmooth")
-    with pytest.raises(ArrangementError, match="not smooth"):
-        classify_topology(e.arrangement, e.deformation)
     rep = classification_report(e.arrangement, e.deformation)
     assert rep.smooth is False
+    assert rep.failing_stratum is not None
     assert rep.simply_connected is None
 
 

@@ -145,6 +145,45 @@ def test_growth_insufficient_exits_one(capsys):
     assert "check failed" in err
 
 
+def test_growth_samples_below_one_per_batch_exit_two(capsys):
+    for samples in ("4", "0", "-3"):
+        code, out, err = _run(capsys, "growth", "eguchi-hanson",
+                              "--radii", "60,120,240", "--samples", samples)
+        assert code == 2 and out == ""
+        assert err == f"error: samples must be at least 8 (one per batch), got {samples}\n"
+
+
+def test_growth_nan_std_error_exits_one(capsys, monkeypatch):
+    def nan_fit(arr, B, base, radii, samples=4096, rng=None, cfg=None):
+        return verify.GrowthFit(exponent=4.0, std_error=float("nan"),
+                                radii=np.asarray(radii), volumes=np.ones(len(radii)),
+                                samples=samples)
+
+    monkeypatch.setattr(verify, "growth_fit", nan_fit)
+    code, out, err = _run(capsys, "growth", "flat-H", "--radii", "60,120")
+    assert code == 1
+    assert "check failed" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "flat-H"],
+    ["growth", "flat-H", "--radii", "60,120"],
+], ids=["verify", "growth"])
+def test_negative_seed_is_a_usage_error(capsys, argv):
+    code, out, err = _run(capsys, *argv, "--seed", "-1")
+    assert code == 2 and out == ""
+    assert "argument --seed: expected a non-negative integer, got '-1'" in err
+
+
+def test_local_models_check_is_gone(capsys):
+    code, out, err = _run(capsys, "verify", "flat-H", "--checks", "local-models")
+    assert code == 2 and out == ""
+    assert "unknown check 'local-models'" in err
+    code, out, err = _run(capsys, "verify", "flat-H", "--local-models")
+    assert code == 2 and out == ""
+    assert "unrecognized arguments: --local-models" in err
+
+
 def test_export_grid(capsys, tmp_path):
     out_path = tmp_path / "grid.csv"
     code, out, err = _run(capsys, "export-grid", "flat-H",

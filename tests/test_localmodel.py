@@ -1,14 +1,10 @@
-"""Flat local models: invariants, orbit chart, weights, bilipschitz bound."""
+"""Flat local models: moment map, invariants and the orbit chart."""
 
 import numpy as np
-import pytest
 
-from torichk import entry
-from torichk.localmodel import (WeightSystem, bilipschitz_check, chart_inverse,
-                                chart_inverse_printed, flat_moment_map,
-                                invariants_of, orbit_chart, sample_variety,
-                                stratum_weights, variety_residual,
-                                weight_moment_map)
+from torichk.localmodel import (chart_inverse, chart_inverse_printed,
+                                flat_moment_map, invariants_of, orbit_chart,
+                                variety_residual)
 
 
 def test_chart_inverse_roundtrip():
@@ -47,67 +43,3 @@ def test_orbit_chart_composes_with_moment_map():
     w = rng.normal(size=15) + 1j * rng.normal(size=15)
     assert np.allclose(orbit_chart(invariants_of(z, w)), flat_moment_map(z, w),
                        atol=1e-13)
-
-
-def test_sample_variety_on_variety():
-    rng = np.random.default_rng(104)
-    y = sample_variety(2, 0.5, 200, rng)
-    assert y.shape == (200, 2, 4)
-    assert variety_residual(y.reshape(-1, 4)) <= 1e-12
-
-
-def test_weight_system_rejects_imprimitive():
-    with pytest.raises(ValueError, match="Z-basis"):
-        WeightSystem(((2, 0),))
-    ws = WeightSystem(((1, 0), (0, 1)))
-    assert len(ws) == 2
-
-
-def test_stratum_weights_dual_to_normals():
-    arr = entry("n2-unimodular").arrangement
-    for active in [(0, 1), (0, 2), (1, 2)]:
-        rows = [arr.flats[k].normal.entries for k in active]
-        ws = stratum_weights(rows)
-        U = np.array(rows, dtype=float)
-        A = ws.matrix()
-        assert np.array_equal(U @ A.T, np.eye(len(rows)))
-    # partial stratum: completion supplies the missing directions
-    ws = stratum_weights([(1, 1)])
-    assert np.array_equal(np.array([[1.0, 1.0]]) @ ws.matrix().T, [[1.0]])
-
-
-def test_weight_moment_map():
-    ws = stratum_weights([(1, 0), (0, 1)])
-    z = np.array([2.0 + 0j, 0.0 + 0j])
-    w = np.array([0.0 + 0j, 1.0 + 0j])
-    # phi1 = 0.5 (|z_k|^2 - |w_k|^2) alpha_k = 2 alpha_1 - 0.5 alpha_2
-    got = weight_moment_map(ws, z, w)
-    want = 2.0 * np.array(ws.alphas[0]) - 0.5 * np.array(ws.alphas[1])
-    assert np.allclose(got, want, atol=1e-14)
-    with pytest.raises(ValueError, match="coordinate pairs"):
-        weight_moment_map(ws, z[:1], w[:1])
-
-
-def test_bilipschitz_slice_constant_is_half():
-    # along the pure-y1 ray the chart contracts by exactly 1/2
-    samples = np.zeros((64, 1, 4))
-    samples[:, 0, 0] = np.linspace(0.0, 1.0, 64)
-    est = bilipschitz_check(samples)
-    assert est.constant == pytest.approx(0.5, abs=1e-12)
-    assert est.pairs == 64 * 63 // 2
-
-
-def test_bilipschitz_on_variety_samples():
-    rng = np.random.default_rng(105)
-    y = sample_variety(1, 1.0, 300, rng)
-    est = bilipschitz_check(y)
-    # the chart is a contraction nowhere worse than the designed slice
-    # only up to sampling, but it can never stretch
-    dy = y.reshape(300, -1)
-    chart = np.stack([0.5 * (y[:, :, 0] - y[:, :, 1]), y[:, :, 2],
-                      y[:, :, 3]], axis=2).reshape(300, -1)
-    i, j = est.argmin
-    num = np.linalg.norm(chart[i] - chart[j])
-    den = np.linalg.norm(dy[i] - dy[j])
-    assert est.constant == pytest.approx(num / den, rel=1e-12)
-    assert 0.0 < est.constant <= 1.0

@@ -9,8 +9,8 @@ from torichk import (DEFAULT, ArrangementError, BranchLocusError, DeformationMat
                      DifferentiationError, DomainEscapeError, EvaluationError, Flat,
                      FlatArrangement, KahlerChartPoint, NoConvergenceError, Normal,
                      OnFlatError, Point3n, entry, eval_F, eval_F_z, eval_Phi,
-                     eval_connection, eval_metric, legendre_solve, moment_map,
-                     phi_batch, potential, quotient_metric, reconstruct_F_from_K,
+                     eval_connection, eval_metric, legendre_solve, phi_batch,
+                     potential, quotient_metric, reconstruct_F_from_K,
                      translate, verify)
 from torichk.catalog import catalog
 from torichk.config import with_overrides
@@ -374,11 +374,6 @@ def test_batched_eval_F_matches_row_by_row(e):
     assert np.array_equal(eval_F(arr, B, Point3n(X, Z)), rows)
     grid = eval_F(arr, B, Point3n(X.reshape(2, -1, n), Z.reshape(2, -1, n)))
     assert np.array_equal(grid, np.reshape(rows, (2, -1)))
-
-
-def test_moment_map_is_identity_in_model_coordinates():
-    p = _pt([0.5, -2.0], [1.0 + 2.0j, -3.0j])
-    assert np.array_equal(moment_map(p), p.coords())
 
 
 def test_connection_real_coefficients():

@@ -429,6 +429,41 @@ def test_growth_insufficient_samples_raises():
     assert exc.value.stderr > exc.value.limit
 
 
+def _nan_fit(arr, B, base, radii, samples=4096, rng=None, cfg=None):
+    return verify.GrowthFit(exponent=4.0, std_error=math.nan, radii=np.asarray(radii),
+                            volumes=np.ones(len(radii)), samples=samples)
+
+
+def test_growth_gates_fail_on_a_nan_std_error(monkeypatch):
+    monkeypatch.setattr(verify, "growth_fit", _nan_fit)
+    with pytest.raises(InsufficientSamplesError):
+        volume_growth_exponent(FLAT_H.arrangement, None, _pt(0.0, 0j), [60.0, 120.0])
+    (rep,) = run_checks(FLAT_H.arrangement, FLAT_H.deformation, checks=["growth"])
+    assert not rep.passed
+
+
+def test_growth_needs_a_sample_per_batch():
+    base = _pt(0.0, 0j)
+    with pytest.raises(ValueError, match="samples must be at least 8"):
+        growth_fit(EH.arrangement, None, base, [60.0, 120.0, 240.0], samples=7)
+    fit = growth_fit(EH.arrangement, None, base, [60.0, 120.0, 240.0], samples=8)
+    assert math.isfinite(fit.std_error)
+
+
+def test_growth_volumes_do_not_depend_on_the_thread_count(monkeypatch):
+    def volumes(threads):
+        if threads is None:
+            monkeypatch.delenv("TORIC_HK_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("TORIC_HK_THREADS", threads)
+        return growth_fit(TN.arrangement, TN.deformation, _pt(0.0, 0j), GROWTH_RADII,
+                          samples=2048, rng=np.random.default_rng(5)).volumes
+
+    want = volumes(None)
+    assert np.array_equal(volumes("1"), want)
+    assert np.array_equal(volumes("2"), want)
+
+
 def test_growth_validates_radii():
     base = _pt(0.0, 1e-3j)
     with pytest.raises(ValueError, match="increasing"):
@@ -557,9 +592,15 @@ def test_growth_chunk_raises_sampling_error_when_rays_stay_short(monkeypatch):
 
 def test_run_checks_default_selection():
     reports = run_checks(CYL.arrangement, CYL.deformation, seed=1)
-    names = [r.check_name for r in reports]
-    assert "local-models" not in names
-    assert "phi-fd" in names and "roundtrip" in names
+    assert [r.check_name for r in reports] == [
+        "phi-fd", "polyharmonic", "monge-ampere", "hessian-identity",
+        "sp-condition", "ricci", "conformal", "growth", "roundtrip"]
+    assert all(r.passed for r in reports)
+    n2 = entry("n2-unimodular")
+    reports = run_checks(n2.arrangement, n2.deformation, seed=1,
+                         expected=n2.expected_values())
+    assert [r.check_name for r in reports] == [
+        "phi-fd", "polyharmonic", "sp-condition", "roundtrip", "classification"]
     assert all(r.passed for r in reports)
 
 
