@@ -262,13 +262,18 @@ class Stratum:
 
     `active` is the full set of flat indices containing the intersection, so
     two different strata always have different intersections.  The witness
-    lies on exactly the flats in `active`; `rank` is the rank of the integer
-    span of the active normals.
+    lies on exactly the flats in `active`.  `invariant_factors` are the
+    nonzero Smith invariant factors of the active normals (not part of
+    as_dict); `rank`, the rank of their integer span, is their count.
     """
 
     active: tuple
     witness: Point3n
-    rank: int
+    invariant_factors: tuple
+
+    @property
+    def rank(self) -> int:
+        return len(self.invariant_factors)
 
     def as_dict(self) -> dict:
         return {
@@ -314,36 +319,43 @@ def flat_distances(arr: FlatArrangement, p: Point3n) -> np.ndarray:
     return np.abs(s) + np.abs(v)
 
 
+def _offset_scale(l1, lc):
+    """max(1, largest |offset| among l1 and lc = l2 + i l3): residuals up to
+    tol times this count as zero."""
+    return max(1.0, float(np.abs(l1).max(initial=0.0)),
+               float(np.abs(lc.view(float)).max(initial=0.0)))
+
+
 def _solve_flat_system(arr, subset, tol):
     """Min-norm point of the intersection of the given flats, or None.
 
     Solves the stacked real/complex linear systems with a rank-revealing
     least-squares solve and checks the residual against tol.
     """
-    U = arr.frame.U[list(subset)]
-    lam = arr.offset_matrix()[list(subset)]
-    x, _, _, _ = np.linalg.lstsq(U, lam[:, 0], rcond=None)
-    z, _, _, _ = np.linalg.lstsq(U.astype(complex), lam[:, 1] + 1j * lam[:, 2],
-                                 rcond=None)
-    res_x = np.abs(U @ x - lam[:, 0]).max(initial=0.0)
-    res_z = np.abs(U @ z - (lam[:, 1] + 1j * lam[:, 2])).max(initial=0.0)
-    scale = max(1.0, float(np.abs(lam).max(initial=0.0)))
-    if max(res_x, res_z) > tol * scale:
+    idx = list(subset)
+    U, l1, lc = (m[idx] for m in arr.frame[:3])
+    x, _, _, _ = np.linalg.lstsq(U, l1, rcond=None)
+    z, _, _, _ = np.linalg.lstsq(U.astype(complex), lc, rcond=None)
+    res_x = np.abs(U @ x - l1).max(initial=0.0)
+    res_z = np.abs(U @ z - lc).max(initial=0.0)
+    if max(res_x, res_z) > tol * _offset_scale(l1, lc):
         return None
     return Point3n(x, z)
 
 
 def _closure(arr, subset, base_point, tol):
     """All flat indices whose flat contains the intersection through base_point."""
-    U = arr.frame.U
-    sub = U[list(subset)]
+    idx = list(subset)
+    U, l1, lc = arr.frame[:3]
+    sub = U[idx]
     dist = flat_distances(arr, base_point)
+    atol = tol * _offset_scale(l1[idx], lc[idx])
     out = []
     for j in range(len(arr.flats)):
         if j in subset:
             out.append(j)
             continue
-        if dist[j] > tol:
+        if dist[j] > atol:
             continue
         # containment also needs u_j in the row span of the active normals
         coef, _, _, _ = np.linalg.lstsq(sub.T, U[j], rcond=None)
@@ -352,15 +364,29 @@ def _closure(arr, subset, base_point, tol):
     return tuple(sorted(out))
 
 
-def _nullspace(U):
-    _, sv, vt = np.linalg.svd(U)
-    rank = int(np.sum(sv > 1e-11 * max(1.0, sv[0] if sv.size else 1.0)))
-    return vt[rank:].T  # (n, n-rank)
+def _screen(arr, S, sizes, tol):
+    """One SVD of the normals U_S of stratum S: (nullspace (n, n - rank), skip (d,)).
+
+    skip[j]: u_j = c_j . U_S lies in the span of U_S, and |l_j - c_j . l_S|,
+    which (u_j.x - l_j) - c_j . (U_S x - l_S) equals at every x, exceeds
+    (1 + |c_j|_1) tol * scale a thousandfold, far beyond rounding; so no x is
+    within tol * scale of all of S + {j}, and _solve_flat_system returns None.
+    """
+    U, l1, lc = arr.frame[:3]
+    idx = list(S)
+    w, sv, vt = np.linalg.svd(U[idx])
+    rank = int(np.sum(sv > 1e-11 * max(1.0, sv[0])))
+    C = (U @ vt[:rank].T / sv[:rank]) @ w[:, :rank].T  # u_j ~ C[j] @ U_S, (d, k)
+    in_span = np.abs(C @ U[idx] - U).max(axis=1) <= 1e-9
+    gap = np.maximum(np.abs(C @ l1[idx] - l1), np.abs(C @ lc[idx] - lc))
+    bound = (1e3 * tol * (1.0 + np.abs(C).sum(axis=1))
+             * np.maximum(max(1.0, sizes[idx].max()), sizes))
+    return vt[rank:].T, in_span & (gap > bound)
 
 
-def _witness(arr, active, base, rng, tol):
-    """Perturb the min-norm intersection point off every non-active flat."""
-    null = _nullspace(arr.frame.U[list(active)])
+def _witness(arr, active, base, null, rng, tol):
+    """Perturb the min-norm intersection point off every non-active flat,
+    along the nullspace of the active normals."""
     others = [j for j in range(len(arr.flats)) if j not in active]
     if null.shape[1] == 0 or not others:
         return base
@@ -381,6 +407,10 @@ def intersection_strata(arr: FlatArrangement, cfg: Tolerances = DEFAULT,
     Each intersection is reported once, tagged with its closed index set
     (all flats containing it); index subsets cutting out the same
     intersection are not listed separately.
+
+    Breadth first: each stratum S is extended by every flat j not in S, and
+    each such candidate counts towards cfg.strata_subset_limit; only new
+    candidates that the screen of S cannot rule out are solved.
     """
     d = len(arr.flats)
     if d == 0:
@@ -388,8 +418,11 @@ def intersection_strata(arr: FlatArrangement, cfg: Tolerances = DEFAULT,
     if rng is None:
         rng = np.random.default_rng(cfg.default_seed)
     tol = cfg.on_flat
+    sizes = np.abs(arr.offset_matrix()).max(axis=1)
 
     found = {}
+    nulls = {}
+    solved = set()
     examined = 0
     frontier = []
     for k in range(d):
@@ -401,6 +434,7 @@ def intersection_strata(arr: FlatArrangement, cfg: Tolerances = DEFAULT,
     while frontier:
         next_frontier = []
         for S in frontier:
+            nulls[S], skip = _screen(arr, S, sizes, tol)
             for j in range(d):
                 if j in S:
                     continue
@@ -409,6 +443,9 @@ def intersection_strata(arr: FlatArrangement, cfg: Tolerances = DEFAULT,
                     raise ArrangementError(
                         f"strata enumeration exceeded {cfg.strata_subset_limit} candidate subsets")
                 cand = tuple(sorted(set(S) | {j}))
+                if skip[j] or cand in solved:
+                    continue
+                solved.add(cand)
                 pt = _solve_flat_system(arr, cand, tol)
                 if pt is None:
                     continue
@@ -420,25 +457,25 @@ def intersection_strata(arr: FlatArrangement, cfg: Tolerances = DEFAULT,
 
     strata = []
     for S in sorted(found, key=lambda s: (len(s), s)):
-        witness = _witness(arr, S, found[S], rng, tol)
         rows = [arr.flats[k].normal.entries for k in S]
-        strata.append(Stratum(active=S, witness=witness,
-                              rank=lattice.integer_rank(rows)))
+        strata.append(Stratum(
+            active=S, witness=_witness(arr, S, found[S], nulls[S], rng, tol),
+            invariant_factors=tuple(lattice.invariant_factors(rows))))
     return strata
 
 
-def _failing_stratum(arr, strata):
-    """The first stratum whose active normals do not extend to a Z-basis."""
+def _failing_stratum(strata):
+    """The first stratum whose active normals do not extend to a Z-basis,
+    that is, do not have one invariant factor 1 per normal."""
     for stratum in strata:
-        rows = [arr.flats[k].normal.entries for k in stratum.active]
-        if len(rows) > arr.dimension or not lattice.extends_to_zbasis(rows):
+        if stratum.invariant_factors != (1,) * len(stratum.active):
             return stratum
     return None
 
 
 def smoothness_check(arr: FlatArrangement, cfg: Tolerances = DEFAULT):
     """(smooth, failing_stratum): Z-basis extendability of every stratum."""
-    failing = _failing_stratum(arr, intersection_strata(arr, cfg))
+    failing = _failing_stratum(intersection_strata(arr, cfg))
     return failing is None, failing
 
 
@@ -452,7 +489,7 @@ def classification_report(arr: FlatArrangement, B: DeformationMatrix,
     if B.dimension != arr.dimension:
         raise ArrangementError("deformation matrix dimension mismatch")
     strata = tuple(intersection_strata(arr, cfg))
-    failing = _failing_stratum(arr, strata)
+    failing = _failing_stratum(strata)
     if failing is not None:
         return ClassificationReport(smooth=False, failing_stratum=failing, strata=strata)
     n = arr.dimension

@@ -1,12 +1,19 @@
 """Arrangement data model, strata enumeration, and classification."""
 
+import functools
+import importlib.util
+from collections import Counter
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from torichk import (ArrangementError, DeformationMatrix, Flat,
-                     FlatArrangement, Normal, Point3n, catalog,
-                     classification_report, entry, flat_distances,
-                     intersection_strata, smoothness_check, translate)
+                     FlatArrangement, Normal, Point3n, arrangement, catalog,
+                     classification_report, cli, entry, flat_distances,
+                     intersection_strata, lattice, parse_arrangement,
+                     smoothness_check, translate)
+from torichk.config import DEFAULT, with_overrides
 
 
 def _flat(u, lam=(0.0, 0.0, 0.0), a=1.0):
@@ -290,3 +297,164 @@ def test_translate_moves_strata_with_the_arrangement():
     for key in ("smooth", "simply_connected", "flat_factor_l",
                 "volume_growth_exponent"):
         assert rep_a.as_dict()[key] == rep_b.as_dict()[key]
+
+
+# --------------------------------------------------------------------------
+# the strata enumerator against its reference
+
+def _reference_strata(arr, cfg=DEFAULT):
+    """The breadth-first enumeration that solves every candidate subset.
+
+    Returns ([(active, rank, witness)], number of candidates examined).
+    """
+    d = len(arr.flats)
+    rng = np.random.default_rng(cfg.default_seed)
+    tol = cfg.on_flat
+    found = {}
+    examined = 0
+    frontier = []
+    for k in range(d):
+        pt = arrangement._solve_flat_system(arr, (k,), tol)
+        closed = arrangement._closure(arr, (k,), pt, tol)
+        if closed not in found:
+            found[closed] = pt
+            frontier.append(closed)
+    while frontier:
+        next_frontier = []
+        for S in frontier:
+            for j in range(d):
+                if j in S:
+                    continue
+                examined += 1
+                cand = tuple(sorted(set(S) | {j}))
+                pt = arrangement._solve_flat_system(arr, cand, tol)
+                if pt is None:
+                    continue
+                closed = arrangement._closure(arr, cand, pt, tol)
+                if closed not in found:
+                    found[closed] = pt
+                    next_frontier.append(closed)
+        frontier = next_frontier
+    strata = []
+    for S in sorted(found, key=lambda s: (len(s), s)):
+        _, sv, vt = np.linalg.svd(arr.frame.U[list(S)])
+        rank = int(np.sum(sv > 1e-11 * max(1.0, sv[0])))
+        witness = arrangement._witness(arr, S, found[S], vt[rank:].T, rng, tol)
+        rows = [arr.flats[k].normal.entries for k in S]
+        strata.append((S, lattice.integer_rank(rows), witness))
+    return strata, examined
+
+
+def _assert_matches_reference(arr):
+    """Same strata as the reference, in the same order, witnesses bit for bit;
+    or the same ArrangementError.  Returns whether strata were compared."""
+    try:
+        want, _ = _reference_strata(arr)
+    except ArrangementError as exc:
+        with pytest.raises(ArrangementError, match=f"^{exc}$"):
+            intersection_strata(arr)
+        return False
+    got = intersection_strata(arr)
+    assert [(s.active, s.rank) for s in got] == [(S, rank) for S, rank, _ in want]
+    for s, (_, _, w) in zip(got, want):
+        assert np.array_equal(s.witness.x, w.x) and np.array_equal(s.witness.z, w.z)
+    return True
+
+
+@functools.cache
+def _workloads():
+    """The benchmark's workload module: the classify-strata family and its palettes."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def _family():
+    """The 20 base arrangements of the classify-strata workload."""
+    return [parse_arrangement(doc)[0] for doc in _workloads().base_family()]
+
+# moves off a consistent intersection: inside the solve's tolerance, just past
+# it, past it but inside the screen's margin, and far past both
+_NUDGES = (3e-10, 3e-9, 2e-6, 1e-3)
+
+
+def _random_dependent_arrangement(rng, n):
+    """Flats with dependent normals through two anchor points, some nudged off
+    them, plus flats at unrelated offsets."""
+    offsets, palette = _workloads().OFFSETS, _workloads().PALETTES[n]
+    anchors = [rng.choice(offsets, (3, n)) for _ in range(2)]
+    flats = {}
+    d = int(rng.integers(n + 2, n + 6))
+    while len(flats) < d:
+        u = palette[rng.integers(len(palette))]
+        kind = rng.integers(3)
+        if kind == 0:
+            lam = rng.choice(offsets, 3)
+        else:
+            lam = anchors[rng.integers(2)] @ np.array(u, dtype=float)
+            if kind == 2:
+                lam[rng.integers(3)] += rng.choice(_NUDGES)
+        flats.setdefault((u, tuple(lam)), _flat(u, lam))
+    return FlatArrangement(n, tuple(flats.values()))
+
+
+def test_strata_match_the_reference_on_catalog_and_family():
+    for arr in [e.arrangement for e in catalog()] + _family():
+        assert _assert_matches_reference(arr)
+
+
+def test_strata_match_the_reference_on_random_dependent_arrangements():
+    rng = np.random.default_rng(8)
+    compared = 0
+    for n in (2, 3):
+        for _ in range(30):
+            compared += _assert_matches_reference(_random_dependent_arrangement(rng, n))
+    # a nudge below the witness clearance can leave no witness; most cases compare strata
+    assert compared >= 45
+
+
+def test_one_solve_and_one_smith_form_per_stratum(monkeypatch):
+    calls = Counter()
+
+    def count(module, name):
+        inner = getattr(module, name)
+
+        def counted(*args, **kw):
+            calls[name] += 1
+            return inner(*args, **kw)
+        monkeypatch.setattr(module, name, counted)
+
+    count(arrangement, "_solve_flat_system")
+    count(lattice, "smith_normal_form")
+    strata = 0
+    for arr in _family():
+        report = classification_report(arr, DeformationMatrix.zero(arr.dimension))
+        strata += len(report.strata)
+    assert calls == {"_solve_flat_system": strata, "smith_normal_form": strata}
+
+
+def test_strata_subset_limit_counts_every_candidate(capsys, monkeypatch):
+    arr = entry("n2-unimodular").arrangement
+    _, k = _reference_strata(arr)
+    assert len(intersection_strata(arr, with_overrides(strata_subset_limit=k))) == 6
+    message = f"strata enumeration exceeded {k - 1} candidate subsets"
+    with pytest.raises(ArrangementError, match=f"^{message}$"):
+        intersection_strata(arr, with_overrides(strata_subset_limit=k - 1))
+    monkeypatch.setattr(cli, "classification_report", functools.partial(
+        classification_report, cfg=with_overrides(strata_subset_limit=k - 1)))
+    code = cli.run_cli(["classify", "n2-unimodular"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.splitlines() == [f"error: {message}"]
+
+
+def test_strata_at_large_offsets_are_not_duplicated():
+    # three flats through one point, far from the origin: the residuals of the
+    # solve and the closure both scale with the offsets
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        a, b = rng.uniform(-1e9, 1e9, (2, 3))
+        arr = FlatArrangement(2, (_flat((1, 0), a), _flat((0, 1), b), _flat((1, 1), a + b)))
+        assert [s.active for s in intersection_strata(arr)] == [(0,), (1,), (2,), (0, 1, 2)]
