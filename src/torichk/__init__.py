@@ -9,7 +9,7 @@ deformation order, volume growth).
 from .arrangement import (ClassificationReport, DeformationMatrix, Flat,
                           FlatArrangement, Normal, Point3n, Stratum,
                           classification_report, flat_distances,
-                          intersection_strata, smoothness_check, translate)
+                          intersection_strata, translate)
 from .catalog import CatalogEntry, Expected, catalog, entry, entry_names
 from .config import DEFAULT, Tolerances
 from .errors import (ArrangementError, BranchLocusError, DifferentiationError,
@@ -43,7 +43,6 @@ __all__ = [
     "hessian_identity_residual", "intersection_strata", "legendre_solve",
     "load_arrangement", "monge_ampere_residual", "parse_arrangement", "phi_batch",
     "polyharmonic_residual", "quotient_metric", "reconstruct_F_from_K",
-    "ricci_residual", "run_checks", "smoothness_check",
-    "sp_condition_residual", "translate", "volume_growth_exponent",
-    "__version__",
+    "ricci_residual", "run_checks", "sp_condition_residual", "translate",
+    "volume_growth_exponent", "__version__",
 ]

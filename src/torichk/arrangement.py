@@ -10,7 +10,7 @@ normal forms decide whether active normal sets extend to a Z-basis of Z^n.
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -245,8 +245,22 @@ class DeformationMatrix:
         self.order = int(np.count_nonzero(clipped > rank_tol))
 
     @classmethod
+    @cache
     def zero(cls, n: int) -> "DeformationMatrix":
         return cls(np.zeros((n, n)))
+
+    @classmethod
+    def of(cls, B, n: int) -> "DeformationMatrix":
+        """B as an n x n DeformationMatrix: None is the zero matrix (one per n)
+        and an array is validated; any other size raises ArrangementError."""
+        if B is None:
+            return cls.zero(n)
+        if not isinstance(B, DeformationMatrix):
+            B = cls(B)
+        if B.dimension != n:
+            raise ArrangementError(
+                f"deformation matrix is {B.dimension}x{B.dimension}, expected {n}x{n}")
+        return B
 
     @property
     def dimension(self) -> int:
@@ -262,8 +276,10 @@ class Stratum:
 
     `active` is the full set of flat indices containing the intersection, so
     two different strata always have different intersections.  The witness
-    lies on exactly the flats in `active`.  `invariant_factors` are the
-    nonzero Smith invariant factors of the active normals (not part of
+    lies off every other flat and within on_flat times the offset scale of
+    each flat in `active`, the scale being max(1, largest |offset| of the
+    active flats): rounding grows with the offsets.  `invariant_factors` are
+    the nonzero Smith invariant factors of the active normals (not part of
     as_dict); `rank`, the rank of their integer span, is their count.
     """
 
@@ -473,21 +489,15 @@ def _failing_stratum(strata):
     return None
 
 
-def smoothness_check(arr: FlatArrangement, cfg: Tolerances = DEFAULT):
-    """(smooth, failing_stratum): Z-basis extendability of every stratum."""
-    failing = _failing_stratum(intersection_strata(arr, cfg))
-    return failing is None, failing
-
-
-def classification_report(arr: FlatArrangement, B: DeformationMatrix,
+def classification_report(arr: FlatArrangement, B=None,
                           cfg: Tolerances = DEFAULT) -> ClassificationReport:
     """Smoothness and topology of the arrangement with deformation B.
 
+    B is None, a DeformationMatrix or an array (see DeformationMatrix.of).
     A non-smooth input is reported, not refused: smooth is False and
     failing_stratum names the first stratum that fails the Z-basis test.
     """
-    if B.dimension != arr.dimension:
-        raise ArrangementError("deformation matrix dimension mismatch")
+    B = DeformationMatrix.of(B, arr.dimension)
     strata = tuple(intersection_strata(arr, cfg))
     failing = _failing_stratum(strata)
     if failing is not None:

@@ -15,7 +15,7 @@ from . import verify as ver
 from .catalog import catalog as catalog_entries
 from .catalog import entry as catalog_entry
 from .catalog import entry_names
-from .arrangement import Point3n, classification_report, smoothness_check
+from .arrangement import Point3n, classification_report
 from .config import DEFAULT
 from .errors import (ArrangementError, EvaluationError,
                      InsufficientSamplesError, SamplingError)
@@ -119,18 +119,18 @@ def build_parser():
 
 def _cmd_validate(args):
     arr, B, _ = _resolve(args.target)
-    smooth, failing = smoothness_check(arr)
+    report = classification_report(arr, B)
     doc = {
         "valid": True,
         "n": arr.dimension,
         "flats": len(arr.flats),
-        "smooth": smooth,
+        "smooth": report.smooth,
     }
-    if not smooth:
-        doc["failing_stratum"] = failing.as_dict()
-        doc["invariant_factors"] = list(failing.invariant_factors)
+    if not report.smooth:
+        doc["failing_stratum"] = report.failing_stratum.as_dict()
+        doc["invariant_factors"] = list(report.failing_stratum.invariant_factors)
     _emit(doc)
-    return 0 if smooth else 1
+    return 0 if report.smooth else 1
 
 
 def _cmd_classify(args):

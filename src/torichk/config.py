@@ -1,8 +1,9 @@
 """Central numeric configuration.
 
-Every tolerance and step size used by the evaluators, the Newton solver and
-the verification residuals lives here, so that a single object pins down the
-numerical contract of the whole package.
+The tolerances, step sizes and residual thresholds of the evaluators, the
+Newton solver and the verification checks live here.  The sampling choices
+of each check (its point counts and flat clearances) live with the check in
+the verify module.
 """
 
 import os
@@ -45,7 +46,6 @@ class Tolerances:
 
     # sampling
     default_seed: int = 20260815
-    sample_clearance: float = 0.25  # Euclidean flat clearance for random points
     strata_subset_limit: int = 1 << 20
 
 

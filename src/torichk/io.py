@@ -106,8 +106,7 @@ def dump_arrangement(arr: FlatArrangement, B=None) -> dict:
             for flat in arr.flats
         ],
     }
-    if B is not None:
-        mat = B.entries if isinstance(B, DeformationMatrix) else np.asarray(B, float)
-        if np.any(mat):
-            doc["B"] = [[float(v) for v in row] for row in mat]
+    mat = DeformationMatrix.of(B, arr.dimension).entries
+    if np.any(mat):
+        doc["B"] = [[float(v) for v in row] for row in mat]
     return doc

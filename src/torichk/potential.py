@@ -60,18 +60,6 @@ __all__ = [
 ]
 
 
-def _bmat(B, n: int) -> np.ndarray:
-    if B is None:
-        return np.zeros((n, n))
-    if isinstance(B, DeformationMatrix):
-        mat = B.entries
-    else:
-        mat = DeformationMatrix(B).entries
-    if mat.shape != (n, n):
-        raise ValueError(f"deformation matrix has shape {mat.shape}, expected {(n, n)}")
-    return mat
-
-
 def _check_off_flats(r, tol):
     """Raise OnFlatError if any point of r (..., d) lies within tol of a flat."""
     if r.size and r.min() <= tol:
@@ -96,7 +84,7 @@ def eval_F(arr: FlatArrangement, B, p: Point3n, cfg: Tolerances = DEFAULT):
     _check_off_flats(r, cfg.on_flat)
     _check_off_branch(s, r, cfg.branch)
     total = np.sum(a * (s * np.log(s + r) - r), axis=-1)
-    Bm = _bmat(B, arr.dimension)
+    Bm = DeformationMatrix.of(B, arr.dimension).entries
     q1 = np.einsum("...i,ij,...j->...", p.x, Bm, p.x)
     q2 = np.einsum("...i,ij,...j->...", p.z, Bm, p.z.conj()).real
     total = total + (2.0 * q1 - q2)
@@ -110,8 +98,9 @@ def eval_F_z(arr: FlatArrangement, B, p: Point3n, cfg: Tolerances = DEFAULT) -> 
     s, v, r = arr.svr(p.x, p.z)
     _check_off_flats(r, cfg.on_flat)
     _check_off_branch(s, r, cfg.branch)
+    Bm = DeformationMatrix.of(B, arr.dimension).entries
     # one-row gemv calls, as for a single point
-    g = -(_bmat(B, arr.dimension) @ p.z.conj()[..., None])[..., 0]
+    g = -(Bm @ p.z.conj()[..., None])[..., 0]
     if r.shape[-1]:
         w = a * v.conj() / (2.0 * (s + r))
         g = g - (w[..., None, :] @ U.astype(complex))[..., 0, :]
@@ -130,7 +119,7 @@ def eval_Phi(arr: FlatArrangement, B, p: Point3n, cfg: Tolerances = DEFAULT) -> 
     """Closed-form Phi(p) = B + (1/4) sum_k a_k u_k u_k^T / r_k, (..., n, n) SPD off flats."""
     _, _, r = arr.svr(p.x, p.z)
     _check_off_flats(r, cfg.on_flat)
-    phi = _phi(arr, _bmat(B, arr.dimension), r)
+    phi = _phi(arr, DeformationMatrix.of(B, arr.dimension).entries, r)
     return 0.5 * (phi + np.swapaxes(phi, -1, -2))
 
 
@@ -261,7 +250,7 @@ def _newton(arr, B, u, z, x, cfg):
     row, or raises the error of the first failing row.
     """
     n = u.shape[1]
-    Bm = _bmat(B, n)
+    Bm = DeformationMatrix.of(B, n).entries
     out_x, out_K = np.empty(u.shape), np.empty(len(u))
     out_res, out_it = np.empty(len(u)), np.zeros(len(u), dtype=int)
     errors = {}
@@ -365,8 +354,8 @@ class ReconstructedPotential:
     x: np.ndarray
 
 
-def reconstruct_F_from_K(kahler, u, z, step: float = DEFAULT.reconstruct_step,
-                         cfg: Tolerances = DEFAULT) -> ReconstructedPotential:
+def reconstruct_F_from_K(kahler, u, z,
+                         step: float = DEFAULT.reconstruct_step) -> ReconstructedPotential:
     """Invert the Legendre transform given only a chart potential K(u, z).
 
     x_i = -(1/2) dK/du_i = -(1/4) dK/d(Re u_i) since K depends on u only
@@ -404,4 +393,4 @@ def phi_batch(arr: FlatArrangement, B, X: np.ndarray, Z: np.ndarray) -> np.ndarr
     """Phi at many points: X (N, n) real, Z (N, n) complex -> (N, n, n).
 
     The formula of eval_Phi without its point validation and flat checks."""
-    return _phi(arr, _bmat(B, arr.dimension), arr.svr(X, Z)[2])
+    return _phi(arr, DeformationMatrix.of(B, arr.dimension).entries, arr.svr(X, Z)[2])

@@ -48,8 +48,6 @@ __all__ = [
 @dataclass(frozen=True, eq=False)
 class ResidualReport:
     check_name: str
-    points: list
-    residuals: list
     max_residual: float
     tolerance: float
     passed: bool
@@ -87,7 +85,7 @@ def _clearance(arr: FlatArrangement, x, z) -> float:
 
 
 def sample_points(arr: FlatArrangement, count: int, rng,
-                  clearance: float = DEFAULT.sample_clearance) -> list:
+                  clearance: float = 0.25) -> list:
     """Seeded random points with Euclidean clearance from flats and branch loci."""
     n = arr.dimension
     scale = _box_scale(arr)
@@ -281,17 +279,15 @@ def ricci_residual(arr: FlatArrangement, B, p: Point3n,
     for c in range(base):
         dG[c] = (gamma[1 + 2 * c] - gamma[2 + 2 * c]) / (2.0 * step)
 
-    # Ric_{sn} = d_m G^m_{ns} - d_n G^m_{ms} + G^m_{ml} G^l_{ns} - G^m_{nl} G^l_{ms}
+    # Ric_{sn} = d_m G^m_{ns} - d_n G^m_{ms} + G^m_{ml} G^l_{ns} - G^m_{nl} G^l_{ms};
+    # every sum adds in the order of a per-entry loop (leading axes in index
+    # order; m inner, l outer in the last term), so the result is that loop's bit for bit
     trace = np.einsum("mml->l", G0)
-    ric = np.zeros((total, total))
-    for nu in range(total):
-        for sig in range(total):
-            val = sum(dG[mu][mu, nu, sig] for mu in range(base))
-            if nu < base:
-                val -= sum(dG[nu][mu, mu, sig] for mu in range(total))
-            val += float(trace @ G0[:, nu, sig])
-            val -= float(np.einsum("ml,lm->", G0[:, nu, :], G0[:, :, sig]))
-            ric[nu, sig] = val
+    ric = dG[np.arange(base), np.arange(base)].sum(axis=0)
+    ric[:base] -= dG.transpose(1, 2, 0, 3)[np.arange(total), np.arange(total)].sum(axis=0)
+    ric += (np.moveaxis(G0, 0, -1)[..., None, :] @ trace[:, None])[..., 0, 0]
+    ric -= (G0.transpose(0, 2, 1)[..., None]
+            * G0.transpose(1, 0, 2)[:, :, None, :]).sum(axis=0).sum(axis=0)
     return float(np.abs(ric).max())
 
 
@@ -308,7 +304,7 @@ def conformal_factor_check(arr: FlatArrangement, B, x3,
     if arr.dimension != 1:
         raise ValueError("conformal factor law is the n=1 statement")
     x3 = np.asarray(x3, dtype=float)
-    b = float(_bscalar(B))
+    b = float(DeformationMatrix.of(B, 1).entries[0, 0])
     centers = arr.offset_matrix()
     masses = arr.masses()
 
@@ -338,13 +334,6 @@ def conformal_factor_check(arr: FlatArrangement, B, x3,
     harmonic = abs(fd.richardson_laplacian3(phi, x3, step))
     bounded = float(np.max(np.abs(values[1:] - terms) - bounds, initial=0.0))
     return float(max(identity, harmonic, bounded))
-
-
-def _bscalar(B):
-    if B is None:
-        return 0.0
-    mat = B.entries if isinstance(B, DeformationMatrix) else np.asarray(B, float)
-    return mat[0, 0]
 
 
 # --------------------------------------------------------------------------
@@ -510,13 +499,12 @@ def volume_growth_exponent(arr: FlatArrangement, B, base: Point3n, radii,
 # --------------------------------------------------------------------------
 # check harness
 
-def _report(name, points, residuals, tol, start, samples=None, detail=None, ok=True):
+def _report(name, residuals, tol, start, samples=None, detail=None, ok=True):
     """A report that passes when ok holds and every residual is within tol."""
     residuals = [float(r) for r in residuals]
     mx = max(residuals) if residuals else 0.0
     return ResidualReport(
-        check_name=name, points=points, residuals=residuals,
-        max_residual=mx, tolerance=tol, passed=bool(ok) and mx <= tol,
+        check_name=name, max_residual=mx, tolerance=tol, passed=bool(ok) and mx <= tol,
         samples=samples if samples is not None else len(residuals),
         wall_time_s=time.perf_counter() - start, detail=detail or {})
 
@@ -536,22 +524,20 @@ def _halving_order(coarse, fine):
     return ok, {"coarse_max": mx_c, "step_ratio": ratio, "order_ok": bool(ok)}
 
 
-def _run(name, seed, check_id, tol, sample, residual, point=None, step=None):
+def _run(name, seed, check_id, tol, sample, residual, step=None):
     """The skeleton of every sampled check: timer, seeded sampler, residuals, report.
 
-    sample(rng) gives the items, residual(item) a float and point(item) the
-    Point3n recorded for it (the item itself by default).  With a step, the
+    sample(rng) gives the items and residual(item) a float.  With a step, the
     residual(item, h) is taken at h = step and 2 * step, and the check must
     also pass the step-halving order test.
     """
     start = time.perf_counter()
     items = sample(_rng_for(seed, check_id))
-    points = items if point is None else [point(it) for it in items]
     if step is None:
-        return _report(name, points, [residual(it) for it in items], tol, start)
+        return _report(name, [residual(it) for it in items], tol, start)
     fine = [residual(it, step) for it in items]
     ok, detail = _halving_order([residual(it, 2 * step) for it in items], fine)
-    return _report(name, points, fine, tol, start, detail=detail, ok=ok)
+    return _report(name, fine, tol, start, detail=detail, ok=ok)
 
 
 def _phi_fd_residual(arr, B, p, cfg):
@@ -567,23 +553,23 @@ def _phi_fd_residual(arr, B, p, cfg):
     return np.abs(phi - 0.25 * Hx).max() / max(np.abs(phi).max(), 1e-12)
 
 
-def _check_phi_fd(arr, B, seed, cfg, classification):
+def _check_phi_fd(arr, B, seed, cfg, report, expected):
     return _run("phi-fd", seed, 1, cfg.phi_fd_rel,
                 lambda rng: sample_points(arr, 100, rng),
                 lambda p: _phi_fd_residual(arr, B, p, cfg))
 
 
-def _check_polyharmonic(arr, B, seed, cfg, classification):
+def _check_polyharmonic(arr, B, seed, cfg, report, expected):
     def sample(rng):
         pts = sample_points(arr, 50, rng, clearance=0.35)
         return [(p, rational_direction(arr.dimension, rng)) for p in pts]
 
     return _run("polyharmonic", seed, 2, cfg.polyharmonic, sample,
                 lambda pv, h: polyharmonic_residual(arr, B, *pv, h, cfg),
-                point=lambda pv: pv[0], step=cfg.poly_step)
+                step=cfg.poly_step)
 
 
-def _check_ricci(arr, B, seed, cfg, classification):
+def _check_ricci(arr, B, seed, cfg, report, expected):
     clearance = max(0.35, cfg.stencil_clearance * 2 * cfg.curvature_step)
     return _run("ricci", seed, 6, cfg.ricci,
                 lambda rng: sample_points(arr, 10, rng, clearance=clearance),
@@ -591,7 +577,7 @@ def _check_ricci(arr, B, seed, cfg, classification):
                 step=cfg.curvature_step)
 
 
-def _check_conformal(arr, B, seed, cfg, classification):
+def _check_conformal(arr, B, seed, cfg, report, expected):
     return _run("conformal", seed, 7, cfg.harmonic,
                 lambda rng: sample_points(arr, 20, rng),
                 lambda p, h: conformal_factor_check(arr, B, p.coords(), h, cfg),
@@ -603,7 +589,7 @@ def _roundtrip_residual(arr, B, chart, step, cfg):
     def kfun(u, z):
         return _newton(arr, B, u, z, chart.x, cfg)[1]
 
-    rec = reconstruct_F_from_K(kfun, chart.u, chart.z, step, cfg)
+    rec = reconstruct_F_from_K(kfun, chart.u, chart.z, step)
     return abs(rec.value - eval_F(arr, B, Point3n(chart.x, chart.z), cfg))
 
 
@@ -613,79 +599,70 @@ def _chart_check(name, check_id, count, residual, tol, step="fd_step"):
     residual(arr, B, chart, step, cfg) is measured at `count` charts; tol and
     step name the Tolerances fields of its threshold and its step.
     """
-    def run(arr, B, seed, cfg, classification):
+    def run(arr, B, seed, cfg, report, expected):
         h = getattr(cfg, step)
         return _run(name, seed, check_id, getattr(cfg, tol),
                     lambda rng: sample_chart_points(arr, B, count, rng, cfg=cfg),
-                    lambda ch: residual(arr, B, ch, h, cfg),
-                    point=lambda ch: Point3n(ch.x, ch.z))
+                    lambda ch: residual(arr, B, ch, h, cfg))
     return run
 
 
-def _check_growth(arr, B, seed, cfg, classification):
+def _check_growth(arr, B, seed, cfg, report, expected):
     start = time.perf_counter()
     rng = _rng_for(seed, 8)
-    expected = classification.volume_growth_exponent
+    law = report.volume_growth_exponent
     radii = np.geomspace(60.0, 960.0, 9)
     base = Point3n(np.zeros(arr.dimension), np.zeros(arr.dimension))
     fit = growth_fit(arr, B, base, radii, samples=4096, rng=rng, cfg=cfg)
-    return _report("growth", [base], [abs(fit.exponent - expected)],
+    return _report("growth", [abs(fit.exponent - law)],
                    cfg.growth_tolerance, start, samples=fit.samples,
-                   detail={"exponent": fit.exponent, "expected": expected,
+                   detail={"exponent": fit.exponent, "expected": law,
                            "std_error": fit.std_error,
                            "volumes": fit.volumes.tolist(),
                            "radii": fit.radii.tolist()},
                    ok=fit.std_error <= cfg.growth_max_stderr)
 
 
+# expectations measured at 5 sampled points of an n = 1 arrangement: Phi, or Phi times r
+_SAMPLED_FACTS = ("phi_constant", "phi_radial_coefficient")
+
+
 def _check_classification(arr, B, seed, cfg, report, expected):
+    """One mismatch per expected value that the report's facts or Phi contradict.
+
+    The facts are report.as_dict() plus stratum_count and the failing
+    stratum's active flats and invariant factors (tuples, or None when
+    smooth; a list expectation is compared as a tuple).  An expectation
+    that is neither a fact nor sampled is refused.
+    """
     start = time.perf_counter()
     got = report.as_dict()
+    failing = report.failing_stratum
+    facts = dict(got, stratum_count=len(report.strata),
+                 failing_stratum_active=None if failing is None else failing.active,
+                 invariant_factors=None if failing is None else failing.invariant_factors)
     mismatches = {}
     rng = _rng_for(seed, 11)
-
-    def miss(key, want, have):
-        mismatches[key] = {"expected": want, "got": have}
-
     for key, want in expected.items():
-        if key == "failing_stratum_active":
-            have = (tuple(report.failing_stratum.active)
-                    if report.failing_stratum is not None else None)
-            if have != tuple(want):
-                miss(key, list(want), list(have or []))
-        elif key == "invariant_factors":
-            if report.failing_stratum is None:
-                miss(key, list(want), None)
-            else:
-                have = report.failing_stratum.invariant_factors
-                if have != tuple(want):
-                    miss(key, list(want), list(have))
-        elif key == "stratum_count":
-            have = len(report.strata)
-            if have != want:
-                miss(key, want, have)
-        elif key == "phi_constant":
-            pts = sample_points(arr, 5, rng)
-            have = [float(eval_Phi(arr, B, p, cfg)[0, 0]) for p in pts]
-            if any(abs(v - want) > 1e-12 for v in have):
-                miss(key, want, have)
-        elif key == "phi_radial_coefficient":
-            pts = sample_points(arr, 5, rng)
-            for p in pts:
-                r = math.sqrt(p.x[0] ** 2 + abs(p.z[0]) ** 2)
-                have = float(eval_Phi(arr, B, p, cfg)[0, 0]) * r
-                if abs(have - want) > 1e-12:
-                    miss(key, want, have)
-                    break
-        elif key in got:
-            if got[key] != want:
-                miss(key, want, got[key])
-    res = [float(len(mismatches))]
-    return _report("classification", [], res, 0.0, start,
+        if key in facts:
+            have = facts[key]
+            if have != (tuple(want) if isinstance(want, list) else want):
+                mismatches[key] = {"expected": want, "got": have}
+            continue
+        if key not in _SAMPLED_FACTS:
+            raise ValueError(f"unknown expectation {key!r}; known: "
+                             f"{', '.join(sorted(facts) + list(_SAMPLED_FACTS))}")
+        pts = sample_points(arr, 5, rng)
+        have = [float(eval_Phi(arr, B, p, cfg)[0, 0]) for p in pts]
+        if key == "phi_radial_coefficient":
+            have = [v * math.sqrt(p.x[0] ** 2 + abs(p.z[0]) ** 2) for v, p in zip(have, pts)]
+        if any(abs(v - want) > 1e-12 for v in have):
+            mismatches[key] = {"expected": want, "got": have}
+    return _report("classification", [float(len(mismatches))], 0.0, start,
                    detail={"mismatches": mismatches, "report": got})
 
 
-# name -> (runner, whether the check is the n = 1 statement only)
+# name -> (runner, whether the check is the n = 1 statement only), in report order
 _CHECKS = {
     "phi-fd": (_check_phi_fd, False),
     "polyharmonic": (_check_polyharmonic, False),
@@ -700,45 +677,39 @@ _CHECKS = {
     "growth": (_check_growth, True),
     "roundtrip": (_chart_check("roundtrip", 9, 20, _roundtrip_residual, "roundtrip",
                                step="reconstruct_step"), False),
+    "classification": (_check_classification, False),
 }
 
 
 def check_names():
-    return list(_CHECKS) + ["classification"]
+    return list(_CHECKS)
 
 
 def run_checks(arr: FlatArrangement, B, checks=None, seed=None,
                expected=None, cfg: Tolerances = DEFAULT) -> list:
     """Run named verification checks; None selects every applicable default.
 
-    The default set excludes the n = 1 only checks at higher n, and "growth"
-    for non-smooth inputs.  "classification" runs whenever expectations are
-    supplied.
+    B is None, a DeformationMatrix or an array (see DeformationMatrix.of).
+    The default set excludes the n = 1 only checks at higher n, "growth" for
+    non-smooth inputs and "classification" when no expectations are given.
+    The classification check raises ValueError on an expectation it does
+    not know.
     """
     if seed is None:
         seed = cfg.default_seed
-    if B is None:
-        B = DeformationMatrix.zero(arr.dimension)
-    classification = classification_report(arr, B, cfg)
-    reports = []
+    B = DeformationMatrix.of(B, arr.dimension)
+    report = classification_report(arr, B, cfg)
+    expected = expected or {}
     if checks is None:
-        selected = [name for name, (_, n1_only) in _CHECKS.items()
-                    if arr.dimension == 1 or not n1_only]
-        if not classification.smooth:
-            selected = [s for s in selected if s != "growth"]
-        if expected:
-            selected.append("classification")
-    else:
-        selected = list(checks)
-    for name in selected:
-        if name == "classification":
-            reports.append(_check_classification(arr, B, seed, cfg, classification,
-                                                 expected or {}))
-            continue
+        skip = {"growth": not report.smooth, "classification": not expected}
+        checks = [name for name, (_, n1_only) in _CHECKS.items()
+                  if (arr.dimension == 1 or not n1_only) and not skip.get(name)]
+    reports = []
+    for name in checks:
         if name not in _CHECKS:
             raise ValueError(f"unknown check {name!r}; known: {', '.join(check_names())}")
         runner, n1_only = _CHECKS[name]
         if n1_only and arr.dimension != 1:
             raise ValueError(f"check {name!r} does not apply to this arrangement")
-        reports.append(runner(arr, B, seed, cfg, classification))
+        reports.append(runner(arr, B, seed, cfg, report, expected))
     return reports

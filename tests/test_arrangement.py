@@ -11,8 +11,8 @@ import pytest
 from torichk import (ArrangementError, DeformationMatrix, Flat,
                      FlatArrangement, Normal, Point3n, arrangement, catalog,
                      classification_report, cli, entry, flat_distances,
-                     intersection_strata, lattice, parse_arrangement,
-                     smoothness_check, translate)
+                     dump_arrangement, intersection_strata, lattice,
+                     parse_arrangement, translate)
 from torichk.config import DEFAULT, with_overrides
 
 
@@ -150,15 +150,20 @@ def test_strata_axes_pair():
 
 
 def test_strata_witness_lies_on_exactly_the_active_flats():
-    arr = entry("n2-unimodular").arrangement
-    tol = 1e-9
-    for s in intersection_strata(arr):
-        d = flat_distances(arr, s.witness)
-        for k in range(len(arr.flats)):
-            if k in s.active:
-                assert d[k] <= tol
-            else:
-                assert d[k] > 1e-6
+    # at offsets of size 1e9 the witness of stratum (2,) of the three
+    # concurrent flats lies up to ~1e-6 from its own flat: the bound scales
+    a, b = np.random.default_rng(5).uniform(-1e9, 1e9, (2, 3))
+    concurrent = FlatArrangement(2, (_flat((1, 0), a), _flat((0, 1), b),
+                                     _flat((1, 1), a + b)))
+    for arr in (entry("n2-unimodular").arrangement, concurrent):
+        for s in intersection_strata(arr):
+            d = flat_distances(arr, s.witness)
+            scale = max(1.0, np.abs(arr.offset_matrix()[list(s.active)]).max())
+            for k in range(len(arr.flats)):
+                if k in s.active:
+                    assert d[k] <= DEFAULT.on_flat * scale
+                else:
+                    assert d[k] > 1e-6
 
 
 def test_strata_closed_index_sets_n2_unimodular():
@@ -192,8 +197,9 @@ def test_strata_permutation_invariance():
 
 def test_smoothness_designed_to_fail():
     arr = entry("n2-nonsmooth").arrangement
-    smooth, failing = smoothness_check(arr)
-    assert not smooth
+    report = classification_report(arr)
+    assert not report.smooth
+    failing = report.failing_stratum
     assert failing.active == (0, 1)
     from torichk import lattice
     rows = [arr.flats[k].normal.entries for k in failing.active]
@@ -207,7 +213,7 @@ def test_smoothness_gl2z_invariance():
     cases = [entry("n2-unimodular").arrangement,
              entry("n2-nonsmooth").arrangement]
     for arr in cases:
-        want_smooth, _ = smoothness_check(arr)
+        want_smooth = classification_report(arr).smooth
         want_count = len(intersection_strata(arr))
         for _ in range(5):
             M = np.eye(2, dtype=int)
@@ -221,8 +227,7 @@ def test_smoothness_gl2z_invariance():
                      f.offsets, f.mass)
                 for f in arr.flats)
             moved = FlatArrangement(2, flats)
-            got_smooth, _ = smoothness_check(moved)
-            assert got_smooth == want_smooth
+            assert classification_report(moved).smooth == want_smooth
             assert len(intersection_strata(moved)) == want_count
 
 
@@ -234,6 +239,36 @@ def test_deformation_matrix_validation():
     assert DeformationMatrix.zero(3).order == 0
     assert DeformationMatrix([[1.0, 0.0], [0.0, 0.0]]).order == 1
     assert DeformationMatrix([[2.0, 1.0], [1.0, 2.0]]).order == 2
+
+
+def test_deformation_matrix_of_takes_none_arrays_and_matrices():
+    B = DeformationMatrix([[1.0, 0.0], [0.0, 0.0]])
+    assert DeformationMatrix.of(B, 2) is B
+    # None is one cached zero matrix per n, so it costs no eigh per call
+    assert DeformationMatrix.of(None, 2) is DeformationMatrix.of(None, 2)
+    assert DeformationMatrix.of(None, 2).order == 0
+    assert not DeformationMatrix.of(None, 2).entries.any()
+    assert DeformationMatrix.of([[2.0, 1.0], [1.0, 2.0]], 2).order == 2
+    with pytest.raises(ArrangementError, match="semidefinite"):
+        DeformationMatrix.of([[-1.0]], 1)
+    with pytest.raises(ArrangementError, match="is 2x2, expected 1x1"):
+        DeformationMatrix.of(B, 1)
+    with pytest.raises(ArrangementError, match="is 1x1, expected 2x2"):
+        DeformationMatrix.of(np.zeros((1, 1)), 2)
+
+
+def test_every_entry_point_takes_b_in_the_same_three_forms():
+    arr = entry("n2-unimodular").arrangement
+    want = classification_report(arr, DeformationMatrix.zero(2)).as_dict()
+    assert classification_report(arr, None).as_dict() == want
+    assert classification_report(arr, np.zeros((2, 2))).as_dict() == want
+    assert classification_report(arr, np.eye(2)).taub_nut_order == 2
+    with pytest.raises(ArrangementError, match="expected 2x2"):
+        classification_report(arr, np.eye(3))
+    assert "B" not in dump_arrangement(arr, np.zeros((2, 2)))
+    assert dump_arrangement(arr, np.eye(2))["B"] == [[1.0, 0.0], [0.0, 1.0]]
+    with pytest.raises(ArrangementError, match="expected 2x2"):
+        dump_arrangement(arr, np.eye(1))
 
 
 def test_classification_flat_factor_counts():

@@ -459,7 +459,7 @@ def _scalar_legendre_solve(arr, B, u, z, x0=None, cfg=DEFAULT):
     n = arr.dimension
     u = np.atleast_1d(np.asarray(u, dtype=complex))
     z = np.atleast_1d(np.asarray(z, dtype=complex))
-    Bm = potential._bmat(B, n)
+    Bm = DeformationMatrix.of(B, n).entries
     tau = 2.0 * (u + u.conj()).real
     x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).copy()
     grad, fval = _scalar_grad_x(arr, Bm, x, z)

@@ -5,11 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from torichk import (DEFAULT, DeformationMatrix, Flat, FlatArrangement,
+from torichk import (DEFAULT, ArrangementError, DeformationMatrix, Flat, FlatArrangement,
                      InsufficientSamplesError, KahlerChartPoint, Point3n,
                      SamplingError, StencilClippedError, catalog, entry, eval_F,
                      eval_metric, eval_Phi, legendre_solve)
-from torichk import arrangement, classification_report, verify
+from torichk import arrangement, classification_report, intersection_strata, verify
 from torichk.verify import (ResidualReport, conformal_factor_check, growth_fit,
                             hessian_identity_residual, monge_ampere_residual,
                             polyharmonic_residual, ricci_residual, run_checks,
@@ -263,7 +263,7 @@ def _pointwise_ricci(arr, B, p, step, cfg=DEFAULT):
 
 
 def _pointwise_conformal(arr, B, x3, step, cfg=DEFAULT):
-    b = float(verify._bscalar(B))
+    b = float(DeformationMatrix.of(B, 1).entries[0, 0])
     centers = arr.offset_matrix()
     masses = arr.masses()
 
@@ -609,6 +609,23 @@ def test_run_checks_rejects_unknown_and_inapplicable():
         run_checks(CYL.arrangement, None, checks=["no-such-check"])
     with pytest.raises(ValueError, match="does not apply"):
         run_checks(entry("n2-unimodular").arrangement, None, checks=["ricci"])
+    for checks in (["classification"], None):
+        with pytest.raises(ValueError, match="unknown expectation 'bogus_key'.*smooth"):
+            run_checks(FLAT_H.arrangement, FLAT_H.deformation, checks=checks,
+                       expected={"bogus_key": 1, "smoth": False})
+
+
+def test_run_checks_takes_b_as_none_an_array_or_a_matrix():
+    e = entry("n2-nonsmooth")
+    reports = [run_checks(e.arrangement, B, checks=["phi-fd", "classification"], seed=2,
+                          expected=e.expected_values())
+               for B in (e.deformation, None, np.zeros((2, 2)))]
+    dicts = [[{k: v for k, v in r.as_dict().items() if k != "wall_time_s"} for r in rep]
+             for rep in reports]
+    assert dicts[0] == dicts[1] == dicts[2]
+    assert all(r.passed for r in reports[0])
+    with pytest.raises(ArrangementError, match="expected 2x2"):
+        run_checks(e.arrangement, np.zeros((1, 1)))
 
 
 def test_run_checks_skips_growth_when_not_smooth():
@@ -618,8 +635,7 @@ def test_run_checks_skips_growth_when_not_smooth():
 
 
 def test_report_as_dict_shape():
-    rep = ResidualReport(check_name="demo", points=[], residuals=[0.25, 0.5],
-                         max_residual=0.5, tolerance=1.0, passed=True,
+    rep = ResidualReport(check_name="demo", max_residual=0.5, tolerance=1.0, passed=True,
                          samples=2, wall_time_s=0.12345, detail={"k": 1})
     d = rep.as_dict()
     assert d == {"check": "demo", "max_residual": 0.5, "tolerance": 1.0,
@@ -638,6 +654,13 @@ def test_classification_check_counts_mismatches():
     assert bad.max_residual >= 1
     assert any("volume_growth_exponent" in miss for miss in
                bad.detail["mismatches"])
+    # the failing stratum's facts are tuples; a list expectation is the same value
+    e = entry("n2-nonsmooth")
+    got = run_checks(e.arrangement, None, checks=["classification"],
+                     expected={"failing_stratum_active": [0, 1], "invariant_factors": (1, 3),
+                               "stratum_count": len(intersection_strata(e.arrangement))})[0]
+    assert got.detail["mismatches"] == {
+        "invariant_factors": {"expected": (1, 3), "got": (1, 2)}}
 
 
 def test_strata_enumerated_once_per_report_and_per_run(monkeypatch):
