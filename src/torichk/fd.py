@@ -2,8 +2,10 @@
 
 These are deliberately independent of the closed-form derivative code they
 are used to check: plain second-order central differences on scalar
-functions of a real vector.  f takes a stack of nodes (K, m) and returns
-their values (K,); each stencil calls it once with all of its nodes.
+functions of a real vector.  The centres w are one point (m,) or a stack of
+points (..., m); f takes the nodes of every stencil, (..., K, m), and returns
+their values (..., K).  Each stencil calls it once with all of its nodes, and
+a stack of centres is one call for the whole stack.
 """
 
 import numpy as np
@@ -22,37 +24,37 @@ def star(w, h):
 
 
 def hessian(f, w, h):
-    """Full symmetric Hessian of f: R^m -> R at w, central differences."""
+    """Full symmetric Hessian of f: R^m -> R at w (..., m), (..., m, m), central differences."""
     S = star(w, h)
     m = S.shape[-1]
     E = h * np.eye(m)
-    plus, minus = S[1::2], S[2::2]
+    plus, minus = S[..., 1::2, :], S[..., 2::2, :]
     # nodes: the star of w, then (w +- e_i) +- e_j for each pair i < j
-    pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
+    i, j = np.triu_indices(m, 1)
     nodes = [S]
-    if pairs:
-        i, j = np.array(pairs).T
-        nodes += [plus[i] + E[j], plus[i] - E[j], minus[i] + E[j], minus[i] - E[j]]
-    vals = f(np.concatenate(nodes))
-    fpp, fpm, fmp, fmm = vals[1 + 2 * m:].reshape(4, len(pairs))
-    H = np.empty((m, m))
-    for i in range(m):
-        H[i, i] = (vals[1 + 2 * i] - 2.0 * vals[0] + vals[2 + 2 * i]) / (h * h)
-    for k, (i, j) in enumerate(pairs):
-        H[i, j] = H[j, i] = (fpp[k] - fpm[k] - fmp[k] + fmm[k]) / (4.0 * h * h)
+    if i.size:
+        nodes += [plus[..., i, :] + E[j], plus[..., i, :] - E[j],
+                  minus[..., i, :] + E[j], minus[..., i, :] - E[j]]
+    vals = f(np.concatenate(nodes, axis=-2))
+    fpp, fpm, fmp, fmm = np.split(vals[..., 1 + 2 * m:], 4, axis=-1)
+    d = np.arange(m)
+    H = np.empty(vals.shape[:-1] + (m, m))
+    H[..., d, d] = (vals[..., 1:1 + 2 * m:2] - 2.0 * vals[..., :1]
+                    + vals[..., 2:2 + 2 * m:2]) / (h * h)
+    H[..., i, j] = H[..., j, i] = (fpp - fpm - fmp + fmm) / (4.0 * h * h)
     return H
 
 
 def _laplacian(vals, h):
-    """The 7-point Laplacian from the values on a star of step h."""
-    total = -6.0 * vals[0]
+    """The 7-point Laplacian from the values on a star of step h, (..., 7) -> (...)."""
+    total = -6.0 * vals[..., 0]
     for i in range(3):
-        total += vals[1 + 2 * i] + vals[2 + 2 * i]
+        total += vals[..., 1 + 2 * i] + vals[..., 2 + 2 * i]
     return total / (h * h)
 
 
 def laplacian3(f, c, h):
-    """7-point Laplacian of f: R^3 -> R at center c."""
+    """7-point Laplacian of f: R^3 -> R at the centres c (..., 3)."""
     return _laplacian(f(star(c, h)), h)
 
 
@@ -61,5 +63,5 @@ def richardson_laplacian3(f, c, h):
 
     f gets the nodes of both stars in one call.
     """
-    vals = f(np.concatenate([star(c, h), star(c, 2.0 * h)]))
-    return (4.0 * _laplacian(vals[:7], h) - _laplacian(vals[7:], 2.0 * h)) / 3.0
+    vals = f(np.concatenate([star(c, h), star(c, 2.0 * h)], axis=-2))
+    return (4.0 * _laplacian(vals[..., :7], h) - _laplacian(vals[..., 7:], 2.0 * h)) / 3.0

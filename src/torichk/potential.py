@@ -36,9 +36,10 @@ domain {s_k + r_k > 0 for all k}.  One kernel runs it over a stack of
 (u, z) rows, each with its own convergence test, Armijo backtracking,
 iteration count and failure; every row gets the values it gets when solved
 alone.  legendre_solve is its single-point form.  reconstruct_F_from_K
-takes a stacked chart potential, kahler(u (K, n), z (K, n)) -> (K,), and
-calls it once per chart point with every node of its stencils, so the
-verify module solves each chart stencil as one stack.
+takes a stacked chart potential, kahler(u (..., K, n), z (..., K, n)) ->
+(..., K), and calls it once with every node of the stencils of every chart
+point it is given, so the verify module solves the stencils of a whole
+sample set of charts as one stack.
 
 The fiber coordinates y_i are normalized to period 2*pi; volume
 normalizations elsewhere depend on this choice.
@@ -211,8 +212,8 @@ class KahlerChartPoint:
 
 
 def _dot(a, b):
-    """Row-wise dot product of two (K, n) stacks, one dot call of a @ b per row."""
-    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+    """Row-wise dot product of two (..., n) stacks, one dot call of a @ b per row."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
 def _legendre_objective(arr, Bm, x, s, r, zbz, tau):
@@ -350,6 +351,8 @@ def legendre_solve(arr: FlatArrangement, B, u, z, x0=None,
 
 @dataclass(frozen=True, eq=False)
 class ReconstructedPotential:
+    """F and x rebuilt from K: a float and (n,), or (...) and (..., n) for a stack."""
+
     value: float
     x: np.ndarray
 
@@ -361,30 +364,38 @@ def reconstruct_F_from_K(kahler, u, z,
     x_i = -(1/2) dK/du_i = -(1/4) dK/d(Re u_i) since K depends on u only
     through u + conj(u); then F = K + 2 sum_i (u_i + conj(u_i)) x_i.  The
     derivative uses a five-point stencil cross-validated at two spacings and
-    fails loudly when the samples cannot support it.  kahler takes stacked
-    points u (K, n) and z (K, n) and returns their K values (K,); it is
+    fails loudly when the samples cannot support it.  u and z are one chart
+    point (n,) or a stack of them (..., n).  kahler takes the stencil points
+    u (..., K, n) and z (..., K, n) and returns their K values (..., K); it is
     called once, with the 8n + 1 points u + 2h e_i, u + h e_i, u - h e_i,
-    u - 2h e_i for each i at h = step, then at h = step / 2, then u itself.
+    u - 2h e_i for each i at h = step, then at h = step / 2, then u itself,
+    of every chart point.  The value is a float for one chart point and
+    (...) for a stack.
     """
     u = np.atleast_1d(np.asarray(u, dtype=complex))
     z = np.atleast_1d(np.asarray(z, dtype=complex))
-    n = u.shape[0]
+    n = u.shape[-1]
     E = np.eye(n)
     spacings = (step, step / 2.0)
-    U = np.concatenate([np.stack([u + 2 * h * E, u + h * E, u - h * E, u - 2 * h * E],
-                                 axis=1).reshape(4 * n, n) for h in spacings] + [u[None]])
-    k = np.asarray(kahler(U, np.repeat(z[None], len(U), axis=0)), dtype=float)
-    # each (2, n): one row per spacing, one column per direction
-    kp2, kp1, km1, km2 = k[:-1].reshape(2, n, 4).transpose(2, 0, 1)
-    g1, g2 = (-kp2 + 8.0 * kp1 - 8.0 * km1 + km2) / (12.0 * np.array(spacings)[:, None])
-    scale = max(1.0, float(np.abs(g1).max(initial=0.0)))
-    if float(np.abs(g1 - g2).max(initial=0.0)) > 1e-6 * scale:
+    uu = u[..., None, :]
+    U = np.concatenate([np.stack([uu + 2 * h * E, uu + h * E, uu - h * E, uu - 2 * h * E],
+                                 axis=-2).reshape(u.shape[:-1] + (4 * n, n))
+                        for h in spacings] + [uu], axis=-2)
+    k = np.asarray(kahler(U, np.repeat(z[..., None, :], U.shape[-2], axis=-2)), dtype=float)
+    # each (..., 2, n): one row per spacing, one column per direction
+    kp2, kp1, km1, km2 = np.moveaxis(k[..., :-1].reshape(k.shape[:-1] + (2, n, 4)), -1, 0)
+    g = (-kp2 + 8.0 * kp1 - 8.0 * km1 + km2) / (12.0 * np.array(spacings)[:, None])
+    g1, g2 = g[..., 0, :], g[..., 1, :]
+    scale = np.maximum(1.0, np.abs(g1).max(axis=-1, initial=0.0))
+    gap = np.abs(g1 - g2).max(axis=-1, initial=0.0)
+    unstable = gap > 1e-6 * scale
+    if unstable.any():
         raise DifferentiationError(
             f"chart derivative did not stabilize (step {step:.2e}: "
-            f"disagreement {float(np.abs(g1 - g2).max()):.2e})")
+            f"disagreement {float(gap[unstable].flat[0]):.2e})")
     x = -0.25 * g2
-    value = float(k[-1]) + float((2.0 * (u + u.conj()).real) @ x)
-    return ReconstructedPotential(value=value, x=x)
+    value = k[..., -1] + _dot(2.0 * (u + u.conj()).real, x)
+    return ReconstructedPotential(value=float(value) if value.ndim == 0 else value, x=x)
 
 
 # -- batched evaluators (volume integration hot path) -----------------------

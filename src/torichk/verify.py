@@ -33,8 +33,8 @@ from .config import DEFAULT, Tolerances, thread_cap
 from .errors import (DomainEscapeError, EvaluationError,
                      InsufficientSamplesError, NoConvergenceError,
                      SamplingError, StencilClippedError)
-from .potential import (_newton, eval_F, eval_F_z, eval_Phi, eval_connection,
-                        eval_metric, legendre_solve, phi_batch,
+from .potential import (KahlerChartPoint, _newton, eval_F, eval_F_z, eval_Phi,
+                        eval_connection, eval_metric, legendre_solve, phi_batch,
                         reconstruct_F_from_K)
 
 __all__ = [
@@ -76,28 +76,36 @@ def _box_scale(arr: FlatArrangement) -> float:
     return float(np.abs(off).max(initial=0.0)) + 2.0
 
 
-def _clearance(arr: FlatArrangement, x, z) -> float:
-    """Euclidean clearance of (x, z) from every flat and branch locus, min(r/|u|, s+r)."""
+def _clearance(arr: FlatArrangement, x, z):
+    """Euclidean clearance of (x, z) (..., n) from every flat and branch locus,
+    min(r/|u|, s+r), (...)."""
     if not arr.flats:
-        return math.inf
+        return np.full(np.shape(x)[:-1], math.inf)
     s, _, r = arr.svr(x, z)
-    return min(float((r / arr.frame.norms).min()), float((s + r).min()))
+    return np.minimum((r / arr.frame.norms).min(axis=-1), (s + r).min(axis=-1))
 
 
 def sample_points(arr: FlatArrangement, count: int, rng,
                   clearance: float = 0.25) -> list:
-    """Seeded random points with Euclidean clearance from flats and branch loci."""
+    """Seeded random points with Euclidean clearance from flats and branch loci.
+
+    Candidates are drawn and tested in blocks of as many as are still
+    missing, at most 200 * count in all.  A block never holds a candidate
+    that drawing them one at a time would not draw, so the points and the
+    state rng is left in are those of the one-at-a-time loop.
+    """
     n = arr.dimension
     scale = _box_scale(arr)
     out = []
-    for _ in range(200 * count):
-        if len(out) == count:
-            break
-        x = rng.uniform(-scale, scale, n)
-        z = rng.uniform(-scale, scale, n) + 1j * rng.uniform(-scale, scale, n)
-        if _clearance(arr, x, z) < clearance:
-            continue
-        out.append(Point3n(x, z))
+    budget = 200 * count
+    while len(out) < count and budget > 0:
+        k = min(count - len(out), budget)
+        budget -= k
+        # per candidate: x, then Re z, then Im z, as the loop draws them
+        W = rng.uniform(-scale, scale, (k, 3, n))
+        x, z = W[:, 0], W[:, 1] + 1j * W[:, 2]
+        keep = _clearance(arr, x, z) >= clearance
+        out += [Point3n(xi, zi) for xi, zi in zip(x[keep], z[keep])]
     if len(out) < count:
         raise SamplingError("rejection sampling failed to reach the requested count")
     return out
@@ -142,25 +150,44 @@ def rational_direction(n: int, rng) -> np.ndarray:
 
 
 # --------------------------------------------------------------------------
-# pointwise residuals
+# residuals
+#
+# Each residual takes one point or chart, or a stack of them with leading
+# axes (...), and returns one residual per point: a scalar, or (...).  A
+# stack is measured with one evaluator call per stencil (or per Newton
+# stack) for all of its points, and each of its residuals equals, bit for
+# bit, the one its point gives alone.
+
+def _points(ps) -> Point3n:
+    """The points of a list as one batch, (len(ps), n)."""
+    return Point3n(np.stack([p.x for p in ps]), np.stack([p.z for p in ps]))
+
+
+def _charts(charts) -> KahlerChartPoint:
+    """The solved chart points of a list as one stack: u, z, x (len, n), K (len,)."""
+    return KahlerChartPoint(u=np.stack([c.u for c in charts]), z=np.stack([c.z for c in charts]),
+                            x=np.stack([c.x for c in charts]),
+                            K=np.array([c.K for c in charts]))
+
 
 def polyharmonic_residual(arr: FlatArrangement, B, p: Point3n, v,
                           step: float = DEFAULT.poly_step,
-                          cfg: Tolerances = DEFAULT) -> float:
-    """|Laplacian of F restricted to the 3-plane p + R^3 (x) v|.
+                          cfg: Tolerances = DEFAULT):
+    """|Laplacian of F restricted to the 3-plane p + R^3 (x) v| at each point of p.
 
-    v is a direction in R^n (any nonzero scaling, sign included, gives the
-    same plane and the same residual: the restriction is arc-length
-    parametrized along the unit vector v / |v|).
+    v is a direction in R^n, or one per point (..., n); any nonzero scaling,
+    sign included, gives the same plane and the same residual: the
+    restriction is arc-length parametrized along the unit vector v / |v|.
     """
     v = np.asarray(v, dtype=float)
-    vhat = v / np.linalg.norm(v)
+    vhat = (v / np.linalg.norm(v, axis=-1, keepdims=True))[..., None, :]
+    x, z = p.x[..., None, :], p.z[..., None, :]
 
     def f(C):
-        return eval_F(arr, B, Point3n(p.x + C[:, :1] * vhat,
-                                      p.z + (C[:, 1:2] + 1j * C[:, 2:]) * vhat), cfg)
+        return eval_F(arr, B, Point3n(x + C[..., :1] * vhat,
+                                      z + (C[..., 1:2] + 1j * C[..., 2:]) * vhat), cfg)
 
-    return abs(fd.laplacian3(f, np.zeros(3), step))
+    return np.abs(fd.laplacian3(f, np.zeros(p.x.shape[:-1] + (3,)), step))
 
 
 def _k_blocks(arr, B, chart, step, cfg):
@@ -171,8 +198,9 @@ def _k_blocks(arr, B, chart, step, cfg):
     dK/dRe u = -4x, and dK/dz = F_z at the solution.  Only first derivatives
     of K are analytic inputs here, so one central difference of this gradient
     yields Hessian blocks with far less cancellation than double differences
-    of K values.  The 6n points +-step e_i are solved as one stack warm-started
-    at the chart, and F_z is evaluated at them in one call.
+    of K values.  The 6n points +-step e_i of every chart (u, z, x each (n,)
+    or (..., n)) are solved as one stack warm-started at their chart, and
+    F_z is evaluated at them in one call.  Each block is (..., n, n).
 
     K is independent of Im u on the chart, so the real Hessian over
     (Re u, Re z, Im z) determines every block:
@@ -180,83 +208,90 @@ def _k_blocks(arr, B, chart, step, cfg):
       K_zu-bar = (Kca - i Kda)/4,
       K_zz-bar = (Kcc + Kdd)/4 + i (Kcd - Kdc)/4.
     """
-    n = chart.x.shape[0]
+    n = chart.x.shape[-1]
+    lead = chart.x.shape[:-1]
     E = step * np.eye(3 * n)
     W = np.stack([E, -E], axis=1).reshape(6 * n, 3 * n)  # +e_0, -e_0, +e_1, ...
-    u = chart.u + W[:, :n]
-    z = chart.z + W[:, n:2 * n] + 1j * W[:, 2 * n:]
-    x = _newton(arr, B, u, z, chart.x, cfg)[0]
+    u = (chart.u[..., None, :] + W[:, :n]).reshape(-1, n)
+    z = (chart.z[..., None, :] + W[:, n:2 * n] + 1j * W[:, 2 * n:]).reshape(-1, n)
+    x0 = np.repeat(chart.x.reshape(-1, n), 6 * n, axis=0)
+    x = _newton(arr, B, u, z, x0, cfg)[0]
     fz = eval_F_z(arr, B, Point3n(x, z), cfg)
     grad = np.concatenate([-4.0 * x, 2.0 * fz.real, -2.0 * fz.imag], axis=1)
-    J = (grad[0::2] - grad[1::2]) / (2.0 * step)
-    H = 0.5 * (J + J.T)
-    Kaa = H[:n, :n]
-    Kac = H[:n, n:2 * n]
-    Kad = H[:n, 2 * n:]
-    Kcc = H[n:2 * n, n:2 * n]
-    Kcd = H[n:2 * n, 2 * n:]
-    Kdd = H[2 * n:, 2 * n:]
+    grad = grad.reshape(lead + (6 * n, 3 * n))
+    J = (grad[..., 0::2, :] - grad[..., 1::2, :]) / (2.0 * step)
+    H = 0.5 * (J + np.swapaxes(J, -1, -2))
+    Kaa = H[..., :n, :n]
+    Kac = H[..., :n, n:2 * n]
+    Kad = H[..., :n, 2 * n:]
+    Kcc = H[..., n:2 * n, n:2 * n]
+    Kcd = H[..., n:2 * n, 2 * n:]
+    Kdd = H[..., 2 * n:, 2 * n:]
     kuu = 0.25 * Kaa
     kuz = 0.25 * (Kac + 1j * Kad)
-    kzu = 0.25 * (Kac.T - 1j * Kad.T)
-    kzz = 0.25 * (Kcc + Kdd) + 0.25j * (Kcd - Kcd.T)
+    kzu = 0.25 * (np.swapaxes(Kac, -1, -2) - 1j * np.swapaxes(Kad, -1, -2))
+    kzz = 0.25 * (Kcc + Kdd) + 0.25j * (Kcd - np.swapaxes(Kcd, -1, -2))
     return kuu, kuz, kzu, kzz
 
 
 def monge_ampere_residual(arr: FlatArrangement, B, chart,
                           step: float = DEFAULT.fd_step,
-                          cfg: Tolerances = DEFAULT) -> float:
-    """|K_uu-bar K_zz-bar - K_uz-bar K_zu-bar - 1| for an n=1 chart point."""
+                          cfg: Tolerances = DEFAULT):
+    """|K_uu-bar K_zz-bar - K_uz-bar K_zu-bar - 1| for n=1 chart points."""
     if arr.dimension != 1:
         raise ValueError("Monge-Ampere residual is the n=1 specialization")
-    kuu, kuz, kzu, kzz = _k_blocks(arr, B, chart, step, cfg)
-    det = kuu[0, 0] * kzz[0, 0] - kuz[0, 0] * kzu[0, 0]
-    return abs(det - 1.0)
+    kuu, kuz, kzu, kzz = (k[..., 0, 0] for k in _k_blocks(arr, B, chart, step, cfg))
+    # in real arithmetic, as numpy's scalar complex product and abs compute it
+    # for one chart; its complex array loops fuse multiply-adds and differ in
+    # the last bit
+    re = kuu * kzz.real - (kuz.real * kzu.real - kuz.imag * kzu.imag) - 1.0
+    im = kuu * kzz.imag - (kuz.real * kzu.imag + kuz.imag * kzu.real)
+    return np.hypot(re, im)
 
 
 def hessian_identity_residual(arr: FlatArrangement, B, chart,
                               step: float = DEFAULT.fd_step,
-                              cfg: Tolerances = DEFAULT) -> float:
+                              cfg: Tolerances = DEFAULT):
     """Deviation in K_uu-bar = -4 (F_xx)^{-1} and K_uz-bar = 2 (F_xx)^{-1} F_xz-bar."""
     kuu, kuz, _, _ = _k_blocks(arr, B, chart, step, cfg)
     p = Point3n(chart.x, chart.z)
     fxx = 4.0 * eval_Phi(arr, B, p, cfg)
     fxzbar = eval_connection(arr, B, p, cfg).coefficients.conj()
     inv = np.linalg.inv(fxx)
-    r1 = np.abs(kuu + 4.0 * inv).max()
-    r2 = np.abs(kuz - 2.0 * inv @ fxzbar).max()
-    return float(max(r1, r2))
+    r1 = np.abs(kuu + 4.0 * inv).max(axis=(-2, -1))
+    r2 = np.abs(kuz - 2.0 * inv @ fxzbar).max(axis=(-2, -1))
+    return np.maximum(r1, r2)
 
 
 def sp_condition_residual(arr: FlatArrangement, B, chart,
                           step: float = DEFAULT.fd_step,
-                          cfg: Tolerances = DEFAULT) -> float:
+                          cfg: Tolerances = DEFAULT):
     """max-norm of M^T J M - J for the 2n x 2n chart Hessian block matrix M."""
-    n = chart.x.shape[0]
+    n = chart.x.shape[-1]
     kuu, kuz, kzu, kzz = _k_blocks(arr, B, chart, step, cfg)
     M = np.block([[kuu, kuz], [kzu, kzz]])
     J = np.block([[np.zeros((n, n)), np.eye(n)], [-np.eye(n), np.zeros((n, n))]])
-    return float(np.abs(M.T @ J @ M - J).max())
+    return np.abs(np.swapaxes(M, -1, -2) @ J @ M - J).max(axis=(-2, -1))
 
 
 def _christoffel(g, h, base, total):
-    """Gamma^a_{bc} from the metric on an fd.star stencil, g (1 + 2 base, total, total).
+    """Gamma^a_{bc} from the metric on fd.star stencils, g (..., 1 + 2 base, total, total).
 
     The metric is constant in the trailing fiber coords.
     """
-    ginv = np.linalg.inv(g[0])
-    dg = np.zeros((total, total, total))
-    for c in range(base):
-        dg[c] = (g[1 + 2 * c] - g[2 + 2 * c]) / (2.0 * h)
+    ginv = np.linalg.inv(g[..., 0, :, :])
+    dg = np.zeros(g.shape[:-3] + (total, total, total))
+    dg[..., :base, :, :] = (g[..., 1:1 + 2 * base:2, :, :]
+                            - g[..., 2:2 + 2 * base:2, :, :]) / (2.0 * h)
     # T_{dbc} = d_b g_{dc} + d_c g_{db} - d_d g_{bc}
-    T = np.transpose(dg, (1, 0, 2)) + np.transpose(dg, (1, 2, 0)) - dg
-    return 0.5 * np.einsum("ad,dbc->abc", ginv, T)
+    T = np.swapaxes(dg, -3, -2) + np.moveaxis(dg, -3, -1) - dg
+    return 0.5 * np.einsum("...ad,...dbc->...abc", ginv, T)
 
 
 def ricci_residual(arr: FlatArrangement, B, p: Point3n,
                    step: float = DEFAULT.curvature_step,
-                   cfg: Tolerances = DEFAULT) -> float:
-    """max |Ric_ab| of the 4n-metric by nested central differences.
+                   cfg: Tolerances = DEFAULT):
+    """max |Ric_ab| of the 4n-metric by nested central differences, per point of p.
 
     The metric is independent of the fiber coordinates, so all derivatives
     run over the 3n base coordinates only.  Requires Euclidean clearance
@@ -265,55 +300,53 @@ def ricci_residual(arr: FlatArrangement, B, p: Point3n,
     """
     n = arr.dimension
     clear = _clearance(arr, p.x, p.z)
-    if clear < cfg.stencil_clearance * step:
+    if np.any(clear < cfg.stencil_clearance * step):
         raise StencilClippedError(
-            f"flat clearance {clear:.3e} below {cfg.stencil_clearance * step:.3e}")
+            f"flat clearance {float(np.min(clear)):.3e} below "
+            f"{cfg.stencil_clearance * step:.3e}")
     base = 3 * n
     total = 4 * n
     # the nested stencil: the metric at a star around every node of a star
     g = eval_metric(arr, B, Point3n.from_coords(fd.star(fd.star(p.coords(), step), step)),
                     cfg)
-    gamma = [_christoffel(gk, step, base, total) for gk in g]
-    G0 = gamma[0]
-    dG = np.zeros((base, total, total, total))
-    for c in range(base):
-        dG[c] = (gamma[1 + 2 * c] - gamma[2 + 2 * c]) / (2.0 * step)
+    gamma = _christoffel(g, step, base, total)
+    G0 = gamma[..., 0, :, :, :]
+    dG = (gamma[..., 1::2, :, :, :] - gamma[..., 2::2, :, :, :]) / (2.0 * step)
 
     # Ric_{sn} = d_m G^m_{ns} - d_n G^m_{ms} + G^m_{ml} G^l_{ns} - G^m_{nl} G^l_{ms};
-    # every sum adds in the order of a per-entry loop (leading axes in index
-    # order; m inner, l outer in the last term), so the result is that loop's bit for bit
-    trace = np.einsum("mml->l", G0)
-    ric = dG[np.arange(base), np.arange(base)].sum(axis=0)
-    ric[:base] -= dG.transpose(1, 2, 0, 3)[np.arange(total), np.arange(total)].sum(axis=0)
-    ric += (np.moveaxis(G0, 0, -1)[..., None, :] @ trace[:, None])[..., 0, 0]
-    ric -= (G0.transpose(0, 2, 1)[..., None]
-            * G0.transpose(1, 0, 2)[:, :, None, :]).sum(axis=0).sum(axis=0)
-    return float(np.abs(ric).max())
+    # every sum adds in the order of a per-entry loop (summed axes ahead of
+    # the entry's own, in index order; m inner, l outer in the last term), so
+    # the result is that loop's bit for bit
+    c = np.arange(base)
+    m = np.arange(total)
+    trace = np.einsum("...mml->...l", G0)
+    ric = dG[..., c, c, :, :].sum(axis=-3)
+    ric[..., :base, :] -= np.moveaxis(dG, -4, -2)[..., m, m, :, :].sum(axis=-3)
+    ric += (np.moveaxis(G0, -3, -1)[..., None, :] @ trace[..., None, None, :, None])[..., 0, 0]
+    ric -= (np.swapaxes(G0, -2, -1)[..., None]
+            * np.swapaxes(G0, -3, -2)[..., :, :, None, :]).sum(axis=-4).sum(axis=-3)
+    return np.abs(ric).max(axis=(-2, -1))
 
 
-def conformal_factor_check(arr: FlatArrangement, B, x3,
-                           step: float = DEFAULT.harmonic_step,
-                           cfg: Tolerances = DEFAULT) -> float:
-    """n=1 conformal-factor law: Phi = b + sum a_k/(4 |x - c_k|), harmonic off centers.
+def _phi_11(arr, B, W, cfg):
+    """Phi at the R^3 points W (..., 3) of an n=1 arrangement, (...)."""
+    return eval_Phi(arr, B, Point3n(W[..., :1], W[..., 1:2] + 1j * W[..., 2:]), cfg)[..., 0, 0]
 
-    Returns the max of (a) the deviation of eval_Phi from the closed
-    multi-center form, (b) the Laplacian of Phi at the sample, a Richardson
-    pair of 7-point Laplacians at steps step and 2 step, and (c) any
-    violation of boundedness of Phi - a_k/(4 r) near each center.
+
+def _conformal_law(arr, B, x3, cfg):
+    """The step-independent part of conformal_factor_check at x3 (..., 3), (...).
+
+    The max of (a) the deviation of eval_Phi from the closed multi-center
+    form and (c) any violation of boundedness of Phi - a_k/(4 r) near each
+    center.  The probes of (c) do not depend on x3; they are evaluated in
+    the same call as the points x3.
     """
-    if arr.dimension != 1:
-        raise ValueError("conformal factor law is the n=1 statement")
-    x3 = np.asarray(x3, dtype=float)
     b = float(DeformationMatrix.of(B, 1).entries[0, 0])
     centers = arr.offset_matrix()
     masses = arr.masses()
 
-    def phi(W):
-        """Phi at the R^3 points W (K, 3), (K,)."""
-        return eval_Phi(arr, B, Point3n(W[:, :1], W[:, 1:2] + 1j * W[:, 2:]), cfg)[:, 0, 0]
-
     # boundedness probes centers[k] + t * direction, with their mass term and bound
-    probes, terms, bounds = [x3], [], []
+    probes, terms, bounds = [], [], []
     direction = np.array([0.57735026919, 0.57735026919, 0.57735026919])
     for k in range(len(arr.flats)):
         others = [j for j in range(len(arr.flats)) if j != k]
@@ -326,14 +359,38 @@ def conformal_factor_check(arr: FlatArrangement, B, x3,
             probes.append(centers[k] + t * direction)
             terms.append(masses[k] / (4.0 * t))
             bounds.append(bound)
-    values = phi(np.stack(probes))
+    x3 = np.asarray(x3, dtype=float)
+    pts = x3.reshape(-1, 3)
+    values = _phi_11(arr, B, np.concatenate([pts, np.reshape(probes, (-1, 3))]), cfg)
 
-    dists = np.linalg.norm(centers - x3, axis=1) if len(arr.flats) else np.zeros(0)
-    closed = b + float(np.sum(masses / (4.0 * dists))) if len(arr.flats) else b
-    identity = abs(float(values[0]) - closed)
-    harmonic = abs(fd.richardson_laplacian3(phi, x3, step))
-    bounded = float(np.max(np.abs(values[1:] - terms) - bounds, initial=0.0))
-    return float(max(identity, harmonic, bounded))
+    dists = np.linalg.norm(centers - pts[:, None, :], axis=-1)
+    closed = b + np.sum(masses / (4.0 * dists), axis=-1)
+    identity = np.abs(values[:len(pts)] - closed)
+    bounded = float(np.max(np.abs(values[len(pts):] - terms) - bounds, initial=0.0))
+    return np.maximum(identity, bounded).reshape(x3.shape[:-1])
+
+
+def _conformal_harmonic(arr, B, x3, step, cfg):
+    """|Laplacian of Phi| at x3 (..., 3): a Richardson pair at steps step and 2 step."""
+    return np.abs(fd.richardson_laplacian3(lambda W: _phi_11(arr, B, W, cfg), x3, step))
+
+
+def conformal_factor_check(arr: FlatArrangement, B, x3,
+                           step: float = DEFAULT.harmonic_step,
+                           cfg: Tolerances = DEFAULT):
+    """n=1 conformal-factor law: Phi = b + sum a_k/(4 |x - c_k|), harmonic off centers.
+
+    Returns, at each point of x3 (3,) or (..., 3), the max of (a) the
+    deviation of eval_Phi from the closed multi-center form, (b) the
+    Laplacian of Phi at the sample, a Richardson pair of 7-point Laplacians
+    at steps step and 2 step, and (c) any violation of boundedness of
+    Phi - a_k/(4 r) near each center.
+    """
+    if arr.dimension != 1:
+        raise ValueError("conformal factor law is the n=1 statement")
+    x3 = np.asarray(x3, dtype=float)
+    return np.maximum(_conformal_law(arr, B, x3, cfg),
+                      _conformal_harmonic(arr, B, x3, step, cfg))
 
 
 # --------------------------------------------------------------------------
@@ -518,45 +575,63 @@ def _halving_order(coarse, fine):
     # below this, both steps sit at arithmetic noise (which grows as the
     # step shrinks) and the order-of-accuracy ratio is moot
     floor = 1e-6
-    mx_c, mx_f = max(coarse), max(fine)
+    mx_c, mx_f = float(max(coarse)), float(max(fine))
     ratio = mx_c / mx_f if mx_f > floor else float("inf")
     ok = mx_c <= floor or ratio >= 3.0
     return ok, {"coarse_max": mx_c, "step_ratio": ratio, "order_ok": bool(ok)}
 
 
+def _stacked(residual, items, *args):
+    """residual(items, *args): one residual per item, from one stacked call.
+
+    When the stacked call raises, the items are measured again one at a time,
+    so the error raised is the one the first failing item raises alone; if
+    none fails alone, the stacked call's own error stands.
+    """
+    try:
+        return residual(items, *args)
+    except Exception:
+        for item in items:
+            residual([item], *args)
+        raise
+
+
 def _run(name, seed, check_id, tol, sample, residual, step=None):
     """The skeleton of every sampled check: timer, seeded sampler, residuals, report.
 
-    sample(rng) gives the items and residual(item) a float.  With a step, the
-    residual(item, h) is taken at h = step and 2 * step, and the check must
-    also pass the step-halving order test.
+    sample(rng) gives the items, and residual(items) one residual per item,
+    measured as one stack (see _stacked).  With a step, residual(items, h)
+    is taken at h = step and 2 * step, and the check must also pass the
+    step-halving order test.
     """
     start = time.perf_counter()
     items = sample(_rng_for(seed, check_id))
     if step is None:
-        return _report(name, [residual(it) for it in items], tol, start)
-    fine = [residual(it, step) for it in items]
-    ok, detail = _halving_order([residual(it, 2 * step) for it in items], fine)
+        return _report(name, _stacked(residual, items), tol, start)
+    fine = _stacked(residual, items, step)
+    ok, detail = _halving_order(_stacked(residual, items, 2 * step), fine)
     return _report(name, fine, tol, start, detail=detail, ok=ok)
 
 
 def _phi_fd_residual(arr, B, p, cfg):
-    """Relative deviation of Phi from F_xx / 4 by a Richardson pair of Hessians."""
+    """Relative deviation of Phi from F_xx / 4 by a Richardson pair of Hessians, per point."""
     phi = eval_Phi(arr, B, p, cfg)
+    z = p.z[..., None, :]
 
     def f(W):
-        return eval_F(arr, B, Point3n(W, np.broadcast_to(p.z, W.shape)), cfg)
+        return eval_F(arr, B, Point3n(W, np.broadcast_to(z, W.shape)), cfg)
 
     # Richardson pair of central Hessians: O(h^4) truncation
     h = cfg.phi_fd_step
     Hx = (4.0 * fd.hessian(f, p.x, h) - fd.hessian(f, p.x, 2.0 * h)) / 3.0
-    return np.abs(phi - 0.25 * Hx).max() / max(np.abs(phi).max(), 1e-12)
+    return (np.abs(phi - 0.25 * Hx).max(axis=(-2, -1))
+            / np.maximum(np.abs(phi).max(axis=(-2, -1)), 1e-12))
 
 
 def _check_phi_fd(arr, B, seed, cfg, report, expected):
     return _run("phi-fd", seed, 1, cfg.phi_fd_rel,
                 lambda rng: sample_points(arr, 100, rng),
-                lambda p: _phi_fd_residual(arr, B, p, cfg))
+                lambda ps: _phi_fd_residual(arr, B, _points(ps), cfg))
 
 
 def _check_polyharmonic(arr, B, seed, cfg, report, expected):
@@ -564,8 +639,11 @@ def _check_polyharmonic(arr, B, seed, cfg, report, expected):
         pts = sample_points(arr, 50, rng, clearance=0.35)
         return [(p, rational_direction(arr.dimension, rng)) for p in pts]
 
-    return _run("polyharmonic", seed, 2, cfg.polyharmonic, sample,
-                lambda pv, h: polyharmonic_residual(arr, B, *pv, h, cfg),
+    def residual(items, h):
+        p = _points([p for p, _ in items])
+        return polyharmonic_residual(arr, B, p, np.stack([v for _, v in items]), h, cfg)
+
+    return _run("polyharmonic", seed, 2, cfg.polyharmonic, sample, residual,
                 step=cfg.poly_step)
 
 
@@ -573,37 +651,51 @@ def _check_ricci(arr, B, seed, cfg, report, expected):
     clearance = max(0.35, cfg.stencil_clearance * 2 * cfg.curvature_step)
     return _run("ricci", seed, 6, cfg.ricci,
                 lambda rng: sample_points(arr, 10, rng, clearance=clearance),
-                lambda p, h: ricci_residual(arr, B, p, h, cfg),
+                lambda ps, h: ricci_residual(arr, B, _points(ps), h, cfg),
                 step=cfg.curvature_step)
 
 
 def _check_conformal(arr, B, seed, cfg, report, expected):
-    return _run("conformal", seed, 7, cfg.harmonic,
-                lambda rng: sample_points(arr, 20, rng),
-                lambda p, h: conformal_factor_check(arr, B, p.coords(), h, cfg),
+    def sample(rng):
+        x3 = _points(sample_points(arr, 20, rng)).coords()
+        # the closed form and the boundedness probes do not depend on the
+        # step: they are measured once, with the sample set
+        return list(zip(x3, _conformal_law(arr, B, x3, cfg)))
+
+    def residual(items, h):
+        x3 = np.stack([w for w, _ in items])
+        return np.maximum([law for _, law in items], _conformal_harmonic(arr, B, x3, h, cfg))
+
+    return _run("conformal", seed, 7, cfg.harmonic, sample, residual,
                 step=cfg.harmonic_step)
 
 
 def _roundtrip_residual(arr, B, chart, step, cfg):
-    """|F at the chart point - F rebuilt by reconstruct_F_from_K from K alone|."""
+    """|F at the chart point - F rebuilt by reconstruct_F_from_K from K alone|, per chart."""
+    n = arr.dimension
+
     def kfun(u, z):
-        return _newton(arr, B, u, z, chart.x, cfg)[1]
+        # the stencil points (..., K, n) of each chart, warm-started at its x
+        x0 = np.broadcast_to(chart.x[..., None, :], u.shape)
+        return _newton(arr, B, u.reshape(-1, n), z.reshape(-1, n), x0.reshape(-1, n),
+                       cfg)[1].reshape(u.shape[:-1])
 
     rec = reconstruct_F_from_K(kfun, chart.u, chart.z, step)
-    return abs(rec.value - eval_F(arr, B, Point3n(chart.x, chart.z), cfg))
+    return np.abs(rec.value - eval_F(arr, B, Point3n(chart.x, chart.z), cfg))
 
 
 def _chart_check(name, check_id, count, residual, tol, step="fd_step"):
     """Runner of a check measured at solved chart points.
 
-    residual(arr, B, chart, step, cfg) is measured at `count` charts; tol and
-    step name the Tolerances fields of its threshold and its step.
+    residual(arr, B, charts, step, cfg) is measured at `count` charts, as
+    one stack; tol and step name the Tolerances fields of its threshold and
+    its step.
     """
     def run(arr, B, seed, cfg, report, expected):
         h = getattr(cfg, step)
         return _run(name, seed, check_id, getattr(cfg, tol),
                     lambda rng: sample_chart_points(arr, B, count, rng, cfg=cfg),
-                    lambda ch: residual(arr, B, ch, h, cfg))
+                    lambda charts: residual(arr, B, _charts(charts), h, cfg))
     return run
 
 
@@ -627,20 +719,33 @@ def _check_growth(arr, B, seed, cfg, report, expected):
 _SAMPLED_FACTS = ("phi_constant", "phi_radial_coefficient")
 
 
+def _facts(report):
+    """The facts an expectation may name: report.as_dict() plus stratum_count
+    and the failing stratum's active flats and invariant factors (tuples, or
+    None when smooth)."""
+    failing = report.failing_stratum
+    return dict(report.as_dict(), stratum_count=len(report.strata),
+                failing_stratum_active=None if failing is None else failing.active,
+                invariant_factors=None if failing is None else failing.invariant_factors)
+
+
+def _check_expectation_keys(facts, expected):
+    """Raise ValueError on an expectation that is neither a fact nor sampled."""
+    for key in expected:
+        if key not in facts and key not in _SAMPLED_FACTS:
+            raise ValueError(f"unknown expectation {key!r}; known: "
+                             f"{', '.join(sorted(facts) + list(_SAMPLED_FACTS))}")
+
+
 def _check_classification(arr, B, seed, cfg, report, expected):
     """One mismatch per expected value that the report's facts or Phi contradict.
 
-    The facts are report.as_dict() plus stratum_count and the failing
-    stratum's active flats and invariant factors (tuples, or None when
-    smooth; a list expectation is compared as a tuple).  An expectation
-    that is neither a fact nor sampled is refused.
+    The facts are those of _facts, and a list expectation is compared as a
+    tuple.  Every other key is a sampled fact: run_checks refuses the rest
+    before any check runs.
     """
     start = time.perf_counter()
-    got = report.as_dict()
-    failing = report.failing_stratum
-    facts = dict(got, stratum_count=len(report.strata),
-                 failing_stratum_active=None if failing is None else failing.active,
-                 invariant_factors=None if failing is None else failing.invariant_factors)
+    facts = _facts(report)
     mismatches = {}
     rng = _rng_for(seed, 11)
     for key, want in expected.items():
@@ -649,17 +754,14 @@ def _check_classification(arr, B, seed, cfg, report, expected):
             if have != (tuple(want) if isinstance(want, list) else want):
                 mismatches[key] = {"expected": want, "got": have}
             continue
-        if key not in _SAMPLED_FACTS:
-            raise ValueError(f"unknown expectation {key!r}; known: "
-                             f"{', '.join(sorted(facts) + list(_SAMPLED_FACTS))}")
         pts = sample_points(arr, 5, rng)
-        have = [float(eval_Phi(arr, B, p, cfg)[0, 0]) for p in pts]
+        have = eval_Phi(arr, B, _points(pts), cfg)[:, 0, 0].tolist()
         if key == "phi_radial_coefficient":
             have = [v * math.sqrt(p.x[0] ** 2 + abs(p.z[0]) ** 2) for v, p in zip(have, pts)]
         if any(abs(v - want) > 1e-12 for v in have):
             mismatches[key] = {"expected": want, "got": have}
     return _report("classification", [float(len(mismatches))], 0.0, start,
-                   detail={"mismatches": mismatches, "report": got})
+                   detail={"mismatches": mismatches, "report": report.as_dict()})
 
 
 # name -> (runner, whether the check is the n = 1 statement only), in report order
@@ -692,8 +794,8 @@ def run_checks(arr: FlatArrangement, B, checks=None, seed=None,
     B is None, a DeformationMatrix or an array (see DeformationMatrix.of).
     The default set excludes the n = 1 only checks at higher n, "growth" for
     non-smooth inputs and "classification" when no expectations are given.
-    The classification check raises ValueError on an expectation it does
-    not know.
+    When "classification" is selected, an expectation it does not know
+    raises ValueError before any check runs.
     """
     if seed is None:
         seed = cfg.default_seed
@@ -704,6 +806,8 @@ def run_checks(arr: FlatArrangement, B, checks=None, seed=None,
         skip = {"growth": not report.smooth, "classification": not expected}
         checks = [name for name, (_, n1_only) in _CHECKS.items()
                   if (arr.dimension == 1 or not n1_only) and not skip.get(name)]
+    if "classification" in checks:
+        _check_expectation_keys(_facts(report), expected)
     reports = []
     for name in checks:
         if name not in _CHECKS:

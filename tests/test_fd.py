@@ -1,6 +1,7 @@
 """The stencils themselves, pinned against hand-differentiated functions.
 
-Each f takes a stack of nodes (K, m) and returns their values (K,).
+Each f takes a stack of nodes (K, m), or (..., K, m) for a stack of centres,
+and returns their values (K,) or (..., K).
 """
 
 import numpy as np
@@ -73,3 +74,20 @@ def test_each_stencil_calls_f_once():
     calls.clear()
     fd.richardson_laplacian3(f, np.array([0.8, -0.4, 0.5]), 1e-3)
     assert calls == [(14, 3)]
+
+
+def test_a_stack_of_centres_is_one_call_and_each_centre_alone():
+    calls = []
+
+    def f(W):
+        calls.append(W.shape)
+        return np.exp(W[..., 0]) * np.cos(W[..., 1]) / (1.0 + W[..., 2] ** 2)
+
+    C = np.random.default_rng(401).normal(size=(2, 3, 3))
+    K = {fd.hessian: 1 + 2 * 3 + 4 * 3, fd.laplacian3: 7, fd.richardson_laplacian3: 14}
+    for stencil, nodes in K.items():
+        calls.clear()
+        got = stencil(f, C, 1e-3)
+        assert calls == [(2, 3, nodes, 3)]
+        for idx in np.ndindex(2, 3):
+            assert np.array_equal(got[idx], stencil(f, C[idx], 1e-3))

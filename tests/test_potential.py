@@ -648,6 +648,35 @@ def test_no_convergence_raises():
     assert exc.value.residual > 0
 
 
+def test_reconstruct_takes_a_stack_of_chart_points():
+    # one kahler call with the stencils of every point; each result equals
+    # that point's own, and one unstable point fails the stack
+    shapes = []
+
+    def kahler(u, z):
+        shapes.append(u.shape)
+        a = (u + np.conj(u)).real
+        return (a ** 3).sum(axis=-1) + (z * z.conj()).real.sum(axis=-1) * a[..., 0]
+
+    rng = np.random.default_rng(33)
+    u = rng.uniform(-1, 1, (2, 3, 2)) + 0j
+    z = rng.uniform(-1, 1, (2, 3, 2)) + 1j * rng.uniform(-1, 1, (2, 3, 2))
+    rec = reconstruct_F_from_K(kahler, u, z)
+    assert shapes[0] == (2, 3, 17, 2)
+    assert rec.value.shape == (2, 3) and rec.x.shape == (2, 3, 2)
+    for idx in np.ndindex(2, 3):
+        one = reconstruct_F_from_K(kahler, u[idx], z[idx])
+        assert rec.value[idx] == one.value and np.array_equal(rec.x[idx], one.x)
+
+    def wiggly_at_0_7(u, z):
+        a = (u + np.conj(u)).real.sum(axis=-1)
+        return a + 1e-3 * np.sin(1e6 * a) * (np.abs(a - 1.4) < 0.1)
+
+    with pytest.raises(DifferentiationError, match="did not stabilize"):
+        reconstruct_F_from_K(wiggly_at_0_7, [[0.3 + 0j], [0.7 + 0j]], [[0j], [0j]])
+    assert reconstruct_F_from_K(wiggly_at_0_7, [[0.3 + 0j]], [[0j]]).value.shape == (1,)
+
+
 def test_reconstruct_rejects_unstable_samples():
     # high-frequency ripple: the two stencil spacings cannot agree
     def wiggly(u, z):

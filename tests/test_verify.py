@@ -27,6 +27,62 @@ def _pt(x, z):
                    np.atleast_1d(np.asarray(z, dtype=complex)))
 
 
+# -- samplers -----------------------------------------------------------------
+#
+# sample_points draws its candidates in blocks.  The one-at-a-time loop below
+# is the reference: the same points, the same rng state afterwards (which
+# polyharmonic's directions and the classification check go on to use) and
+# the same SamplingError at the same budget.
+
+def _sample_points_one_at_a_time(arr, count, rng, clearance=0.25):
+    n = arr.dimension
+    scale = verify._box_scale(arr)
+    out = []
+    for _ in range(200 * count):
+        if len(out) == count:
+            break
+        x = rng.uniform(-scale, scale, n)
+        z = rng.uniform(-scale, scale, n) + 1j * rng.uniform(-scale, scale, n)
+        if arr.flats:
+            s, _, r = arr.svr(x, z)
+            if min(float((r / arr.frame.norms).min()), float((s + r).min())) < clearance:
+                continue
+        out.append(Point3n(x, z))
+    if len(out) < count:
+        raise SamplingError("rejection sampling failed to reach the requested count")
+    return out
+
+
+@pytest.mark.parametrize("name", [e.name for e in catalog()])
+def test_block_sampler_draws_what_the_one_at_a_time_loop_draws(name):
+    arr = entry(name).arrangement
+    for count in (1, 5, 50, 100):
+        for clearance in (0.25, 0.35):
+            seed = [count, int(100 * clearance)]
+            got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = sample_points(arr, count, got_rng, clearance=clearance)
+            want = _sample_points_one_at_a_time(arr, count, want_rng, clearance=clearance)
+            assert len(got) == len(want) == count
+            for p, q in zip(got, want):
+                assert np.array_equal(p.x, q.x) and np.array_equal(p.z, q.z)
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("count, clearance", [(3, 1e6), (20, 3.2)])
+def test_block_sampler_fails_at_the_same_budget(count, clearance):
+    # nothing is clear enough, or too little is: both exhaust 200 * count draws
+    arr = FLAT_H.arrangement
+    got_rng, want_rng = np.random.default_rng(217), np.random.default_rng(217)
+    with pytest.raises(SamplingError):
+        sample_points(arr, count, got_rng, clearance=clearance)
+    with pytest.raises(SamplingError):
+        _sample_points_one_at_a_time(arr, count, want_rng, clearance=clearance)
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+    draws = np.random.default_rng(217)
+    draws.uniform(size=200 * count * 3 * arr.dimension)
+    assert got_rng.bit_generator.state == draws.bit_generator.state
+
+
 # -- triharmonicity -----------------------------------------------------------
 
 def test_polyharmonic_small_on_catalog_entries():
@@ -294,21 +350,54 @@ def _pointwise_conformal(arr, B, x3, step, cfg=DEFAULT):
 
 @pytest.mark.parametrize("name", [e.name for e in catalog()])
 def test_stencil_residuals_equal_the_pointwise_loops(name):
+    # each point alone, then all of them as one stack, which must give every
+    # point's residual bit for bit
     e = entry(name)
     arr, B = e.arrangement, e.deformation
     rng = np.random.default_rng(214)
-    for p in sample_points(arr, 3, rng, clearance=0.35):
-        assert verify._phi_fd_residual(arr, B, p, DEFAULT) == _pointwise_phi_fd(arr, B, p)
-        v = verify.rational_direction(arr.dimension, rng)
-        for h in (DEFAULT.poly_step, 2 * DEFAULT.poly_step):
-            assert polyharmonic_residual(arr, B, p, v, h) == \
-                _pointwise_polyharmonic(arr, B, p, v, h)
-        for h in (DEFAULT.curvature_step, 2 * DEFAULT.curvature_step):
-            assert ricci_residual(arr, B, p, h) == _pointwise_ricci(arr, B, p, h)
-        if arr.dimension == 1:
-            step = DEFAULT.harmonic_step
-            assert conformal_factor_check(arr, B, p.coords(), step) == \
-                _pointwise_conformal(arr, B, p.coords(), step)
+    pts = sample_points(arr, 3, rng, clearance=0.35)
+    dirs = [verify.rational_direction(arr.dimension, rng) for _ in pts]
+    stack, x3 = verify._points(pts), np.stack([p.coords() for p in pts])
+    want = [_pointwise_phi_fd(arr, B, p) for p in pts]
+    assert [verify._phi_fd_residual(arr, B, p, DEFAULT) for p in pts] == want
+    assert np.array_equal(verify._phi_fd_residual(arr, B, stack, DEFAULT), want)
+    for h in (DEFAULT.poly_step, 2 * DEFAULT.poly_step):
+        want = [_pointwise_polyharmonic(arr, B, p, v, h) for p, v in zip(pts, dirs)]
+        assert [polyharmonic_residual(arr, B, p, v, h) for p, v in zip(pts, dirs)] == want
+        assert np.array_equal(polyharmonic_residual(arr, B, stack, np.stack(dirs), h), want)
+    for h in (DEFAULT.curvature_step, 2 * DEFAULT.curvature_step):
+        want = [_pointwise_ricci(arr, B, p, h) for p in pts]
+        assert [ricci_residual(arr, B, p, h) for p in pts] == want
+        assert np.array_equal(ricci_residual(arr, B, stack, h), want)
+    if arr.dimension == 1:
+        for h in (DEFAULT.harmonic_step, 2 * DEFAULT.harmonic_step):
+            want = [_pointwise_conformal(arr, B, w, h) for w in x3]
+            assert [conformal_factor_check(arr, B, w, h) for w in x3] == want
+            assert np.array_equal(conformal_factor_check(arr, B, x3, h), want)
+
+
+def _pointwise_monge_ampere(arr, B, chart, step=DEFAULT.fd_step):
+    # numpy's scalar complex arithmetic, one chart at a time
+    kuu, kuz, kzu, kzz = verify._k_blocks(arr, B, chart, step, DEFAULT)
+    det = kuu[0, 0] * kzz[0, 0] - kuz[0, 0] * kzu[0, 0]
+    return abs(det - 1.0)
+
+
+@pytest.mark.parametrize("name", [e.name for e in catalog()])
+def test_chart_residuals_of_a_stack_equal_each_chart_alone(name):
+    e = entry(name)
+    arr, B = e.arrangement, e.deformation
+    charts = verify.sample_chart_points(arr, B, 4, np.random.default_rng(216))
+    stack = verify._charts(charts)
+    residuals = [sp_condition_residual, hessian_identity_residual,
+                 lambda arr, B, c: verify._roundtrip_residual(
+                     arr, B, c, DEFAULT.reconstruct_step, DEFAULT)]
+    for residual in residuals:
+        assert np.array_equal(residual(arr, B, stack), [residual(arr, B, c) for c in charts])
+    if arr.dimension == 1:
+        want = [_pointwise_monge_ampere(arr, B, c) for c in charts]
+        assert [monge_ampere_residual(arr, B, c) for c in charts] == want
+        assert np.array_equal(monge_ampere_residual(arr, B, stack), want)
 
 
 def test_conformal_probes_near_each_center_match_the_pointwise_loop():
@@ -376,6 +465,105 @@ def test_chart_stencils_make_one_stacked_solve(monkeypatch):
         verify._roundtrip_residual(arr, B, chart, DEFAULT.reconstruct_step, DEFAULT)
         # both five-point stencils and the chart point itself
         assert calls == [("_newton", (8 * n + 1, n))]
+        # a stack of three charts: still one solve, with every chart's points
+        stack = verify._charts([chart] * 3)
+        calls.clear()
+        sp_condition_residual(arr, B, stack)
+        assert calls == [("_newton", (18 * n, n)), ("eval_F_z", (18 * n, n))]
+        calls.clear()
+        verify._roundtrip_residual(arr, B, stack, DEFAULT.reconstruct_step, DEFAULT)
+        assert calls == [("_newton", (3 * (8 * n + 1), n))]
+
+
+# evaluator and Newton calls of one run of each check, whatever its sample count
+_CHECK_CALLS = {
+    # Phi at the samples, then one call per Hessian of the Richardson pair
+    "phi-fd": ["eval_Phi", "eval_F", "eval_F"],
+    # one Laplacian stencil at h, one at 2h
+    "polyharmonic": ["eval_F", "eval_F"],
+    "monge-ampere": ["_newton", "eval_F_z"],
+    "hessian-identity": ["_newton", "eval_F_z", "eval_Phi"],
+    "sp-condition": ["_newton", "eval_F_z"],
+    "ricci": ["eval_metric", "eval_metric"],
+    # the closed form and the probes once, then the Laplacians at h and 2h
+    "conformal": ["eval_Phi", "eval_Phi", "eval_Phi"],
+    # both five-point stencils of every chart, then F at the charts
+    "roundtrip": ["_newton", "eval_F"],
+    "classification": ["eval_Phi"],
+}
+
+
+@pytest.mark.parametrize("name", ["eguchi-hanson", "n2-unimodular"])
+def test_each_check_makes_one_stacked_call_per_stencil(name, monkeypatch):
+    calls = []
+
+    def counting(fn_name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(fn_name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for fn_name in ("eval_F", "eval_Phi", "eval_metric", "eval_F_z", "_newton"):
+        monkeypatch.setattr(verify, fn_name, counting(fn_name, getattr(verify, fn_name)))
+    e = entry(name)
+    n1_only = {"monge-ampere", "hessian-identity", "ricci", "conformal"}
+    for check, want in _CHECK_CALLS.items():
+        if e.arrangement.dimension != 1 and check in n1_only:
+            continue
+        calls.clear()
+        (rep,) = run_checks(e.arrangement, e.deformation, checks=[check], seed=1,
+                            expected={"phi_constant": 0.0})
+        assert calls == want, check
+        assert rep.samples >= 1
+
+
+def _points_near_flats(arr, gap):
+    # a clear point, then one `gap` from flat 1, then one on flat 0
+    centers = arr.offset_matrix()
+    x3 = np.array([centers[0] + [0.3, 0.5, 0.2],
+                   centers[1] + [gap, 0.0, 0.0],
+                   centers[0]])
+    return [_pt(w[0], w[1] + 1j * w[2]) for w in x3]
+
+
+@pytest.mark.parametrize("check, gap", [("polyharmonic", 5e-10), ("ricci", 5e-3)])
+def test_a_failing_sample_raises_what_the_per_item_loop_raises(check, gap, monkeypatch):
+    # the stacked call fails on the worst point, the last one; the check
+    # raises the error of the first failing point, as measuring one point
+    # at a time does
+    arr, B = EH.arrangement, EH.deformation
+    pts = _points_near_flats(arr, gap)
+    monkeypatch.setattr(verify, "sample_points", lambda *args, **kwargs: pts)
+    v = np.ones(1)
+    measure = {"polyharmonic": lambda p: polyharmonic_residual(arr, B, p, v),
+               "ricci": lambda p: ricci_residual(arr, B, p)}[check]
+    with pytest.raises(Exception) as first:
+        for p in pts:
+            measure(p)
+    with pytest.raises(type(first.value)) as stacked:
+        measure(verify._points(pts))
+    assert stacked.value.args != first.value.args
+    with pytest.raises(type(first.value)) as got:
+        run_checks(arr, B, checks=[check], seed=1)
+    assert got.value.args == first.value.args
+
+
+def test_unknown_expectations_are_refused_before_any_check_runs(monkeypatch):
+    ran = []
+    for name, (runner, n1_only) in verify._CHECKS.items():
+        def recording(*args, _name=name, _runner=runner):
+            ran.append(_name)
+            return _runner(*args)
+        monkeypatch.setitem(verify._CHECKS, name, (recording, n1_only))
+    for checks in (None, ["phi-fd", "classification"]):
+        with pytest.raises(ValueError, match="unknown expectation 'bogus_key'"):
+            run_checks(FLAT_H.arrangement, FLAT_H.deformation, checks=checks,
+                       expected={"bogus_key": 1})
+    assert ran == []
+    # without the classification check the expectations are not read
+    run_checks(FLAT_H.arrangement, FLAT_H.deformation, checks=["phi-fd"],
+               expected={"bogus_key": 1})
+    assert ran == ["phi-fd"]
 
 
 @pytest.mark.parametrize("name", [e.name for e in catalog() if e.arrangement.dimension == 1])
