@@ -17,21 +17,20 @@ from .errors import (ArrangementError, BranchLocusError, DifferentiationError,
                      InsufficientSamplesError, NoConvergenceError,
                      OnFlatError, SamplingError, StencilClippedError)
 from .io import dump_arrangement, load_arrangement, parse_arrangement
-from .potential import (ConnectionForm, KahlerChartPoint, ReconstructedPotential,
-                        eval_F, eval_F_z, eval_Phi, eval_connection,
-                        eval_metric, legendre_solve, phi_batch,
-                        quotient_metric, reconstruct_F_from_K)
+from .potential import (KahlerChartPoint, ReconstructedPotential, eval_F,
+                        eval_F_z, eval_Phi, eval_connection, eval_metric,
+                        legendre_solve, phi_batch, quotient_metric,
+                        reconstruct_F_from_K)
 from .verify import (GrowthFit, ResidualReport, conformal_factor_check,
                      growth_fit, hessian_identity_residual,
                      monge_ampere_residual, polyharmonic_residual,
-                     ricci_residual, run_checks, sp_condition_residual,
-                     volume_growth_exponent)
+                     ricci_residual, run_checks, sp_condition_residual)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ArrangementError", "BranchLocusError", "CatalogEntry",
-    "ClassificationReport", "ConnectionForm", "DEFAULT", "DeformationMatrix",
+    "ClassificationReport", "DEFAULT", "DeformationMatrix",
     "DifferentiationError", "DomainEscapeError", "EvaluationError", "Expected",
     "Flat", "FlatArrangement", "GrowthFit", "InsufficientSamplesError",
     "KahlerChartPoint", "NoConvergenceError", "Normal", "OnFlatError",
@@ -44,5 +43,5 @@ __all__ = [
     "load_arrangement", "monge_ampere_residual", "parse_arrangement", "phi_batch",
     "polyharmonic_residual", "quotient_metric", "reconstruct_F_from_K",
     "ricci_residual", "run_checks", "sp_condition_residual", "translate",
-    "volume_growth_exponent", "__version__",
+    "__version__",
 ]

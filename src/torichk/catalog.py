@@ -3,7 +3,7 @@
 Each expected value carries a short provenance tag:
 
   exact       closed-form fact checked symbolically or by hand
-  lattice     integer linear algebra (Smith form, Z-basis completion)
+  lattice     integer linear algebra (Smith form)
   growth-law  the 4n - m volume-growth rule
   fd-oracle   value certified by the finite-difference checks in verify
 """

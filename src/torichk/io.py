@@ -70,10 +70,7 @@ def parse_arrangement(data):
             raise ArrangementError(f"flats[{idx}]: {exc}") from exc
         flats.append(flat)
 
-    try:
-        arr = FlatArrangement(n, tuple(flats))
-    except ArrangementError as exc:
-        raise ArrangementError(str(exc)) from exc
+    arr = FlatArrangement(n, tuple(flats))
 
     if "B" in data and data["B"] is not None:
         raw_b = data["B"]

@@ -1,47 +1,29 @@
 """Exact integer lattice algebra.
 
-Smith normal form over Z with unimodular transform tracking, plus the small
-derived utilities the classification code needs: integer rank, tests for
-extendability of a set of rows to a Z-basis, explicit basis completion, and
-exact inverses of unimodular matrices.  Everything here works on Python ints,
-so there is no overflow and no floating-point tolerance anywhere.
+Smith normal form over Z with the two unimodular transforms, and the
+invariant factors the classification reads from it: the active normals of a
+stratum extend to a Z-basis exactly when their invariant factors are all 1
+and there are as many as normals.  Everything here works on Python ints, so
+there is no overflow and no floating-point tolerance anywhere.
 """
-
-from fractions import Fraction
 
 
 def _identity(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def _matmul(A, B):
-    rows, inner, cols = len(A), len(B), len(B[0])
-    out = [[0] * cols for _ in range(rows)]
-    for i in range(rows):
-        Ai = A[i]
-        for k in range(inner):
-            a = Ai[k]
-            if a:
-                Bk = B[k]
-                oi = out[i]
-                for j in range(cols):
-                    oi[j] += a * Bk[j]
-    return out
-
-
 def smith_normal_form(mat):
-    """Return (D, S, T, Tinv) with D = S @ mat @ T, S and T unimodular.
+    """Return (D, S, T) with D = S @ mat @ T, S and T unimodular.
 
-    D is diagonal with d_1 | d_2 | ... | d_r, d_i >= 0.  Tinv is the exact
-    integer inverse of T, tracked through the reduction so callers get basis
-    completions for free.
+    D is diagonal with d_1 | d_2 | ... | d_r, d_i >= 0.  With r the number
+    of nonzero d_i, the rows of S past the first r are a Z-basis of the
+    integer left kernel {y : y @ mat = 0}.
     """
     A = [[int(x) for x in row] for row in mat]
     m = len(A)
     n = len(A[0]) if m else 0
     S = _identity(m)
     T = _identity(n)
-    Tinv = _identity(n)
 
     def swap_rows(i, j):
         A[i], A[j] = A[j], A[i]
@@ -52,7 +34,6 @@ def smith_normal_form(mat):
             row[i], row[j] = row[j], row[i]
         for row in T:
             row[i], row[j] = row[j], row[i]
-        Tinv[i], Tinv[j] = Tinv[j], Tinv[i]
 
     def add_row(src, dst, q):
         # row_dst += q * row_src
@@ -60,12 +41,11 @@ def smith_normal_form(mat):
         S[dst] = [a + q * b for a, b in zip(S[dst], S[src])]
 
     def add_col(src, dst, q):
-        # col_dst += q * col_src; Tinv gets the inverse op on rows
+        # col_dst += q * col_src
         for row in A:
             row[dst] += q * row[src]
         for row in T:
             row[dst] += q * row[src]
-        Tinv[src] = [a - q * b for a, b in zip(Tinv[src], Tinv[dst])]
 
     def negate_row(i):
         A[i] = [-a for a in A[i]]
@@ -117,90 +97,10 @@ def smith_normal_form(mat):
             negate_row(t)
         t += 1
 
-    return A, S, T, Tinv
+    return A, S, T
 
 
 def invariant_factors(mat):
-    D, _, _, _ = smith_normal_form(mat)
+    D, _, _ = smith_normal_form(mat)
     k = min(len(D), len(D[0]) if D else 0)
     return [D[i][i] for i in range(k) if D[i][i] != 0]
-
-
-def integer_rank(mat):
-    return len(invariant_factors(mat))
-
-
-def extends_to_zbasis(rows):
-    """True when the given integer rows extend to a Z-basis of Z^n."""
-    rows = [list(r) for r in rows]
-    if not rows:
-        return True
-    facs = invariant_factors(rows)
-    return len(facs) == len(rows) and all(f == 1 for f in facs)
-
-
-def zbasis_completion(rows):
-    """Rows completing the given unimodular set to a Z-basis of Z^n.
-
-    With D = S A T = [I 0], the rows of Tinv span Z^n and its first k rows
-    span the same lattice as A, so the last n-k rows of Tinv complete A.
-    """
-    rows = [list(r) for r in rows]
-    if not extends_to_zbasis(rows):
-        raise ValueError("rows do not extend to a Z-basis")
-    k = len(rows)
-    if k == 0:
-        raise ValueError("need at least one row")
-    n = len(rows[0])
-    _, _, _, Tinv = smith_normal_form(rows)
-    return [list(Tinv[i]) for i in range(k, n)]
-
-
-def unimodular_inverse(mat):
-    """Exact inverse of an integer matrix with determinant +-1."""
-    n = len(mat)
-    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-           for i, row in enumerate(mat)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col]), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        scale = aug[col][col]
-        aug[col] = [x / scale for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    inv = [row[n:] for row in aug]
-    out = []
-    for row in inv:
-        ints = []
-        for x in row:
-            if x.denominator != 1:
-                raise ValueError("matrix is not unimodular")
-            ints.append(int(x))
-        out.append(ints)
-    return out
-
-
-def determinant(mat):
-    """Exact determinant of an integer matrix (fraction-free elimination)."""
-    A = [[Fraction(x) for x in row] for row in mat]
-    n = len(A)
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if A[r][col]), None)
-        if piv is None:
-            return 0
-        if piv != col:
-            A[col], A[piv] = A[piv], A[col]
-            det = -det
-        det *= A[col][col]
-        inv = 1 / A[col][col]
-        for r in range(col + 1, n):
-            if A[r][col]:
-                f = A[r][col] * inv
-                A[r] = [x - f * y for x, y in zip(A[r], A[col])]
-    assert det.denominator == 1
-    return int(det)

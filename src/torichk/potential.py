@@ -55,7 +55,7 @@ from .errors import (BranchLocusError, DifferentiationError, DomainEscapeError,
                      EvaluationError, NoConvergenceError, OnFlatError)
 
 __all__ = [
-    "Point3n", "ConnectionForm", "KahlerChartPoint", "ReconstructedPotential",
+    "Point3n", "KahlerChartPoint", "ReconstructedPotential",
     "eval_F", "eval_Phi", "eval_connection", "eval_metric", "quotient_metric",
     "legendre_solve", "reconstruct_F_from_K",
 ]
@@ -124,26 +124,9 @@ def eval_Phi(arr: FlatArrangement, B, p: Point3n, cfg: Tolerances = DEFAULT) -> 
     return 0.5 * (phi + np.swapaxes(phi, -1, -2))
 
 
-@dataclass(frozen=True, eq=False)
-class ConnectionForm:
-    """Fiber connection data: C[j][l] = F_{x_j z_l}(p).
-
-    The real connection 1-forms entering the metric are
-    A_j = (i/4) sum_l (conj(C)[j][l] d conj(z)_l - C[j][l] dz_l), i.e.
-    A_j = (1/2) sum_l (Im C[j][l] d Re z_l + Re C[j][l] d Im z_l).
-    """
-
-    coefficients: np.ndarray
-
-    def real_coefficients(self):
-        """(coeff of dRe z, coeff of dIm z) as two real (..., n, n) arrays."""
-        C = self.coefficients
-        return 0.5 * C.imag, 0.5 * C.real
-
-
 def eval_connection(arr: FlatArrangement, B, p: Point3n,
-                    cfg: Tolerances = DEFAULT) -> ConnectionForm:
-    """Mixed-derivative matrix C of F at p, (..., n, n); B contributes nothing."""
+                    cfg: Tolerances = DEFAULT) -> np.ndarray:
+    """Mixed-derivative matrix C = F_xz of F at p, complex (..., n, n); B contributes nothing."""
     U, a = arr.frame.U, arr.frame.a
     s, v, r = arr.svr(p.x, p.z)
     _check_off_flats(r, cfg.on_flat)
@@ -154,7 +137,7 @@ def eval_connection(arr: FlatArrangement, B, p: Point3n,
         C = np.einsum("...k,kj,kl->...jl", w, U.astype(complex), U.astype(complex))
     else:
         C = np.zeros(r.shape[:-1] + (n, n), dtype=complex)
-    return ConnectionForm(C)
+    return C
 
 
 def eval_metric(arr: FlatArrangement, B, p: Point3n,
@@ -167,11 +150,11 @@ def eval_metric(arr: FlatArrangement, B, p: Point3n,
     coordinate expression of the fiber form degenerates.
     """
     phi = eval_Phi(arr, B, p, cfg)
-    wim, wre = eval_connection(arr, B, p, cfg).real_coefficients()
+    C = eval_connection(arr, B, p, cfg)
     n = arr.dimension
     W = np.zeros(phi.shape[:-1] + (4 * n,))
-    W[..., n:2 * n] = wim
-    W[..., 2 * n:3 * n] = wre
+    W[..., n:2 * n] = 0.5 * C.imag
+    W[..., 2 * n:3 * n] = 0.5 * C.real
     W[..., 3 * n:] = np.eye(n)
     try:
         chol = np.linalg.cholesky(phi)

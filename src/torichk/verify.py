@@ -30,8 +30,7 @@ from . import fd
 from .arrangement import (DeformationMatrix, FlatArrangement, Point3n,
                           classification_report)
 from .config import DEFAULT, Tolerances, thread_cap
-from .errors import (DomainEscapeError, EvaluationError,
-                     InsufficientSamplesError, NoConvergenceError,
+from .errors import (DomainEscapeError, EvaluationError, NoConvergenceError,
                      SamplingError, StencilClippedError)
 from .potential import (KahlerChartPoint, _newton, eval_F, eval_F_z, eval_Phi,
                         eval_connection, eval_metric, legendre_solve, phi_batch,
@@ -41,7 +40,7 @@ __all__ = [
     "ResidualReport", "GrowthFit", "sample_points", "sample_chart_points",
     "polyharmonic_residual", "monge_ampere_residual", "hessian_identity_residual",
     "sp_condition_residual", "ricci_residual", "conformal_factor_check",
-    "growth_fit", "volume_growth_exponent", "run_checks", "check_names",
+    "growth_fit", "run_checks", "check_names",
 ]
 
 
@@ -256,7 +255,7 @@ def hessian_identity_residual(arr: FlatArrangement, B, chart,
     kuu, kuz, _, _ = _k_blocks(arr, B, chart, step, cfg)
     p = Point3n(chart.x, chart.z)
     fxx = 4.0 * eval_Phi(arr, B, p, cfg)
-    fxzbar = eval_connection(arr, B, p, cfg).coefficients.conj()
+    fxzbar = eval_connection(arr, B, p, cfg).conj()
     inv = np.linalg.inv(fxx)
     r1 = np.abs(kuu + 4.0 * inv).max(axis=(-2, -1))
     r2 = np.abs(kuz - 2.0 * inv @ fxzbar).max(axis=(-2, -1))
@@ -542,15 +541,6 @@ def growth_fit(arr: FlatArrangement, B, base: Point3n, radii, samples: int = 409
         stderr = float("inf")
     return GrowthFit(exponent=exponent, std_error=stderr, radii=radii,
                      volumes=volumes, samples=samples)
-
-
-def volume_growth_exponent(arr: FlatArrangement, B, base: Point3n, radii,
-                           samples: int = 4096, rng=None,
-                           cfg: Tolerances = DEFAULT) -> float:
-    fit = growth_fit(arr, B, base, radii, samples=samples, rng=rng, cfg=cfg)
-    if not fit.std_error <= cfg.growth_max_stderr:
-        raise InsufficientSamplesError(fit.std_error, cfg.growth_max_stderr)
-    return fit.exponent
 
 
 # --------------------------------------------------------------------------

@@ -376,7 +376,7 @@ def _reference_strata(arr, cfg=DEFAULT):
         rank = int(np.sum(sv > 1e-11 * max(1.0, sv[0])))
         witness = arrangement._witness(arr, S, found[S], vt[rank:].T, rng, tol)
         rows = [arr.flats[k].normal.entries for k in S]
-        strata.append((S, lattice.integer_rank(rows), witness))
+        strata.append((S, len(lattice.invariant_factors(rows)), witness))
     return strata, examined
 
 

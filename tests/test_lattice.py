@@ -1,4 +1,4 @@
-"""Integer linear algebra: Smith form, Z-basis tests, exact inverses."""
+"""Integer linear algebra: Smith form, invariant factors, integer left kernel."""
 
 import numpy as np
 
@@ -6,11 +6,10 @@ from torichk import lattice
 
 
 def _verify_decomposition(A):
-    D, S, T, Tinv = lattice.smith_normal_form(A)
+    D, S, T = lattice.smith_normal_form(A)
     A = np.array(A, dtype=object)
-    D_, S_, T_, Tinv_ = (np.array(M, dtype=object) for M in (D, S, T, Tinv))
+    D_, S_, T_ = (np.array(M, dtype=object) for M in (D, S, T))
     assert np.array_equal(S_ @ A @ T_, D_)
-    assert np.array_equal(T_ @ Tinv_, np.eye(T_.shape[0], dtype=object))
     # diagonal, nonnegative, divisibility chain
     diag = [D[i][i] for i in range(min(len(D), len(D[0])))]
     for i in range(len(D)):
@@ -21,8 +20,9 @@ def _verify_decomposition(A):
     nz = [d for d in diag if d != 0]
     for a, b in zip(nz, nz[1:]):
         assert b % a == 0
-    assert abs(round(lattice.determinant(S))) == 1
-    assert abs(round(lattice.determinant(T))) == 1
+    # exact at these sizes (at most 4x4, small entries)
+    assert round(np.linalg.det(np.array(S, dtype=float))) in (1, -1)
+    assert round(np.linalg.det(np.array(T, dtype=float))) in (1, -1)
     return diag
 
 
@@ -61,61 +61,19 @@ def test_smith_random_matrices():
 
 def test_invariant_factors_and_rank():
     assert lattice.invariant_factors([[1, 1], [1, -1]]) == [1, 2]
-    assert lattice.integer_rank([[1, 0], [0, 1], [1, 1]]) == 2
-    assert lattice.integer_rank([[2, 4], [1, 2]]) == 1
-    assert lattice.integer_rank([[0, 0]]) == 0
+    assert len(lattice.invariant_factors([[1, 0], [0, 1], [1, 1]])) == 2
+    assert len(lattice.invariant_factors([[2, 4], [1, 2]])) == 1
+    assert lattice.invariant_factors([[0, 0]]) == []
 
 
-def test_extends_to_zbasis():
-    assert lattice.extends_to_zbasis([[1, 0]])
-    assert lattice.extends_to_zbasis([[1, 1]])
-    assert lattice.extends_to_zbasis([[1, 0], [0, 1]])
-    assert lattice.extends_to_zbasis([[1, 0], [1, 1]])
-    assert not lattice.extends_to_zbasis([[2, 0]])
-    assert not lattice.extends_to_zbasis([[1, 1], [1, -1]])
-    assert not lattice.extends_to_zbasis([[1, 0], [0, 1], [1, 1]])
-
-
-def test_zbasis_completion_makes_unimodular():
-    rng = np.random.default_rng(7)
-    cases = [[[1, 0]], [[1, 1]], [[3, 2]], [[1, 2, 3]], [[1, 0, 0], [0, 1, 1]]]
-    for rows in cases:
-        comp = lattice.zbasis_completion([list(r) for r in rows])
-        M = [list(r) for r in rows] + comp
-        assert len(M) == len(rows[0])
-        assert abs(round(lattice.determinant(M))) == 1
-    for _ in range(30):
-        v = rng.integers(-6, 7, 3)
-        g = int(np.gcd.reduce(np.abs(v)))
-        if g == 0:
-            continue
-        v = (v // g).tolist()
-        comp = lattice.zbasis_completion([v])
-        assert abs(round(lattice.determinant([v] + comp))) == 1
-
-
-def test_unimodular_inverse_exact():
-    M = [[1, 0], [1, 1]]
-    inv = lattice.unimodular_inverse(M)
-    assert inv == [[1, 0], [-1, 1]]
-    rng = np.random.default_rng(3)
-    for _ in range(20):
-        # random product of integer shears is unimodular by construction
-        M = np.eye(3, dtype=int)
-        for _ in range(6):
-            S = np.eye(3, dtype=int)
-            i, j = rng.choice(3, 2, replace=False)
-            S[i, j] = int(rng.integers(-3, 4))
-            M = M @ S
-        inv = np.array(lattice.unimodular_inverse(M.tolist()))
-        assert np.array_equal(M @ inv, np.eye(3, dtype=int))
-
-
-def test_determinant_exact():
-    assert lattice.determinant([[2, 0], [0, 3]]) == 6
-    assert lattice.determinant([[1, 1], [1, -1]]) == -2
-    rng = np.random.default_rng(5)
-    for _ in range(25):
-        A = rng.integers(-5, 6, (4, 4))
-        want = int(round(float(np.linalg.det(A.astype(float)))))
-        assert lattice.determinant(A.tolist()) == want
+def test_rows_of_s_past_the_rank_span_the_left_kernel():
+    # S is unimodular, so the rows of S that A sends to zero are a Z-basis
+    # of the integer left kernel when they are exactly the m - r past the rank
+    rng = np.random.default_rng(20261018)
+    for _ in range(300):
+        m = int(rng.integers(1, 5))
+        A = rng.integers(-4, 5, (m, int(rng.integers(1, 5)))).tolist()
+        _, S, _ = lattice.smith_normal_form(A)
+        r = len(lattice.invariant_factors(A))
+        SA = np.array(S, dtype=object) @ np.array(A, dtype=object)
+        assert [i for i in range(m) if not SA[i].any()] == list(range(r, m))

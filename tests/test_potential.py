@@ -77,13 +77,13 @@ def test_phi_anchors():
 
 def test_connection_anchors():
     # s = 0, v = 1: C = conj(v) / (2 r (s + r)) = 1/2
-    Ca = eval_connection(FLAT_H.arrangement, None, _pt(0.0, 1.0)).coefficients
+    Ca = eval_connection(FLAT_H.arrangement, None, _pt(0.0, 1.0))
     assert Ca[0, 0] == pytest.approx(0.5, abs=1e-15)
-    Cb = eval_connection(FLAT_H.arrangement, None, _pt(0.0, 1.0j)).coefficients
+    Cb = eval_connection(FLAT_H.arrangement, None, _pt(0.0, 1.0j))
     assert Cb[0, 0] == pytest.approx(-0.5j, abs=1e-15)
     # B never enters the mixed block
     C2 = eval_connection(FLAT_H.arrangement, DeformationMatrix([[3.0]]),
-                         _pt(0.0, 1.0)).coefficients
+                         _pt(0.0, 1.0))
     assert np.array_equal(Ca, C2)
 
 
@@ -149,7 +149,7 @@ def test_connection_matches_mixed_differences():
         arr, B = e.arrangement, e.deformation
         n = arr.dimension
         for p in _sample(e, rng, count=4):
-            C = eval_connection(arr, B, p).coefficients
+            C = eval_connection(arr, B, p)
             for j in range(n):
                 for l in range(n):
                     ex = np.zeros(n)
@@ -200,8 +200,8 @@ def test_translation_equivariance():
         assert np.allclose(eval_Phi(arr, None, p), eval_Phi(moved, None, q),
                            atol=1e-13)
         assert np.allclose(
-            eval_connection(arr, None, p).coefficients,
-            eval_connection(moved, None, q).coefficients, atol=1e-13)
+            eval_connection(arr, None, p),
+            eval_connection(moved, None, q), atol=1e-13)
         assert np.allclose(eval_metric(arr, None, p),
                            eval_metric(moved, None, q), atol=1e-12)
 
@@ -314,7 +314,7 @@ def test_batched_evaluators_match_row_by_row(e):
     X, Z = X[:2 * (len(X) // 2)], Z[:2 * (len(X) // 2)]
     evaluators = {
         "phi": lambda p: eval_Phi(arr, B, p),
-        "connection": lambda p: eval_connection(arr, B, p).coefficients,
+        "connection": lambda p: eval_connection(arr, B, p),
         "metric": lambda p: eval_metric(arr, B, p),
         "quotient": lambda p: quotient_metric(arr, B, p),
         "F_z": lambda p: eval_F_z(arr, B, p),
@@ -374,13 +374,6 @@ def test_batched_eval_F_matches_row_by_row(e):
     assert np.array_equal(eval_F(arr, B, Point3n(X, Z)), rows)
     grid = eval_F(arr, B, Point3n(X.reshape(2, -1, n), Z.reshape(2, -1, n)))
     assert np.array_equal(grid, np.reshape(rows, (2, -1)))
-
-
-def test_connection_real_coefficients():
-    C = eval_connection(FLAT_H.arrangement, None, _pt(0.0, 1.0 + 1.0j))
-    wim, wre = C.real_coefficients()
-    assert np.allclose(wim, 0.5 * C.coefficients.imag, atol=0)
-    assert np.allclose(wre, 0.5 * C.coefficients.real, atol=0)
 
 
 # -- Legendre chart round trips ----------------------------------------------

@@ -6,15 +6,14 @@ import numpy as np
 import pytest
 
 from torichk import (DEFAULT, ArrangementError, DeformationMatrix, Flat, FlatArrangement,
-                     InsufficientSamplesError, KahlerChartPoint, Point3n,
+                     KahlerChartPoint, Point3n,
                      SamplingError, StencilClippedError, catalog, entry, eval_F,
                      eval_metric, eval_Phi, legendre_solve)
 from torichk import arrangement, classification_report, intersection_strata, verify
 from torichk.verify import (ResidualReport, conformal_factor_check, growth_fit,
                             hessian_identity_residual, monge_ampere_residual,
                             polyharmonic_residual, ricci_residual, run_checks,
-                            sample_points, sp_condition_residual,
-                            volume_growth_exponent)
+                            sample_points, sp_condition_residual)
 
 EH = entry("eguchi-hanson")
 FLAT_H = entry("flat-H")
@@ -607,16 +606,6 @@ def test_growth_invariant_under_common_rescaling():
     assert abs(e1 - e2) <= 0.1
 
 
-def test_growth_insufficient_samples_raises():
-    # radii barely above the fiber scale: per-direction crossing jitter
-    # dominates and the batch slopes disagree wildly
-    base = _pt(0.0, 1e-3j)
-    with pytest.raises(InsufficientSamplesError) as exc:
-        volume_growth_exponent(EH.arrangement, None, base, [4.6, 5.2],
-                               samples=32, rng=np.random.default_rng(210))
-    assert exc.value.stderr > exc.value.limit
-
-
 def _nan_fit(arr, B, base, radii, samples=4096, rng=None, cfg=None):
     return verify.GrowthFit(exponent=4.0, std_error=math.nan, radii=np.asarray(radii),
                             volumes=np.ones(len(radii)), samples=samples)
@@ -624,8 +613,6 @@ def _nan_fit(arr, B, base, radii, samples=4096, rng=None, cfg=None):
 
 def test_growth_gates_fail_on_a_nan_std_error(monkeypatch):
     monkeypatch.setattr(verify, "growth_fit", _nan_fit)
-    with pytest.raises(InsufficientSamplesError):
-        volume_growth_exponent(FLAT_H.arrangement, None, _pt(0.0, 0j), [60.0, 120.0])
     (rep,) = run_checks(FLAT_H.arrangement, FLAT_H.deformation, checks=["growth"])
     assert not rep.passed
 
