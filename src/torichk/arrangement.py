@@ -52,6 +52,16 @@ class Point3n:
     def n(self) -> int:
         return self.x.shape[-1]
 
+    def __len__(self) -> int:
+        if self.x.ndim == 1:
+            raise TypeError("a single point has no length; only a batch (..., n) does")
+        return len(self.x)
+
+    def __getitem__(self, i) -> "Point3n":
+        """The points i of the leading batch axis: an index or a slice."""
+        len(self)
+        return Point3n(self.x[i], self.z[i])
+
     def coords(self) -> np.ndarray:
         """Block coordinates (x_1..x_n, Re z_1..Re z_n, Im z_1..Im z_n), (..., 3n)."""
         return np.concatenate([self.x, self.z.real, self.z.imag], axis=-1)

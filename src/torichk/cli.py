@@ -159,7 +159,7 @@ def _cmd_eval(args):
 def _cmd_verify(args):
     arr, B, entry = _resolve(args.target)
     checks = None
-    if args.checks:
+    if args.checks is not None:
         checks = [c.strip() for c in args.checks.split(",") if c.strip()]
     expected = None
     if entry is not None:

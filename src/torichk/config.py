@@ -6,7 +6,6 @@ of each check (its point counts and flat clearances) live with the check in
 the verify module.
 """
 
-import os
 from dataclasses import dataclass, replace
 
 
@@ -54,20 +53,3 @@ DEFAULT = Tolerances()
 
 def with_overrides(**kw) -> Tolerances:
     return replace(DEFAULT, **kw)
-
-
-def thread_cap() -> int | None:
-    """Parallelism cap from TORIC_HK_THREADS (None means no explicit cap).
-
-    Raises ValueError unless the variable is unset, empty or a positive integer.
-    """
-    raw = os.environ.get("TORIC_HK_THREADS")
-    if not raw:
-        return None
-    try:
-        value = int(raw)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise ValueError(f"TORIC_HK_THREADS must be a positive integer, got {raw!r}")
-    return value

@@ -45,7 +45,7 @@ The fiber coordinates y_i are normalized to period 2*pi; volume
 normalizations elsewhere depend on this choice.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -184,7 +184,10 @@ def quotient_metric(arr: FlatArrangement, B, p: Point3n,
 
 @dataclass(frozen=True, eq=False)
 class KahlerChartPoint:
-    """A solved chart point: grad_x F = 2(u + conj(u)) and K = F - 2 sum (u+cu) x."""
+    """A solved chart point: grad_x F = 2(u + conj(u)) and K = F - 2 sum (u+cu) x.
+
+    A stack of them holds u, z, x (..., n) and K, residual, iterations (...).
+    """
 
     u: np.ndarray
     z: np.ndarray
@@ -192,6 +195,16 @@ class KahlerChartPoint:
     K: float
     residual: float = 0.0
     iterations: int = 0
+
+    def __len__(self) -> int:
+        if np.ndim(self.K) == 0:
+            raise TypeError("a single chart point has no length; only a stack does")
+        return len(self.K)
+
+    def __getitem__(self, i) -> "KahlerChartPoint":
+        """The chart points i of the leading stack axis: an index or a slice."""
+        len(self)
+        return KahlerChartPoint(*(getattr(self, f.name)[i] for f in fields(self)))
 
 
 def _dot(a, b):

@@ -20,16 +20,17 @@ halved step and require the expected decay before passing a verdict.
 """
 
 import math
+import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from . import fd
 from .arrangement import (DeformationMatrix, FlatArrangement, Point3n,
                           classification_report)
-from .config import DEFAULT, Tolerances, thread_cap
+from .config import DEFAULT, Tolerances
 from .errors import (DomainEscapeError, EvaluationError, NoConvergenceError,
                      SamplingError, StencilClippedError)
 from .potential import (KahlerChartPoint, _newton, eval_F, eval_F_z, eval_Phi,
@@ -85,8 +86,8 @@ def _clearance(arr: FlatArrangement, x, z):
 
 
 def sample_points(arr: FlatArrangement, count: int, rng,
-                  clearance: float = 0.25) -> list:
-    """Seeded random points with Euclidean clearance from flats and branch loci.
+                  clearance: float = 0.25) -> Point3n:
+    """A seeded batch (count, n) of points Euclidean-clear of flats and branch loci.
 
     Candidates are drawn and tested in blocks of as many as are still
     missing, at most 200 * count in all.  A block never holds a candidate
@@ -95,25 +96,25 @@ def sample_points(arr: FlatArrangement, count: int, rng,
     """
     n = arr.dimension
     scale = _box_scale(arr)
-    out = []
+    x, z = np.empty((0, n)), np.empty((0, n), dtype=complex)
     budget = 200 * count
-    while len(out) < count and budget > 0:
-        k = min(count - len(out), budget)
+    while len(x) < count and budget > 0:
+        k = min(count - len(x), budget)
         budget -= k
         # per candidate: x, then Re z, then Im z, as the loop draws them
         W = rng.uniform(-scale, scale, (k, 3, n))
-        x, z = W[:, 0], W[:, 1] + 1j * W[:, 2]
-        keep = _clearance(arr, x, z) >= clearance
-        out += [Point3n(xi, zi) for xi, zi in zip(x[keep], z[keep])]
-    if len(out) < count:
+        cx, cz = W[:, 0], W[:, 1] + 1j * W[:, 2]
+        keep = _clearance(arr, cx, cz) >= clearance
+        x, z = np.concatenate([x, cx[keep]]), np.concatenate([z, cz[keep]])
+    if len(x) < count:
         raise SamplingError("rejection sampling failed to reach the requested count")
-    return out
+    return Point3n(x, z)
 
 
 def sample_chart_points(arr: FlatArrangement, B, count: int, rng,
                         clearance: float = 0.2,
-                        cfg: Tolerances = DEFAULT) -> list:
-    """Seeded random solved chart points whose x-solution is clear of flats.
+                        cfg: Tolerances = DEFAULT) -> KahlerChartPoint:
+    """A seeded stack of count solved chart points whose x-solution is clear of flats.
 
     Unlike sample_points, the rule here bounds r itself, not r / |u|.
     """
@@ -136,7 +137,8 @@ def sample_chart_points(arr: FlatArrangement, B, count: int, rng,
         out.append(chart)
     if len(out) < count:
         raise SamplingError("chart sampling failed to reach the requested count")
-    return out
+    return KahlerChartPoint(*(np.array([getattr(c, f.name) for c in out])
+                              for f in fields(KahlerChartPoint)))
 
 
 def rational_direction(n: int, rng) -> np.ndarray:
@@ -156,18 +158,6 @@ def rational_direction(n: int, rng) -> np.ndarray:
 # stack is measured with one evaluator call per stencil (or per Newton
 # stack) for all of its points, and each of its residuals equals, bit for
 # bit, the one its point gives alone.
-
-def _points(ps) -> Point3n:
-    """The points of a list as one batch, (len(ps), n)."""
-    return Point3n(np.stack([p.x for p in ps]), np.stack([p.z for p in ps]))
-
-
-def _charts(charts) -> KahlerChartPoint:
-    """The solved chart points of a list as one stack: u, z, x (len, n), K (len,)."""
-    return KahlerChartPoint(u=np.stack([c.u for c in charts]), z=np.stack([c.z for c in charts]),
-                            x=np.stack([c.x for c in charts]),
-                            K=np.array([c.K for c in charts]))
-
 
 def polyharmonic_residual(arr: FlatArrangement, B, p: Point3n, v,
                           step: float = DEFAULT.poly_step,
@@ -501,8 +491,9 @@ def growth_fit(arr: FlatArrangement, B, base: Point3n, radii, samples: int = 409
     if samples < 8:
         raise ValueError(f"samples must be at least 8 (one per batch), got {samples}")
     radii = np.asarray(radii, dtype=float)
-    if radii.ndim != 1 or radii.size < 2 or np.any(np.diff(radii) <= 0) or radii[0] <= 0:
-        raise ValueError("radii must be a strictly increasing positive sequence")
+    if (radii.ndim != 1 or radii.size < 2 or not np.all(np.isfinite(radii))
+            or np.any(np.diff(radii) <= 0) or radii[0] <= 0):
+        raise ValueError("radii must be a strictly increasing sequence of finite positive numbers")
     n = arr.dimension
     if rng is None:
         rng = np.random.default_rng(cfg.default_seed)
@@ -513,7 +504,9 @@ def growth_fit(arr: FlatArrangement, B, base: Point3n, radii, samples: int = 409
     # the chunks are independent and map keeps their order, so the volumes
     # do not depend on the number of worker threads
     pieces = [dirs[lo:lo + 512] for lo in range(0, samples, 512)]
-    with ThreadPoolExecutor(max_workers=thread_cap() or min(8, len(pieces))) as ex:
+    # one worker per CPU the process may use; only Linux reports its affinity
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    with ThreadPoolExecutor(max_workers=min(cpus or 1, len(pieces))) as ex:
         chunks = list(ex.map(
             lambda piece: _growth_chunk(arr, B, base_coords, piece, radii, n), pieces))
     per_dir = np.vstack(chunks)  # (samples, nR)
@@ -571,35 +564,36 @@ def _halving_order(coarse, fine):
     return ok, {"coarse_max": mx_c, "step_ratio": ratio, "order_ok": bool(ok)}
 
 
-def _stacked(residual, items, *args):
-    """residual(items, *args): one residual per item, from one stacked call.
+def _stacked(residual, sample, *args):
+    """residual(*sample, *args): one residual per item, from one stacked call.
 
-    When the stacked call raises, the items are measured again one at a time,
-    so the error raised is the one the first failing item raises alone; if
-    none fails alone, the stacked call's own error stands.
+    sample is a tuple of equal-length stacks.  When the stacked call raises,
+    item i is measured again alone, as a[i:i+1] of each stack, so the error
+    raised is the one the first failing item raises alone; if none fails
+    alone, the stacked call's own error stands.
     """
     try:
-        return residual(items, *args)
+        return residual(*sample, *args)
     except Exception:
-        for item in items:
-            residual([item], *args)
+        for i in range(len(sample[0])):
+            residual(*(a[i:i + 1] for a in sample), *args)
         raise
 
 
 def _run(name, seed, check_id, tol, sample, residual, step=None):
     """The skeleton of every sampled check: timer, seeded sampler, residuals, report.
 
-    sample(rng) gives the items, and residual(items) one residual per item,
-    measured as one stack (see _stacked).  With a step, residual(items, h)
-    is taken at h = step and 2 * step, and the check must also pass the
-    step-halving order test.
+    sample(rng) gives the sample as a tuple of equal-length stacks, and
+    residual(*sample) one residual per item, measured as one stack (see
+    _stacked).  With a step, residual(*sample, h) is taken at h = step and
+    2 * step, and the check must also pass the step-halving order test.
     """
     start = time.perf_counter()
-    items = sample(_rng_for(seed, check_id))
+    sample = sample(_rng_for(seed, check_id))
     if step is None:
-        return _report(name, _stacked(residual, items), tol, start)
-    fine = _stacked(residual, items, step)
-    ok, detail = _halving_order(_stacked(residual, items, 2 * step), fine)
+        return _report(name, _stacked(residual, sample), tol, start)
+    fine = _stacked(residual, sample, step)
+    ok, detail = _halving_order(_stacked(residual, sample, 2 * step), fine)
     return _report(name, fine, tol, start, detail=detail, ok=ok)
 
 
@@ -620,43 +614,37 @@ def _phi_fd_residual(arr, B, p, cfg):
 
 def _check_phi_fd(arr, B, seed, cfg, report, expected):
     return _run("phi-fd", seed, 1, cfg.phi_fd_rel,
-                lambda rng: sample_points(arr, 100, rng),
-                lambda ps: _phi_fd_residual(arr, B, _points(ps), cfg))
+                lambda rng: (sample_points(arr, 100, rng),),
+                lambda p: _phi_fd_residual(arr, B, p, cfg))
 
 
 def _check_polyharmonic(arr, B, seed, cfg, report, expected):
     def sample(rng):
-        pts = sample_points(arr, 50, rng, clearance=0.35)
-        return [(p, rational_direction(arr.dimension, rng)) for p in pts]
+        p = sample_points(arr, 50, rng, clearance=0.35)
+        return p, np.stack([rational_direction(arr.dimension, rng) for _ in range(len(p))])
 
-    def residual(items, h):
-        p = _points([p for p, _ in items])
-        return polyharmonic_residual(arr, B, p, np.stack([v for _, v in items]), h, cfg)
-
-    return _run("polyharmonic", seed, 2, cfg.polyharmonic, sample, residual,
+    return _run("polyharmonic", seed, 2, cfg.polyharmonic, sample,
+                lambda p, v, h: polyharmonic_residual(arr, B, p, v, h, cfg),
                 step=cfg.poly_step)
 
 
 def _check_ricci(arr, B, seed, cfg, report, expected):
     clearance = max(0.35, cfg.stencil_clearance * 2 * cfg.curvature_step)
     return _run("ricci", seed, 6, cfg.ricci,
-                lambda rng: sample_points(arr, 10, rng, clearance=clearance),
-                lambda ps, h: ricci_residual(arr, B, _points(ps), h, cfg),
+                lambda rng: (sample_points(arr, 10, rng, clearance=clearance),),
+                lambda p, h: ricci_residual(arr, B, p, h, cfg),
                 step=cfg.curvature_step)
 
 
 def _check_conformal(arr, B, seed, cfg, report, expected):
     def sample(rng):
-        x3 = _points(sample_points(arr, 20, rng)).coords()
+        x3 = sample_points(arr, 20, rng).coords()
         # the closed form and the boundedness probes do not depend on the
         # step: they are measured once, with the sample set
-        return list(zip(x3, _conformal_law(arr, B, x3, cfg)))
+        return x3, _conformal_law(arr, B, x3, cfg)
 
-    def residual(items, h):
-        x3 = np.stack([w for w, _ in items])
-        return np.maximum([law for _, law in items], _conformal_harmonic(arr, B, x3, h, cfg))
-
-    return _run("conformal", seed, 7, cfg.harmonic, sample, residual,
+    return _run("conformal", seed, 7, cfg.harmonic, sample,
+                lambda x3, law, h: np.maximum(law, _conformal_harmonic(arr, B, x3, h, cfg)),
                 step=cfg.harmonic_step)
 
 
@@ -684,8 +672,8 @@ def _chart_check(name, check_id, count, residual, tol, step="fd_step"):
     def run(arr, B, seed, cfg, report, expected):
         h = getattr(cfg, step)
         return _run(name, seed, check_id, getattr(cfg, tol),
-                    lambda rng: sample_chart_points(arr, B, count, rng, cfg=cfg),
-                    lambda charts: residual(arr, B, _charts(charts), h, cfg))
+                    lambda rng: (sample_chart_points(arr, B, count, rng, cfg=cfg),),
+                    lambda charts: residual(arr, B, charts, h, cfg))
     return run
 
 
@@ -744,10 +732,12 @@ def _check_classification(arr, B, seed, cfg, report, expected):
             if have != (tuple(want) if isinstance(want, list) else want):
                 mismatches[key] = {"expected": want, "got": have}
             continue
-        pts = sample_points(arr, 5, rng)
-        have = eval_Phi(arr, B, _points(pts), cfg)[:, 0, 0].tolist()
+        p = sample_points(arr, 5, rng)
+        have = eval_Phi(arr, B, p, cfg)[:, 0, 0]
         if key == "phi_radial_coefficient":
-            have = [v * math.sqrt(p.x[0] ** 2 + abs(p.z[0]) ** 2) for v, p in zip(have, pts)]
+            # |z| by hypot, as the scalar abs of one point takes it (np.abs differs)
+            have = have * np.sqrt(p.x[:, 0] ** 2 + np.hypot(p.z.real, p.z.imag)[:, 0] ** 2)
+        have = have.tolist()
         if any(abs(v - want) > 1e-12 for v in have):
             mismatches[key] = {"expected": want, "got": have}
     return _report("classification", [float(len(mismatches))], 0.0, start,
@@ -796,6 +786,8 @@ def run_checks(arr: FlatArrangement, B, checks=None, seed=None,
         skip = {"growth": not report.smooth, "classification": not expected}
         checks = [name for name, (_, n1_only) in _CHECKS.items()
                   if (arr.dimension == 1 or not n1_only) and not skip.get(name)]
+    if not checks:
+        raise ValueError(f"no check selected; known: {', '.join(check_names())}")
     if "classification" in checks:
         _check_expectation_keys(_facts(report), expected)
     reports = []

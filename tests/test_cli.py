@@ -8,7 +8,6 @@ import pytest
 from torichk import (EvaluationError, Point3n, SamplingError, catalog, entry,
                      eval_Phi, eval_metric, parse_arrangement, verify)
 from torichk.cli import GRID_BLOCK, run_cli
-from torichk.config import thread_cap
 
 
 def _run(capsys, *argv):
@@ -111,6 +110,14 @@ def test_verify_unknown_check(capsys):
     assert "unknown check" in err
 
 
+@pytest.mark.parametrize("checks", [",", " , ", ""])
+def test_verify_with_no_check_selected_exits_two(capsys, checks):
+    # a certification with no check in it is refused, not passed
+    code, out, err = _run(capsys, "verify", "eguchi-hanson", "--checks", checks)
+    assert code == 2 and out == ""
+    assert err.startswith("error: no check selected; known: phi-fd, ")
+
+
 def test_verify_deterministic_modulo_wall_time(capsys):
     def strip(doc):
         for r in doc["reports"]:
@@ -151,6 +158,14 @@ def test_growth_samples_below_one_per_batch_exit_two(capsys):
                               "--radii", "60,120,240", "--samples", samples)
         assert code == 2 and out == ""
         assert err == f"error: samples must be at least 8 (one per batch), got {samples}\n"
+
+
+@pytest.mark.parametrize("radii", ["60,nan,960", "60,120,inf"])
+def test_growth_rejects_non_finite_radii(capsys, radii):
+    code, out, err = _run(capsys, "growth", "taub-nut", "--radii", radii)
+    assert code == 2 and out == ""
+    assert err == ("error: radii must be a strictly increasing sequence of finite "
+                   "positive numbers\n")
 
 
 def test_growth_nan_std_error_exits_one(capsys, monkeypatch):
@@ -325,26 +340,6 @@ def test_option_value_may_start_with_minus(capsys, argv, flag, value):
     spaced = _run(capsys, *argv, flag, value)
     assert spaced[0] == 0
     assert spaced == joined
-
-
-@pytest.mark.parametrize("raw, want", [("1", 1), ("3", 3), (" 2 ", 2), ("", None)])
-def test_thread_cap_reads_a_positive_integer(monkeypatch, raw, want):
-    monkeypatch.setenv("TORIC_HK_THREADS", raw)
-    assert thread_cap() == want
-    monkeypatch.delenv("TORIC_HK_THREADS")
-    assert thread_cap() is None
-
-
-@pytest.mark.parametrize("raw", ["0", "-3", "two", "2.5"])
-def test_thread_cap_rejects_other_values(capsys, monkeypatch, raw):
-    monkeypatch.setenv("TORIC_HK_THREADS", raw)
-    with pytest.raises(ValueError, match="TORIC_HK_THREADS"):
-        thread_cap()
-    code, out, err = _run(capsys, "growth", "taub-nut", "--radii", "60,120",
-                          "--samples", "64")
-    assert code == 2
-    assert out == ""
-    assert err == f"error: TORIC_HK_THREADS must be a positive integer, got {raw!r}\n"
 
 
 def test_sampling_failure_exits_two(capsys, monkeypatch):

@@ -67,6 +67,44 @@ def test_block_sampler_draws_what_the_one_at_a_time_loop_draws(name):
             assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
+def test_samplers_return_one_stack_whose_slices_measure_as_their_samples():
+    arr, B = EH.arrangement, EH.deformation
+    pts = sample_points(arr, 4, np.random.default_rng(218), clearance=0.35)
+    assert isinstance(pts, Point3n) and pts.x.shape == (4, 1) and len(pts) == 4
+    charts = verify.sample_chart_points(arr, B, 3, np.random.default_rng(219))
+    assert isinstance(charts, KahlerChartPoint) and len(charts) == 3
+    assert charts.u.shape == charts.z.shape == charts.x.shape == (3, 1)
+    assert charts.K.shape == charts.residual.shape == charts.iterations.shape == (3,)
+    v = np.ones(1)
+    for i in range(len(pts)):
+        one = pts[i:i + 1]
+        assert len(one) == 1 and np.array_equal(one.x, pts.x[i:i + 1])
+        assert np.array_equal(ricci_residual(arr, B, one), [ricci_residual(arr, B, pts[i])])
+        assert np.array_equal(polyharmonic_residual(arr, B, one, v),
+                              [polyharmonic_residual(arr, B, pts[i], v)])
+    for i in range(len(charts)):
+        # each row is the sampler's own cold solve of that candidate
+        alone = legendre_solve(arr, B, charts.u[i], charts.z[i])
+        assert np.array_equal(charts.x[i], alone.x) and charts.K[i] == alone.K
+        assert charts.residual[i] == alone.residual
+        assert charts.iterations[i] == alone.iterations
+        one = charts[i:i + 1]
+        assert len(one) == 1
+        for residual in (sp_condition_residual, monge_ampere_residual):
+            assert np.array_equal(residual(arr, B, one), [residual(arr, B, charts[i])])
+
+
+def test_a_single_point_or_chart_is_not_a_stack():
+    point = _pt(0.3, 0.2j)
+    chart = legendre_solve(EH.arrangement, None, [0.3 + 0j], [0.5 - 0.2j])
+    for single in (point, chart):
+        with pytest.raises(TypeError, match="single"):
+            len(single)
+        for index in (0, slice(0, 1)):
+            with pytest.raises(TypeError, match="single"):
+                single[index]
+
+
 @pytest.mark.parametrize("count, clearance", [(3, 1e6), (20, 3.2)])
 def test_block_sampler_fails_at_the_same_budget(count, clearance):
     # nothing is clear enough, or too little is: both exhaust 200 * count draws
@@ -354,9 +392,10 @@ def test_stencil_residuals_equal_the_pointwise_loops(name):
     e = entry(name)
     arr, B = e.arrangement, e.deformation
     rng = np.random.default_rng(214)
-    pts = sample_points(arr, 3, rng, clearance=0.35)
+    stack = sample_points(arr, 3, rng, clearance=0.35)
+    pts = [stack[i] for i in range(len(stack))]
     dirs = [verify.rational_direction(arr.dimension, rng) for _ in pts]
-    stack, x3 = verify._points(pts), np.stack([p.coords() for p in pts])
+    x3 = stack.coords()
     want = [_pointwise_phi_fd(arr, B, p) for p in pts]
     assert [verify._phi_fd_residual(arr, B, p, DEFAULT) for p in pts] == want
     assert np.array_equal(verify._phi_fd_residual(arr, B, stack, DEFAULT), want)
@@ -386,8 +425,8 @@ def _pointwise_monge_ampere(arr, B, chart, step=DEFAULT.fd_step):
 def test_chart_residuals_of_a_stack_equal_each_chart_alone(name):
     e = entry(name)
     arr, B = e.arrangement, e.deformation
-    charts = verify.sample_chart_points(arr, B, 4, np.random.default_rng(216))
-    stack = verify._charts(charts)
+    stack = verify.sample_chart_points(arr, B, 4, np.random.default_rng(216))
+    charts = [stack[i] for i in range(len(stack))]
     residuals = [sp_condition_residual, hessian_identity_residual,
                  lambda arr, B, c: verify._roundtrip_residual(
                      arr, B, c, DEFAULT.reconstruct_step, DEFAULT)]
@@ -465,7 +504,7 @@ def test_chart_stencils_make_one_stacked_solve(monkeypatch):
         # both five-point stencils and the chart point itself
         assert calls == [("_newton", (8 * n + 1, n))]
         # a stack of three charts: still one solve, with every chart's points
-        stack = verify._charts([chart] * 3)
+        stack = verify.sample_chart_points(arr, B, 3, np.random.default_rng(5))
         calls.clear()
         sp_condition_residual(arr, B, stack)
         assert calls == [("_newton", (18 * n, n)), ("eval_F_z", (18 * n, n))]
@@ -522,7 +561,7 @@ def _points_near_flats(arr, gap):
     x3 = np.array([centers[0] + [0.3, 0.5, 0.2],
                    centers[1] + [gap, 0.0, 0.0],
                    centers[0]])
-    return [_pt(w[0], w[1] + 1j * w[2]) for w in x3]
+    return Point3n.from_coords(x3)
 
 
 @pytest.mark.parametrize("check, gap", [("polyharmonic", 5e-10), ("ricci", 5e-3)])
@@ -537,10 +576,10 @@ def test_a_failing_sample_raises_what_the_per_item_loop_raises(check, gap, monke
     measure = {"polyharmonic": lambda p: polyharmonic_residual(arr, B, p, v),
                "ricci": lambda p: ricci_residual(arr, B, p)}[check]
     with pytest.raises(Exception) as first:
-        for p in pts:
-            measure(p)
+        for i in range(len(pts)):
+            measure(pts[i])
     with pytest.raises(type(first.value)) as stacked:
-        measure(verify._points(pts))
+        measure(pts)
     assert stacked.value.args != first.value.args
     with pytest.raises(type(first.value)) as got:
         run_checks(arr, B, checks=[check], seed=1)
@@ -626,17 +665,30 @@ def test_growth_needs_a_sample_per_batch():
 
 
 def test_growth_volumes_do_not_depend_on_the_thread_count(monkeypatch):
-    def volumes(threads):
-        if threads is None:
-            monkeypatch.delenv("TORIC_HK_THREADS", raising=False)
-        else:
-            monkeypatch.setenv("TORIC_HK_THREADS", threads)
+    # the pool has one worker per CPU the process may use, at most one per chunk
+    workers = []
+
+    class Recording(verify.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(verify, "ThreadPoolExecutor", Recording)
+
+    def volumes(cpus):
+        monkeypatch.setattr(verify.os, "sched_getaffinity", lambda pid: set(range(cpus)))
         return growth_fit(TN.arrangement, TN.deformation, _pt(0.0, 0j), GROWTH_RADII,
                           samples=2048, rng=np.random.default_rng(5)).volumes
 
-    want = volumes(None)
-    assert np.array_equal(volumes("1"), want)
-    assert np.array_equal(volumes("2"), want)
+    want = volumes(8)
+    assert np.array_equal(volumes(1), want)
+    assert np.array_equal(volumes(2), want)
+    # where the platform reports no affinity, the CPU count stands in
+    monkeypatch.delattr(verify.os, "sched_getaffinity")
+    monkeypatch.setattr(verify.os, "cpu_count", lambda: 3)
+    assert np.array_equal(growth_fit(TN.arrangement, TN.deformation, _pt(0.0, 0j), GROWTH_RADII,
+                                     samples=2048, rng=np.random.default_rng(5)).volumes, want)
+    assert workers == [4, 1, 2, 3]  # 2048 samples are 4 chunks
 
 
 def test_growth_validates_radii():
@@ -836,6 +888,27 @@ def test_classification_check_counts_mismatches():
                                "stratum_count": len(intersection_strata(e.arrangement))})[0]
     assert got.detail["mismatches"] == {
         "invariant_factors": {"expected": (1, 3), "got": (1, 2)}}
+
+
+def test_sampled_facts_match_the_per_point_loop():
+    # the values a failed phi_constant / phi_radial_coefficient records, against
+    # a loop over the points with scalar arithmetic; the stacked r squares x
+    # where the loop calls pow, so the two may differ in the last bit
+    for e in catalog():
+        arr, B = e.arrangement, e.deformation
+        if arr.dimension != 1:
+            continue
+        (rep,) = run_checks(arr, B, checks=["classification"], seed=3,
+                            expected={"phi_constant": -1.0, "phi_radial_coefficient": -1.0})
+        rng = verify._rng_for(3, 11)
+        for key in ("phi_constant", "phi_radial_coefficient"):
+            pts = sample_points(arr, 5, rng)
+            want = [float(eval_Phi(arr, B, pts[i])[0, 0]) for i in range(len(pts))]
+            if key == "phi_radial_coefficient":
+                want = [v * math.sqrt(pts[i].x[0] ** 2 + abs(pts[i].z[0]) ** 2)
+                        for i, v in enumerate(want)]
+            got = rep.detail["mismatches"][key]["got"]
+            np.testing.assert_allclose(got, want, rtol=4.5e-16, atol=0)
 
 
 def test_strata_enumerated_once_per_report_and_per_run(monkeypatch):
