@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import lattice
-from .config import DEFAULT, Tolerances
+from .config import DEFAULT
 from .errors import ArrangementError
 
 
@@ -426,8 +426,7 @@ def _witness(arr, active, base, null, rng, tol):
     raise ArrangementError("could not find a witness avoiding the other flats")
 
 
-def intersection_strata(arr: FlatArrangement, cfg: Tolerances = DEFAULT,
-                        rng=None) -> list:
+def intersection_strata(arr: FlatArrangement, rng=None) -> list:
     """Every distinct nonempty intersection of flats, as a Stratum each.
 
     Each intersection is reported once, tagged with its closed index set
@@ -435,15 +434,15 @@ def intersection_strata(arr: FlatArrangement, cfg: Tolerances = DEFAULT,
     intersection are not listed separately.
 
     Breadth first: each stratum S is extended by every flat j not in S, and
-    each such candidate counts towards cfg.strata_subset_limit; only new
+    each such candidate counts towards DEFAULT.strata_subset_limit; only new
     candidates that the screen of S cannot rule out are solved.
     """
     d = len(arr.flats)
     if d == 0:
         return []
     if rng is None:
-        rng = np.random.default_rng(cfg.default_seed)
-    tol = cfg.on_flat
+        rng = np.random.default_rng(DEFAULT.default_seed)
+    tol, limit = DEFAULT.on_flat, DEFAULT.strata_subset_limit
     sizes = np.abs(arr.offset_matrix()).max(axis=1)
 
     found = {}
@@ -465,9 +464,9 @@ def intersection_strata(arr: FlatArrangement, cfg: Tolerances = DEFAULT,
                 if j in S:
                     continue
                 examined += 1
-                if examined > cfg.strata_subset_limit:
+                if examined > limit:
                     raise ArrangementError(
-                        f"strata enumeration exceeded {cfg.strata_subset_limit} candidate subsets")
+                        f"strata enumeration exceeded {limit} candidate subsets")
                 cand = tuple(sorted(set(S) | {j}))
                 if skip[j] or cand in solved:
                     continue
@@ -499,8 +498,7 @@ def _failing_stratum(strata):
     return None
 
 
-def classification_report(arr: FlatArrangement, B=None,
-                          cfg: Tolerances = DEFAULT) -> ClassificationReport:
+def classification_report(arr: FlatArrangement, B=None) -> ClassificationReport:
     """Smoothness and topology of the arrangement with deformation B.
 
     B is None, a DeformationMatrix or an array (see DeformationMatrix.of).
@@ -508,7 +506,7 @@ def classification_report(arr: FlatArrangement, B=None,
     failing_stratum names the first stratum that fails the Z-basis test.
     """
     B = DeformationMatrix.of(B, arr.dimension)
-    strata = tuple(intersection_strata(arr, cfg))
+    strata = tuple(intersection_strata(arr))
     failing = _failing_stratum(strata)
     if failing is not None:
         return ClassificationReport(smooth=False, failing_stratum=failing, strata=strata)
@@ -517,7 +515,7 @@ def classification_report(arr: FlatArrangement, B=None,
     max_rank = max((s.rank for s in strata), default=0)
     m = B.order
     ale = d - 1 if (n == 1 and m == 0 and d >= 1) else None
-    through_origin = bool(np.abs(arr.offset_matrix()).max(initial=0.0) <= cfg.on_flat)
+    through_origin = bool(np.abs(arr.offset_matrix()).max(initial=0.0) <= DEFAULT.on_flat)
     cone = (m == 0) and (d <= n) and through_origin
     return ClassificationReport(
         smooth=True,

@@ -17,8 +17,9 @@ from .catalog import entry as catalog_entry
 from .catalog import entry_names
 from .arrangement import Point3n, classification_report
 from .config import DEFAULT
-from .errors import (ArrangementError, EvaluationError,
-                     InsufficientSamplesError, SamplingError)
+from .errors import (ArrangementError, DifferentiationError, DomainEscapeError,
+                     EvaluationError, InsufficientSamplesError, NoConvergenceError,
+                     SamplingError)
 from .io import dump_arrangement, load_arrangement
 from .potential import eval_F, eval_Phi, eval_metric, quotient_metric
 
@@ -351,7 +352,8 @@ def run_cli(argv=None) -> int:
     except InsufficientSamplesError as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return 1
-    except (ArrangementError, EvaluationError, SamplingError, ValueError) as exc:
+    except (ArrangementError, EvaluationError, SamplingError, ValueError,
+            NoConvergenceError, DomainEscapeError, DifferentiationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,12 +1,13 @@
 """Central numeric configuration.
 
 The tolerances, step sizes and residual thresholds of the evaluators, the
-Newton solver and the verification checks live here.  The sampling choices
-of each check (its point counts and flat clearances) live with the check in
-the verify module.
+Newton solver and the verification checks live here, in the one read-only
+table DEFAULT that every module reads; no function takes an override.  The
+sampling choices of each check (its point counts and flat clearances) live
+with the check in the verify module.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -50,6 +51,3 @@ class Tolerances:
 
 DEFAULT = Tolerances()
 
-
-def with_overrides(**kw) -> Tolerances:
-    return replace(DEFAULT, **kw)

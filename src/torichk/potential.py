@@ -50,7 +50,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .arrangement import DeformationMatrix, FlatArrangement, Point3n
-from .config import DEFAULT, Tolerances
+from .config import DEFAULT
 from .errors import (BranchLocusError, DifferentiationError, DomainEscapeError,
                      EvaluationError, NoConvergenceError, OnFlatError)
 
@@ -76,14 +76,14 @@ def _check_off_branch(s, r, tol):
         raise BranchLocusError(int(at[-1]), float(t[at]))
 
 
-def eval_F(arr: FlatArrangement, B, p: Point3n, cfg: Tolerances = DEFAULT):
+def eval_F(arr: FlatArrangement, B, p: Point3n):
     """The master potential at p: a float for a single point, (...) for a batch.
 
     Linear-in-x gauge terms are fixed to zero."""
     a = arr.frame.a
     s, v, r = arr.svr(p.x, p.z)
-    _check_off_flats(r, cfg.on_flat)
-    _check_off_branch(s, r, cfg.branch)
+    _check_off_flats(r, DEFAULT.on_flat)
+    _check_off_branch(s, r, DEFAULT.branch)
     total = np.sum(a * (s * np.log(s + r) - r), axis=-1)
     Bm = DeformationMatrix.of(B, arr.dimension).entries
     q1 = np.einsum("...i,ij,...j->...", p.x, Bm, p.x)
@@ -92,13 +92,13 @@ def eval_F(arr: FlatArrangement, B, p: Point3n, cfg: Tolerances = DEFAULT):
     return float(total) if total.ndim == 0 else total
 
 
-def eval_F_z(arr: FlatArrangement, B, p: Point3n, cfg: Tolerances = DEFAULT) -> np.ndarray:
+def eval_F_z(arr: FlatArrangement, B, p: Point3n) -> np.ndarray:
     """Wirtinger gradient dF/dz_l = -sum_k a_k (u_k)_l conj(v_k)/(2(s_k+r_k)) - (B conj(z))_l,
     (..., n) complex."""
     U, a = arr.frame.U, arr.frame.a
     s, v, r = arr.svr(p.x, p.z)
-    _check_off_flats(r, cfg.on_flat)
-    _check_off_branch(s, r, cfg.branch)
+    _check_off_flats(r, DEFAULT.on_flat)
+    _check_off_branch(s, r, DEFAULT.branch)
     Bm = DeformationMatrix.of(B, arr.dimension).entries
     # one-row gemv calls, as for a single point
     g = -(Bm @ p.z.conj()[..., None])[..., 0]
@@ -116,21 +116,20 @@ def _phi(arr: FlatArrangement, Bm: np.ndarray, r: np.ndarray) -> np.ndarray:
     return Bm + np.einsum("...k,ki,kj->...ij", a / (4.0 * r), U, U)
 
 
-def eval_Phi(arr: FlatArrangement, B, p: Point3n, cfg: Tolerances = DEFAULT) -> np.ndarray:
+def eval_Phi(arr: FlatArrangement, B, p: Point3n) -> np.ndarray:
     """Closed-form Phi(p) = B + (1/4) sum_k a_k u_k u_k^T / r_k, (..., n, n) SPD off flats."""
     _, _, r = arr.svr(p.x, p.z)
-    _check_off_flats(r, cfg.on_flat)
+    _check_off_flats(r, DEFAULT.on_flat)
     phi = _phi(arr, DeformationMatrix.of(B, arr.dimension).entries, r)
     return 0.5 * (phi + np.swapaxes(phi, -1, -2))
 
 
-def eval_connection(arr: FlatArrangement, B, p: Point3n,
-                    cfg: Tolerances = DEFAULT) -> np.ndarray:
+def eval_connection(arr: FlatArrangement, B, p: Point3n) -> np.ndarray:
     """Mixed-derivative matrix C = F_xz of F at p, complex (..., n, n); B contributes nothing."""
     U, a = arr.frame.U, arr.frame.a
     s, v, r = arr.svr(p.x, p.z)
-    _check_off_flats(r, cfg.on_flat)
-    _check_off_branch(s, r, cfg.branch)
+    _check_off_flats(r, DEFAULT.on_flat)
+    _check_off_branch(s, r, DEFAULT.branch)
     n = arr.dimension
     if r.shape[-1]:
         w = a * v.conj() / (2.0 * r * (s + r))
@@ -140,8 +139,7 @@ def eval_connection(arr: FlatArrangement, B, p: Point3n,
     return C
 
 
-def eval_metric(arr: FlatArrangement, B, p: Point3n,
-                cfg: Tolerances = DEFAULT) -> np.ndarray:
+def eval_metric(arr: FlatArrangement, B, p: Point3n) -> np.ndarray:
     """The 4n x 4n metric matrix in coordinates (x, Re z, Im z, y), (..., 4n, 4n).
 
     g = Phi on each of the three base blocks plus W^T Phi^{-1} W with
@@ -149,8 +147,8 @@ def eval_metric(arr: FlatArrangement, B, p: Point3n,
     BranchLocus on the connection's gauge (Dirac-string) locus, where this
     coordinate expression of the fiber form degenerates.
     """
-    phi = eval_Phi(arr, B, p, cfg)
-    C = eval_connection(arr, B, p, cfg)
+    phi = eval_Phi(arr, B, p)
+    C = eval_connection(arr, B, p)
     n = arr.dimension
     W = np.zeros(phi.shape[:-1] + (4 * n,))
     W[..., n:2 * n] = 0.5 * C.imag
@@ -176,10 +174,9 @@ def _three_blocks(phi: np.ndarray, size: int) -> np.ndarray:
     return g
 
 
-def quotient_metric(arr: FlatArrangement, B, p: Point3n,
-                    cfg: Tolerances = DEFAULT) -> np.ndarray:
+def quotient_metric(arr: FlatArrangement, B, p: Point3n) -> np.ndarray:
     """Metric induced on the torus quotient: Phi (+) Phi (+) Phi, (..., 3n, 3n)."""
-    return _three_blocks(eval_Phi(arr, B, p, cfg), 3)
+    return _three_blocks(eval_Phi(arr, B, p), 3)
 
 
 @dataclass(frozen=True, eq=False)
@@ -237,7 +234,7 @@ def _legendre_objective(arr, Bm, x, s, r, zbz, tau):
     return ok, g - tau, val - _dot(tau, x)
 
 
-def _newton(arr, B, u, z, x, cfg):
+def _newton(arr, B, u, z, x):
     """Damped Newton for grad_x F(x, z) = 2(u + conj(u)) on each row of (K, n) stacks.
 
     x holds the starting points, broadcast to (K, n).  Every row runs its own
@@ -262,17 +259,17 @@ def _newton(arr, B, u, z, x, cfg):
     if not ok.all():
         for j in gone.nonzero()[0]:
             errors[j] = DomainEscapeError("initial point lies outside the potential's domain")
-    for it in range(1, cfg.newton_max_iter + 1):
+    for it in range(1, DEFAULT.newton_max_iter + 1):
         res = np.maximum.reduce(np.abs(g), axis=1) if n else np.zeros(len(rows))
-        stop = gone | (res <= cfg.newton_residual)
+        stop = gone | (res <= DEFAULT.newton_residual)
         if r.shape[1]:
             # Phi, the Hessian, is undefined on a flat
-            stop |= np.minimum.reduce(r, axis=1) <= cfg.on_flat
+            stop |= np.minimum.reduce(r, axis=1) <= DEFAULT.on_flat
         if stop.any():
             for j in (stop & ~gone).nonzero()[0]:
                 try:
-                    _check_off_flats(r[j], cfg.on_flat)
-                    _check_off_branch(s[j], r[j], cfg.branch)
+                    _check_off_flats(r[j], DEFAULT.on_flat)
+                    _check_off_branch(s[j], r[j], DEFAULT.branch)
                 except EvaluationError as exc:
                     errors[rows[j]] = exc
                     continue
@@ -306,7 +303,7 @@ def _newton(arr, B, u, z, x, cfg):
             trial = x + alpha[:, None] * step
             s_new, r_new = arr.sr(trial, vv)
             inside, g_new, f_new = _legendre_objective(arr, Bm, trial, s_new, r_new, zbz, tau)
-            acc = todo & inside & (f_new <= f + cfg.armijo * alpha * slope + noise)
+            acc = todo & inside & (f_new <= f + DEFAULT.armijo * alpha * slope + noise)
             if acc.all():
                 x, g, f, s, r = trial, g_new, f_new, s_new, r_new
                 break
@@ -326,21 +323,20 @@ def _newton(arr, B, u, z, x, cfg):
     else:
         for j in (~gone).nonzero()[0]:
             errors[rows[j]] = NoConvergenceError(float(np.abs(g[j]).max()),
-                                                 cfg.newton_max_iter)
+                                                 DEFAULT.newton_max_iter)
     if errors:
         raise errors[min(errors)]
     return out_x, out_K, out_res, out_it
 
 
-def legendre_solve(arr: FlatArrangement, B, u, z, x0=None,
-                   cfg: Tolerances = DEFAULT) -> KahlerChartPoint:
+def legendre_solve(arr: FlatArrangement, B, u, z, x0=None) -> KahlerChartPoint:
     """Solve grad_x F(x, z) = 2(u + conj(u)) by damped Newton with Hessian 4*Phi."""
     n = arr.dimension
     u = np.atleast_1d(np.asarray(u, dtype=complex))
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     if u.shape != (n,) or z.shape != (n,):
         raise ValueError(f"u and z must have length {n}")
-    x, K, res, its = _newton(arr, B, u[None], z[None], 0.0 if x0 is None else x0, cfg)
+    x, K, res, its = _newton(arr, B, u[None], z[None], 0.0 if x0 is None else x0)
     return KahlerChartPoint(u=u, z=z, x=x[0], K=float(K[0]), residual=float(res[0]),
                             iterations=int(its[0]))
 

@@ -30,7 +30,7 @@ import numpy as np
 from . import fd
 from .arrangement import (DeformationMatrix, FlatArrangement, Point3n,
                           classification_report)
-from .config import DEFAULT, Tolerances
+from .config import DEFAULT
 from .errors import (DomainEscapeError, EvaluationError, NoConvergenceError,
                      SamplingError, StencilClippedError)
 from .potential import (KahlerChartPoint, _newton, eval_F, eval_F_z, eval_Phi,
@@ -112,8 +112,7 @@ def sample_points(arr: FlatArrangement, count: int, rng,
 
 
 def sample_chart_points(arr: FlatArrangement, B, count: int, rng,
-                        clearance: float = 0.2,
-                        cfg: Tolerances = DEFAULT) -> KahlerChartPoint:
+                        clearance: float = 0.2) -> KahlerChartPoint:
     """A seeded stack of count solved chart points whose x-solution is clear of flats.
 
     Unlike sample_points, the rule here bounds r itself, not r / |u|.
@@ -127,7 +126,7 @@ def sample_chart_points(arr: FlatArrangement, B, count: int, rng,
         z = rng.uniform(-scale, scale, arr.dimension) \
             + 1j * rng.uniform(-scale, scale, arr.dimension)
         try:
-            chart = legendre_solve(arr, B, u, z, cfg=cfg)
+            chart = legendre_solve(arr, B, u, z)
         except (EvaluationError, NoConvergenceError, DomainEscapeError):
             continue
         if len(arr.flats):
@@ -160,8 +159,7 @@ def rational_direction(n: int, rng) -> np.ndarray:
 # bit, the one its point gives alone.
 
 def polyharmonic_residual(arr: FlatArrangement, B, p: Point3n, v,
-                          step: float = DEFAULT.poly_step,
-                          cfg: Tolerances = DEFAULT):
+                          step: float = DEFAULT.poly_step):
     """|Laplacian of F restricted to the 3-plane p + R^3 (x) v| at each point of p.
 
     v is a direction in R^n, or one per point (..., n); any nonzero scaling,
@@ -174,12 +172,12 @@ def polyharmonic_residual(arr: FlatArrangement, B, p: Point3n, v,
 
     def f(C):
         return eval_F(arr, B, Point3n(x + C[..., :1] * vhat,
-                                      z + (C[..., 1:2] + 1j * C[..., 2:]) * vhat), cfg)
+                                      z + (C[..., 1:2] + 1j * C[..., 2:]) * vhat))
 
     return np.abs(fd.laplacian3(f, np.zeros(p.x.shape[:-1] + (3,)), step))
 
 
-def _k_blocks(arr, B, chart, step, cfg):
+def _k_blocks(arr, B, chart, step):
     """Wirtinger blocks (K_uu-bar, K_uz-bar, K_zu-bar, K_zz-bar) via a real Hessian.
 
     The exact gradient of K over stacked (Re u, Re z, Im z) is differenced
@@ -204,8 +202,8 @@ def _k_blocks(arr, B, chart, step, cfg):
     u = (chart.u[..., None, :] + W[:, :n]).reshape(-1, n)
     z = (chart.z[..., None, :] + W[:, n:2 * n] + 1j * W[:, 2 * n:]).reshape(-1, n)
     x0 = np.repeat(chart.x.reshape(-1, n), 6 * n, axis=0)
-    x = _newton(arr, B, u, z, x0, cfg)[0]
-    fz = eval_F_z(arr, B, Point3n(x, z), cfg)
+    x = _newton(arr, B, u, z, x0)[0]
+    fz = eval_F_z(arr, B, Point3n(x, z))
     grad = np.concatenate([-4.0 * x, 2.0 * fz.real, -2.0 * fz.imag], axis=1)
     grad = grad.reshape(lead + (6 * n, 3 * n))
     J = (grad[..., 0::2, :] - grad[..., 1::2, :]) / (2.0 * step)
@@ -224,12 +222,11 @@ def _k_blocks(arr, B, chart, step, cfg):
 
 
 def monge_ampere_residual(arr: FlatArrangement, B, chart,
-                          step: float = DEFAULT.fd_step,
-                          cfg: Tolerances = DEFAULT):
+                          step: float = DEFAULT.fd_step):
     """|K_uu-bar K_zz-bar - K_uz-bar K_zu-bar - 1| for n=1 chart points."""
     if arr.dimension != 1:
         raise ValueError("Monge-Ampere residual is the n=1 specialization")
-    kuu, kuz, kzu, kzz = (k[..., 0, 0] for k in _k_blocks(arr, B, chart, step, cfg))
+    kuu, kuz, kzu, kzz = (k[..., 0, 0] for k in _k_blocks(arr, B, chart, step))
     # in real arithmetic, as numpy's scalar complex product and abs compute it
     # for one chart; its complex array loops fuse multiply-adds and differ in
     # the last bit
@@ -239,13 +236,12 @@ def monge_ampere_residual(arr: FlatArrangement, B, chart,
 
 
 def hessian_identity_residual(arr: FlatArrangement, B, chart,
-                              step: float = DEFAULT.fd_step,
-                              cfg: Tolerances = DEFAULT):
+                              step: float = DEFAULT.fd_step):
     """Deviation in K_uu-bar = -4 (F_xx)^{-1} and K_uz-bar = 2 (F_xx)^{-1} F_xz-bar."""
-    kuu, kuz, _, _ = _k_blocks(arr, B, chart, step, cfg)
+    kuu, kuz, _, _ = _k_blocks(arr, B, chart, step)
     p = Point3n(chart.x, chart.z)
-    fxx = 4.0 * eval_Phi(arr, B, p, cfg)
-    fxzbar = eval_connection(arr, B, p, cfg).conj()
+    fxx = 4.0 * eval_Phi(arr, B, p)
+    fxzbar = eval_connection(arr, B, p).conj()
     inv = np.linalg.inv(fxx)
     r1 = np.abs(kuu + 4.0 * inv).max(axis=(-2, -1))
     r2 = np.abs(kuz - 2.0 * inv @ fxzbar).max(axis=(-2, -1))
@@ -253,11 +249,10 @@ def hessian_identity_residual(arr: FlatArrangement, B, chart,
 
 
 def sp_condition_residual(arr: FlatArrangement, B, chart,
-                          step: float = DEFAULT.fd_step,
-                          cfg: Tolerances = DEFAULT):
+                          step: float = DEFAULT.fd_step):
     """max-norm of M^T J M - J for the 2n x 2n chart Hessian block matrix M."""
     n = chart.x.shape[-1]
-    kuu, kuz, kzu, kzz = _k_blocks(arr, B, chart, step, cfg)
+    kuu, kuz, kzu, kzz = _k_blocks(arr, B, chart, step)
     M = np.block([[kuu, kuz], [kzu, kzz]])
     J = np.block([[np.zeros((n, n)), np.eye(n)], [-np.eye(n), np.zeros((n, n))]])
     return np.abs(np.swapaxes(M, -1, -2) @ J @ M - J).max(axis=(-2, -1))
@@ -278,26 +273,24 @@ def _christoffel(g, h, base, total):
 
 
 def ricci_residual(arr: FlatArrangement, B, p: Point3n,
-                   step: float = DEFAULT.curvature_step,
-                   cfg: Tolerances = DEFAULT):
+                   step: float = DEFAULT.curvature_step):
     """max |Ric_ab| of the 4n-metric by nested central differences, per point of p.
 
     The metric is independent of the fiber coordinates, so all derivatives
     run over the 3n base coordinates only.  Requires Euclidean clearance
-    of at least `cfg.stencil_clearance * step` from every flat and branch
+    of at least `DEFAULT.stencil_clearance * step` from every flat and branch
     locus so the nested stencil stays in the domain.
     """
     n = arr.dimension
     clear = _clearance(arr, p.x, p.z)
-    if np.any(clear < cfg.stencil_clearance * step):
+    if np.any(clear < DEFAULT.stencil_clearance * step):
         raise StencilClippedError(
             f"flat clearance {float(np.min(clear)):.3e} below "
-            f"{cfg.stencil_clearance * step:.3e}")
+            f"{DEFAULT.stencil_clearance * step:.3e}")
     base = 3 * n
     total = 4 * n
     # the nested stencil: the metric at a star around every node of a star
-    g = eval_metric(arr, B, Point3n.from_coords(fd.star(fd.star(p.coords(), step), step)),
-                    cfg)
+    g = eval_metric(arr, B, Point3n.from_coords(fd.star(fd.star(p.coords(), step), step)))
     gamma = _christoffel(g, step, base, total)
     G0 = gamma[..., 0, :, :, :]
     dG = (gamma[..., 1::2, :, :, :] - gamma[..., 2::2, :, :, :]) / (2.0 * step)
@@ -317,12 +310,12 @@ def ricci_residual(arr: FlatArrangement, B, p: Point3n,
     return np.abs(ric).max(axis=(-2, -1))
 
 
-def _phi_11(arr, B, W, cfg):
+def _phi_11(arr, B, W):
     """Phi at the R^3 points W (..., 3) of an n=1 arrangement, (...)."""
-    return eval_Phi(arr, B, Point3n(W[..., :1], W[..., 1:2] + 1j * W[..., 2:]), cfg)[..., 0, 0]
+    return eval_Phi(arr, B, Point3n(W[..., :1], W[..., 1:2] + 1j * W[..., 2:]))[..., 0, 0]
 
 
-def _conformal_law(arr, B, x3, cfg):
+def _conformal_law(arr, B, x3):
     """The step-independent part of conformal_factor_check at x3 (..., 3), (...).
 
     The max of (a) the deviation of eval_Phi from the closed multi-center
@@ -350,7 +343,7 @@ def _conformal_law(arr, B, x3, cfg):
             bounds.append(bound)
     x3 = np.asarray(x3, dtype=float)
     pts = x3.reshape(-1, 3)
-    values = _phi_11(arr, B, np.concatenate([pts, np.reshape(probes, (-1, 3))]), cfg)
+    values = _phi_11(arr, B, np.concatenate([pts, np.reshape(probes, (-1, 3))]))
 
     dists = np.linalg.norm(centers - pts[:, None, :], axis=-1)
     closed = b + np.sum(masses / (4.0 * dists), axis=-1)
@@ -359,14 +352,13 @@ def _conformal_law(arr, B, x3, cfg):
     return np.maximum(identity, bounded).reshape(x3.shape[:-1])
 
 
-def _conformal_harmonic(arr, B, x3, step, cfg):
+def _conformal_harmonic(arr, B, x3, step):
     """|Laplacian of Phi| at x3 (..., 3): a Richardson pair at steps step and 2 step."""
-    return np.abs(fd.richardson_laplacian3(lambda W: _phi_11(arr, B, W, cfg), x3, step))
+    return np.abs(fd.richardson_laplacian3(lambda W: _phi_11(arr, B, W), x3, step))
 
 
 def conformal_factor_check(arr: FlatArrangement, B, x3,
-                           step: float = DEFAULT.harmonic_step,
-                           cfg: Tolerances = DEFAULT):
+                           step: float = DEFAULT.harmonic_step):
     """n=1 conformal-factor law: Phi = b + sum a_k/(4 |x - c_k|), harmonic off centers.
 
     Returns, at each point of x3 (3,) or (..., 3), the max of (a) the
@@ -378,8 +370,8 @@ def conformal_factor_check(arr: FlatArrangement, B, x3,
     if arr.dimension != 1:
         raise ValueError("conformal factor law is the n=1 statement")
     x3 = np.asarray(x3, dtype=float)
-    return np.maximum(_conformal_law(arr, B, x3, cfg),
-                      _conformal_harmonic(arr, B, x3, step, cfg))
+    return np.maximum(_conformal_law(arr, B, x3),
+                      _conformal_harmonic(arr, B, x3, step))
 
 
 # --------------------------------------------------------------------------
@@ -482,7 +474,7 @@ def _growth_chunk(arr, B, base_coords, dirs, radii, n):
 
 
 def growth_fit(arr: FlatArrangement, B, base: Point3n, radii, samples: int = 4096,
-               rng=None, cfg: Tolerances = DEFAULT) -> GrowthFit:
+               rng=None) -> GrowthFit:
     """Monte-Carlo fit of the volume-growth exponent d log V / d log R.
 
     The standard error is that of the slopes fitted to 8 interleaved batches
@@ -496,7 +488,7 @@ def growth_fit(arr: FlatArrangement, B, base: Point3n, radii, samples: int = 409
         raise ValueError("radii must be a strictly increasing sequence of finite positive numbers")
     n = arr.dimension
     if rng is None:
-        rng = np.random.default_rng(cfg.default_seed)
+        rng = np.random.default_rng(DEFAULT.default_seed)
     dirs = rng.standard_normal((samples, 3 * n))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     base_coords = base.coords()
@@ -597,100 +589,98 @@ def _run(name, seed, check_id, tol, sample, residual, step=None):
     return _report(name, fine, tol, start, detail=detail, ok=ok)
 
 
-def _phi_fd_residual(arr, B, p, cfg):
+def _phi_fd_residual(arr, B, p):
     """Relative deviation of Phi from F_xx / 4 by a Richardson pair of Hessians, per point."""
-    phi = eval_Phi(arr, B, p, cfg)
+    phi = eval_Phi(arr, B, p)
     z = p.z[..., None, :]
 
     def f(W):
-        return eval_F(arr, B, Point3n(W, np.broadcast_to(z, W.shape)), cfg)
+        return eval_F(arr, B, Point3n(W, np.broadcast_to(z, W.shape)))
 
     # Richardson pair of central Hessians: O(h^4) truncation
-    h = cfg.phi_fd_step
+    h = DEFAULT.phi_fd_step
     Hx = (4.0 * fd.hessian(f, p.x, h) - fd.hessian(f, p.x, 2.0 * h)) / 3.0
     return (np.abs(phi - 0.25 * Hx).max(axis=(-2, -1))
             / np.maximum(np.abs(phi).max(axis=(-2, -1)), 1e-12))
 
 
-def _check_phi_fd(arr, B, seed, cfg, report, expected):
-    return _run("phi-fd", seed, 1, cfg.phi_fd_rel,
+def _check_phi_fd(arr, B, seed, report, expected):
+    return _run("phi-fd", seed, 1, DEFAULT.phi_fd_rel,
                 lambda rng: (sample_points(arr, 100, rng),),
-                lambda p: _phi_fd_residual(arr, B, p, cfg))
+                lambda p: _phi_fd_residual(arr, B, p))
 
 
-def _check_polyharmonic(arr, B, seed, cfg, report, expected):
+def _check_polyharmonic(arr, B, seed, report, expected):
     def sample(rng):
         p = sample_points(arr, 50, rng, clearance=0.35)
         return p, np.stack([rational_direction(arr.dimension, rng) for _ in range(len(p))])
 
-    return _run("polyharmonic", seed, 2, cfg.polyharmonic, sample,
-                lambda p, v, h: polyharmonic_residual(arr, B, p, v, h, cfg),
-                step=cfg.poly_step)
+    return _run("polyharmonic", seed, 2, DEFAULT.polyharmonic, sample,
+                lambda p, v, h: polyharmonic_residual(arr, B, p, v, h),
+                step=DEFAULT.poly_step)
 
 
-def _check_ricci(arr, B, seed, cfg, report, expected):
-    clearance = max(0.35, cfg.stencil_clearance * 2 * cfg.curvature_step)
-    return _run("ricci", seed, 6, cfg.ricci,
+def _check_ricci(arr, B, seed, report, expected):
+    clearance = max(0.35, DEFAULT.stencil_clearance * 2 * DEFAULT.curvature_step)
+    return _run("ricci", seed, 6, DEFAULT.ricci,
                 lambda rng: (sample_points(arr, 10, rng, clearance=clearance),),
-                lambda p, h: ricci_residual(arr, B, p, h, cfg),
-                step=cfg.curvature_step)
+                lambda p, h: ricci_residual(arr, B, p, h),
+                step=DEFAULT.curvature_step)
 
 
-def _check_conformal(arr, B, seed, cfg, report, expected):
+def _check_conformal(arr, B, seed, report, expected):
     def sample(rng):
         x3 = sample_points(arr, 20, rng).coords()
         # the closed form and the boundedness probes do not depend on the
         # step: they are measured once, with the sample set
-        return x3, _conformal_law(arr, B, x3, cfg)
+        return x3, _conformal_law(arr, B, x3)
 
-    return _run("conformal", seed, 7, cfg.harmonic, sample,
-                lambda x3, law, h: np.maximum(law, _conformal_harmonic(arr, B, x3, h, cfg)),
-                step=cfg.harmonic_step)
+    return _run("conformal", seed, 7, DEFAULT.harmonic, sample,
+                lambda x3, law, h: np.maximum(law, _conformal_harmonic(arr, B, x3, h)),
+                step=DEFAULT.harmonic_step)
 
 
-def _roundtrip_residual(arr, B, chart, step, cfg):
+def _roundtrip_residual(arr, B, chart, step):
     """|F at the chart point - F rebuilt by reconstruct_F_from_K from K alone|, per chart."""
     n = arr.dimension
 
     def kfun(u, z):
         # the stencil points (..., K, n) of each chart, warm-started at its x
         x0 = np.broadcast_to(chart.x[..., None, :], u.shape)
-        return _newton(arr, B, u.reshape(-1, n), z.reshape(-1, n), x0.reshape(-1, n),
-                       cfg)[1].reshape(u.shape[:-1])
+        K = _newton(arr, B, u.reshape(-1, n), z.reshape(-1, n), x0.reshape(-1, n))[1]
+        return K.reshape(u.shape[:-1])
 
     rec = reconstruct_F_from_K(kfun, chart.u, chart.z, step)
-    return np.abs(rec.value - eval_F(arr, B, Point3n(chart.x, chart.z), cfg))
+    return np.abs(rec.value - eval_F(arr, B, Point3n(chart.x, chart.z)))
 
 
-def _chart_check(name, check_id, count, residual, tol, step="fd_step"):
+def _chart_check(name, check_id, count, residual, tol, step=DEFAULT.fd_step):
     """Runner of a check measured at solved chart points.
 
-    residual(arr, B, charts, step, cfg) is measured at `count` charts, as
-    one stack; tol and step name the Tolerances fields of its threshold and
-    its step.
+    residual(arr, B, charts, step) is measured at `count` charts, as one
+    stack, against the threshold tol.
     """
-    def run(arr, B, seed, cfg, report, expected):
-        h = getattr(cfg, step)
-        return _run(name, seed, check_id, getattr(cfg, tol),
-                    lambda rng: (sample_chart_points(arr, B, count, rng, cfg=cfg),),
-                    lambda charts: residual(arr, B, charts, h, cfg))
+    def run(arr, B, seed, report, expected):
+        return _run(name, seed, check_id, tol,
+                    lambda rng: (sample_chart_points(arr, B, count, rng),),
+                    lambda charts: residual(arr, B, charts, step))
     return run
 
 
-def _check_growth(arr, B, seed, cfg, report, expected):
+def _check_growth(arr, B, seed, report, expected):
     start = time.perf_counter()
     rng = _rng_for(seed, 8)
     law = report.volume_growth_exponent
     radii = np.geomspace(60.0, 960.0, 9)
     base = Point3n(np.zeros(arr.dimension), np.zeros(arr.dimension))
-    fit = growth_fit(arr, B, base, radii, samples=4096, rng=rng, cfg=cfg)
+    fit = growth_fit(arr, B, base, radii, samples=4096, rng=rng)
     return _report("growth", [abs(fit.exponent - law)],
-                   cfg.growth_tolerance, start, samples=fit.samples,
+                   DEFAULT.growth_tolerance, start, samples=fit.samples,
                    detail={"exponent": fit.exponent, "expected": law,
                            "std_error": fit.std_error,
                            "volumes": fit.volumes.tolist(),
                            "radii": fit.radii.tolist()},
-                   ok=fit.std_error <= cfg.growth_max_stderr)
+                   ok=fit.std_error <= DEFAULT.growth_max_stderr)
 
 
 # expectations measured at 5 sampled points of an n = 1 arrangement: Phi, or Phi times r
@@ -715,7 +705,7 @@ def _check_expectation_keys(facts, expected):
                              f"{', '.join(sorted(facts) + list(_SAMPLED_FACTS))}")
 
 
-def _check_classification(arr, B, seed, cfg, report, expected):
+def _check_classification(arr, B, seed, report, expected):
     """One mismatch per expected value that the report's facts or Phi contradict.
 
     The facts are those of _facts, and a list expectation is compared as a
@@ -733,7 +723,7 @@ def _check_classification(arr, B, seed, cfg, report, expected):
                 mismatches[key] = {"expected": want, "got": have}
             continue
         p = sample_points(arr, 5, rng)
-        have = eval_Phi(arr, B, p, cfg)[:, 0, 0]
+        have = eval_Phi(arr, B, p)[:, 0, 0]
         if key == "phi_radial_coefficient":
             # |z| by hypot, as the scalar abs of one point takes it (np.abs differs)
             have = have * np.sqrt(p.x[:, 0] ** 2 + np.hypot(p.z.real, p.z.imag)[:, 0] ** 2)
@@ -749,16 +739,16 @@ _CHECKS = {
     "phi-fd": (_check_phi_fd, False),
     "polyharmonic": (_check_polyharmonic, False),
     "monge-ampere": (_chart_check("monge-ampere", 3, 20, monge_ampere_residual,
-                                  "monge_ampere"), True),
+                                  DEFAULT.monge_ampere), True),
     "hessian-identity": (_chart_check("hessian-identity", 4, 10, hessian_identity_residual,
-                                      "hessian_identity"), True),
+                                      DEFAULT.hessian_identity), True),
     "sp-condition": (_chart_check("sp-condition", 5, 10, sp_condition_residual,
-                                  "sp_condition"), False),
+                                  DEFAULT.sp_condition), False),
     "ricci": (_check_ricci, True),
     "conformal": (_check_conformal, True),
     "growth": (_check_growth, True),
-    "roundtrip": (_chart_check("roundtrip", 9, 20, _roundtrip_residual, "roundtrip",
-                               step="reconstruct_step"), False),
+    "roundtrip": (_chart_check("roundtrip", 9, 20, _roundtrip_residual, DEFAULT.roundtrip,
+                               step=DEFAULT.reconstruct_step), False),
     "classification": (_check_classification, False),
 }
 
@@ -768,7 +758,7 @@ def check_names():
 
 
 def run_checks(arr: FlatArrangement, B, checks=None, seed=None,
-               expected=None, cfg: Tolerances = DEFAULT) -> list:
+               expected=None) -> list:
     """Run named verification checks; None selects every applicable default.
 
     B is None, a DeformationMatrix or an array (see DeformationMatrix.of).
@@ -778,9 +768,9 @@ def run_checks(arr: FlatArrangement, B, checks=None, seed=None,
     raises ValueError before any check runs.
     """
     if seed is None:
-        seed = cfg.default_seed
+        seed = DEFAULT.default_seed
     B = DeformationMatrix.of(B, arr.dimension)
-    report = classification_report(arr, B, cfg)
+    report = classification_report(arr, B)
     expected = expected or {}
     if checks is None:
         skip = {"growth": not report.smooth, "classification": not expected}
@@ -797,5 +787,5 @@ def run_checks(arr: FlatArrangement, B, checks=None, seed=None,
         runner, n1_only = _CHECKS[name]
         if n1_only and arr.dimension != 1:
             raise ValueError(f"check {name!r} does not apply to this arrangement")
-        reports.append(runner(arr, B, seed, cfg, report, expected))
+        reports.append(runner(arr, B, seed, report, expected))
     return reports

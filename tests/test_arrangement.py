@@ -1,5 +1,6 @@
 """Arrangement data model, strata enumeration, and classification."""
 
+import dataclasses
 import functools
 import importlib.util
 from collections import Counter
@@ -13,7 +14,7 @@ from torichk import (ArrangementError, DeformationMatrix, Flat,
                      classification_report, cli, entry, flat_distances,
                      dump_arrangement, intersection_strata, lattice,
                      parse_arrangement, translate)
-from torichk.config import DEFAULT, with_overrides
+from torichk.config import DEFAULT
 
 
 def _flat(u, lam=(0.0, 0.0, 0.0), a=1.0):
@@ -337,14 +338,14 @@ def test_translate_moves_strata_with_the_arrangement():
 # --------------------------------------------------------------------------
 # the strata enumerator against its reference
 
-def _reference_strata(arr, cfg=DEFAULT):
+def _reference_strata(arr):
     """The breadth-first enumeration that solves every candidate subset.
 
     Returns ([(active, rank, witness)], number of candidates examined).
     """
     d = len(arr.flats)
-    rng = np.random.default_rng(cfg.default_seed)
-    tol = cfg.on_flat
+    rng = np.random.default_rng(DEFAULT.default_seed)
+    tol = DEFAULT.on_flat
     found = {}
     examined = 0
     frontier = []
@@ -473,12 +474,14 @@ def test_one_solve_and_one_smith_form_per_stratum(monkeypatch):
 def test_strata_subset_limit_counts_every_candidate(capsys, monkeypatch):
     arr = entry("n2-unimodular").arrangement
     _, k = _reference_strata(arr)
-    assert len(intersection_strata(arr, with_overrides(strata_subset_limit=k))) == 6
+    monkeypatch.setattr(arrangement, "DEFAULT",
+                        dataclasses.replace(DEFAULT, strata_subset_limit=k))
+    assert len(intersection_strata(arr)) == 6
     message = f"strata enumeration exceeded {k - 1} candidate subsets"
+    monkeypatch.setattr(arrangement, "DEFAULT",
+                        dataclasses.replace(DEFAULT, strata_subset_limit=k - 1))
     with pytest.raises(ArrangementError, match=f"^{message}$"):
-        intersection_strata(arr, with_overrides(strata_subset_limit=k - 1))
-    monkeypatch.setattr(cli, "classification_report", functools.partial(
-        classification_report, cfg=with_overrides(strata_subset_limit=k - 1)))
+        intersection_strata(arr)
     code = cli.run_cli(["classify", "n2-unimodular"])
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""

@@ -5,7 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from torichk import (EvaluationError, Point3n, SamplingError, catalog, entry,
+from torichk import (DifferentiationError, DomainEscapeError, EvaluationError,
+                     NoConvergenceError, Point3n, SamplingError, catalog, entry,
                      eval_Phi, eval_metric, parse_arrangement, verify)
 from torichk.cli import GRID_BLOCK, run_cli
 
@@ -169,7 +170,7 @@ def test_growth_rejects_non_finite_radii(capsys, radii):
 
 
 def test_growth_nan_std_error_exits_one(capsys, monkeypatch):
-    def nan_fit(arr, B, base, radii, samples=4096, rng=None, cfg=None):
+    def nan_fit(arr, B, base, radii, samples=4096, rng=None):
         return verify.GrowthFit(exponent=4.0, std_error=float("nan"),
                                 radii=np.asarray(radii), volumes=np.ones(len(radii)),
                                 samples=samples)
@@ -351,6 +352,23 @@ def test_sampling_failure_exits_two(capsys, monkeypatch):
     assert code == 2
     assert out == ""
     assert err == "error: rejection sampling failed to reach the requested count\n"
+
+
+@pytest.mark.parametrize("error", [
+    NoConvergenceError(2.796e-10, 200),
+    DomainEscapeError("line search blocked by the domain boundary"),
+    DifferentiationError("chart derivative did not stabilize"),
+], ids=lambda exc: type(exc).__name__)
+def test_solver_failure_exits_two(capsys, monkeypatch, error):
+    # a failed solve ends with one error line, as an evaluation error does
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(verify, "run_checks", fail)
+    code, out, err = _run(capsys, "verify", "flat-H", "--checks", "roundtrip")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {error}\n"
 
 
 def test_catalog_listing_roundtrips(capsys):

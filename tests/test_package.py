@@ -39,3 +39,18 @@ def test_every_private_definition_is_referenced():
             elif isinstance(node, ast.alias):
                 used.add(node.name)
     assert sorted(f"{file}:{name}" for file, name in private if name not in used) == []
+
+
+def test_tolerances_are_one_table_without_a_per_call_knob():
+    # every function reads config.DEFAULT; none takes a cfg override, and
+    # config builds no adjusted copies
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(pathlib.Path(torichk.__file__).parent.glob("*.py"))}
+    takes_cfg = sorted(
+        f"{file}:{getattr(node, 'name', '<lambda>')}:{node.lineno}"
+        for file, tree in trees.items() for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+        and "cfg" in {a.arg for a in ast.walk(node.args) if isinstance(a, ast.arg)})
+    assert takes_cfg == []
+    assert [getattr(node, "name", "<lambda>") for node in ast.walk(trees["config.py"])
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))] == []

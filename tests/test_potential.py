@@ -1,5 +1,6 @@
 """Potential, Hessian blocks, metric assembly, and the Legendre chart."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -13,7 +14,6 @@ from torichk import (DEFAULT, ArrangementError, BranchLocusError, DeformationMat
                      potential, quotient_metric, reconstruct_F_from_K,
                      translate, verify)
 from torichk.catalog import catalog
-from torichk.config import with_overrides
 
 FLAT_H = entry("flat-H")
 CYL = entry("flat-cylinder")
@@ -448,7 +448,8 @@ def _scalar_grad_x(arr, Bm, x, z):
     return g, val
 
 
-def _scalar_legendre_solve(arr, B, u, z, x0=None, cfg=DEFAULT):
+def _scalar_legendre_solve(arr, B, u, z, x0=None):
+    cfg = potential.DEFAULT  # the table the stacked kernel reads, patched or not
     n = arr.dimension
     u = np.atleast_1d(np.asarray(u, dtype=complex))
     z = np.atleast_1d(np.asarray(z, dtype=complex))
@@ -467,7 +468,7 @@ def _scalar_legendre_solve(arr, B, u, z, x0=None, cfg=DEFAULT):
             potential._check_off_flats(r, cfg.on_flat)
             potential._check_off_branch(s, r, cfg.branch)
             return KahlerChartPoint(u=u, z=z, x=x, K=fval, residual=res, iterations=it - 1)
-        hess = 4.0 * eval_Phi(arr, B, Point3n(x, z), cfg)
+        hess = 4.0 * eval_Phi(arr, B, Point3n(x, z))
         try:
             step = -np.linalg.solve(hess, grad)
         except np.linalg.LinAlgError:
@@ -496,10 +497,10 @@ def _scalar_legendre_solve(arr, B, u, z, x0=None, cfg=DEFAULT):
     raise NoConvergenceError(float(np.abs(grad).max()), cfg.newton_max_iter)
 
 
-def _assert_rows_match(arr, B, u, z, x0, solve, cfg=DEFAULT):
+def _assert_rows_match(arr, B, u, z, x0, solve):
     """The stacked kernel on (u, z, x0) against solve(u_k, z_k, x0_k) row by row."""
-    x, K, res, its = potential._newton(arr, B, u, z, x0, cfg)
-    rows = [solve(arr, B, uk, zk, x0=xk, cfg=cfg) for uk, zk, xk in zip(u, z, x0)]
+    x, K, res, its = potential._newton(arr, B, u, z, x0)
+    rows = [solve(arr, B, uk, zk, x0=xk) for uk, zk, xk in zip(u, z, x0)]
     assert np.array_equal(x, [sol.x for sol in rows])
     assert np.array_equal(K, [sol.K for sol in rows])
     assert np.array_equal(its, [sol.iterations for sol in rows])
@@ -529,14 +530,14 @@ def test_stencil_solves_equal_the_scalar_loop(e, monkeypatch):
     arr, B = e.arrangement, e.deformation
     stacks = []
 
-    def recording(arr, B, u, z, x, cfg):
+    def recording(arr, B, u, z, x):
         stacks.append((u, z, np.broadcast_to(x, u.shape)))
-        return potential._newton(arr, B, u, z, x, cfg)
+        return potential._newton(arr, B, u, z, x)
 
     monkeypatch.setattr(verify, "_newton", recording)
     for chart in verify.sample_chart_points(arr, B, 4, np.random.default_rng(31)):
-        verify._roundtrip_residual(arr, B, chart, DEFAULT.reconstruct_step, DEFAULT)
-        verify._k_blocks(arr, B, chart, DEFAULT.fd_step, DEFAULT)
+        verify._roundtrip_residual(arr, B, chart, DEFAULT.reconstruct_step)
+        verify._k_blocks(arr, B, chart, DEFAULT.fd_step)
     n = arr.dimension
     assert [len(u) for u, _, _ in stacks] == [8 * n + 1, 6 * n] * 4
     for u, z, x0 in stacks:
@@ -563,18 +564,17 @@ def test_stack_rows_equal_their_single_row_solves(solve):
         _assert_rows_match(arr, B, U, Z, np.broadcast_to(chart.x, U.shape), solve)
 
 
-def _first_error(arr, B, u, z, x0, cfg):
+def _first_error(arr, B, u, z, x0):
     """The error the first failing row raises when the rows are solved in order."""
     for uk, zk, xk in zip(u, z, x0):
         try:
-            _scalar_legendre_solve(arr, B, uk, zk, x0=xk, cfg=cfg)
+            _scalar_legendre_solve(arr, B, uk, zk, x0=xk)
         except (EvaluationError, NoConvergenceError, DomainEscapeError) as exc:
             return exc
     return None
 
 
-def test_a_failing_stack_raises_the_first_rows_error():
-    cfg = with_overrides(newton_max_iter=10)
+def test_a_failing_stack_raises_the_first_rows_error(monkeypatch):
     arr = FLAT_H.arrangement
     # on the cut z = 0 the solution is x = exp(4 u) / 2; among these rows two
     # converge, and the others start outside the domain, end on the flat or
@@ -586,25 +586,27 @@ def test_a_failing_stack_raises_the_first_rows_error():
     rng = np.random.default_rng(33)
     orders = [[k] for k in range(7)] + [rng.permutation(7)[:rng.integers(2, 8)]
                                         for _ in range(12)]
-    for order in orders:
-        want = _first_error(arr, None, u[order], z[order], x0[order], cfg)
-        if want is None:
-            _assert_rows_match(arr, None, u[order], z[order], x0[order],
-                               _scalar_legendre_solve, cfg)
-            continue
-        kinds.add(type(want))
-        with pytest.raises(type(want)) as exc:
-            potential._newton(arr, None, u[order], z[order], x0[order], cfg)
-        assert exc.value.args == want.args and vars(exc.value) == vars(want)
+    with monkeypatch.context() as m:
+        m.setattr(potential, "DEFAULT", dataclasses.replace(DEFAULT, newton_max_iter=10))
+        for order in orders:
+            want = _first_error(arr, None, u[order], z[order], x0[order])
+            if want is None:
+                _assert_rows_match(arr, None, u[order], z[order], x0[order],
+                                   _scalar_legendre_solve)
+                continue
+            kinds.add(type(want))
+            with pytest.raises(type(want)) as exc:
+                potential._newton(arr, None, u[order], z[order], x0[order])
+            assert exc.value.args == want.args and vars(exc.value) == vars(want)
     assert kinds == {DomainEscapeError, OnFlatError, NoConvergenceError}
     # a singular Hessian: one flat in R^2 and B = 0 leave Phi rank one
     arr = FlatArrangement(2, (Flat((1, 0), (0.0, 0.0, 0.0), 1.0),))
     u, z = np.array([[0.2, 0.1]]) + 0j, np.array([[1.0, 0.5j]])
-    want = _first_error(arr, None, u, z, np.zeros((1, 2)), DEFAULT)
+    want = _first_error(arr, None, u, z, np.zeros((1, 2)))
     assert isinstance(want, NoConvergenceError) and want.iterations == 0
     with pytest.raises(NoConvergenceError) as exc:
         potential._newton(arr, None, np.repeat(u, 3, axis=0), np.repeat(z, 3, axis=0),
-                          np.zeros((3, 2)), DEFAULT)
+                          np.zeros((3, 2)))
     assert exc.value.args == want.args and vars(exc.value) == vars(want)
 
 
@@ -633,10 +635,10 @@ def test_domain_escape_raises():
                        x0=np.array([-5.0]))
 
 
-def test_no_convergence_raises():
-    cfg = with_overrides(newton_max_iter=1)
+def test_no_convergence_raises(monkeypatch):
+    monkeypatch.setattr(potential, "DEFAULT", dataclasses.replace(DEFAULT, newton_max_iter=1))
     with pytest.raises(NoConvergenceError) as exc:
-        legendre_solve(EH.arrangement, None, [2.0], [0.5 + 0.5j], cfg=cfg)
+        legendre_solve(EH.arrangement, None, [2.0], [0.5 + 0.5j])
     assert exc.value.iterations == 1
     assert exc.value.residual > 0
 

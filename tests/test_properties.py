@@ -1,12 +1,13 @@
 """Property tests: the classification does not see the choice of lattice basis,
-origin or flat order."""
+origin or flat order, and the potential does not see the origin or the sign
+in which a flat is given."""
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from torichk import (DeformationMatrix, Flat, FlatArrangement, Normal,
-                     classification_report, translate)
+from torichk import (DeformationMatrix, Flat, FlatArrangement, Normal, Point3n,
+                     classification_report, eval_F, eval_Phi, translate)
 
 PALETTES = {
     2: [(1, 0), (0, 1), (1, 1), (1, -1), (1, 2)],
@@ -59,3 +60,50 @@ def test_classification_invariant_under_basis_translation_and_permutation(case):
     assert len(got.strata) == len(want.strata)
     assert sorted((tuple(sorted(perm[k] for k in s.active)), s.rank) for s in got.strata) == \
         sorted((s.active, s.rank) for s in want.strata)
+
+
+MASSES = (0.5, 1.0, 2.0)
+COORDS = st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def arrangements_and_points(draw):
+    """(arrangement with B = 0, a point (x, z) at least 0.05 from every flat
+    and branch locus, a translation (t, w))."""
+    n = draw(st.sampled_from((2, 3)))
+    flats = draw(st.lists(
+        st.tuples(st.sampled_from(PALETTES[n]), st.tuples(*[st.sampled_from(OFFSETS)] * 3),
+                  st.sampled_from(MASSES)),
+        min_size=1, max_size=5, unique_by=lambda f: (f[0], f[1])))
+    arr = FlatArrangement(n, tuple(Flat(Normal(u), lam, a) for u, lam, a in flats))
+    c = np.array(draw(st.lists(COORDS, min_size=3 * n, max_size=3 * n)))
+    p = Point3n.from_coords(c)
+    s, _, r = arr.svr(p.x, p.z)
+    assume(r.min() >= 0.05 and (s + r).min() >= 0.05)
+    shift = np.array(draw(st.lists(COORDS, min_size=3 * n, max_size=3 * n)))
+    return arr, p, shift[:n], shift[n:2 * n] + 1j * shift[2 * n:]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=50)
+@given(arrangements_and_points())
+def test_potential_invariant_under_translation(case):
+    # with B = 0, moving the flats and the point by (t, w) leaves every
+    # s_k, v_k and r_k, so F and Phi, as they are up to rounding
+    arr, p, t, w = case
+    moved, q = translate(arr, t, w), p.shifted(t, w)
+    assert np.isclose(eval_F(moved, None, q), eval_F(arr, None, p), rtol=1e-12, atol=1e-12)
+    assert np.allclose(eval_Phi(moved, None, q), eval_Phi(arr, None, p),
+                       rtol=1e-12, atol=1e-12)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=50)
+@given(arrangements_and_points(), st.data())
+def test_a_flat_given_with_the_opposite_sign_evaluates_alike(case, data):
+    # (-u, -lambda) cuts out the flat (u, lambda); it evaluates bit for bit alike
+    arr, p, _, _ = case
+    flip = data.draw(st.lists(st.booleans(), min_size=len(arr), max_size=len(arr)))
+    negated = FlatArrangement(arr.dimension, tuple(
+        Flat(tuple(-e for e in f.normal.entries), tuple(-o for o in f.offsets), f.mass)
+        if neg else f for f, neg in zip(arr.flats, flip)))
+    assert eval_F(negated, None, p) == eval_F(arr, None, p)
+    assert np.array_equal(eval_Phi(negated, None, p), eval_Phi(arr, None, p))

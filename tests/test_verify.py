@@ -292,23 +292,23 @@ def _pointwise_laplacian3(f, c, h):
     return total / (h * h)
 
 
-def _pointwise_phi_fd(arr, B, p, cfg=DEFAULT):
-    phi = eval_Phi(arr, B, p, cfg)
+def _pointwise_phi_fd(arr, B, p):
+    phi = eval_Phi(arr, B, p)
 
     def f(w):
-        return eval_F(arr, B, Point3n(w, p.z), cfg)
+        return eval_F(arr, B, Point3n(w, p.z))
 
-    h = cfg.phi_fd_step
+    h = DEFAULT.phi_fd_step
     Hx = (4.0 * _pointwise_hessian(f, p.x, h) - _pointwise_hessian(f, p.x, 2.0 * h)) / 3.0
     return np.abs(phi - 0.25 * Hx).max() / max(np.abs(phi).max(), 1e-12)
 
 
-def _pointwise_polyharmonic(arr, B, p, v, step, cfg=DEFAULT):
+def _pointwise_polyharmonic(arr, B, p, v, step):
     vhat = v / np.linalg.norm(v)
 
     def f(c):
         return eval_F(arr, B, Point3n(p.x + c[0] * vhat,
-                                      p.z + (c[1] + 1j * c[2]) * vhat), cfg)
+                                      p.z + (c[1] + 1j * c[2]) * vhat))
 
     return abs(_pointwise_laplacian3(f, np.zeros(3), step))
 
@@ -325,12 +325,12 @@ def _pointwise_christoffel(gfun, w, h, base, total):
     return 0.5 * np.einsum("ad,dbc->abc", ginv, T)
 
 
-def _pointwise_ricci(arr, B, p, step, cfg=DEFAULT):
+def _pointwise_ricci(arr, B, p, step):
     n = arr.dimension
     base, total = 3 * n, 4 * n
 
     def gfun(w):
-        return eval_metric(arr, B, Point3n.from_coords(w), cfg)
+        return eval_metric(arr, B, Point3n.from_coords(w))
 
     def gamma_at(w):
         return _pointwise_christoffel(gfun, w, step, base, total)
@@ -355,14 +355,14 @@ def _pointwise_ricci(arr, B, p, step, cfg=DEFAULT):
     return float(np.abs(ric).max())
 
 
-def _pointwise_conformal(arr, B, x3, step, cfg=DEFAULT):
+def _pointwise_conformal(arr, B, x3, step):
     b = float(DeformationMatrix.of(B, 1).entries[0, 0])
     centers = arr.offset_matrix()
     masses = arr.masses()
 
     def phi_scalar(w):
         return float(eval_Phi(arr, B, Point3n(np.array([w[0]]),
-                                              np.array([w[1] + 1j * w[2]])), cfg)[0, 0])
+                                              np.array([w[1] + 1j * w[2]])))[0, 0])
 
     dists = np.linalg.norm(centers - x3, axis=1) if len(arr.flats) else np.zeros(0)
     closed = b + float(np.sum(masses / (4.0 * dists))) if len(arr.flats) else b
@@ -397,8 +397,8 @@ def test_stencil_residuals_equal_the_pointwise_loops(name):
     dirs = [verify.rational_direction(arr.dimension, rng) for _ in pts]
     x3 = stack.coords()
     want = [_pointwise_phi_fd(arr, B, p) for p in pts]
-    assert [verify._phi_fd_residual(arr, B, p, DEFAULT) for p in pts] == want
-    assert np.array_equal(verify._phi_fd_residual(arr, B, stack, DEFAULT), want)
+    assert [verify._phi_fd_residual(arr, B, p) for p in pts] == want
+    assert np.array_equal(verify._phi_fd_residual(arr, B, stack), want)
     for h in (DEFAULT.poly_step, 2 * DEFAULT.poly_step):
         want = [_pointwise_polyharmonic(arr, B, p, v, h) for p, v in zip(pts, dirs)]
         assert [polyharmonic_residual(arr, B, p, v, h) for p, v in zip(pts, dirs)] == want
@@ -416,7 +416,7 @@ def test_stencil_residuals_equal_the_pointwise_loops(name):
 
 def _pointwise_monge_ampere(arr, B, chart, step=DEFAULT.fd_step):
     # numpy's scalar complex arithmetic, one chart at a time
-    kuu, kuz, kzu, kzz = verify._k_blocks(arr, B, chart, step, DEFAULT)
+    kuu, kuz, kzu, kzz = verify._k_blocks(arr, B, chart, step)
     det = kuu[0, 0] * kzz[0, 0] - kuz[0, 0] * kzu[0, 0]
     return abs(det - 1.0)
 
@@ -429,7 +429,7 @@ def test_chart_residuals_of_a_stack_equal_each_chart_alone(name):
     charts = [stack[i] for i in range(len(stack))]
     residuals = [sp_condition_residual, hessian_identity_residual,
                  lambda arr, B, c: verify._roundtrip_residual(
-                     arr, B, c, DEFAULT.reconstruct_step, DEFAULT)]
+                     arr, B, c, DEFAULT.reconstruct_step)]
     for residual in residuals:
         assert np.array_equal(residual(arr, B, stack), [residual(arr, B, c) for c in charts])
     if arr.dimension == 1:
@@ -470,7 +470,7 @@ def test_one_evaluator_call_per_stencil(monkeypatch):
         ricci_residual(arr, B, p)
         assert calls == ["eval_metric"]
         calls.clear()
-        verify._phi_fd_residual(arr, B, p, DEFAULT)
+        verify._phi_fd_residual(arr, B, p)
         # Phi itself, then one call per Hessian of the Richardson pair
         assert calls == ["eval_Phi", "eval_F", "eval_F"]
     calls.clear()
@@ -500,7 +500,7 @@ def test_chart_stencils_make_one_stacked_solve(monkeypatch):
         # the 6n gradient points, then F_z at their solutions
         assert calls == [("_newton", (6 * n, n)), ("eval_F_z", (6 * n, n))]
         calls.clear()
-        verify._roundtrip_residual(arr, B, chart, DEFAULT.reconstruct_step, DEFAULT)
+        verify._roundtrip_residual(arr, B, chart, DEFAULT.reconstruct_step)
         # both five-point stencils and the chart point itself
         assert calls == [("_newton", (8 * n + 1, n))]
         # a stack of three charts: still one solve, with every chart's points
@@ -509,7 +509,7 @@ def test_chart_stencils_make_one_stacked_solve(monkeypatch):
         sp_condition_residual(arr, B, stack)
         assert calls == [("_newton", (18 * n, n)), ("eval_F_z", (18 * n, n))]
         calls.clear()
-        verify._roundtrip_residual(arr, B, stack, DEFAULT.reconstruct_step, DEFAULT)
+        verify._roundtrip_residual(arr, B, stack, DEFAULT.reconstruct_step)
         assert calls == [("_newton", (3 * (8 * n + 1), n))]
 
 
@@ -645,7 +645,7 @@ def test_growth_invariant_under_common_rescaling():
     assert abs(e1 - e2) <= 0.1
 
 
-def _nan_fit(arr, B, base, radii, samples=4096, rng=None, cfg=None):
+def _nan_fit(arr, B, base, radii, samples=4096, rng=None):
     return verify.GrowthFit(exponent=4.0, std_error=math.nan, radii=np.asarray(radii),
                             volumes=np.ones(len(radii)), samples=samples)
 
@@ -919,7 +919,7 @@ def test_strata_enumerated_once_per_report_and_per_run(monkeypatch):
         calls.append(1)
         return real(*args, **kwargs)
 
-    def fake_fit(arr, B, base, radii, samples=4096, rng=None, cfg=None):
+    def fake_fit(arr, B, base, radii, samples=4096, rng=None):
         return verify.GrowthFit(exponent=4.0, std_error=0.01, radii=radii,
                                 volumes=np.ones(len(radii)), samples=samples)
 
