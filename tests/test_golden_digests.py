@@ -1,5 +1,5 @@
-"""Pinned CLI output: sha256 digests of verify (at seeds 7 and 3), classify and
-validate per catalog entry.
+"""Pinned CLI output: sha256 digests of verify (at seeds 7 and 3), classify,
+validate, eval at one point and a 5 x 5 export-grid per catalog entry.
 
 A refactor must leave these outputs byte-identical.  A change that moves an
 output on purpose regenerates the file with
@@ -17,11 +17,15 @@ from contextlib import redirect_stdout
 
 import pytest
 
-from torichk import entry_names
+from torichk import entry, entry_names
 from torichk.cli import run_cli
 
 DIGESTS = os.path.join(os.path.dirname(__file__), "cli_digests.json")
 SEEDS = ("7", "3")
+# per dimension n: the eval point, and the export-grid --fixed point, which
+# puts some rows of the x1-rez1 sweep on a flat or a branch cut (NaN rows)
+POINTS = {1: "0.37,-0.21,0.13", 2: "0.37,-0.58,-0.21,0.44,0.13,-0.09"}
+GRID_FIXED = {1: "0,0,0", 2: "0,0.1,0,0.5,0,0"}
 
 
 def _cli(*argv):
@@ -46,6 +50,11 @@ def _digests(name):
         out[f"verify --seed {seed}"] = _sha(code, json.dumps(doc, sort_keys=True, indent=2))
     for cmd in ("classify", "validate"):
         out[cmd] = _sha(*_cli(cmd, name))
+    n = entry(name).arrangement.dimension
+    out["eval"] = _sha(*_cli("eval", name, "--point", POINTS[n]))
+    out["export-grid"] = _sha(*_cli(
+        "export-grid", name, "--axis", "x1", "--range", "-1:1:5", "--axis", "rez1",
+        "--range", "-1:1:5", "--fixed", GRID_FIXED[n], "--out", "-"))
     return out
 
 
