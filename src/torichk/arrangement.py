@@ -48,10 +48,6 @@ class Point3n:
         object.__setattr__(self, "x", _as_readonly(x))
         object.__setattr__(self, "z", _as_readonly(z))
 
-    @property
-    def n(self) -> int:
-        return self.x.shape[-1]
-
     def __len__(self) -> int:
         if self.x.ndim == 1:
             raise TypeError("a single point has no length; only a batch (..., n) does")
@@ -73,10 +69,6 @@ class Point3n:
             raise ValueError("expected coordinates of length 3n along the last axis")
         n = w.shape[-1] // 3
         return cls(w[..., :n], w[..., n:2 * n] + 1j * w[..., 2 * n:])
-
-    def shifted(self, t, w) -> "Point3n":
-        return Point3n(self.x + np.asarray(t, float),
-                       self.z + np.asarray(w, complex))
 
 
 @dataclass(frozen=True)
@@ -143,13 +135,15 @@ class Flat:
 
 class FlatFrame(NamedTuple):
     """Read-only per-flat arrays: normals U (d, n), offsets l1 and
-    lc = l2 + i l3, masses a and normal lengths norms = |u_k|, each (d,)."""
+    lc = l2 + i l3, masses a, normal lengths norms = |u_k| and offset sizes
+    sizes = max(|l1_k|, |l2_k|, |l3_k|), each (d,)."""
 
     U: np.ndarray
     l1: np.ndarray
     lc: np.ndarray
     a: np.ndarray
     norms: np.ndarray
+    sizes: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -182,14 +176,11 @@ class FlatArrangement:
 
     def normal_matrix(self) -> np.ndarray:
         """Stacked normals, one row per flat, shape (d, n), float."""
-        if not self.flats:
-            return np.zeros((0, self.dimension))
-        return np.array([f.normal.entries for f in self.flats], dtype=float)
+        return np.array([f.normal.entries for f in self.flats], dtype=float).reshape(
+            -1, self.dimension)
 
     def offset_matrix(self) -> np.ndarray:
-        if not self.flats:
-            return np.zeros((0, 3))
-        return np.array([f.offsets for f in self.flats], dtype=float)
+        return np.array([f.offsets for f in self.flats], dtype=float).reshape(-1, 3)
 
     def masses(self) -> np.ndarray:
         return np.array([f.mass for f in self.flats], dtype=float)
@@ -201,7 +192,7 @@ class FlatArrangement:
         lam = self.offset_matrix()
         return FlatFrame(*(_as_readonly(m) for m in (
             U, lam[:, 0].copy(), lam[:, 1] + 1j * lam[:, 2], self.masses(),
-            np.linalg.norm(U, axis=1))))
+            np.linalg.norm(U, axis=1), np.abs(lam).max(axis=1))))
 
     def svr(self, x, z):
         """Per-flat data at x (..., n) real and z (..., n) complex, each (..., d):
@@ -210,9 +201,9 @@ class FlatArrangement:
 
         Every evaluator and sampler derives its flat distances from this.
         """
-        U, l1, lc = self.frame[:3]
-        s = x @ U.T - l1
-        v = z @ U.T - lc
+        f = self.frame
+        s = x @ f.U.T - f.l1
+        v = z @ f.U.T - f.lc
         return s, v, np.sqrt(s * s + (v * v.conj()).real)
 
     def sr(self, x, vv):
@@ -220,8 +211,7 @@ class FlatArrangement:
 
         For callers that move x at a fixed z.
         """
-        U, l1 = self.frame[:2]
-        s = x @ U.T - l1
+        s = x @ self.frame.U.T - self.frame.l1
         return s, np.sqrt(s * s + vv)
 
 
@@ -345,11 +335,10 @@ def flat_distances(arr: FlatArrangement, p: Point3n) -> np.ndarray:
     return np.abs(s) + np.abs(v)
 
 
-def _offset_scale(l1, lc):
-    """max(1, largest |offset| among l1 and lc = l2 + i l3): residuals up to
-    tol times this count as zero."""
-    return max(1.0, float(np.abs(l1).max(initial=0.0)),
-               float(np.abs(lc.view(float)).max(initial=0.0)))
+def _offset_scale(arr, idx):
+    """max(1, largest |offset| of the flats idx): residuals up to tol times
+    this count as zero."""
+    return max(1.0, float(arr.frame.sizes[idx].max()))
 
 
 def _solve_flat_system(arr, subset, tol):
@@ -359,12 +348,13 @@ def _solve_flat_system(arr, subset, tol):
     least-squares solve and checks the residual against tol.
     """
     idx = list(subset)
-    U, l1, lc = (m[idx] for m in arr.frame[:3])
+    f = arr.frame
+    U, l1, lc = f.U[idx], f.l1[idx], f.lc[idx]
     x, _, _, _ = np.linalg.lstsq(U, l1, rcond=None)
     z, _, _, _ = np.linalg.lstsq(U.astype(complex), lc, rcond=None)
     res_x = np.abs(U @ x - l1).max(initial=0.0)
     res_z = np.abs(U @ z - lc).max(initial=0.0)
-    if max(res_x, res_z) > tol * _offset_scale(l1, lc):
+    if max(res_x, res_z) > tol * _offset_scale(arr, idx):
         return None
     return Point3n(x, z)
 
@@ -372,10 +362,10 @@ def _solve_flat_system(arr, subset, tol):
 def _closure(arr, subset, base_point, tol):
     """All flat indices whose flat contains the intersection through base_point."""
     idx = list(subset)
-    U, l1, lc = arr.frame[:3]
+    U = arr.frame.U
     sub = U[idx]
     dist = flat_distances(arr, base_point)
-    atol = tol * _offset_scale(l1[idx], lc[idx])
+    atol = tol * _offset_scale(arr, idx)
     out = []
     for j in range(len(arr.flats)):
         if j in subset:
@@ -390,7 +380,7 @@ def _closure(arr, subset, base_point, tol):
     return tuple(sorted(out))
 
 
-def _screen(arr, S, sizes, tol):
+def _screen(arr, S, tol):
     """One SVD of the normals U_S of stratum S: (nullspace (n, n - rank), skip (d,)).
 
     skip[j]: u_j = c_j . U_S lies in the span of U_S, and |l_j - c_j . l_S|,
@@ -398,7 +388,8 @@ def _screen(arr, S, sizes, tol):
     (1 + |c_j|_1) tol * scale a thousandfold, far beyond rounding; so no x is
     within tol * scale of all of S + {j}, and _solve_flat_system returns None.
     """
-    U, l1, lc = arr.frame[:3]
+    f = arr.frame
+    U, l1, lc = f.U, f.l1, f.lc
     idx = list(S)
     w, sv, vt = np.linalg.svd(U[idx])
     rank = int(np.sum(sv > 1e-11 * max(1.0, sv[0])))
@@ -406,7 +397,7 @@ def _screen(arr, S, sizes, tol):
     in_span = np.abs(C @ U[idx] - U).max(axis=1) <= 1e-9
     gap = np.maximum(np.abs(C @ l1[idx] - l1), np.abs(C @ lc[idx] - lc))
     bound = (1e3 * tol * (1.0 + np.abs(C).sum(axis=1))
-             * np.maximum(max(1.0, sizes[idx].max()), sizes))
+             * np.maximum(_offset_scale(arr, idx), f.sizes))
     return vt[rank:].T, in_span & (gap > bound)
 
 
@@ -438,12 +429,9 @@ def intersection_strata(arr: FlatArrangement, rng=None) -> list:
     candidates that the screen of S cannot rule out are solved.
     """
     d = len(arr.flats)
-    if d == 0:
-        return []
     if rng is None:
         rng = np.random.default_rng(DEFAULT.default_seed)
     tol, limit = DEFAULT.on_flat, DEFAULT.strata_subset_limit
-    sizes = np.abs(arr.offset_matrix()).max(axis=1)
 
     found = {}
     nulls = {}
@@ -459,7 +447,7 @@ def intersection_strata(arr: FlatArrangement, rng=None) -> list:
     while frontier:
         next_frontier = []
         for S in frontier:
-            nulls[S], skip = _screen(arr, S, sizes, tol)
+            nulls[S], skip = _screen(arr, S, tol)
             for j in range(d):
                 if j in S:
                     continue
@@ -515,7 +503,7 @@ def classification_report(arr: FlatArrangement, B=None) -> ClassificationReport:
     max_rank = max((s.rank for s in strata), default=0)
     m = B.order
     ale = d - 1 if (n == 1 and m == 0 and d >= 1) else None
-    through_origin = bool(np.abs(arr.offset_matrix()).max(initial=0.0) <= DEFAULT.on_flat)
+    through_origin = bool(arr.frame.sizes.max(initial=0.0) <= DEFAULT.on_flat)
     cone = (m == 0) and (d <= n) and through_origin
     return ClassificationReport(
         smooth=True,

@@ -8,7 +8,11 @@ Everything derives from one scalar potential on R^n x C^n,
 with per-flat quantities s_k = <x,u_k> - l1_k, v_k = <z,u_k> - (l2_k + i l3_k)
 and r_k = sqrt(s_k^2 + |v_k|^2) (the Euclidean-style distance data of the
 flat).  One kernel computes them: FlatArrangement.svr, over the per-flat
-arrays FlatArrangement.frame that are built once per arrangement.  eval_Phi,
+arrays FlatArrangement.frame that are built once per arrangement.  Every
+evaluator and the Newton solver take the domain rule (every r_k above
+DEFAULT.on_flat and, but for Phi, every s_k + r_k above DEFAULT.branch)
+from one helper, _check_domain.  An arrangement with no flats (d = 0)
+takes the same path: each sum over k is empty, so Phi = B and C = 0.  eval_Phi,
 eval_connection, eval_metric and quotient_metric take a Point3n whose x and z
 have shape (..., n) and return one matrix per point, (..., n, n) and so on;
 a single point is the (n,) case of the same code, and phi_batch is Phi over
@@ -61,19 +65,20 @@ __all__ = [
 ]
 
 
-def _check_off_flats(r, tol):
-    """Raise OnFlatError if any point of r (..., d) lies within tol of a flat."""
-    if r.size and r.min() <= tol:
-        at = np.unravel_index(np.argmin(r), r.shape)
-        raise OnFlatError(int(at[-1]), float(r[at]))
+def _check_domain(s, r, branch=True):
+    """The domain rule of every evaluator, for flat data s, r (..., d).
 
-
-def _check_off_branch(s, r, tol):
-    """Raise BranchLocusError if any point has s_k + r_k <= tol."""
-    t = s + r
-    if t.size and t.min() <= tol:
-        at = np.unravel_index(np.argmin(t), t.shape)
-        raise BranchLocusError(int(at[-1]), float(t[at]))
+    Raises OnFlatError if a point has r_k <= DEFAULT.on_flat, then, if branch,
+    BranchLocusError if one has s_k + r_k <= DEFAULT.branch; each names the
+    flat and the value at the argmin.  With no flats nothing is tested.
+    """
+    tests = [(r, DEFAULT.on_flat, OnFlatError)]
+    if branch:
+        tests.append((s + r, DEFAULT.branch, BranchLocusError))
+    for t, tol, error in tests:
+        if t.min(initial=np.inf) <= tol:
+            at = np.unravel_index(np.argmin(t), t.shape)
+            raise error(int(at[-1]), float(t[at]))
 
 
 def eval_F(arr: FlatArrangement, B, p: Point3n):
@@ -82,8 +87,7 @@ def eval_F(arr: FlatArrangement, B, p: Point3n):
     Linear-in-x gauge terms are fixed to zero."""
     a = arr.frame.a
     s, v, r = arr.svr(p.x, p.z)
-    _check_off_flats(r, DEFAULT.on_flat)
-    _check_off_branch(s, r, DEFAULT.branch)
+    _check_domain(s, r)
     total = np.sum(a * (s * np.log(s + r) - r), axis=-1)
     Bm = DeformationMatrix.of(B, arr.dimension).entries
     q1 = np.einsum("...i,ij,...j->...", p.x, Bm, p.x)
@@ -97,29 +101,26 @@ def eval_F_z(arr: FlatArrangement, B, p: Point3n) -> np.ndarray:
     (..., n) complex."""
     U, a = arr.frame.U, arr.frame.a
     s, v, r = arr.svr(p.x, p.z)
-    _check_off_flats(r, DEFAULT.on_flat)
-    _check_off_branch(s, r, DEFAULT.branch)
+    _check_domain(s, r)
     Bm = DeformationMatrix.of(B, arr.dimension).entries
+    w = a * v.conj() / (2.0 * (s + r))
     # one-row gemv calls, as for a single point
-    g = -(Bm @ p.z.conj()[..., None])[..., 0]
-    if r.shape[-1]:
-        w = a * v.conj() / (2.0 * (s + r))
-        g = g - (w[..., None, :] @ U.astype(complex))[..., 0, :]
-    return g
+    return (-(Bm @ p.z.conj()[..., None])[..., 0]
+            - (w[..., None, :] @ U.astype(complex))[..., 0, :])
 
 
 def _phi(arr: FlatArrangement, Bm: np.ndarray, r: np.ndarray) -> np.ndarray:
     """B + (1/4) sum_k a_k u_k u_k^T / r_k for flat distances r (..., d)."""
-    if not r.shape[-1]:
-        return np.broadcast_to(Bm, r.shape[:-1] + Bm.shape).copy()
     U, a = arr.frame.U, arr.frame.a
-    return Bm + np.einsum("...k,ki,kj->...ij", a / (4.0 * r), U, U)
+    phi = np.einsum("...k,ki,kj->...ij", a / (4.0 * r), U, U)
+    phi += Bm  # in place: one (..., n, n) array, not two
+    return phi
 
 
 def eval_Phi(arr: FlatArrangement, B, p: Point3n) -> np.ndarray:
     """Closed-form Phi(p) = B + (1/4) sum_k a_k u_k u_k^T / r_k, (..., n, n) SPD off flats."""
-    _, _, r = arr.svr(p.x, p.z)
-    _check_off_flats(r, DEFAULT.on_flat)
+    s, _, r = arr.svr(p.x, p.z)
+    _check_domain(s, r, branch=False)
     phi = _phi(arr, DeformationMatrix.of(B, arr.dimension).entries, r)
     return 0.5 * (phi + np.swapaxes(phi, -1, -2))
 
@@ -128,15 +129,9 @@ def eval_connection(arr: FlatArrangement, B, p: Point3n) -> np.ndarray:
     """Mixed-derivative matrix C = F_xz of F at p, complex (..., n, n); B contributes nothing."""
     U, a = arr.frame.U, arr.frame.a
     s, v, r = arr.svr(p.x, p.z)
-    _check_off_flats(r, DEFAULT.on_flat)
-    _check_off_branch(s, r, DEFAULT.branch)
-    n = arr.dimension
-    if r.shape[-1]:
-        w = a * v.conj() / (2.0 * r * (s + r))
-        C = np.einsum("...k,kj,kl->...jl", w, U.astype(complex), U.astype(complex))
-    else:
-        C = np.zeros(r.shape[:-1] + (n, n), dtype=complex)
-    return C
+    _check_domain(s, r)
+    w = a * v.conj() / (2.0 * r * (s + r))
+    return np.einsum("...k,kj,kl->...jl", w, U.astype(complex), U.astype(complex))
 
 
 def eval_metric(arr: FlatArrangement, B, p: Point3n) -> np.ndarray:
@@ -222,15 +217,11 @@ def _legendre_objective(arr, Bm, x, s, r, zbz, tau):
     U, a = arr.frame.U, arr.frame.a
     g = 4.0 * (Bm @ x[:, :, None])[:, :, 0]
     val = 2.0 * _dot((x[:, None, :] @ Bm)[:, 0], x) - zbz
-    if r.shape[1]:
-        t = s + r
-        ok = np.minimum.reduce(t, axis=1) > 0.0
-        logt = np.log(t if ok.all() else np.where(ok[:, None], t, 1.0))
-        g = g + ((a * logt)[:, None, :] @ U)[:, 0]
-        val = np.add.reduce(a * (s * logt - r), axis=1) + val
-    else:
-        ok = np.ones(len(x), dtype=bool)
-        val = 0.0 + val  # the empty sum over flats; turns -0.0 into 0.0
+    t = s + r
+    ok = np.minimum.reduce(t, axis=1, initial=np.inf) > 0.0
+    logt = np.log(t if ok.all() else np.where(ok[:, None], t, 1.0))
+    g = g + ((a * logt)[:, None, :] @ U)[:, 0]
+    val = np.add.reduce(a * (s * logt - r), axis=1) + val
     return ok, g - tau, val - _dot(tau, x)
 
 
@@ -260,16 +251,14 @@ def _newton(arr, B, u, z, x):
         for j in gone.nonzero()[0]:
             errors[j] = DomainEscapeError("initial point lies outside the potential's domain")
     for it in range(1, DEFAULT.newton_max_iter + 1):
-        res = np.maximum.reduce(np.abs(g), axis=1) if n else np.zeros(len(rows))
-        stop = gone | (res <= DEFAULT.newton_residual)
-        if r.shape[1]:
-            # Phi, the Hessian, is undefined on a flat
-            stop |= np.minimum.reduce(r, axis=1) <= DEFAULT.on_flat
+        res = np.maximum.reduce(np.abs(g), axis=1)
+        # Phi, the Hessian, is undefined on a flat
+        stop = (gone | (res <= DEFAULT.newton_residual)
+                | (np.minimum.reduce(r, axis=1, initial=np.inf) <= DEFAULT.on_flat))
         if stop.any():
             for j in (stop & ~gone).nonzero()[0]:
                 try:
-                    _check_off_flats(r[j], DEFAULT.on_flat)
-                    _check_off_branch(s[j], r[j], DEFAULT.branch)
+                    _check_domain(s[j], r[j])
                 except EvaluationError as exc:
                     errors[rows[j]] = exc
                     continue

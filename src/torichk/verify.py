@@ -72,17 +72,15 @@ class ResidualReport:
 # samplers
 
 def _box_scale(arr: FlatArrangement) -> float:
-    off = arr.offset_matrix()
-    return float(np.abs(off).max(initial=0.0)) + 2.0
+    return float(arr.frame.sizes.max(initial=0.0)) + 2.0
 
 
 def _clearance(arr: FlatArrangement, x, z):
     """Euclidean clearance of (x, z) (..., n) from every flat and branch locus,
-    min(r/|u|, s+r), (...)."""
-    if not arr.flats:
-        return np.full(np.shape(x)[:-1], math.inf)
+    min(r/|u|, s+r), (...); infinite with no flats."""
     s, _, r = arr.svr(x, z)
-    return np.minimum((r / arr.frame.norms).min(axis=-1), (s + r).min(axis=-1))
+    return np.minimum((r / arr.frame.norms).min(axis=-1, initial=np.inf),
+                      (s + r).min(axis=-1, initial=np.inf))
 
 
 def sample_points(arr: FlatArrangement, count: int, rng,
@@ -129,10 +127,9 @@ def sample_chart_points(arr: FlatArrangement, B, count: int, rng,
             chart = legendre_solve(arr, B, u, z)
         except (EvaluationError, NoConvergenceError, DomainEscapeError):
             continue
-        if len(arr.flats):
-            s, _, r = arr.svr(chart.x, z)
-            if r.min() < clearance or (s + r).min() < clearance:
-                continue
+        s, _, r = arr.svr(chart.x, z)
+        if np.minimum(r, s + r).min(initial=np.inf) < clearance:
+            continue
         out.append(chart)
     if len(out) < count:
         raise SamplingError("chart sampling failed to reach the requested count")

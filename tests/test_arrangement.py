@@ -70,12 +70,12 @@ def test_point_coords_roundtrip():
     q = Point3n.from_coords(p.coords())
     assert np.array_equal(p.x, q.x)
     assert np.array_equal(p.z, q.z)
-    assert p.n == 2
+    assert p.x.shape == p.z.shape == (2,)
     # a batch (..., n) round-trips along the last axis
     rng = np.random.default_rng(3)
     w = rng.normal(size=(4, 5, 6))
     b = Point3n.from_coords(w)
-    assert b.x.shape == b.z.shape == (4, 5, 2) and b.n == 2
+    assert b.x.shape == b.z.shape == (4, 5, 2)
     assert np.array_equal(b.coords(), w)
     assert np.array_equal(b.coords()[1, 2], Point3n.from_coords(w[1, 2]).coords())
 
@@ -324,7 +324,7 @@ def test_translate_moves_strata_with_the_arrangement():
     after = intersection_strata(moved)
     assert [s.active for s in before] == [s.active for s in after]
     for b, a in zip(before, after):
-        shifted = b.witness.shifted(t, w)
+        shifted = Point3n(b.witness.x + t, b.witness.z + w)
         assert np.allclose(a.witness.x, shifted.x, atol=1e-8) or \
             max(flat_distances(moved, shifted)[k] for k in b.active) < 1e-8
     rep_a = classification_report(arr, DeformationMatrix.zero(2))

@@ -9,9 +9,9 @@ import pytest
 from torichk import (DEFAULT, ArrangementError, BranchLocusError, DeformationMatrix,
                      DifferentiationError, DomainEscapeError, EvaluationError, Flat,
                      FlatArrangement, KahlerChartPoint, NoConvergenceError, Normal,
-                     OnFlatError, Point3n, entry, eval_F, eval_F_z, eval_Phi,
-                     eval_connection, eval_metric, legendre_solve, phi_batch,
-                     potential, quotient_metric, reconstruct_F_from_K,
+                     OnFlatError, Point3n, SamplingError, entry, eval_F, eval_F_z,
+                     eval_Phi, eval_connection, eval_metric, legendre_solve,
+                     phi_batch, potential, quotient_metric, reconstruct_F_from_K,
                      translate, verify)
 from torichk.catalog import catalog
 
@@ -95,6 +95,52 @@ def test_legendre_anchor_no_flats():
     sol = legendre_solve(CYL.arrangement, CYL.deformation, [0.5 + 2.0j], [1.0j])
     assert sol.x[0] == pytest.approx(0.5, abs=1e-12)
     assert sol.K == pytest.approx(2.0 * 0.25 - 1.0 - 2.0 * 0.5, abs=1e-10)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_no_flats_is_the_empty_sum(n):
+    # every sum over flats is empty: F, Phi and C are the B terms alone
+    rng = np.random.default_rng(40 + n)
+    arr = FlatArrangement(n, ())
+    A = rng.normal(size=(n, n))
+    B = A @ A.T + np.eye(n)
+    Bm = DeformationMatrix(B).entries
+    x = rng.normal(size=(4, n))
+    z = rng.normal(size=(4, n)) + 1j * rng.normal(size=(4, n))
+    p = Point3n(x, z)
+    assert np.array_equal(eval_Phi(arr, B, p), np.broadcast_to(Bm, (4, n, n)))
+    assert np.array_equal(eval_connection(arr, B, p), np.zeros((4, n, n), dtype=complex))
+    F = (2.0 * np.einsum("ki,ij,kj->k", x, Bm, x)
+         - np.einsum("ki,ij,kj->k", z, Bm, z.conj()).real)
+    assert np.allclose(eval_F(arr, B, p), F, rtol=1e-13, atol=1e-13)
+    assert np.allclose(eval_F_z(arr, B, p), -(z.conj() @ Bm), rtol=1e-13, atol=1e-13)
+    u = rng.normal(size=n) + 1j * rng.normal(size=n)
+    tau = 2.0 * (u + u.conj()).real
+    sol = legendre_solve(arr, B, u, z[0])
+    assert np.allclose(sol.x, np.linalg.solve(Bm, tau) / 4.0, rtol=1e-12, atol=1e-12)
+
+    pts = verify.sample_points(arr, 5, np.random.default_rng(1))
+    assert pts.x.shape == (5, n) and np.all(np.abs(pts.x) <= 2.0)
+    charts = verify.sample_chart_points(arr, B, 5, np.random.default_rng(1))
+    assert np.allclose(charts.x, np.linalg.solve(Bm, 4.0 * charts.u.real.T).T / 4.0,
+                       rtol=1e-12, atol=1e-12)
+    reports = verify.run_checks(arr, B, seed=3)
+    assert reports and all(r.passed for r in reports), [r.as_dict() for r in reports]
+
+
+def test_no_flats_with_a_singular_B_raises():
+    # B = diag(1, 0): Phi = B is singular, so the metric and the chart fail
+    arr, B = FlatArrangement(2, ()), np.diag([1.0, 0.0])
+    p = _pt([0.3, -0.2], [0.1 + 0.2j, -0.4j])
+    assert np.array_equal(eval_Phi(arr, B, p), B)
+    with pytest.raises(ValueError, match="not positive definite"):
+        eval_metric(arr, B, p)
+    with pytest.raises(NoConvergenceError):
+        legendre_solve(arr, B, [0.3, 0.1], [0.1, 0.2])
+    with pytest.raises(SamplingError):
+        verify.sample_chart_points(arr, B, 4, np.random.default_rng(1))
+    with pytest.raises(SamplingError):
+        verify.run_checks(arr, B, seed=3)
 
 
 # -- derivative cross-checks -------------------------------------------------
@@ -194,7 +240,7 @@ def test_translation_equivariance():
     w = np.array([-0.3 + 0.8j])
     moved = translate(arr, t, w)
     for p in _sample(EH, rng, count=8):
-        q = p.shifted(t, w)
+        q = Point3n(p.x + t, p.z + w)
         assert eval_F(arr, None, p) == pytest.approx(
             eval_F(moved, None, q), rel=1e-13)
         assert np.allclose(eval_Phi(arr, None, p), eval_Phi(moved, None, q),
@@ -465,8 +511,7 @@ def _scalar_legendre_solve(arr, B, u, z, x0=None):
         res = float(np.abs(grad).max()) if n else 0.0
         if res <= cfg.newton_residual:
             s, _, r = arr.svr(x, z)
-            potential._check_off_flats(r, cfg.on_flat)
-            potential._check_off_branch(s, r, cfg.branch)
+            potential._check_domain(s, r)
             return KahlerChartPoint(u=u, z=z, x=x, K=fval, residual=res, iterations=it - 1)
         hess = 4.0 * eval_Phi(arr, B, Point3n(x, z))
         try:

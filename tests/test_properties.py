@@ -90,7 +90,7 @@ def test_potential_invariant_under_translation(case):
     # with B = 0, moving the flats and the point by (t, w) leaves every
     # s_k, v_k and r_k, so F and Phi, as they are up to rounding
     arr, p, t, w = case
-    moved, q = translate(arr, t, w), p.shifted(t, w)
+    moved, q = translate(arr, t, w), Point3n(p.x + t, p.z + w)
     assert np.isclose(eval_F(moved, None, q), eval_F(arr, None, p), rtol=1e-12, atol=1e-12)
     assert np.allclose(eval_Phi(moved, None, q), eval_Phi(arr, None, p),
                        rtol=1e-12, atol=1e-12)
