@@ -329,10 +329,15 @@ class ClassificationReport:
         }
 
 
+def _distances(arr, x, z):
+    """|s_k| + |v_k| at raw x (..., n) and z (..., n), each (..., d)."""
+    s, v, _ = arr.svr(x, z)
+    return np.abs(s) + np.abs(v)
+
+
 def flat_distances(arr: FlatArrangement, p: Point3n) -> np.ndarray:
     """Per-flat deviation |s_k| + |v_k| (exactly 0 on the flat)."""
-    s, v, _ = arr.svr(p.x, p.z)
-    return np.abs(s) + np.abs(v)
+    return _distances(arr, p.x, p.z)
 
 
 def _offset_scale(arr, idx):
@@ -341,42 +346,36 @@ def _offset_scale(arr, idx):
     return max(1.0, float(arr.frame.sizes[idx].max()))
 
 
-def _solve_flat_system(arr, subset, tol):
-    """Min-norm point of the intersection of the given flats, or None.
+def _solve_flat_system(arr, idx, atol):
+    """Min-norm point (x, z) of the intersection of the flats idx, or None.
 
     Solves the stacked real/complex linear systems with a rank-revealing
-    least-squares solve and checks the residual against tol.
+    least-squares solve and checks the residual against atol.
     """
-    idx = list(subset)
     f = arr.frame
     U, l1, lc = f.U[idx], f.l1[idx], f.lc[idx]
     x, _, _, _ = np.linalg.lstsq(U, l1, rcond=None)
     z, _, _, _ = np.linalg.lstsq(U.astype(complex), lc, rcond=None)
     res_x = np.abs(U @ x - l1).max(initial=0.0)
     res_z = np.abs(U @ z - lc).max(initial=0.0)
-    if max(res_x, res_z) > tol * _offset_scale(arr, idx):
+    if max(res_x, res_z) > atol:
         return None
-    return Point3n(x, z)
+    return x, z
 
 
-def _closure(arr, subset, base_point, tol):
-    """All flat indices whose flat contains the intersection through base_point."""
-    idx = list(subset)
+def _closure(arr, idx, base, atol):
+    """All flat indices whose flat contains the intersection of the flats idx
+    through the point base = (x, z)."""
     U = arr.frame.U
     sub = U[idx]
-    dist = flat_distances(arr, base_point)
-    atol = tol * _offset_scale(arr, idx)
-    out = []
-    for j in range(len(arr.flats)):
-        if j in subset:
-            out.append(j)
-            continue
-        if dist[j] > atol:
+    out = set(idx)
+    for j in np.flatnonzero(_distances(arr, *base) <= atol).tolist():
+        if j in out:
             continue
         # containment also needs u_j in the row span of the active normals
         coef, _, _, _ = np.linalg.lstsq(sub.T, U[j], rcond=None)
         if np.abs(sub.T @ coef - U[j]).max() <= 1e-9:
-            out.append(j)
+            out.add(j)
     return tuple(sorted(out))
 
 
@@ -402,18 +401,18 @@ def _screen(arr, S, tol):
 
 
 def _witness(arr, active, base, null, rng, tol):
-    """Perturb the min-norm intersection point off every non-active flat,
-    along the nullspace of the active normals."""
+    """The point base = (x, z) on the flats active, perturbed off every other
+    flat along the nullspace of the active normals, as a Point3n."""
     others = [j for j in range(len(arr.flats)) if j not in active]
+    x, z = base
     if null.shape[1] == 0 or not others:
-        return base
+        return Point3n(x, z)
     for _ in range(64):
         cx = rng.uniform(-1.0, 1.0, null.shape[1])
         cz = rng.uniform(-1.0, 1.0, null.shape[1]) + 1j * rng.uniform(-1.0, 1.0, null.shape[1])
-        cand = Point3n(base.x + null @ cx, base.z + null @ cz)
-        dist = flat_distances(arr, cand)
-        if all(dist[j] > 1e3 * tol for j in others):
-            return cand
+        cand = x + null @ cx, z + null @ cz
+        if (_distances(arr, *cand)[others] > 1e3 * tol).all():
+            return Point3n(*cand)
     raise ArrangementError("could not find a witness avoiding the other flats")
 
 
@@ -426,12 +425,20 @@ def intersection_strata(arr: FlatArrangement, rng=None) -> list:
 
     Breadth first: each stratum S is extended by every flat j not in S, and
     each such candidate counts towards DEFAULT.strata_subset_limit; only new
-    candidates that the screen of S cannot rule out are solved.
+    candidates that the screen of S cannot rule out are solved.  Solves and
+    closures work on raw (x, z) arrays: the witnesses are the only validated
+    Point3n built, one per stratum.  Strata with the same active normals
+    share one Smith form.
     """
     d = len(arr.flats)
     if rng is None:
         rng = np.random.default_rng(DEFAULT.default_seed)
     tol, limit = DEFAULT.on_flat, DEFAULT.strata_subset_limit
+
+    def solve(idx):
+        atol = tol * _offset_scale(arr, idx)
+        base = _solve_flat_system(arr, idx, atol)
+        return None if base is None else (_closure(arr, idx, base, atol), base)
 
     found = {}
     nulls = {}
@@ -439,10 +446,9 @@ def intersection_strata(arr: FlatArrangement, rng=None) -> list:
     examined = 0
     frontier = []
     for k in range(d):
-        pt = _solve_flat_system(arr, (k,), tol)
-        closed = _closure(arr, (k,), pt, tol)
+        closed, base = solve([k])
         if closed not in found:
-            found[closed] = pt
+            found[closed] = base
             frontier.append(closed)
     while frontier:
         next_frontier = []
@@ -459,21 +465,24 @@ def intersection_strata(arr: FlatArrangement, rng=None) -> list:
                 if skip[j] or cand in solved:
                     continue
                 solved.add(cand)
-                pt = _solve_flat_system(arr, cand, tol)
-                if pt is None:
+                hit = solve(list(cand))
+                if hit is None:
                     continue
-                closed = _closure(arr, cand, pt, tol)
+                closed, base = hit
                 if closed not in found:
-                    found[closed] = pt
+                    found[closed] = base
                     next_frontier.append(closed)
         frontier = next_frontier
 
+    factors = {}  # active normal rows -> their invariant factors
     strata = []
     for S in sorted(found, key=lambda s: (len(s), s)):
-        rows = [arr.flats[k].normal.entries for k in S]
+        rows = tuple(arr.flats[k].normal.entries for k in S)
+        if rows not in factors:
+            factors[rows] = tuple(lattice.invariant_factors(rows))
         strata.append(Stratum(
             active=S, witness=_witness(arr, S, found[S], nulls[S], rng, tol),
-            invariant_factors=tuple(lattice.invariant_factors(rows))))
+            invariant_factors=factors[rows]))
     return strata
 
 

@@ -2,9 +2,12 @@
 
 Exit codes: 0 success, 1 check or verification failure, 2 input error.
 All JSON output is key-sorted so runs with the same seed are byte-identical.
+run_cli parses with one parser per process, built on its first call and
+kept; build_parser() still returns a fresh parser for callers that extend it.
 """
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -55,8 +58,7 @@ def _parse_point(text, n, flag="--point"):
 
 
 def _emit(doc):
-    json.dump(doc, sys.stdout, sort_keys=True, indent=2)
-    sys.stdout.write("\n")
+    sys.stdout.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
 def _seed(text):
@@ -71,6 +73,7 @@ def _seed(text):
 
 
 def build_parser():
+    """A new parser for the torichk command line, for callers that extend it."""
     ap = argparse.ArgumentParser(
         prog="torichk",
         description="Construct, evaluate, verify, and classify toric "
@@ -116,6 +119,10 @@ def build_parser():
     p = sub.add_parser("catalog", help="list the built-in examples")
 
     return ap
+
+
+# run_cli's parser, built on first use and kept: parsing leaves it unchanged
+_parser = functools.cache(build_parser)
 
 
 def _cmd_validate(args):
@@ -340,10 +347,9 @@ def _attach_signed_values(argv):
 
 
 def run_cli(argv=None) -> int:
-    ap = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = ap.parse_args(_attach_signed_values(argv))
+        args = _parser().parse_args(_attach_signed_values(argv))
     except SystemExit as exc:
         # argparse exits 2 on usage errors already; normalize other codes
         return 2 if exc.code not in (0,) else 0

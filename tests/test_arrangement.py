@@ -349,9 +349,13 @@ def _reference_strata(arr):
     found = {}
     examined = 0
     frontier = []
+
+    def atol(idx):
+        return tol * arrangement._offset_scale(arr, idx)
+
     for k in range(d):
-        pt = arrangement._solve_flat_system(arr, (k,), tol)
-        closed = arrangement._closure(arr, (k,), pt, tol)
+        pt = arrangement._solve_flat_system(arr, [k], atol([k]))
+        closed = arrangement._closure(arr, [k], pt, atol([k]))
         if closed not in found:
             found[closed] = pt
             frontier.append(closed)
@@ -362,11 +366,11 @@ def _reference_strata(arr):
                 if j in S:
                     continue
                 examined += 1
-                cand = tuple(sorted(set(S) | {j}))
-                pt = arrangement._solve_flat_system(arr, cand, tol)
+                cand = sorted(set(S) | {j})
+                pt = arrangement._solve_flat_system(arr, cand, atol(cand))
                 if pt is None:
                     continue
-                closed = arrangement._closure(arr, cand, pt, tol)
+                closed = arrangement._closure(arr, cand, pt, atol(cand))
                 if closed not in found:
                     found[closed] = pt
                     next_frontier.append(closed)
@@ -451,24 +455,38 @@ def test_strata_match_the_reference_on_random_dependent_arrangements():
     assert compared >= 45
 
 
-def test_one_solve_and_one_smith_form_per_stratum(monkeypatch):
+def _count_calls(monkeypatch, calls, owner, name):
+    inner = getattr(owner, name)
+
+    def counted(*args, **kw):
+        calls[name] += 1
+        return inner(*args, **kw)
+    monkeypatch.setattr(owner, name, counted)
+
+
+def test_one_solve_per_stratum_and_one_smith_form_per_normal_set(monkeypatch):
+    # strata with the same active normals (parallel or translated flats)
+    # share one Smith form within an enumeration
     calls = Counter()
-
-    def count(module, name):
-        inner = getattr(module, name)
-
-        def counted(*args, **kw):
-            calls[name] += 1
-            return inner(*args, **kw)
-        monkeypatch.setattr(module, name, counted)
-
-    count(arrangement, "_solve_flat_system")
-    count(lattice, "smith_normal_form")
-    strata = 0
+    _count_calls(monkeypatch, calls, arrangement, "_solve_flat_system")
+    _count_calls(monkeypatch, calls, lattice, "smith_normal_form")
+    strata = normal_sets = 0
     for arr in _family():
         report = classification_report(arr, DeformationMatrix.zero(arr.dimension))
         strata += len(report.strata)
-    assert calls == {"_solve_flat_system": strata, "smith_normal_form": strata}
+        normal_sets += len({tuple(arr.flats[k].normal.entries for k in s.active)
+                            for s in report.strata})
+    assert normal_sets < strata
+    assert calls == {"_solve_flat_system": strata, "smith_normal_form": normal_sets}
+
+
+def test_one_point_per_stratum(monkeypatch):
+    # solves, closures and witness candidates stay raw arrays; only each
+    # stratum's witness is a validated Point3n
+    calls = Counter()
+    _count_calls(monkeypatch, calls, Point3n, "__init__")
+    strata = sum(len(intersection_strata(arr)) for arr in _family())
+    assert calls == {"__init__": strata}
 
 
 def test_strata_subset_limit_counts_every_candidate(capsys, monkeypatch):

@@ -8,6 +8,7 @@ import pytest
 from torichk import (DifferentiationError, DomainEscapeError, EvaluationError,
                      NoConvergenceError, Point3n, SamplingError, catalog, entry,
                      eval_Phi, eval_metric, parse_arrangement, verify)
+from torichk import cli
 from torichk.cli import GRID_BLOCK, run_cli
 
 
@@ -387,3 +388,31 @@ def test_catalog_listing_roundtrips(capsys):
 def test_no_command_shows_usage(capsys):
     code, out, err = _run(capsys, "--help")
     assert code == 0
+
+
+def test_run_cli_builds_one_parser_per_process(capsys):
+    cli._parser.cache_clear()
+    for argv in (["validate", "flat-H"], ["classify", "taub-nut"], ["catalog"]):
+        _run(capsys, *argv)
+    assert cli._parser.cache_info().misses == 1
+    assert cli.build_parser() is not cli.build_parser()
+    assert cli.build_parser() is not cli._parser()
+
+
+_GRID = ["export-grid", "multi-EH-3", "--axis", "x1", "--range", "-1:1:3",
+         "--axis", "rez1", "--range=0.5:1:2", "--out", "-"]
+
+
+def test_reused_parser_prints_what_a_fresh_one_prints(capsys, monkeypatch):
+    sequence = [_GRID, ["export-grid", "flat-H", "--axis", "x2", "--out", "-"],
+                ["--help"], _GRID]
+    reused = [_run(capsys, *argv) for argv in sequence]
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_parser", cli.build_parser)
+        fresh = [_run(capsys, *argv) for argv in sequence]
+    assert reused == fresh
+    assert [code for code, _, _ in reused] == [0, 2, 0, 0]
+    assert len(reused[0][1].splitlines()) == 1 + 3 * 2
+    # append options start from their default on every parse
+    args = cli._parser().parse_args(cli._attach_signed_values(_GRID))
+    assert args.axis == ["x1", "rez1"] and args.ranges == ["-1:1:3", "0.5:1:2"]
