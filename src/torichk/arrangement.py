@@ -174,45 +174,38 @@ class FlatArrangement:
     def __len__(self) -> int:
         return len(self.flats)
 
-    def normal_matrix(self) -> np.ndarray:
-        """Stacked normals, one row per flat, shape (d, n), float."""
-        return np.array([f.normal.entries for f in self.flats], dtype=float).reshape(
-            -1, self.dimension)
-
-    def offset_matrix(self) -> np.ndarray:
-        return np.array([f.offsets for f in self.flats], dtype=float).reshape(-1, 3)
-
-    def masses(self) -> np.ndarray:
-        return np.array([f.mass for f in self.flats], dtype=float)
-
     @cached_property
     def frame(self) -> FlatFrame:
         """The per-flat arrays, built once per arrangement."""
-        U = self.normal_matrix()
-        lam = self.offset_matrix()
+        U = np.array([f.normal.entries for f in self.flats], dtype=float).reshape(
+            -1, self.dimension)
+        lam = np.array([f.offsets for f in self.flats], dtype=float).reshape(-1, 3)
+        a = np.array([f.mass for f in self.flats], dtype=float)
         return FlatFrame(*(_as_readonly(m) for m in (
-            U, lam[:, 0].copy(), lam[:, 1] + 1j * lam[:, 2], self.masses(),
+            U, lam[:, 0].copy(), lam[:, 1] + 1j * lam[:, 2], a,
             np.linalg.norm(U, axis=1), np.abs(lam).max(axis=1))))
 
     def svr(self, x, z):
         """Per-flat data at x (..., n) real and z (..., n) complex, each (..., d):
 
-            s_k = <x,u_k> - l1_k,  v_k = <z,u_k> - lc_k,  r_k = sqrt(s_k^2 + |v_k|^2).
+            s_k = <x,u_k> - l1_k,  v_k = <z,u_k> - lc_k,  r_k = sqrt(s_k^2 + |v_k|^2),
 
-        Every evaluator and sampler derives its flat distances from this.
+        and t_k = s_k + r_k under F's logarithm; every evaluator and sampler reads these.
         """
         f = self.frame
         s = x @ f.U.T - f.l1
         v = z @ f.U.T - f.lc
-        return s, v, np.sqrt(s * s + (v * v.conj()).real)
+        r = np.sqrt(s * s + (v * v.conj()).real)
+        return s, v, r, s + r  # t after r's statement: none of its temporaries is alive
 
     def sr(self, x, vv):
-        """s and r of svr at x (..., n) for a given |v|^2 (..., d), by svr's arithmetic.
+        """s, r and t of svr at x (..., n) for a given |v|^2 (..., d), by svr's arithmetic.
 
         For callers that move x at a fixed z.
         """
         s = x @ self.frame.U.T - self.frame.l1
-        return s, np.sqrt(s * s + vv)
+        r = np.sqrt(s * s + vv)
+        return s, r, s + r
 
 
 class DeformationMatrix:
@@ -331,7 +324,7 @@ class ClassificationReport:
 
 def _distances(arr, x, z):
     """|s_k| + |v_k| at raw x (..., n) and z (..., n), each (..., d)."""
-    s, v, _ = arr.svr(x, z)
+    s, v, _, _ = arr.svr(x, z)
     return np.abs(s) + np.abs(v)
 
 
@@ -416,7 +409,7 @@ def _witness(arr, active, base, null, rng, tol):
     raise ArrangementError("could not find a witness avoiding the other flats")
 
 
-def intersection_strata(arr: FlatArrangement, rng=None) -> list:
+def intersection_strata(arr: FlatArrangement) -> list:
     """Every distinct nonempty intersection of flats, as a Stratum each.
 
     Each intersection is reported once, tagged with its closed index set
@@ -431,8 +424,7 @@ def intersection_strata(arr: FlatArrangement, rng=None) -> list:
     share one Smith form.
     """
     d = len(arr.flats)
-    if rng is None:
-        rng = np.random.default_rng(DEFAULT.default_seed)
+    rng = np.random.default_rng(DEFAULT.default_seed)
     tol, limit = DEFAULT.on_flat, DEFAULT.strata_subset_limit
 
     def solve(idx):

@@ -24,7 +24,7 @@ from .errors import (ArrangementError, DifferentiationError, DomainEscapeError,
                      EvaluationError, InsufficientSamplesError, NoConvergenceError,
                      SamplingError)
 from .io import dump_arrangement, load_arrangement
-from .potential import eval_F, eval_Phi, eval_metric, quotient_metric
+from .potential import _off_domain, eval_F, eval_Phi, eval_metric, quotient_metric
 
 __all__ = ["main", "run_cli", "build_parser"]
 
@@ -248,12 +248,11 @@ GRID_BLOCK = 4096
 
 def _grid_rows(arr, B, w):
     """CSV rows for the grid points w (N, 3n): coordinates, Phi, det Phi and
-    det g, with NaN values where a point lies on a flat or a branch locus."""
+    det g, with NaN values where the evaluators' domain rule refuses a point."""
     n = arr.dimension
     p = Point3n.from_coords(w)
-    s, _, r = arr.svr(p.x, p.z)
-    off = ~((r.min(axis=-1, initial=np.inf) <= DEFAULT.on_flat)
-            | ((s + r).min(axis=-1, initial=np.inf) <= DEFAULT.branch))
+    _, _, r, t = arr.svr(p.x, p.z)
+    off = ~_off_domain(r, t)
     q = Point3n(p.x[off], p.z[off])
     phi = eval_Phi(arr, B, q)
     g = eval_metric(arr, B, q)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 class Tolerances:
     # point classification
     on_flat: float = 1e-9          # |affine residual| below this counts as "on"
-    branch: float = 1e-9           # s + r below this counts as branch locus
+    branch: float = 1e-9           # t = s + r of svr below this counts as branch locus
 
     # Legendre / Newton solve
     newton_residual: float = 1e-10

@@ -52,6 +52,10 @@ def parse_arrangement(data):
         for key in ("u", "lambda", "a"):
             if key not in raw:
                 raise ArrangementError(f'flats[{idx}] missing field "{key}"')
+            # true/false would read as 1/0: bool is an int (and final, so type() finds it)
+            items = raw[key] if isinstance(raw[key], list) else [raw[key]]
+            if bool in map(type, items):
+                raise ArrangementError(f"flats[{idx}].{key} must hold numbers, not booleans")
         u = raw["u"]
         if not isinstance(u, list) or len(u) != n:
             raise ArrangementError(

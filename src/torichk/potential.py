@@ -7,19 +7,19 @@ Everything derives from one scalar potential on R^n x C^n,
 
 with per-flat quantities s_k = <x,u_k> - l1_k, v_k = <z,u_k> - (l2_k + i l3_k)
 and r_k = sqrt(s_k^2 + |v_k|^2) (the Euclidean-style distance data of the
-flat).  One kernel computes them: FlatArrangement.svr, over the per-flat
-arrays FlatArrangement.frame that are built once per arrangement.  Every
-evaluator and the Newton solver take the domain rule (every r_k above
-DEFAULT.on_flat and, but for Phi, every s_k + r_k above DEFAULT.branch)
-from one helper, _check_domain.  An arrangement with no flats (d = 0)
-takes the same path: each sum over k is empty, so Phi = B and C = 0.  eval_Phi,
-eval_connection, eval_metric and quotient_metric take a Point3n whose x and z
-have shape (..., n) and return one matrix per point, (..., n, n) and so on;
-a single point is the (n,) case of the same code, and phi_batch is Phi over
-plain (N, n) arrays.  eval_F takes the same batches and returns (...), a
-float for a single point, and eval_F_z returns (..., n).  F is harmonic on
-every affine 3-plane spanned by one copy of R^3; all geometric quantities
-below are closed-form derivatives of it:
+flat).  One kernel, FlatArrangement.svr over the arrays FlatArrangement.frame,
+computes them and t_k = s_k + r_k under the logarithm.  This module alone
+holds the domain rule (every r_k above DEFAULT.on_flat and, but for Phi,
+every t_k above DEFAULT.branch): _check_domain raises it for every evaluator
+and the Newton solver; _off_domain is its per-point mask.  With no flats
+(d = 0) the same path runs: each sum over k is empty, so Phi = B and C = 0.
+eval_Phi, eval_connection, eval_metric and quotient_metric take a Point3n
+whose x and z have shape (..., n) and return one matrix per point,
+(..., n, n) and so on; a single point is the (n,) case of the same code,
+and phi_batch is Phi over plain (N, n) arrays.  eval_F takes the same
+batches and returns (...), a float for a single point, and eval_F_z returns
+(..., n).  F is harmonic on every affine 3-plane spanned by one copy of R^3;
+all geometric quantities below are closed-form derivatives of it:
 
     Phi      = (1/4) F_xx          = B + (1/4) sum_k a_k u_k u_k^T / r_k
     C[j][l]  = F_{x_j z_l}         = sum_k a_k u_kj u_kl conj(v_k)
@@ -65,20 +65,26 @@ __all__ = [
 ]
 
 
-def _check_domain(s, r, branch=True):
-    """The domain rule of every evaluator, for flat data s, r (..., d).
+def _check_domain(r, t, branch=True):
+    """The domain rule of every evaluator, for flat data r, t (..., d) of svr.
 
     Raises OnFlatError if a point has r_k <= DEFAULT.on_flat, then, if branch,
-    BranchLocusError if one has s_k + r_k <= DEFAULT.branch; each names the
+    BranchLocusError if one has t_k <= DEFAULT.branch; each names the
     flat and the value at the argmin.  With no flats nothing is tested.
     """
     tests = [(r, DEFAULT.on_flat, OnFlatError)]
     if branch:
-        tests.append((s + r, DEFAULT.branch, BranchLocusError))
-    for t, tol, error in tests:
-        if t.min(initial=np.inf) <= tol:
-            at = np.unravel_index(np.argmin(t), t.shape)
-            raise error(int(at[-1]), float(t[at]))
+        tests.append((t, DEFAULT.branch, BranchLocusError))
+    for q, tol, error in tests:
+        if q.min(initial=np.inf) <= tol:
+            at = np.unravel_index(np.argmin(q), q.shape)
+            raise error(int(at[-1]), float(q[at]))
+
+
+def _off_domain(r, t):
+    """Per point (...), whether _check_domain(r, t) refuses it."""
+    return ((r.min(axis=-1, initial=np.inf) <= DEFAULT.on_flat)
+            | (t.min(axis=-1, initial=np.inf) <= DEFAULT.branch))
 
 
 def eval_F(arr: FlatArrangement, B, p: Point3n):
@@ -86,9 +92,9 @@ def eval_F(arr: FlatArrangement, B, p: Point3n):
 
     Linear-in-x gauge terms are fixed to zero."""
     a = arr.frame.a
-    s, v, r = arr.svr(p.x, p.z)
-    _check_domain(s, r)
-    total = np.sum(a * (s * np.log(s + r) - r), axis=-1)
+    s, _, r, t = arr.svr(p.x, p.z)
+    _check_domain(r, t)
+    total = np.sum(a * (s * np.log(t) - r), axis=-1)
     Bm = DeformationMatrix.of(B, arr.dimension).entries
     q1 = np.einsum("...i,ij,...j->...", p.x, Bm, p.x)
     q2 = np.einsum("...i,ij,...j->...", p.z, Bm, p.z.conj()).real
@@ -100,10 +106,10 @@ def eval_F_z(arr: FlatArrangement, B, p: Point3n) -> np.ndarray:
     """Wirtinger gradient dF/dz_l = -sum_k a_k (u_k)_l conj(v_k)/(2(s_k+r_k)) - (B conj(z))_l,
     (..., n) complex."""
     U, a = arr.frame.U, arr.frame.a
-    s, v, r = arr.svr(p.x, p.z)
-    _check_domain(s, r)
+    _, v, r, t = arr.svr(p.x, p.z)
+    _check_domain(r, t)
     Bm = DeformationMatrix.of(B, arr.dimension).entries
-    w = a * v.conj() / (2.0 * (s + r))
+    w = a * v.conj() / (2.0 * t)
     # one-row gemv calls, as for a single point
     return (-(Bm @ p.z.conj()[..., None])[..., 0]
             - (w[..., None, :] @ U.astype(complex))[..., 0, :])
@@ -119,8 +125,8 @@ def _phi(arr: FlatArrangement, Bm: np.ndarray, r: np.ndarray) -> np.ndarray:
 
 def eval_Phi(arr: FlatArrangement, B, p: Point3n) -> np.ndarray:
     """Closed-form Phi(p) = B + (1/4) sum_k a_k u_k u_k^T / r_k, (..., n, n) SPD off flats."""
-    s, _, r = arr.svr(p.x, p.z)
-    _check_domain(s, r, branch=False)
+    _, _, r, t = arr.svr(p.x, p.z)
+    _check_domain(r, t, branch=False)
     phi = _phi(arr, DeformationMatrix.of(B, arr.dimension).entries, r)
     return 0.5 * (phi + np.swapaxes(phi, -1, -2))
 
@@ -128,9 +134,9 @@ def eval_Phi(arr: FlatArrangement, B, p: Point3n) -> np.ndarray:
 def eval_connection(arr: FlatArrangement, B, p: Point3n) -> np.ndarray:
     """Mixed-derivative matrix C = F_xz of F at p, complex (..., n, n); B contributes nothing."""
     U, a = arr.frame.U, arr.frame.a
-    s, v, r = arr.svr(p.x, p.z)
-    _check_domain(s, r)
-    w = a * v.conj() / (2.0 * r * (s + r))
+    _, v, r, t = arr.svr(p.x, p.z)
+    _check_domain(r, t)
+    w = a * v.conj() / (2.0 * r * t)
     return np.einsum("...k,kj,kl->...jl", w, U.astype(complex), U.astype(complex))
 
 
@@ -204,12 +210,12 @@ def _dot(a, b):
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
-def _legendre_objective(arr, Bm, x, s, r, zbz, tau):
+def _legendre_objective(arr, Bm, x, s, r, t, zbz, tau):
     """K = F - tau.x and its x-gradient at the rows of x (K, n), z held fixed.
 
-    s, r (K, d) are the flat data of the rows and zbz (K,) is
+    s, r, t (K, d) are the flat data of the rows (see svr) and zbz (K,) is
     Re(z B conj(z)).  Returns (ok, grad, K), where ok (K,) marks the rows
-    inside the domain (every s_k + r_k > 0); the other rows carry
+    inside the domain (every t_k > 0); the other rows carry
     placeholder values.  Each product is a stack of the one-row BLAS calls
     (gemv or dot) that a single point makes, so no row depends on the stack
     it is in.
@@ -217,7 +223,6 @@ def _legendre_objective(arr, Bm, x, s, r, zbz, tau):
     U, a = arr.frame.U, arr.frame.a
     g = 4.0 * (Bm @ x[:, :, None])[:, :, 0]
     val = 2.0 * _dot((x[:, None, :] @ Bm)[:, 0], x) - zbz
-    t = s + r
     ok = np.minimum.reduce(t, axis=1, initial=np.inf) > 0.0
     logt = np.log(t if ok.all() else np.where(ok[:, None], t, 1.0))
     g = g + ((a * logt)[:, None, :] @ U)[:, 0]
@@ -242,10 +247,10 @@ def _newton(arr, B, u, z, x):
     rows = np.arange(len(u))
     x = np.array(np.broadcast_to(x, u.shape), dtype=float)
     tau = 2.0 * (u + u.conj()).real
-    s, v, r = arr.svr(x, z)
+    s, v, r, t = arr.svr(x, z)
     vv = (v * v.conj()).real
     zbz = _dot((z[:, None, :] @ Bm.astype(complex))[:, 0], z.conj()).real
-    ok, g, f = _legendre_objective(arr, Bm, x, s, r, zbz, tau)
+    ok, g, f = _legendre_objective(arr, Bm, x, s, r, t, zbz, tau)
     gone = ~ok  # rows that failed and still have to leave the stack
     if not ok.all():
         for j in gone.nonzero()[0]:
@@ -258,7 +263,7 @@ def _newton(arr, B, u, z, x):
         if stop.any():
             for j in (stop & ~gone).nonzero()[0]:
                 try:
-                    _check_domain(s[j], r[j])
+                    _check_domain(r[j], t[j])
                 except EvaluationError as exc:
                     errors[rows[j]] = exc
                     continue
@@ -267,8 +272,8 @@ def _newton(arr, B, u, z, x):
             if stop.all():
                 break
             keep = ~stop
-            rows, x, vv, zbz, tau, g, f, s, r, res, gone = (
-                col[keep] for col in (rows, x, vv, zbz, tau, g, f, s, r, res, gone))
+            rows, x, vv, zbz, tau, g, f, s, r, t, res, gone = (
+                col[keep] for col in (rows, x, vv, zbz, tau, g, f, s, r, t, res, gone))
         phi = _phi(arr, Bm, r)
         # 4 times eval_Phi's 0.5 (phi + phi^T): scaling by 2 is exact
         hess = 2.0 * (phi + np.swapaxes(phi, 1, 2))
@@ -290,14 +295,15 @@ def _newton(arr, B, u, z, x):
         todo = ~gone
         for _ in range(60):
             trial = x + alpha[:, None] * step
-            s_new, r_new = arr.sr(trial, vv)
-            inside, g_new, f_new = _legendre_objective(arr, Bm, trial, s_new, r_new, zbz, tau)
+            s_new, r_new, t_new = arr.sr(trial, vv)
+            inside, g_new, f_new = _legendre_objective(
+                arr, Bm, trial, s_new, r_new, t_new, zbz, tau)
             acc = todo & inside & (f_new <= f + DEFAULT.armijo * alpha * slope + noise)
             if acc.all():
-                x, g, f, s, r = trial, g_new, f_new, s_new, r_new
+                x, g, f, s, r, t = trial, g_new, f_new, s_new, r_new, t_new
                 break
-            x[acc], g[acc], f[acc], s[acc], r[acc] = (
-                trial[acc], g_new[acc], f_new[acc], s_new[acc], r_new[acc])
+            x[acc], g[acc], f[acc], s[acc], r[acc], t[acc] = (
+                trial[acc], g_new[acc], f_new[acc], s_new[acc], r_new[acc], t_new[acc])
             todo &= ~acc
             if not todo.any():
                 break

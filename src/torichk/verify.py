@@ -77,10 +77,10 @@ def _box_scale(arr: FlatArrangement) -> float:
 
 def _clearance(arr: FlatArrangement, x, z):
     """Euclidean clearance of (x, z) (..., n) from every flat and branch locus,
-    min(r/|u|, s+r), (...); infinite with no flats."""
-    s, _, r = arr.svr(x, z)
+    min(r/|u|, t) with t = s + r of svr, (...); infinite with no flats."""
+    _, _, r, t = arr.svr(x, z)
     return np.minimum((r / arr.frame.norms).min(axis=-1, initial=np.inf),
-                      (s + r).min(axis=-1, initial=np.inf))
+                      t.min(axis=-1, initial=np.inf))
 
 
 def sample_points(arr: FlatArrangement, count: int, rng,
@@ -109,11 +109,10 @@ def sample_points(arr: FlatArrangement, count: int, rng,
     return Point3n(x, z)
 
 
-def sample_chart_points(arr: FlatArrangement, B, count: int, rng,
-                        clearance: float = 0.2) -> KahlerChartPoint:
+def sample_chart_points(arr: FlatArrangement, B, count: int, rng) -> KahlerChartPoint:
     """A seeded stack of count solved chart points whose x-solution is clear of flats.
 
-    Unlike sample_points, the rule here bounds r itself, not r / |u|.
+    The rule min(r, t) >= 0.2 (t = s + r of svr) bounds r itself, not r / |u|.
     """
     out = []
     scale = _box_scale(arr)
@@ -127,8 +126,8 @@ def sample_chart_points(arr: FlatArrangement, B, count: int, rng,
             chart = legendre_solve(arr, B, u, z)
         except (EvaluationError, NoConvergenceError, DomainEscapeError):
             continue
-        s, _, r = arr.svr(chart.x, z)
-        if np.minimum(r, s + r).min(initial=np.inf) < clearance:
+        _, _, r, t = arr.svr(chart.x, z)
+        if np.minimum(r, t).min(initial=np.inf) < 0.2:
             continue
         out.append(chart)
     if len(out) < count:
@@ -321,8 +320,8 @@ def _conformal_law(arr, B, x3):
     the same call as the points x3.
     """
     b = float(DeformationMatrix.of(B, 1).entries[0, 0])
-    centers = arr.offset_matrix()
-    masses = arr.masses()
+    centers = np.column_stack([arr.frame.l1, arr.frame.lc.real, arr.frame.lc.imag])
+    masses = arr.frame.a
 
     # boundedness probes centers[k] + t * direction, with their mass term and bound
     probes, terms, bounds = [], [], []
@@ -694,12 +693,15 @@ def _facts(report):
                 invariant_factors=None if failing is None else failing.invariant_factors)
 
 
-def _check_expectation_keys(facts, expected):
-    """Raise ValueError on an expectation that is neither a fact nor sampled."""
+def _check_expectation_keys(facts, expected, n):
+    """Raise ValueError on an expectation that is neither a fact nor sampled,
+    or that is sampled but the arrangement is not n = 1."""
     for key in expected:
         if key not in facts and key not in _SAMPLED_FACTS:
             raise ValueError(f"unknown expectation {key!r}; known: "
                              f"{', '.join(sorted(facts) + list(_SAMPLED_FACTS))}")
+        if key in _SAMPLED_FACTS and n != 1:
+            raise ValueError(f"expectation {key!r} is measured at n = 1 only")
 
 
 def _check_classification(arr, B, seed, report, expected):
@@ -761,8 +763,10 @@ def run_checks(arr: FlatArrangement, B, checks=None, seed=None,
     B is None, a DeformationMatrix or an array (see DeformationMatrix.of).
     The default set excludes the n = 1 only checks at higher n, "growth" for
     non-smooth inputs and "classification" when no expectations are given.
-    When "classification" is selected, an expectation it does not know
-    raises ValueError before any check runs.
+    A selection that is empty, names an unknown check, repeats a check or
+    holds an n = 1 only check at n > 1 raises ValueError before any check
+    runs; so does, when "classification" is selected, an expectation it does
+    not know or an n = 1 sampled fact at n > 1.
     """
     if seed is None:
         seed = DEFAULT.default_seed
@@ -775,14 +779,13 @@ def run_checks(arr: FlatArrangement, B, checks=None, seed=None,
                   if (arr.dimension == 1 or not n1_only) and not skip.get(name)]
     if not checks:
         raise ValueError(f"no check selected; known: {', '.join(check_names())}")
-    if "classification" in checks:
-        _check_expectation_keys(_facts(report), expected)
-    reports = []
-    for name in checks:
+    for i, name in enumerate(checks):
         if name not in _CHECKS:
             raise ValueError(f"unknown check {name!r}; known: {', '.join(check_names())}")
-        runner, n1_only = _CHECKS[name]
-        if n1_only and arr.dimension != 1:
+        if name in checks[:i]:
+            raise ValueError(f"check {name!r} is selected more than once")
+        if _CHECKS[name][1] and arr.dimension != 1:
             raise ValueError(f"check {name!r} does not apply to this arrangement")
-        reports.append(runner(arr, B, seed, report, expected))
-    return reports
+    if "classification" in checks:
+        _check_expectation_keys(_facts(report), expected, arr.dimension)
+    return [_CHECKS[name][0](arr, B, seed, report, expected) for name in checks]

@@ -131,9 +131,10 @@ def test_svr_batched_matches_row_by_row():
         for i, part in enumerate(batched):
             assert part.shape == (40, d)
             assert np.array_equal(part, np.array([row[i] for row in rows]))
-        # sr, at the |v|^2 of svr, gives svr's s and r
-        s, v, r = batched
-        for got, want in zip(arr.sr(X, (v * v.conj()).real), (s, r)):
+        # t is s + r, and sr, at the |v|^2 of svr, gives svr's s, r and t
+        s, v, r, t = batched
+        assert np.array_equal(t, s + r)
+        for got, want in zip(arr.sr(X, (v * v.conj()).real), (s, r, t)):
             assert np.array_equal(got, want)
         assert arr.frame is arr.frame
         assert not arr.frame.U.flags.writeable
@@ -159,7 +160,7 @@ def test_strata_witness_lies_on_exactly_the_active_flats():
     for arr in (entry("n2-unimodular").arrangement, concurrent):
         for s in intersection_strata(arr):
             d = flat_distances(arr, s.witness)
-            scale = max(1.0, np.abs(arr.offset_matrix()[list(s.active)]).max())
+            scale = max(1.0, max(abs(o) for k in s.active for o in arr.flats[k].offsets))
             for k in range(len(arr.flats)):
                 if k in s.active:
                     assert d[k] <= DEFAULT.on_flat * scale

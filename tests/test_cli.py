@@ -5,9 +5,9 @@ import json
 import numpy as np
 import pytest
 
-from torichk import (DifferentiationError, DomainEscapeError, EvaluationError,
-                     NoConvergenceError, Point3n, SamplingError, catalog, entry,
-                     eval_Phi, eval_metric, parse_arrangement, verify)
+from torichk import (ArrangementError, DifferentiationError, DomainEscapeError,
+                     EvaluationError, NoConvergenceError, Point3n, SamplingError, catalog,
+                     entry, eval_Phi, eval_metric, parse_arrangement, verify)
 from torichk import cli
 from torichk.cli import GRID_BLOCK, run_cli
 
@@ -37,6 +37,21 @@ def test_validate_rejects_bad_normal(capsys, tmp_path):
     code, out, err = _run(capsys, "validate", path)
     assert code == 2
     assert "normal not primitive (gcd 2)" in err
+
+
+@pytest.mark.parametrize("field, flat", [
+    ("u", {"u": [True], "lambda": [0, 0, 0], "a": 1.0}),
+    ("lambda", {"u": [1], "lambda": [False, 0, 0], "a": 1.0}),
+    ("a", {"u": [1], "lambda": [0, 0, 0], "a": True}),
+])
+def test_json_booleans_are_refused_where_numbers_are_due(capsys, tmp_path, field, flat):
+    # bool is an int subclass: true used to read as 1 and false as 0
+    with pytest.raises(ArrangementError, match=rf"^flats\[0\]\.{field} must hold numbers"):
+        parse_arrangement({"n": 1, "flats": [flat]})
+    code, out, err = _run(capsys, "validate", _write_arrangement(tmp_path, {
+        "n": 1, "flats": [flat]}))
+    assert code == 2 and out == ""
+    assert f"flats[0].{field} must hold numbers, not booleans" in err
 
 
 def test_validate_missing_file(capsys):
@@ -118,6 +133,13 @@ def test_verify_with_no_check_selected_exits_two(capsys, checks):
     code, out, err = _run(capsys, "verify", "eguchi-hanson", "--checks", checks)
     assert code == 2 and out == ""
     assert err.startswith("error: no check selected; known: phi-fd, ")
+
+
+def test_verify_with_a_repeated_check_exits_two(capsys):
+    # the same check twice would print two identical reports
+    code, out, err = _run(capsys, "verify", "flat-H", "--checks", "phi-fd,phi-fd")
+    assert code == 2 and out == ""
+    assert err == "error: check 'phi-fd' is selected more than once\n"
 
 
 def test_verify_deterministic_modulo_wall_time(capsys):

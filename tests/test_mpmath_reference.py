@@ -1,4 +1,5 @@
-"""The closed forms of F, Phi and C = F_xz against 50-digit mpmath formulas.
+"""The closed forms of F, Phi, C = F_xz and the 4n-metric against 50-digit
+mpmath formulas.
 
 The reference takes the same float64 inputs (exact in mpmath) and evaluates
 the formulas of the potential module's docstring in 50 significant
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 from torichk import (DeformationMatrix, Flat, FlatArrangement, Point3n, entry, eval_F,
-                     eval_Phi, eval_connection)
+                     eval_Phi, eval_connection, eval_metric)
 
 REL = 1e-13
 
@@ -45,6 +46,24 @@ def _reference(arr, B, p):
                 Phi[i][j] += a * u[i] * u[j] / (4 * r)
                 C[i][j] += a * u[i] * u[j] * mpmath.conj(v) / (2 * r * (s + r))
     return F, Phi, C
+
+
+def _metric(Phi, C):
+    """The 4n-metric Phi (+) Phi (+) Phi + W^T Phi^{-1} W with
+    W = [0 | Im C/2 | Re C/2 | I], (4n, 4n) as nested lists, in mpmath."""
+    n = len(Phi)
+    W = mpmath.zeros(n, 4 * n)
+    for i in range(n):
+        for j in range(n):
+            W[i, n + j] = mpmath.im(C[i][j]) / 2
+            W[i, 2 * n + j] = mpmath.re(C[i][j]) / 2
+        W[i, 3 * n + i] = 1
+    g = W.T * mpmath.inverse(mpmath.matrix(Phi)) * W
+    for b in range(3):
+        for i in range(n):
+            for j in range(n):
+                g[b * n + i, b * n + j] += Phi[i][j]
+    return g.tolist()
 
 
 def _rel_error(got, want):
@@ -100,17 +119,20 @@ def test_closed_forms_match_the_50_digit_reference(name, arr, B, p):
         assert _rel_error(eval_F(arr, B, p), F) <= REL
         assert _rel_error(eval_Phi(arr, B, p), Phi) <= REL
         assert _rel_error(eval_connection(arr, B, p), C) <= REL
+        assert _rel_error(eval_metric(arr, B, p), _metric(Phi, C)) <= REL
 
 
-# near the branch cut of flat-H (s < 0, |v| small) F and C lose accuracy to
-# the cancellation in s + r; the closed forms are not yet rewritten to avoid it
+# near the branch cut of flat-H (s < 0, |v| small) F, C and the metric built
+# from C lose accuracy to the cancellation in s + r; the closed forms are not
+# yet rewritten to avoid it
 @pytest.mark.xfail(strict=True, reason="s + r cancels for s < 0 near the cut")
 @pytest.mark.parametrize("x, z", [(-100.0, 1e-3), (-10.0, 0.01)])
-@pytest.mark.parametrize("evaluator", [eval_F, eval_connection], ids=["F", "C"])
+@pytest.mark.parametrize("evaluator", [eval_F, eval_connection, eval_metric],
+                         ids=["F", "C", "metric"])
 def test_near_the_branch_cut_matches_the_50_digit_reference(evaluator, x, z):
     arr = entry("flat-H").arrangement
     p = _point([x], [z])
     with mpmath.workdps(50):
-        F, _, C = _reference(arr, None, p)
-        want = F if evaluator is eval_F else C
+        F, Phi, C = _reference(arr, None, p)
+        want = {eval_F: F, eval_connection: C, eval_metric: _metric(Phi, C)}[evaluator]
         assert _rel_error(evaluator(arr, None, p), want) <= REL

@@ -54,3 +54,25 @@ def test_tolerances_are_one_table_without_a_per_call_knob():
     assert takes_cfg == []
     assert [getattr(node, "name", "<lambda>") for node in ast.walk(trees["config.py"])
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))] == []
+
+
+def test_per_flat_data_and_the_domain_rule_have_one_owner():
+    # t = s + r is computed only by the FlatArrangement kernel (svr, sr), and
+    # only the potential module applies the domain thresholds
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(pathlib.Path(torichk.__file__).parent.glob("*.py"))}
+    kernel = {id(node) for node in ast.walk(trees["arrangement.py"])
+              if isinstance(node, ast.ClassDef) and node.name == "FlatArrangement"
+              for node in ast.walk(node)}
+    s_plus_r = sorted(
+        f"{file}:{node.lineno}" for file, tree in trees.items() for node in ast.walk(tree)
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add)
+        and {getattr(node.left, "id", None), getattr(node.right, "id", None)} == {"s", "r"}
+        and id(node) not in kernel)
+    assert s_plus_r == []
+    thresholds = sorted(
+        f"{file}:{node.lineno}" for file in ("cli.py", "verify.py")
+        for node in ast.walk(trees[file])
+        if isinstance(node, ast.Attribute) and node.attr in ("on_flat", "branch")
+        and getattr(node.value, "id", None) == "DEFAULT")
+    assert thresholds == []

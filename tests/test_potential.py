@@ -41,7 +41,7 @@ def _sample(e, rng, count=20, clearance=0.5, box=3.0):
         if not len(arr.flats):
             out.append(p)
             continue
-        U = arr.normal_matrix().astype(float)
+        U = arr.frame.U
         s = U @ p.x - np.array([f.offsets[0] for f in arr.flats])
         v = U @ p.z - np.array([complex(f.offsets[1], f.offsets[2])
                                 for f in arr.flats])
@@ -345,8 +345,8 @@ def _near_locus_batch(arr, rng, count=120):
         X[::2] = ((l1[k] + back[:, 0])[:, None] * foot + eps * rng.normal(size=(count, n)))[::2]
         Z[::2] = (lc[k][:, None] * foot + eps * (rng.normal(size=(count, n))
                                                  + 1j * rng.normal(size=(count, n))))[::2]
-    s, _, r = arr.svr(X, Z)
-    gap = np.minimum(r, s + r).min(axis=1, initial=np.inf)
+    _, _, r, t = arr.svr(X, Z)
+    gap = np.minimum(r, t).min(axis=1, initial=np.inf)
     return X[gap > 1e-9], Z[gap > 1e-9], gap[gap > 1e-9]
 
 
@@ -439,12 +439,12 @@ def test_legendre_consistency_on_curved_entries():
             # the defining equation holds at the solution
             tau = 2.0 * (u + u.conj()).real
             p = Point3n(sol.x, z)
-            U = arr.normal_matrix().astype(float)
+            U = arr.frame.U
             s = U @ sol.x - np.array([f.offsets[0] for f in arr.flats])
             v = U @ p.z - np.array([complex(f.offsets[1], f.offsets[2])
                                     for f in arr.flats])
             r = np.hypot(s, np.abs(v))
-            grad = (arr.masses() * np.log(s + r)) @ U + 4.0 * (B.entries @ sol.x)
+            grad = (arr.frame.a * np.log(s + r)) @ U + 4.0 * (B.entries @ sol.x)
             assert np.abs(grad - tau).max() <= 1e-8
             assert sol.K == pytest.approx(
                 eval_F(arr, B, p) - float(tau @ sol.x), rel=1e-12)
@@ -482,8 +482,7 @@ def test_reconstruct_inverts_the_chart():
 
 def _scalar_grad_x(arr, Bm, x, z):
     U, a = arr.frame.U, arr.frame.a
-    s, _, r = arr.svr(x, z)
-    t = s + r
+    s, _, r, t = arr.svr(x, z)
     if t.size and t.min() <= 0.0:
         return None, None
     g = 4.0 * (Bm @ x)
@@ -510,8 +509,8 @@ def _scalar_legendre_solve(arr, B, u, z, x0=None):
     for it in range(1, cfg.newton_max_iter + 1):
         res = float(np.abs(grad).max()) if n else 0.0
         if res <= cfg.newton_residual:
-            s, _, r = arr.svr(x, z)
-            potential._check_domain(s, r)
+            _, _, r, t = arr.svr(x, z)
+            potential._check_domain(r, t)
             return KahlerChartPoint(u=u, z=z, x=x, K=fval, residual=res, iterations=it - 1)
         hess = 4.0 * eval_Phi(arr, B, Point3n(x, z))
         try:

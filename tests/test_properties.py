@@ -78,8 +78,8 @@ def arrangements_and_points(draw):
     arr = FlatArrangement(n, tuple(Flat(Normal(u), lam, a) for u, lam, a in flats))
     c = np.array(draw(st.lists(COORDS, min_size=3 * n, max_size=3 * n)))
     p = Point3n.from_coords(c)
-    s, _, r = arr.svr(p.x, p.z)
-    assume(r.min() >= 0.05 and (s + r).min() >= 0.05)
+    _, _, r, t = arr.svr(p.x, p.z)
+    assume(r.min() >= 0.05 and t.min() >= 0.05)
     shift = np.array(draw(st.lists(COORDS, min_size=3 * n, max_size=3 * n)))
     return arr, p, shift[:n], shift[n:2 * n] + 1j * shift[2 * n:]
 

@@ -43,8 +43,8 @@ def _sample_points_one_at_a_time(arr, count, rng, clearance=0.25):
         x = rng.uniform(-scale, scale, n)
         z = rng.uniform(-scale, scale, n) + 1j * rng.uniform(-scale, scale, n)
         if arr.flats:
-            s, _, r = arr.svr(x, z)
-            if min(float((r / arr.frame.norms).min()), float((s + r).min())) < clearance:
+            _, _, r, t = arr.svr(x, z)
+            if min(float((r / arr.frame.norms).min()), float(t.min())) < clearance:
                 continue
         out.append(Point3n(x, z))
     if len(out) < count:
@@ -195,9 +195,11 @@ def test_sp_condition_n2():
 
 
 def test_monge_ampere_truncation_halves_with_step():
-    rng = np.random.default_rng(205)
-    sol = verify.sample_chart_points(EH.arrangement, None, 1, rng,
-                                     clearance=0.5)[0]
+    # the first chart with min(r, s + r) >= 0.5: the sampler's candidates
+    # draw the same numbers whether or not they are accepted
+    charts = verify.sample_chart_points(EH.arrangement, None, 10, np.random.default_rng(205))
+    _, _, r, t = EH.arrangement.svr(charts.x, charts.z)
+    sol = charts[int(np.flatnonzero(np.minimum(r, t).min(axis=1) >= 0.5)[0])]
     coarse = monge_ampere_residual(EH.arrangement, None, sol, step=2e-2)
     fine = monge_ampere_residual(EH.arrangement, None, sol, step=1e-2)
     assert coarse > 1e-7
@@ -355,10 +357,15 @@ def _pointwise_ricci(arr, B, p, step):
     return float(np.abs(ric).max())
 
 
+def _centers(arr):
+    """The flats' offsets (l1, l2, l3), one row per flat, (d, 3)."""
+    return np.array([f.offsets for f in arr.flats], dtype=float).reshape(-1, 3)
+
+
 def _pointwise_conformal(arr, B, x3, step):
     b = float(DeformationMatrix.of(B, 1).entries[0, 0])
-    centers = arr.offset_matrix()
-    masses = arr.masses()
+    centers = _centers(arr)
+    masses = arr.frame.a
 
     def phi_scalar(w):
         return float(eval_Phi(arr, B, Point3n(np.array([w[0]]),
@@ -544,20 +551,23 @@ def test_each_check_makes_one_stacked_call_per_stencil(name, monkeypatch):
     for fn_name in ("eval_F", "eval_Phi", "eval_metric", "eval_F_z", "_newton"):
         monkeypatch.setattr(verify, fn_name, counting(fn_name, getattr(verify, fn_name)))
     e = entry(name)
+    n1 = e.arrangement.dimension == 1
     n1_only = {"monge-ampere", "hessian-identity", "ricci", "conformal"}
     for check, want in _CHECK_CALLS.items():
-        if e.arrangement.dimension != 1 and check in n1_only:
+        if not n1 and check in n1_only:
             continue
+        if not n1 and check == "classification":
+            want = []  # sampled facts are n = 1 only; the report's facts need no evaluator
         calls.clear()
         (rep,) = run_checks(e.arrangement, e.deformation, checks=[check], seed=1,
-                            expected={"phi_constant": 0.0})
+                            expected={"phi_constant": 0.0} if n1 else {"smooth": True})
         assert calls == want, check
         assert rep.samples >= 1
 
 
 def _points_near_flats(arr, gap):
     # a clear point, then one `gap` from flat 1, then one on flat 0
-    centers = arr.offset_matrix()
+    centers = _centers(arr)
     x3 = np.array([centers[0] + [0.3, 0.5, 0.2],
                    centers[1] + [gap, 0.0, 0.0],
                    centers[0]])
@@ -586,13 +596,19 @@ def test_a_failing_sample_raises_what_the_per_item_loop_raises(check, gap, monke
     assert got.value.args == first.value.args
 
 
-def test_unknown_expectations_are_refused_before_any_check_runs(monkeypatch):
+def _record_runs(monkeypatch):
+    """The names of the checks that run, in order, from now on."""
     ran = []
     for name, (runner, n1_only) in verify._CHECKS.items():
         def recording(*args, _name=name, _runner=runner):
             ran.append(_name)
             return _runner(*args)
         monkeypatch.setitem(verify._CHECKS, name, (recording, n1_only))
+    return ran
+
+
+def test_unknown_expectations_are_refused_before_any_check_runs(monkeypatch):
+    ran = _record_runs(monkeypatch)
     for checks in (None, ["phi-fd", "classification"]):
         with pytest.raises(ValueError, match="unknown expectation 'bogus_key'"):
             run_checks(FLAT_H.arrangement, FLAT_H.deformation, checks=checks,
@@ -602,6 +618,30 @@ def test_unknown_expectations_are_refused_before_any_check_runs(monkeypatch):
     run_checks(FLAT_H.arrangement, FLAT_H.deformation, checks=["phi-fd"],
                expected={"bogus_key": 1})
     assert ran == ["phi-fd"]
+
+
+@pytest.mark.parametrize("key", ["phi_constant", "phi_radial_coefficient"])
+def test_sampled_facts_are_refused_at_n_2_before_any_check_runs(monkeypatch, key):
+    # both are measured on Phi's only entry at n = 1; at n = 2 they compared Phi_00
+    ran = _record_runs(monkeypatch)
+    n2 = entry("n2-unimodular")
+    for checks in (None, ["phi-fd", "classification"]):
+        with pytest.raises(ValueError, match=f"expectation '{key}' is measured at n = 1 only"):
+            run_checks(n2.arrangement, n2.deformation, checks=checks, expected={key: 1.0})
+    assert ran == []
+
+
+@pytest.mark.parametrize("checks, message", [
+    (["phi-fd", "polyharmonic", "phi-fd"], "check 'phi-fd' is selected more than once"),
+    (["phi-fd", "bogus"], "unknown check 'bogus'"),
+    (["phi-fd", "ricci"], "check 'ricci' does not apply to this arrangement"),
+])
+def test_bad_selections_are_refused_before_any_check_runs(monkeypatch, checks, message):
+    ran = _record_runs(monkeypatch)
+    n2 = entry("n2-unimodular")
+    with pytest.raises(ValueError, match=message):
+        run_checks(n2.arrangement, n2.deformation, checks=checks)
+    assert ran == []
 
 
 @pytest.mark.parametrize("name", [e.name for e in catalog() if e.arrangement.dimension == 1])
