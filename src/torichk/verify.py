@@ -382,38 +382,52 @@ class GrowthFit:
     samples: int
 
 
+# directions per phi_batch call in _rays: one block's points, Phi and per-flat
+# temporaries stay in the low MB whatever the chunk size or the number of flats
+RAY_BLOCK = 64
+
+
 def _rays(arr, B, base_coords, dirs, T, n):
     """Radial rays over the node grid geomspace(1e-4, T, 512), one per direction.
 
     Returns the nodes t, the distance proxy (cumulative radial path length in
     the quotient metric plus a torus-fiber diameter bound, forced monotone)
     and det Phi, both of shape (len(dirs), 512).  Each row depends only on its
-    own direction.
+    own direction.  The rays are evaluated in blocks of RAY_BLOCK directions,
+    one phi_batch call each, written straight into the two outputs; the
+    working set beyond them is one block's, independent of len(dirs).
     """
     nodes = 512
     t = np.geomspace(1e-4, T, nodes)
-    P = base_coords[None, None, :] + t[None, :, None] * dirs[:, None, :]
-    flatP = P.reshape(-1, 3 * n)
-    X = flatP[:, :n]
-    Z = flatP[:, n:2 * n] + 1j * flatP[:, 2 * n:]
-    phi = phi_batch(arr, B, X, Z).reshape(dirs.shape[0], nodes, n, n)
-    speed2 = (np.einsum("di,dtij,dj->dt", dirs[:, :n], phi, dirs[:, :n])
-              + np.einsum("di,dtij,dj->dt", dirs[:, n:2 * n], phi, dirs[:, n:2 * n])
-              + np.einsum("di,dtij,dj->dt", dirs[:, 2 * n:], phi, dirs[:, 2 * n:]))
-    speed = np.sqrt(speed2)
-    if n == 1:
-        lam_min = phi[:, :, 0, 0]
-        detphi = phi[:, :, 0, 0]
-    else:
-        lam_min = np.linalg.eigvalsh(phi)[..., 0]
-        detphi = np.linalg.det(phi)
     dt = np.diff(t)
-    L = np.empty_like(speed)
-    L[:, 0] = speed[:, 0] * t[0]
-    L[:, 1:] = 0.5 * (speed[:, 1:] + speed[:, :-1]) * dt[None, :]
-    np.cumsum(L, axis=1, out=L)
-    fiber = math.pi * math.sqrt(n) / np.sqrt(lam_min)
-    proxy = np.maximum.accumulate(L + fiber, axis=1)
+    proxy = np.empty((dirs.shape[0], nodes))
+    detphi = np.empty((dirs.shape[0], nodes))
+    for lo in range(0, dirs.shape[0], RAY_BLOCK):
+        d = dirs[lo:lo + RAY_BLOCK]
+        # the points base + t * d, coordinate block by coordinate block
+        X = np.empty((d.shape[0], nodes, n))
+        Z = np.empty((d.shape[0], nodes, n), dtype=complex)
+        for part, blk in ((X, 0), (Z.real, 1), (Z.imag, 2)):
+            np.multiply(t[None, :, None], d[:, None, blk * n:(blk + 1) * n], out=part)
+            part += base_coords[blk * n:(blk + 1) * n]
+        phi = phi_batch(arr, B, X.reshape(-1, n), Z.reshape(-1, n)).reshape(
+            d.shape[0], nodes, n, n)
+        speed2 = (np.einsum("di,dtij,dj->dt", d[:, :n], phi, d[:, :n])
+                  + np.einsum("di,dtij,dj->dt", d[:, n:2 * n], phi, d[:, n:2 * n])
+                  + np.einsum("di,dtij,dj->dt", d[:, 2 * n:], phi, d[:, 2 * n:]))
+        speed = np.sqrt(speed2)
+        if n == 1:
+            lam_min = phi[:, :, 0, 0]
+            detphi[lo:lo + RAY_BLOCK] = lam_min
+        else:
+            lam_min = np.linalg.eigvalsh(phi)[..., 0]
+            detphi[lo:lo + RAY_BLOCK] = np.linalg.det(phi)
+        L = proxy[lo:lo + RAY_BLOCK]
+        L[:, 0] = speed[:, 0] * t[0]
+        L[:, 1:] = 0.5 * (speed[:, 1:] + speed[:, :-1]) * dt[None, :]
+        np.cumsum(L, axis=1, out=L)
+        L += math.pi * math.sqrt(n) / np.sqrt(lam_min)  # the fiber bound
+        np.maximum.accumulate(L, axis=1, out=L)
     return t, proxy, detphi
 
 
@@ -428,7 +442,11 @@ def _growth_chunk(arr, B, base_coords, dirs, radii, n):
     T grows without integrating the other rays.  A round is thus skipped only
     when the unscreened loop fails it as well, and the volumes come from the
     same final T and the same full integration.  This rests on each row of
-    phi_batch not depending on the batch it is computed in.
+    phi_batch not depending on the batch it is computed in, which also lets
+    _rays evaluate the chunk in blocks of RAY_BLOCK directions; the volume
+    integral is built in det Phi's array block by block too, so the working
+    set is the two (len(dirs), 512) arrays plus one block's, whatever the
+    number of flats.
     """
     rmax = float(radii[-1])
     T = max(rmax, 4.0)
@@ -446,11 +464,14 @@ def _growth_chunk(arr, B, base_coords, dirs, radii, n):
 
     nodes = t.size
     dt = np.diff(t)
-    integrand = detphi * t[None, :] ** (3 * n - 1)
-    Vc = np.empty_like(integrand)
-    Vc[:, 0] = integrand[:, 0] * t[0] / (3.0 * n)
-    Vc[:, 1:] = 0.5 * (integrand[:, 1:] + integrand[:, :-1]) * dt[None, :]
-    np.cumsum(Vc, axis=1, out=Vc)
+    # the cumulative trapezoid volume integral, written over det Phi block by block
+    Vc = detphi
+    for lo in range(0, dirs.shape[0], RAY_BLOCK):
+        V = Vc[lo:lo + RAY_BLOCK]
+        integrand = V * t[None, :] ** (3 * n - 1)
+        V[:, 0] = integrand[:, 0] * t[0] / (3.0 * n)
+        V[:, 1:] = 0.5 * (integrand[:, 1:] + integrand[:, :-1]) * dt[None, :]
+        np.cumsum(V, axis=1, out=V)
 
     out = np.empty((dirs.shape[0], radii.size))
     for j, R in enumerate(radii):
@@ -765,8 +786,9 @@ def run_checks(arr: FlatArrangement, B, checks=None, seed=None,
     non-smooth inputs and "classification" when no expectations are given.
     A selection that is empty, names an unknown check, repeats a check or
     holds an n = 1 only check at n > 1 raises ValueError before any check
-    runs; so does, when "classification" is selected, an expectation it does
-    not know or an n = 1 sampled fact at n > 1.
+    runs; so does, when "classification" is selected, an empty set of
+    expectations, an expectation it does not know or an n = 1 sampled fact
+    at n > 1.
     """
     if seed is None:
         seed = DEFAULT.default_seed
@@ -787,5 +809,7 @@ def run_checks(arr: FlatArrangement, B, checks=None, seed=None,
         if _CHECKS[name][1] and arr.dimension != 1:
             raise ValueError(f"check {name!r} does not apply to this arrangement")
     if "classification" in checks:
+        if not expected:
+            raise ValueError("check 'classification' compares expected values; none given")
         _check_expectation_keys(_facts(report), expected, arr.dimension)
     return [_CHECKS[name][0](arr, B, seed, report, expected) for name in checks]

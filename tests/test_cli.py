@@ -142,6 +142,15 @@ def test_verify_with_a_repeated_check_exits_two(capsys):
     assert err == "error: check 'phi-fd' is selected more than once\n"
 
 
+def test_verify_classification_of_a_file_without_expectations_exits_two(capsys, tmp_path):
+    # an arrangement file carries no expected values, so nothing would be compared
+    path = _write_arrangement(tmp_path, {
+        "n": 1, "flats": [{"u": [1], "lambda": [0, 0, 0], "a": 1.0}]})
+    code, out, err = _run(capsys, "verify", path, "--checks", "classification")
+    assert code == 2 and out == ""
+    assert err == "error: check 'classification' compares expected values; none given\n"
+
+
 def test_verify_deterministic_modulo_wall_time(capsys):
     def strip(doc):
         for r in doc["reports"]:

@@ -1,5 +1,6 @@
 """Pinned CLI output: sha256 digests of verify (at seeds 7 and 3), classify,
-validate, eval at one point and a 5 x 5 export-grid per catalog entry.
+validate, eval at one point, a 5 x 5 export-grid and growth from an
+off-origin base per catalog entry.
 
 A refactor must leave these outputs byte-identical.  A change that moves an
 output on purpose regenerates the file with
@@ -26,6 +27,9 @@ SEEDS = ("7", "3")
 # puts some rows of the x1-rez1 sweep on a flat or a branch cut (NaN rows)
 POINTS = {1: "0.37,-0.21,0.13", 2: "0.37,-0.58,-0.21,0.44,0.13,-0.09"}
 GRID_FIXED = {1: "0,0,0", 2: "0,0.1,0,0.5,0,0"}
+# the growth base point; 600 samples are a full 512-direction chunk and a
+# partial one of 88
+GROWTH_BASE = {1: "0.3,-0.2,0.1", 2: "0.3,-0.2,0.1,0.25,-0.15,0.05"}
 
 
 def _cli(*argv):
@@ -55,6 +59,8 @@ def _digests(name):
     out["export-grid"] = _sha(*_cli(
         "export-grid", name, "--axis", "x1", "--range", "-1:1:5", "--axis", "rez1",
         "--range", "-1:1:5", "--fixed", GRID_FIXED[n], "--out", "-"))
+    out["growth"] = _sha(*_cli("growth", name, "--radii", "60,120,240,480,960",
+                               "--samples", "600", "--base", GROWTH_BASE[n]))
     return out
 
 

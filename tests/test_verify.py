@@ -1,6 +1,7 @@
 """Residual estimators and the check harness."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -620,6 +621,17 @@ def test_unknown_expectations_are_refused_before_any_check_runs(monkeypatch):
     assert ran == ["phi-fd"]
 
 
+def test_classification_without_expectations_is_refused_before_any_check_runs(monkeypatch):
+    # with nothing to compare it would pass with no mismatch and certify nothing
+    ran = _record_runs(monkeypatch)
+    for expected in (None, {}):
+        for checks in (["classification"], ["phi-fd", "classification"]):
+            with pytest.raises(ValueError, match="'classification' compares expected values"):
+                run_checks(FLAT_H.arrangement, FLAT_H.deformation, checks=checks,
+                           expected=expected)
+    assert ran == []
+
+
 @pytest.mark.parametrize("key", ["phi_constant", "phi_radial_coefficient"])
 def test_sampled_facts_are_refused_at_n_2_before_any_check_runs(monkeypatch, key):
     # both are measured on Phi's only entry at n = 1; at n = 2 they compared Phi_00
@@ -805,41 +817,79 @@ GROWTH_RADII = np.geomspace(60.0, 960.0, 9)
                                   if e.arrangement.dimension == 1]
                          + ["n2-unimodular"])
 def test_growth_screening_reproduces_unscreened_loop(name, monkeypatch):
+    # the reference integrates each whole chunk in one phi_batch call; 600
+    # samples off the origin are chunks of 512 and 88 directions, and the
+    # second ends in a partial ray block of 24
     e = entry(name)
     arr, B = e.arrangement, e.deformation
-    base = _pt(np.zeros(arr.dimension), np.zeros(arr.dimension))
+    n = arr.dimension
+    off_origin = Point3n.from_coords(np.resize([0.3, -0.2, 0.1, 0.25, -0.15, 0.05], 3 * n))
+    for base, samples in ((_pt(np.zeros(n), np.zeros(n)), 512), (off_origin, 600)):
+        def fit():
+            return growth_fit(arr, B, base, GROWTH_RADII, samples=samples,
+                              rng=np.random.default_rng(212))
 
-    def fit():
-        return growth_fit(arr, B, base, GROWTH_RADII, samples=512,
-                          rng=np.random.default_rng(212))
-
-    screened = fit()
-    monkeypatch.setattr(verify, "_growth_chunk", _unscreened_growth_chunk)
-    reference = fit()
-    assert np.array_equal(screened.volumes, reference.volumes)
-    assert screened.exponent == reference.exponent
-    assert screened.std_error == reference.std_error
+        with monkeypatch.context() as m:
+            blocked = fit()
+            m.setattr(verify, "_growth_chunk", _unscreened_growth_chunk)
+            reference = fit()
+        assert np.array_equal(blocked.volumes, reference.volumes)
+        assert blocked.exponent == reference.exponent
+        assert blocked.std_error == reference.std_error
 
 
 def test_growth_chunk_integrates_all_rays_once(monkeypatch):
     # failed T rounds are caught by a single 512-node probe ray, so the
-    # 512-direction chunk is integrated in full exactly once
-    sizes = []
+    # 512-direction chunk is integrated in full exactly once, at the final T,
+    # as blocks of RAY_BLOCK directions
+    calls = []
     phi_batch = verify.phi_batch
 
-    def counting(arr, B, X, Z):
-        sizes.append(X.shape[0])
+    def recording(arr, B, X, Z):
+        calls.append((X.copy(), Z.copy()))
         return phi_batch(arr, B, X, Z)
 
-    monkeypatch.setattr(verify, "phi_batch", counting)
+    monkeypatch.setattr(verify, "phi_batch", recording)
     dirs = np.random.default_rng(213).standard_normal((512, 3))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    verify._growth_chunk(EH.arrangement, EH.deformation, np.zeros(3), dirs,
-                         GROWTH_RADII, 1)
-    full = [k for k in sizes if k == 512 * 512]
-    probes = [k for k in sizes if k != 512 * 512]
-    assert len(full) == 1
-    assert probes and all(k == 512 for k in probes)
+    base = np.array([0.3, -0.2, 0.1])
+    verify._growth_chunk(EH.arrangement, EH.deformation, base, dirs, GROWTH_RADII, 1)
+    blocks = 512 // verify.RAY_BLOCK
+    rounds = len(calls) - blocks
+    assert rounds >= 1
+    assert ([len(X) for X, _ in calls]
+            == [512] * rounds + [verify.RAY_BLOCK * 512] * blocks)
+    # the blocks hold the points base + t * d of the last round's grid, every
+    # direction and node once and in order
+    T = max(float(GROWTH_RADII[-1]), 4.0)
+    for _ in range(rounds - 1):
+        T *= 1.8
+    t = np.geomspace(1e-4, T, 512)
+    P = (base + t[None, :, None] * dirs[:, None, :]).reshape(-1, 3)
+    X = np.concatenate([X for X, _ in calls[rounds:]])
+    Z = np.concatenate([Z for _, Z in calls[rounds:]])
+    assert np.array_equal(X[:, 0], P[:, 0])
+    assert np.array_equal(Z[:, 0].real, P[:, 1])
+    assert np.array_equal(Z[:, 0].imag, P[:, 2])
+
+
+@pytest.mark.parametrize("name", ["multi-EH-3", "n2-unimodular"])
+def test_growth_chunk_working_set_does_not_grow_with_the_chunk(name):
+    # one 512-direction chunk on this thread: beyond its (512, 512) outputs
+    # one ray block is alive at a time (evaluating the whole chunk in one
+    # phi_batch call peaked at 46-56 MB on these entries)
+    e = entry(name)
+    n = e.arrangement.dimension
+    dirs = np.random.default_rng(214).standard_normal((512, 3 * n))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    tracemalloc.start()
+    try:
+        verify._growth_chunk(e.arrangement, e.deformation, np.zeros(3 * n), dirs,
+                             GROWTH_RADII, n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2**20, peak
 
 
 def test_growth_chunk_raises_sampling_error_when_rays_stay_short(monkeypatch):
