@@ -32,6 +32,18 @@ def load_arrangement(path):
     return parse_arrangement(data)
 
 
+def _refuse_non_numbers(field, value):
+    """Raise ArrangementError naming field unless value is a number or lists of
+    numbers: true/false would read as 1/0 (bool is an int) and "1" as 1.0."""
+    if isinstance(value, list):
+        for item in value:
+            _refuse_non_numbers(field, item)
+    elif isinstance(value, bool):
+        raise ArrangementError(f"{field} must hold numbers, not booleans")
+    elif not isinstance(value, (int, float)):
+        raise ArrangementError(f"{field} must hold numbers, got {value!r}")
+
+
 def parse_arrangement(data):
     """Build (FlatArrangement, DeformationMatrix) from a decoded mapping."""
     if not isinstance(data, dict):
@@ -52,10 +64,7 @@ def parse_arrangement(data):
         for key in ("u", "lambda", "a"):
             if key not in raw:
                 raise ArrangementError(f'flats[{idx}] missing field "{key}"')
-            # true/false would read as 1/0: bool is an int (and final, so type() finds it)
-            items = raw[key] if isinstance(raw[key], list) else [raw[key]]
-            if bool in map(type, items):
-                raise ArrangementError(f"flats[{idx}].{key} must hold numbers, not booleans")
+            _refuse_non_numbers(f"flats[{idx}].{key}", raw[key])
         u = raw["u"]
         if not isinstance(u, list) or len(u) != n:
             raise ArrangementError(
@@ -78,6 +87,7 @@ def parse_arrangement(data):
 
     if "B" in data and data["B"] is not None:
         raw_b = data["B"]
+        _refuse_non_numbers('field "B"', raw_b)
         try:
             mat = np.asarray(raw_b, dtype=float)
         except (TypeError, ValueError) as exc:

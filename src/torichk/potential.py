@@ -375,7 +375,7 @@ def reconstruct_F_from_K(kahler, u, z,
     g1, g2 = g[..., 0, :], g[..., 1, :]
     scale = np.maximum(1.0, np.abs(g1).max(axis=-1, initial=0.0))
     gap = np.abs(g1 - g2).max(axis=-1, initial=0.0)
-    unstable = gap > 1e-6 * scale
+    unstable = ~(gap <= 1e-6 * scale)  # a NaN gap is unstable too
     if unstable.any():
         raise DifferentiationError(
             f"chart derivative did not stabilize (step {step:.2e}: "

@@ -15,13 +15,15 @@ oracle that is independent of the closed-form code being checked:
   * the volume-growth exponent by Monte-Carlo integration of det Phi over
     distance-proxy balls.
 
-Residuals converge under step refinement; the check runners re-measure at a
-halved step and require the expected decay before passing a verdict.
+Residuals converge under step refinement; a check with a step measures at it
+and at twice it and requires the expected decay before passing a verdict.
 """
 
+import functools
 import math
 import os
 import time
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 
@@ -548,29 +550,19 @@ def growth_fit(arr: FlatArrangement, B, base: Point3n, radii, samples: int = 409
 # --------------------------------------------------------------------------
 # check harness
 
-def _report(name, residuals, tol, start, samples=None, detail=None, ok=True):
-    """A report that passes when ok holds and every residual is within tol."""
-    residuals = [float(r) for r in residuals]
-    mx = max(residuals) if residuals else 0.0
-    return ResidualReport(
-        check_name=name, max_residual=mx, tolerance=tol, passed=bool(ok) and mx <= tol,
-        samples=samples if samples is not None else len(residuals),
-        wall_time_s=time.perf_counter() - start, detail=detail or {})
-
-
 def _rng_for(seed, check_id):
     return np.random.default_rng([seed, check_id])
 
 
 def _halving_order(coarse, fine):
-    """Step-halving order test on residuals at steps 2h and h: (ok, detail)."""
+    """Step-halving order test on residuals at steps 2h and h: (ok, detail); a NaN fails."""
     # below this, both steps sit at arithmetic noise (which grows as the
     # step shrinks) and the order-of-accuracy ratio is moot
     floor = 1e-6
-    mx_c, mx_f = float(max(coarse)), float(max(fine))
-    ratio = mx_c / mx_f if mx_f > floor else float("inf")
-    ok = mx_c <= floor or ratio >= 3.0
-    return ok, {"coarse_max": mx_c, "step_ratio": ratio, "order_ok": bool(ok)}
+    mx_c, mx_f = float(np.max(coarse)), float(np.max(fine))
+    ratio = mx_c / mx_f if not mx_f <= floor else float("inf")
+    ok = not (math.isnan(mx_c) or math.isnan(mx_f)) and (mx_c <= floor or ratio >= 3.0)
+    return ok, {"coarse_max": mx_c, "step_ratio": ratio, "order_ok": ok}
 
 
 def _stacked(residual, sample, *args):
@@ -589,21 +581,25 @@ def _stacked(residual, sample, *args):
         raise
 
 
-def _run(name, seed, check_id, tol, sample, residual, step=None):
-    """The skeleton of every sampled check: timer, seeded sampler, residuals, report.
+def _sampled(sample, residual, step=None):
+    """The measure of a check on a seeded sample of points or charts.
 
-    sample(rng) gives the sample as a tuple of equal-length stacks, and
-    residual(*sample) one residual per item, measured as one stack (see
-    _stacked).  With a step, residual(*sample, h) is taken at h = step and
-    2 * step, and the check must also pass the step-halving order test.
+    sample(arr, B, rng) gives the sample as a tuple of equal-length stacks,
+    and residual(arr, B, *sample) one residual per item, measured as one
+    stack (see _stacked).  With a step, residual(arr, B, *sample, h) is
+    taken at h = step and 2 * step, and the check must also pass the
+    step-halving order test.
     """
-    start = time.perf_counter()
-    sample = sample(_rng_for(seed, check_id))
-    if step is None:
-        return _report(name, _stacked(residual, sample), tol, start)
-    fine = _stacked(residual, sample, step)
-    ok, detail = _halving_order(_stacked(residual, sample, 2 * step), fine)
-    return _report(name, fine, tol, start, detail=detail, ok=ok)
+    def measure(arr, B, report, expected, rng):
+        stacks = sample(arr, B, rng)
+        at = functools.partial(residual, arr, B)
+        if step is None:
+            fine, ok, detail = _stacked(at, stacks), True, {}
+        else:
+            fine = _stacked(at, stacks, step)
+            ok, detail = _halving_order(_stacked(at, stacks, 2 * step), fine)
+        return fine, detail, ok, len(fine)
+    return measure
 
 
 def _phi_fd_residual(arr, B, p):
@@ -621,43 +617,19 @@ def _phi_fd_residual(arr, B, p):
             / np.maximum(np.abs(phi).max(axis=(-2, -1)), 1e-12))
 
 
-def _check_phi_fd(arr, B, seed, report, expected):
-    return _run("phi-fd", seed, 1, DEFAULT.phi_fd_rel,
-                lambda rng: (sample_points(arr, 100, rng),),
-                lambda p: _phi_fd_residual(arr, B, p))
+def _polyharmonic_sample(arr, B, rng):
+    p = sample_points(arr, 50, rng, clearance=0.35)
+    return p, np.stack([rational_direction(arr.dimension, rng) for _ in range(len(p))])
 
 
-def _check_polyharmonic(arr, B, seed, report, expected):
-    def sample(rng):
-        p = sample_points(arr, 50, rng, clearance=0.35)
-        return p, np.stack([rational_direction(arr.dimension, rng) for _ in range(len(p))])
-
-    return _run("polyharmonic", seed, 2, DEFAULT.polyharmonic, sample,
-                lambda p, v, h: polyharmonic_residual(arr, B, p, v, h),
-                step=DEFAULT.poly_step)
+def _conformal_sample(arr, B, rng):
+    x3 = sample_points(arr, 20, rng).coords()
+    # the closed form and the boundedness probes do not depend on the
+    # step: they are measured once, with the sample set
+    return x3, _conformal_law(arr, B, x3)
 
 
-def _check_ricci(arr, B, seed, report, expected):
-    clearance = max(0.35, DEFAULT.stencil_clearance * 2 * DEFAULT.curvature_step)
-    return _run("ricci", seed, 6, DEFAULT.ricci,
-                lambda rng: (sample_points(arr, 10, rng, clearance=clearance),),
-                lambda p, h: ricci_residual(arr, B, p, h),
-                step=DEFAULT.curvature_step)
-
-
-def _check_conformal(arr, B, seed, report, expected):
-    def sample(rng):
-        x3 = sample_points(arr, 20, rng).coords()
-        # the closed form and the boundedness probes do not depend on the
-        # step: they are measured once, with the sample set
-        return x3, _conformal_law(arr, B, x3)
-
-    return _run("conformal", seed, 7, DEFAULT.harmonic, sample,
-                lambda x3, law, h: np.maximum(law, _conformal_harmonic(arr, B, x3, h)),
-                step=DEFAULT.harmonic_step)
-
-
-def _roundtrip_residual(arr, B, chart, step):
+def _roundtrip_residual(arr, B, chart, step=DEFAULT.reconstruct_step):
     """|F at the chart point - F rebuilt by reconstruct_F_from_K from K alone|, per chart."""
     n = arr.dimension
 
@@ -671,33 +643,19 @@ def _roundtrip_residual(arr, B, chart, step):
     return np.abs(rec.value - eval_F(arr, B, Point3n(chart.x, chart.z)))
 
 
-def _chart_check(name, check_id, count, residual, tol, step=DEFAULT.fd_step):
-    """Runner of a check measured at solved chart points.
-
-    residual(arr, B, charts, step) is measured at `count` charts, as one
-    stack, against the threshold tol.
-    """
-    def run(arr, B, seed, report, expected):
-        return _run(name, seed, check_id, tol,
-                    lambda rng: (sample_chart_points(arr, B, count, rng),),
-                    lambda charts: residual(arr, B, charts, step))
-    return run
+def _charts(count):
+    return lambda arr, B, rng: (sample_chart_points(arr, B, count, rng),)
 
 
-def _check_growth(arr, B, seed, report, expected):
-    start = time.perf_counter()
-    rng = _rng_for(seed, 8)
+def _growth(arr, B, report, expected, rng):
     law = report.volume_growth_exponent
     radii = np.geomspace(60.0, 960.0, 9)
     base = Point3n(np.zeros(arr.dimension), np.zeros(arr.dimension))
     fit = growth_fit(arr, B, base, radii, samples=4096, rng=rng)
-    return _report("growth", [abs(fit.exponent - law)],
-                   DEFAULT.growth_tolerance, start, samples=fit.samples,
-                   detail={"exponent": fit.exponent, "expected": law,
-                           "std_error": fit.std_error,
-                           "volumes": fit.volumes.tolist(),
-                           "radii": fit.radii.tolist()},
-                   ok=fit.std_error <= DEFAULT.growth_max_stderr)
+    return ([abs(fit.exponent - law)],
+            {"exponent": fit.exponent, "expected": law, "std_error": fit.std_error,
+             "volumes": fit.volumes.tolist(), "radii": fit.radii.tolist()},
+            fit.std_error <= DEFAULT.growth_max_stderr, fit.samples)
 
 
 # expectations measured at 5 sampled points of an n = 1 arrangement: Phi, or Phi times r
@@ -725,17 +683,15 @@ def _check_expectation_keys(facts, expected, n):
             raise ValueError(f"expectation {key!r} is measured at n = 1 only")
 
 
-def _check_classification(arr, B, seed, report, expected):
+def _classification(arr, B, report, expected, rng):
     """One mismatch per expected value that the report's facts or Phi contradict.
 
     The facts are those of _facts, and a list expectation is compared as a
     tuple.  Every other key is a sampled fact: run_checks refuses the rest
-    before any check runs.
+    before any check runs.  A NaN sampled value is a mismatch.
     """
-    start = time.perf_counter()
     facts = _facts(report)
     mismatches = {}
-    rng = _rng_for(seed, 11)
     for key, want in expected.items():
         if key in facts:
             have = facts[key]
@@ -748,28 +704,49 @@ def _check_classification(arr, B, seed, report, expected):
             # |z| by hypot, as the scalar abs of one point takes it (np.abs differs)
             have = have * np.sqrt(p.x[:, 0] ** 2 + np.hypot(p.z.real, p.z.imag)[:, 0] ** 2)
         have = have.tolist()
-        if any(abs(v - want) > 1e-12 for v in have):
+        if not all(abs(v - want) <= 1e-12 for v in have):
             mismatches[key] = {"expected": want, "got": have}
-    return _report("classification", [float(len(mismatches))], 0.0, start,
-                   detail={"mismatches": mismatches, "report": report.as_dict()})
+    return ([float(len(mismatches))],
+            {"mismatches": mismatches, "report": report.as_dict()}, True, 1)
 
 
-# name -> (runner, whether the check is the n = 1 statement only), in report order
+@dataclass(frozen=True)
+class _Check:
+    """One row of _CHECKS.  run_checks times measure(arr, B, report, expected,
+    _rng_for(seed, stream)) -> (residuals, detail, ok, samples) and passes it
+    when ok holds and no residual exceeds tolerance or is NaN."""
+    stream: int
+    tolerance: float
+    n1_only: bool  # the check is the n = 1 statement only
+    measure: Callable
+
+
+# in report order.  The tracer and the tests patch the samplers, residuals and
+# growth_fit of this module, so a row looks them up by name when it runs
 _CHECKS = {
-    "phi-fd": (_check_phi_fd, False),
-    "polyharmonic": (_check_polyharmonic, False),
-    "monge-ampere": (_chart_check("monge-ampere", 3, 20, monge_ampere_residual,
-                                  DEFAULT.monge_ampere), True),
-    "hessian-identity": (_chart_check("hessian-identity", 4, 10, hessian_identity_residual,
-                                      DEFAULT.hessian_identity), True),
-    "sp-condition": (_chart_check("sp-condition", 5, 10, sp_condition_residual,
-                                  DEFAULT.sp_condition), False),
-    "ricci": (_check_ricci, True),
-    "conformal": (_check_conformal, True),
-    "growth": (_check_growth, True),
-    "roundtrip": (_chart_check("roundtrip", 9, 20, _roundtrip_residual, DEFAULT.roundtrip,
-                               step=DEFAULT.reconstruct_step), False),
-    "classification": (_check_classification, False),
+    "phi-fd": _Check(1, DEFAULT.phi_fd_rel, False, _sampled(
+        lambda arr, B, rng: (sample_points(arr, 100, rng),),
+        lambda *a: _phi_fd_residual(*a))),
+    "polyharmonic": _Check(2, DEFAULT.polyharmonic, False, _sampled(
+        _polyharmonic_sample, lambda *a: polyharmonic_residual(*a), step=DEFAULT.poly_step)),
+    "monge-ampere": _Check(3, DEFAULT.monge_ampere, True, _sampled(
+        _charts(20), lambda *a: monge_ampere_residual(*a))),
+    "hessian-identity": _Check(4, DEFAULT.hessian_identity, True, _sampled(
+        _charts(10), lambda *a: hessian_identity_residual(*a))),
+    "sp-condition": _Check(5, DEFAULT.sp_condition, False, _sampled(
+        _charts(10), lambda *a: sp_condition_residual(*a))),
+    "ricci": _Check(6, DEFAULT.ricci, True, _sampled(
+        lambda arr, B, rng: (sample_points(arr, 10, rng, clearance=max(
+            0.35, DEFAULT.stencil_clearance * 2 * DEFAULT.curvature_step)),),
+        lambda *a: ricci_residual(*a), step=DEFAULT.curvature_step)),
+    "conformal": _Check(7, DEFAULT.harmonic, True, _sampled(
+        _conformal_sample,
+        lambda arr, B, x3, law, h: np.maximum(law, _conformal_harmonic(arr, B, x3, h)),
+        step=DEFAULT.harmonic_step)),
+    "growth": _Check(8, DEFAULT.growth_tolerance, True, _growth),
+    "roundtrip": _Check(9, DEFAULT.roundtrip, False, _sampled(
+        _charts(20), lambda *a: _roundtrip_residual(*a))),
+    "classification": _Check(11, 0.0, False, _classification),
 }
 
 
@@ -797,8 +774,8 @@ def run_checks(arr: FlatArrangement, B, checks=None, seed=None,
     expected = expected or {}
     if checks is None:
         skip = {"growth": not report.smooth, "classification": not expected}
-        checks = [name for name, (_, n1_only) in _CHECKS.items()
-                  if (arr.dimension == 1 or not n1_only) and not skip.get(name)]
+        checks = [name for name, check in _CHECKS.items()
+                  if (arr.dimension == 1 or not check.n1_only) and not skip.get(name)]
     if not checks:
         raise ValueError(f"no check selected; known: {', '.join(check_names())}")
     for i, name in enumerate(checks):
@@ -806,10 +783,22 @@ def run_checks(arr: FlatArrangement, B, checks=None, seed=None,
             raise ValueError(f"unknown check {name!r}; known: {', '.join(check_names())}")
         if name in checks[:i]:
             raise ValueError(f"check {name!r} is selected more than once")
-        if _CHECKS[name][1] and arr.dimension != 1:
+        if _CHECKS[name].n1_only and arr.dimension != 1:
             raise ValueError(f"check {name!r} does not apply to this arrangement")
     if "classification" in checks:
         if not expected:
             raise ValueError("check 'classification' compares expected values; none given")
         _check_expectation_keys(_facts(report), expected, arr.dimension)
-    return [_CHECKS[name][0](arr, B, seed, report, expected) for name in checks]
+    reports = []
+    for name in checks:
+        check = _CHECKS[name]
+        start = time.perf_counter()
+        residuals, detail, ok, samples = check.measure(
+            arr, B, report, expected, _rng_for(seed, check.stream))
+        # np.max, unlike max(), does not skip a NaN
+        mx = float(np.max(residuals))
+        reports.append(ResidualReport(
+            check_name=name, max_residual=mx, tolerance=check.tolerance,
+            passed=bool(ok) and mx <= check.tolerance, samples=samples,
+            wall_time_s=time.perf_counter() - start, detail=detail))
+    return reports

@@ -54,6 +54,31 @@ def test_json_booleans_are_refused_where_numbers_are_due(capsys, tmp_path, field
     assert f"flats[0].{field} must hold numbers, not booleans" in err
 
 
+_GOOD_FLAT = {"u": [1], "lambda": [1, 0, 0], "a": 1.0}
+
+
+@pytest.mark.parametrize("doc, field, what", [
+    ({"n": 1, "flats": [{"u": ["1"], "lambda": [0, 0, 0], "a": 1.0}]}, "flats[0].u", "got '1'"),
+    ({"n": 1, "flats": [{"u": [1], "lambda": [0, "0", 0], "a": 1.0}]},
+     "flats[0].lambda", "got '0'"),
+    ({"n": 1, "flats": [{"u": [1], "lambda": [0, 0, 0], "a": "1e0"}]}, "flats[0].a", "got '1e0'"),
+    ({"n": 1, "flats": [_GOOD_FLAT, {"u": ["1"], "lambda": ["-1", "0", "0"], "a": "1e0"}]},
+     "flats[1].u", "got '1'"),
+    ({"n": 1, "flats": [_GOOD_FLAT], "B": [["1"]]}, 'field "B"', "got '1'"),
+    ({"n": 1, "flats": [_GOOD_FLAT], "B": [[True]]}, 'field "B"', "not booleans"),
+])
+def test_json_strings_and_booleans_in_b_are_refused(capsys, tmp_path, doc, field, what):
+    # float("1e0") and int("1") used to read a string as the number it spells,
+    # and B was read with numpy, where true is 1.0
+    message = f"{field} must hold numbers, {what}"
+    with pytest.raises(ArrangementError) as exc:
+        parse_arrangement(doc)
+    assert str(exc.value) == message
+    code, out, err = _run(capsys, "classify", _write_arrangement(tmp_path, doc))
+    assert code == 2 and out == ""
+    assert message in err
+
+
 def test_validate_missing_file(capsys):
     code, out, err = _run(capsys, "validate", "/no/such/file.json")
     assert code == 2

@@ -76,3 +76,14 @@ def test_per_flat_data_and_the_domain_rule_have_one_owner():
         if isinstance(node, ast.Attribute) and node.attr in ("on_flat", "branch")
         and getattr(node.value, "id", None) == "DEFAULT")
     assert thresholds == []
+
+
+def test_the_check_skeleton_has_one_owner():
+    # every check is a row of verify._CHECKS: only run_checks draws a check's
+    # rng and builds its report
+    tree = ast.parse((pathlib.Path(torichk.__file__).parent / "verify.py")
+                     .read_text(encoding="utf-8"))
+    called = [node.func.id for node in ast.walk(tree)
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)]
+    assert called.count("_rng_for") == 1
+    assert called.count("_report") + called.count("ResidualReport") == 1

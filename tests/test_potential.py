@@ -724,3 +724,15 @@ def test_reconstruct_rejects_unstable_samples():
 
     with pytest.raises(DifferentiationError, match="did not stabilize"):
         reconstruct_F_from_K(wiggly, [0.3 + 0.0j], [0.0 + 0.0j])
+
+
+def test_reconstruct_refuses_a_nan_sample():
+    # a NaN K at one spacing-h node makes the gap between the two spacings
+    # NaN, which fails the stability test rather than passing it
+    def nan_at_u_plus_h(u, z):
+        k = ((u + np.conj(u)).real ** 3).sum(axis=-1)
+        k[..., 1] = np.nan
+        return k
+
+    with pytest.raises(DifferentiationError, match="did not stabilize"):
+        reconstruct_F_from_K(nan_at_u_plus_h, [0.3 + 0j], [0j])

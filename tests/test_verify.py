@@ -1,5 +1,6 @@
 """Residual estimators and the check harness."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -600,11 +601,11 @@ def test_a_failing_sample_raises_what_the_per_item_loop_raises(check, gap, monke
 def _record_runs(monkeypatch):
     """The names of the checks that run, in order, from now on."""
     ran = []
-    for name, (runner, n1_only) in verify._CHECKS.items():
-        def recording(*args, _name=name, _runner=runner):
+    for name, check in verify._CHECKS.items():
+        def recording(*args, _name=name, _measure=check.measure):
             ran.append(_name)
-            return _runner(*args)
-        monkeypatch.setitem(verify._CHECKS, name, (recording, n1_only))
+            return _measure(*args)
+        monkeypatch.setitem(verify._CHECKS, name, dataclasses.replace(check, measure=recording))
     return ran
 
 
@@ -978,6 +979,52 @@ def test_classification_check_counts_mismatches():
                                "stratum_count": len(intersection_strata(e.arrangement))})[0]
     assert got.detail["mismatches"] == {
         "invariant_factors": {"expected": (1, 3), "got": (1, 2)}}
+
+
+def test_a_nan_residual_fails_its_check(monkeypatch):
+    # max() over a list skips a NaN that is not first; the report must not
+    real = verify._phi_fd_residual
+
+    def nan_at_1(arr, B, p):
+        res = real(arr, B, p).copy()
+        res[1] = np.nan
+        return res
+
+    monkeypatch.setattr(verify, "_phi_fd_residual", nan_at_1)
+    (rep,) = run_checks(EH.arrangement, EH.deformation, checks=["phi-fd"], seed=1)
+    assert not rep.passed and math.isnan(rep.max_residual)
+
+
+@pytest.mark.parametrize("coarse, fine", [
+    ([1e-3, np.nan], [1e-4, 1e-4]),   # a NaN not first, at 2h
+    ([1e-3, 1e-3], [1e-5, np.nan]),   # and at h
+    ([np.nan, 1e-3], [1e-8, 1e-8]),   # a NaN at 2h, h at the noise floor
+    ([1e-8, 1e-8], [np.nan, 1e-8]),   # a NaN at h, 2h at the noise floor
+])
+def test_a_nan_fails_the_step_halving_order_test(coarse, fine):
+    ok, detail = verify._halving_order(np.array(coarse), np.array(fine))
+    assert ok is False and detail["order_ok"] is False
+
+
+@pytest.mark.parametrize("level, passed", [(5e-6, False), (1e-7, True)])
+def test_a_residual_that_does_not_decay_fails_on_the_order_test_alone(monkeypatch, level,
+                                                                       passed):
+    # level across both steps: within the 1e-5 tolerance, but above the 1e-6
+    # noise floor the step-halving ratio of 1 fails the check; below it passes
+    monkeypatch.setattr(verify, "polyharmonic_residual",
+                        lambda arr, B, p, v, h: np.full(len(p.x), level))
+    (rep,) = run_checks(EH.arrangement, EH.deformation, checks=["polyharmonic"], seed=1)
+    assert rep.max_residual == level <= rep.tolerance
+    assert rep.passed is passed and rep.detail["order_ok"] is passed
+
+
+def test_a_nan_sampled_fact_is_a_mismatch(monkeypatch):
+    # abs(nan - want) > 1e-12 is False: a NaN Phi used to match any expectation
+    monkeypatch.setattr(verify, "eval_Phi",
+                        lambda arr, B, p: np.full(p.x.shape + (1,), np.nan))
+    (rep,) = run_checks(CYL.arrangement, CYL.deformation, checks=["classification"],
+                        seed=1, expected={"phi_constant": 1.0})
+    assert not rep.passed and list(rep.detail["mismatches"]) == ["phi_constant"]
 
 
 def test_sampled_facts_match_the_per_point_loop():
