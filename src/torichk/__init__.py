@@ -7,7 +7,7 @@ deformation order, volume growth).
 """
 
 from .arrangement import (ClassificationReport, DeformationMatrix, Flat,
-                          FlatArrangement, Normal, Point3n, Stratum,
+                          FlatArrangement, Point3n, Stratum,
                           classification_report, flat_distances,
                           intersection_strata, translate)
 from .catalog import CatalogEntry, Expected, catalog, entry, entry_names
@@ -33,7 +33,7 @@ __all__ = [
     "ClassificationReport", "DEFAULT", "DeformationMatrix",
     "DifferentiationError", "DomainEscapeError", "EvaluationError", "Expected",
     "Flat", "FlatArrangement", "GrowthFit", "InsufficientSamplesError",
-    "KahlerChartPoint", "NoConvergenceError", "Normal", "OnFlatError",
+    "KahlerChartPoint", "NoConvergenceError", "OnFlatError",
     "Point3n", "ReconstructedPotential", "ResidualReport", "SamplingError",
     "StencilClippedError", "Stratum", "Tolerances", "catalog",
     "classification_report", "conformal_factor_check", "dump_arrangement",

@@ -72,61 +72,42 @@ class Point3n:
 
 
 @dataclass(frozen=True)
-class Normal:
-    """Primitive integer normal vector of a flat."""
-
-    entries: tuple
-
-    def __post_init__(self):
-        ent = []
-        for e in self.entries:
-            if isinstance(e, float) and not e.is_integer():
-                raise ArrangementError(f"normal entries must be integers: {self.entries!r}")
-            try:
-                ent.append(int(e))
-            except (TypeError, ValueError):
-                raise ArrangementError(f"normal entries must be integers: {self.entries!r}")
-        ent = tuple(ent)
-        if not ent or all(e == 0 for e in ent):
-            raise ArrangementError("normal must be nonzero")
-        g = math.gcd(*(abs(e) for e in ent))
-        if g != 1:
-            raise ArrangementError(f"normal not primitive (gcd {g})")
-        object.__setattr__(self, "entries", ent)
-
-    @property
-    def dim(self) -> int:
-        return len(self.entries)
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self.entries, dtype=float)
-
-
-@dataclass(frozen=True)
 class Flat:
     """One codimension-3 affine flat: normal, three offsets, positive mass.
 
-    (u, l) and (-u, -l) cut out the same flat; storage is canonicalized so
-    the first nonzero normal entry is positive.
+    The normal is a nonzero primitive integer vector, stored as a tuple of
+    ints; integral floats are accepted.  (u, l) and (-u, -l) cut out the same
+    flat; storage is canonicalized so the first nonzero normal entry is
+    positive.
     """
 
-    normal: Normal
+    normal: tuple
     offsets: tuple
     mass: float = 1.0
 
     def __post_init__(self):
+        normal = []
+        for e in self.normal:
+            if isinstance(e, float) and not e.is_integer():
+                raise ArrangementError(f"normal entries must be integers: {self.normal!r}")
+            try:
+                normal.append(int(e))
+            except (TypeError, ValueError):
+                raise ArrangementError(f"normal entries must be integers: {self.normal!r}")
+        if not any(normal):
+            raise ArrangementError("normal must be nonzero")
+        g = math.gcd(*normal)
+        if g != 1:
+            raise ArrangementError(f"normal not primitive (gcd {g})")
         off = tuple(float(v) for v in self.offsets)
         if len(off) != 3 or not all(math.isfinite(v) for v in off):
             raise ArrangementError("offsets must be three finite reals")
         mass = float(self.mass)
         if not (mass > 0 and math.isfinite(mass)):
             raise ArrangementError("mass must be positive")
-        normal = self.normal
-        if not isinstance(normal, Normal):
-            normal = Normal(tuple(normal))
-        lead = next(e for e in normal.entries if e != 0)
-        if lead < 0:
-            normal = Normal(tuple(-e for e in normal.entries))
+        normal = tuple(normal)
+        if next(e for e in normal if e != 0) < 0:
+            normal = tuple(-e for e in normal)
             off = tuple(-v for v in off)
         object.__setattr__(self, "normal", normal)
         object.__setattr__(self, "offsets", off)
@@ -159,25 +140,22 @@ class FlatArrangement:
         for k, f in enumerate(flats):
             if not isinstance(f, Flat):
                 raise ArrangementError(f"flats[{k}] is not a Flat")
-            if f.normal.dim != n:
+            if len(f.normal) != n:
                 raise ArrangementError(
-                    f"flats[{k}]: normal has length {f.normal.dim}, expected {n}")
+                    f"flats[{k}]: normal has length {len(f.normal)}, expected {n}")
         seen = {}
         for k, f in enumerate(flats):
-            key = (f.normal.entries, f.offsets)
+            key = (f.normal, f.offsets)
             if key in seen:
                 raise ArrangementError(f"flats[{seen[key]}] and flats[{k}] are identical")
             seen[key] = k
         object.__setattr__(self, "dimension", n)
         object.__setattr__(self, "flats", flats)
 
-    def __len__(self) -> int:
-        return len(self.flats)
-
     @cached_property
     def frame(self) -> FlatFrame:
         """The per-flat arrays, built once per arrangement."""
-        U = np.array([f.normal.entries for f in self.flats], dtype=float).reshape(
+        U = np.array([f.normal for f in self.flats], dtype=float).reshape(
             -1, self.dimension)
         lam = np.array([f.offsets for f in self.flats], dtype=float).reshape(-1, 3)
         a = np.array([f.mass for f in self.flats], dtype=float)
@@ -322,15 +300,11 @@ class ClassificationReport:
         }
 
 
-def _distances(arr, x, z):
-    """|s_k| + |v_k| at raw x (..., n) and z (..., n), each (..., d)."""
+def flat_distances(arr: FlatArrangement, x, z) -> np.ndarray:
+    """Per-flat deviation |s_k| + |v_k| at x (..., n) real and z (..., n)
+    complex, each (..., d); exactly 0 on the flat."""
     s, v, _, _ = arr.svr(x, z)
     return np.abs(s) + np.abs(v)
-
-
-def flat_distances(arr: FlatArrangement, p: Point3n) -> np.ndarray:
-    """Per-flat deviation |s_k| + |v_k| (exactly 0 on the flat)."""
-    return _distances(arr, p.x, p.z)
 
 
 def _offset_scale(arr, idx):
@@ -362,7 +336,7 @@ def _closure(arr, idx, base, atol):
     U = arr.frame.U
     sub = U[idx]
     out = set(idx)
-    for j in np.flatnonzero(_distances(arr, *base) <= atol).tolist():
+    for j in np.flatnonzero(flat_distances(arr, *base) <= atol).tolist():
         if j in out:
             continue
         # containment also needs u_j in the row span of the active normals
@@ -404,7 +378,7 @@ def _witness(arr, active, base, null, rng, tol):
         cx = rng.uniform(-1.0, 1.0, null.shape[1])
         cz = rng.uniform(-1.0, 1.0, null.shape[1]) + 1j * rng.uniform(-1.0, 1.0, null.shape[1])
         cand = x + null @ cx, z + null @ cz
-        if (_distances(arr, *cand)[others] > 1e3 * tol).all():
+        if (flat_distances(arr, *cand)[others] > 1e3 * tol).all():
             return Point3n(*cand)
     raise ArrangementError("could not find a witness avoiding the other flats")
 
@@ -469,7 +443,7 @@ def intersection_strata(arr: FlatArrangement) -> list:
     factors = {}  # active normal rows -> their invariant factors
     strata = []
     for S in sorted(found, key=lambda s: (len(s), s)):
-        rows = tuple(arr.flats[k].normal.entries for k in S)
+        rows = tuple(arr.flats[k].normal for k in S)
         if rows not in factors:
             factors[rows] = tuple(lattice.invariant_factors(rows))
         strata.append(Stratum(
@@ -525,7 +499,7 @@ def translate(arr: FlatArrangement, t, w) -> FlatArrangement:
     w = np.asarray(w, dtype=complex)
     flats = []
     for f in arr.flats:
-        u = f.normal.as_array()
+        u = np.array(f.normal, dtype=float)
         shift = (float(u @ t), float(u @ w.real), float(u @ w.imag))
         flats.append(Flat(f.normal,
                           tuple(o + s for o, s in zip(f.offsets, shift)),

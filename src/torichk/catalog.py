@@ -10,8 +10,9 @@ Each expected value carries a short provenance tag:
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
-from .arrangement import DeformationMatrix, Flat, FlatArrangement, Normal
+from .arrangement import DeformationMatrix, Flat, FlatArrangement
 
 __all__ = ["Expected", "CatalogEntry", "catalog", "entry", "entry_names"]
 
@@ -35,9 +36,10 @@ class CatalogEntry:
 
 
 def _flat1(x0, mass=1.0, y0=0.0, w0=0.0):
-    return Flat(Normal((1,)), (float(x0), float(y0), float(w0)), mass)
+    return Flat((1,), (float(x0), float(y0), float(w0)), mass)
 
 
+@cache
 def _build():
     entries = []
 
@@ -133,9 +135,9 @@ def _build():
     ))
 
     n2flats = (
-        Flat(Normal((1, 0)), (0.0, 0.0, 0.0), 1.0),
-        Flat(Normal((0, 1)), (float(Fraction(1, 2)), 0.0, 0.0), 1.0),
-        Flat(Normal((1, 1)), (float(Fraction(1, 4)), float(Fraction(1, 3)), 0.0), 1.0),
+        Flat((1, 0), (0.0, 0.0, 0.0), 1.0),
+        Flat((0, 1), (float(Fraction(1, 2)), 0.0, 0.0), 1.0),
+        Flat((1, 1), (float(Fraction(1, 4)), float(Fraction(1, 3)), 0.0), 1.0),
     )
     arr = FlatArrangement(2, n2flats)
     entries.append(CatalogEntry(
@@ -175,8 +177,8 @@ def _build():
     ))
 
     bad = FlatArrangement(2, (
-        Flat(Normal((1, 1)), (0.0, 0.0, 0.0), 1.0),
-        Flat(Normal((1, -1)), (0.0, 0.0, 0.0), 1.0),
+        Flat((1, 1), (0.0, 0.0, 0.0), 1.0),
+        Flat((1, -1), (0.0, 0.0, 0.0), 1.0),
     ))
     entries.append(CatalogEntry(
         name="n2-nonsmooth",
@@ -195,15 +197,9 @@ def _build():
     return entries
 
 
-_ENTRIES = None
-
-
 def catalog() -> list:
     """All built-in entries, constructed once and cached."""
-    global _ENTRIES
-    if _ENTRIES is None:
-        _ENTRIES = _build()
-    return list(_ENTRIES)
+    return list(_build())
 
 
 def entry(name: str) -> CatalogEntry:

@@ -10,7 +10,7 @@ import json
 
 import numpy as np
 
-from .arrangement import DeformationMatrix, Flat, FlatArrangement, Normal
+from .arrangement import DeformationMatrix, Flat, FlatArrangement
 from .errors import ArrangementError
 
 __all__ = ["load_arrangement", "parse_arrangement", "dump_arrangement"]
@@ -74,11 +74,7 @@ def parse_arrangement(data):
             raise ArrangementError(
                 f'flats[{idx}].lambda must be a length-3 number list')
         try:
-            normal = Normal(tuple(u))
-        except (ArrangementError, TypeError, ValueError) as exc:
-            raise ArrangementError(f"flats[{idx}].u: {exc}") from exc
-        try:
-            flat = Flat(normal, tuple(float(v) for v in lam), float(raw["a"]))
+            flat = Flat(tuple(u), tuple(float(v) for v in lam), float(raw["a"]))
         except (ArrangementError, TypeError, ValueError) as exc:
             raise ArrangementError(f"flats[{idx}]: {exc}") from exc
         flats.append(flat)
@@ -110,7 +106,7 @@ def dump_arrangement(arr: FlatArrangement, B=None) -> dict:
         "n": arr.dimension,
         "flats": [
             {
-                "u": [int(e) for e in flat.normal.entries],
+                "u": list(flat.normal),
                 "lambda": [float(v) for v in flat.offsets],
                 "a": float(flat.mass),
             }

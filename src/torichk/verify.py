@@ -389,21 +389,24 @@ class GrowthFit:
 RAY_BLOCK = 64
 
 
-def _rays(arr, B, base_coords, dirs, T, n):
+def _rays(arr, B, base_coords, dirs, T):
     """Radial rays over the node grid geomspace(1e-4, T, 512), one per direction.
 
-    Returns the nodes t, the distance proxy (cumulative radial path length in
-    the quotient metric plus a torus-fiber diameter bound, forced monotone)
-    and det Phi, both of shape (len(dirs), 512).  Each row depends only on its
-    own direction.  The rays are evaluated in blocks of RAY_BLOCK directions,
-    one phi_batch call each, written straight into the two outputs; the
-    working set beyond them is one block's, independent of len(dirs).
+    Returns the distance proxy (cumulative radial path length in the quotient
+    metric plus a torus-fiber diameter bound, forced monotone) and the
+    cumulative trapezoid integral of det Phi t^(3n-1) dt, the ball volume
+    along the ray, both of shape (len(dirs), 512).  Each row depends only on
+    its own direction.  The rays are evaluated in blocks of RAY_BLOCK
+    directions, one phi_batch call each, written straight into the two
+    outputs; the working set beyond them is one block's, independent of
+    len(dirs).
     """
+    n = arr.dimension
     nodes = 512
     t = np.geomspace(1e-4, T, nodes)
     dt = np.diff(t)
     proxy = np.empty((dirs.shape[0], nodes))
-    detphi = np.empty((dirs.shape[0], nodes))
+    volume = np.empty((dirs.shape[0], nodes))
     for lo in range(0, dirs.shape[0], RAY_BLOCK):
         d = dirs[lo:lo + RAY_BLOCK]
         # the points base + t * d, coordinate block by coordinate block
@@ -419,22 +422,26 @@ def _rays(arr, B, base_coords, dirs, T, n):
                   + np.einsum("di,dtij,dj->dt", d[:, 2 * n:], phi, d[:, 2 * n:]))
         speed = np.sqrt(speed2)
         if n == 1:
-            lam_min = phi[:, :, 0, 0]
-            detphi[lo:lo + RAY_BLOCK] = lam_min
+            lam_min = detphi = phi[:, :, 0, 0]
         else:
             lam_min = np.linalg.eigvalsh(phi)[..., 0]
-            detphi[lo:lo + RAY_BLOCK] = np.linalg.det(phi)
+            detphi = np.linalg.det(phi)
         L = proxy[lo:lo + RAY_BLOCK]
         L[:, 0] = speed[:, 0] * t[0]
         L[:, 1:] = 0.5 * (speed[:, 1:] + speed[:, :-1]) * dt[None, :]
         np.cumsum(L, axis=1, out=L)
         L += math.pi * math.sqrt(n) / np.sqrt(lam_min)  # the fiber bound
         np.maximum.accumulate(L, axis=1, out=L)
-    return t, proxy, detphi
+        integrand = detphi * t[None, :] ** (3 * n - 1)
+        V = volume[lo:lo + RAY_BLOCK]
+        V[:, 0] = integrand[:, 0] * t[0] / (3.0 * n)
+        V[:, 1:] = 0.5 * (integrand[:, 1:] + integrand[:, :-1]) * dt[None, :]
+        np.cumsum(V, axis=1, out=V)
+    return proxy, volume
 
 
-def _growth_chunk(arr, B, base_coords, dirs, radii, n):
-    """Per-direction ball volumes: integrate det Phi along radial rays.
+def _growth_chunk(arr, B, base_coords, dirs, radii):
+    """Per-direction ball volumes, interpolated at radii along the rays of _rays.
 
     The ball is measured with the distance proxy of _rays.  The ray length T
     starts at max(rmax, 4) and grows by 1.8x until every direction's proxy
@@ -445,8 +452,7 @@ def _growth_chunk(arr, B, base_coords, dirs, radii, n):
     when the unscreened loop fails it as well, and the volumes come from the
     same final T and the same full integration.  This rests on each row of
     phi_batch not depending on the batch it is computed in, which also lets
-    _rays evaluate the chunk in blocks of RAY_BLOCK directions; the volume
-    integral is built in det Phi's array block by block too, so the working
+    _rays evaluate the chunk in blocks of RAY_BLOCK directions, so the working
     set is the two (len(dirs), 512) arrays plus one block's, whatever the
     number of flats.
     """
@@ -454,9 +460,9 @@ def _growth_chunk(arr, B, base_coords, dirs, radii, n):
     T = max(rmax, 4.0)
     probe = dirs[:1]
     for _ in range(80):
-        _, proxy, _ = _rays(arr, B, base_coords, probe, T, n)
+        proxy, _ = _rays(arr, B, base_coords, probe, T)
         if proxy[0, -1] >= rmax:
-            t, proxy, detphi = _rays(arr, B, base_coords, dirs, T, n)
+            proxy, Vc = _rays(arr, B, base_coords, dirs, T)
             if proxy[:, -1].min() >= rmax:
                 break
             probe = dirs[[int(np.argmin(proxy[:, -1]))]]
@@ -464,17 +470,7 @@ def _growth_chunk(arr, B, base_coords, dirs, radii, n):
     else:
         raise SamplingError("radial integration range failed to cover the largest radius")
 
-    nodes = t.size
-    dt = np.diff(t)
-    # the cumulative trapezoid volume integral, written over det Phi block by block
-    Vc = detphi
-    for lo in range(0, dirs.shape[0], RAY_BLOCK):
-        V = Vc[lo:lo + RAY_BLOCK]
-        integrand = V * t[None, :] ** (3 * n - 1)
-        V[:, 0] = integrand[:, 0] * t[0] / (3.0 * n)
-        V[:, 1:] = 0.5 * (integrand[:, 1:] + integrand[:, :-1]) * dt[None, :]
-        np.cumsum(V, axis=1, out=V)
-
+    nodes = proxy.shape[1]
     out = np.empty((dirs.shape[0], radii.size))
     for j, R in enumerate(radii):
         idx = (proxy < R).sum(axis=1)
@@ -519,7 +515,7 @@ def growth_fit(arr: FlatArrangement, B, base: Point3n, radii, samples: int = 409
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     with ThreadPoolExecutor(max_workers=min(cpus or 1, len(pieces))) as ex:
         chunks = list(ex.map(
-            lambda piece: _growth_chunk(arr, B, base_coords, piece, radii, n), pieces))
+            lambda piece: _growth_chunk(arr, B, base_coords, piece, radii), pieces))
     per_dir = np.vstack(chunks)  # (samples, nR)
 
     sphere = 2.0 * math.pi ** (1.5 * n) / math.gamma(1.5 * n)

@@ -156,7 +156,7 @@ def test_criterion_08_classification_goldens():
         if "failing_stratum_active" in want:
             ok = ok and tuple(rep.failing_stratum.active) == tuple(
                 want["failing_stratum_active"])
-            rows = [e.arrangement.flats[k].normal.entries
+            rows = [e.arrangement.flats[k].normal
                     for k in rep.failing_stratum.active]
             ok = ok and lattice.invariant_factors(rows) == list(
                 want["invariant_factors"])

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from torichk import (ArrangementError, DeformationMatrix, Flat,
-                     FlatArrangement, Normal, Point3n, arrangement, catalog,
+                     FlatArrangement, Point3n, arrangement, catalog,
                      classification_report, cli, entry, flat_distances,
                      dump_arrangement, intersection_strata, lattice,
                      parse_arrangement, translate)
@@ -18,7 +18,7 @@ from torichk.config import DEFAULT
 
 
 def _flat(u, lam=(0.0, 0.0, 0.0), a=1.0):
-    return Flat(Normal(tuple(u)), tuple(float(v) for v in lam), a)
+    return Flat(tuple(u), tuple(float(v) for v in lam), a)
 
 
 def _axes_n2(l2=0.25):
@@ -27,21 +27,22 @@ def _axes_n2(l2=0.25):
 
 def test_normal_validation_messages():
     with pytest.raises(ArrangementError, match="normal must be nonzero"):
-        Normal((0, 0))
+        _flat((0, 0))
     with pytest.raises(ArrangementError, match=r"normal not primitive \(gcd 2\)"):
-        Normal((2, 0))
+        _flat((2, 0))
     with pytest.raises(ArrangementError, match=r"gcd 3"):
-        Normal((3, -6))
-    with pytest.raises(ArrangementError):
-        Normal((1.5, 0))
+        _flat((3, -6))
+    with pytest.raises(ArrangementError, match="normal entries must be integers"):
+        _flat((1.5, 0))
     # integral floats are accepted and stored as ints
-    assert Normal((1.0, -2.0)).entries == (1, -2)
+    normal = _flat((1.0, -2.0)).normal
+    assert normal == (1, -2) and all(type(e) is int for e in normal)
 
 
 def test_flat_sign_canonicalization():
-    a = Flat(Normal((-1, 0)), (0.5, -0.25, 1.0), 2.0)
-    b = Flat(Normal((1, 0)), (-0.5, 0.25, -1.0), 2.0)
-    assert a.normal.entries == b.normal.entries
+    a = Flat((-1, 0), (0.5, -0.25, 1.0), 2.0)
+    b = Flat((1, 0), (-0.5, 0.25, -1.0), 2.0)
+    assert a.normal == b.normal
     assert a.offsets == b.offsets
 
 
@@ -51,16 +52,16 @@ def test_arrangement_rejects_duplicates():
     # same flat written with the opposite sign is still a duplicate
     with pytest.raises(ArrangementError, match="identical"):
         FlatArrangement(2, (
-            Flat(Normal((1, 1)), (0.5, 0.0, 0.0), 1.0),
-            Flat(Normal((-1, -1)), (-0.5, 0.0, 0.0), 1.0),
+            Flat((1, 1), (0.5, 0.0, 0.0), 1.0),
+            Flat((-1, -1), (-0.5, 0.0, 0.0), 1.0),
         ))
 
 
 def test_arrangement_rejects_bad_mass_and_dimension():
     with pytest.raises(ArrangementError):
-        Flat(Normal((1,)), (0.0, 0.0, 0.0), 0.0)
+        Flat((1,), (0.0, 0.0, 0.0), 0.0)
     with pytest.raises(ArrangementError):
-        Flat(Normal((1,)), (0.0, 0.0, 0.0), -1.0)
+        Flat((1,), (0.0, 0.0, 0.0), -1.0)
     with pytest.raises(ArrangementError):
         FlatArrangement(2, (_flat((1,)),))
 
@@ -115,7 +116,7 @@ def test_point_keeps_a_frozen_copy_of_the_callers_arrays():
 def test_flat_distances_vanish_on_the_flat():
     arr = _axes_n2()
     p = Point3n(np.array([0.0, 0.7]), np.array([0.0j, 0.3j]))
-    d = flat_distances(arr, p)
+    d = flat_distances(arr, p.x, p.z)
     assert d[0] == 0.0 and d[1] > 0.0
 
 
@@ -159,7 +160,7 @@ def test_strata_witness_lies_on_exactly_the_active_flats():
                                      _flat((1, 1), a + b)))
     for arr in (entry("n2-unimodular").arrangement, concurrent):
         for s in intersection_strata(arr):
-            d = flat_distances(arr, s.witness)
+            d = flat_distances(arr, s.witness.x, s.witness.z)
             scale = max(1.0, max(abs(o) for k in s.active for o in arr.flats[k].offsets))
             for k in range(len(arr.flats)):
                 if k in s.active:
@@ -204,7 +205,7 @@ def test_smoothness_designed_to_fail():
     failing = report.failing_stratum
     assert failing.active == (0, 1)
     from torichk import lattice
-    rows = [arr.flats[k].normal.entries for k in failing.active]
+    rows = [arr.flats[k].normal for k in failing.active]
     assert lattice.invariant_factors(rows) == [1, 2]
 
 
@@ -225,7 +226,7 @@ def test_smoothness_gl2z_invariance():
                 S[i, j] = int(rng.integers(-2, 3))
                 M = M @ S
             flats = tuple(
-                Flat(Normal(tuple(int(c) for c in (np.array(f.normal.entries) @ M))),
+                Flat(tuple(int(c) for c in (np.array(f.normal) @ M)),
                      f.offsets, f.mass)
                 for f in arr.flats)
             moved = FlatArrangement(2, flats)
@@ -327,7 +328,7 @@ def test_translate_moves_strata_with_the_arrangement():
     for b, a in zip(before, after):
         shifted = Point3n(b.witness.x + t, b.witness.z + w)
         assert np.allclose(a.witness.x, shifted.x, atol=1e-8) or \
-            max(flat_distances(moved, shifted)[k] for k in b.active) < 1e-8
+            max(flat_distances(moved, shifted.x, shifted.z)[k] for k in b.active) < 1e-8
     rep_a = classification_report(arr, DeformationMatrix.zero(2))
     rep_b = classification_report(moved, DeformationMatrix.zero(2))
     assert rep_a.as_dict().keys() == rep_b.as_dict().keys()
@@ -381,7 +382,7 @@ def _reference_strata(arr):
         _, sv, vt = np.linalg.svd(arr.frame.U[list(S)])
         rank = int(np.sum(sv > 1e-11 * max(1.0, sv[0])))
         witness = arrangement._witness(arr, S, found[S], vt[rank:].T, rng, tol)
-        rows = [arr.flats[k].normal.entries for k in S]
+        rows = [arr.flats[k].normal for k in S]
         strata.append((S, len(lattice.invariant_factors(rows)), witness))
     return strata, examined
 
@@ -475,7 +476,7 @@ def test_one_solve_per_stratum_and_one_smith_form_per_normal_set(monkeypatch):
     for arr in _family():
         report = classification_report(arr, DeformationMatrix.zero(arr.dimension))
         strata += len(report.strata)
-        normal_sets += len({tuple(arr.flats[k].normal.entries for k in s.active)
+        normal_sets += len({tuple(arr.flats[k].normal for k in s.active)
                             for s in report.strata})
     assert normal_sets < strata
     assert calls == {"_solve_flat_system": strata, "smith_normal_form": normal_sets}

@@ -19,7 +19,7 @@ REL = 1e-13
 
 def _svr(f, x, z):
     """s, v, r of flat f at (x, z), in mpmath."""
-    u = f.normal.entries
+    u = f.normal
     l1, l2, l3 = (mpmath.mpf(o) for o in f.offsets)
     s = mpmath.fsum(k * mpmath.mpf(xi) for k, xi in zip(u, x)) - l1
     v = mpmath.fsum(k * mpmath.mpc(zi) for k, zi in zip(u, z)) - mpmath.mpc(l2, l3)
@@ -38,7 +38,7 @@ def _reference(arr, B, p):
     C = [[mpmath.mpc(0) for _ in range(n)] for _ in range(n)]
     for f in arr.flats:
         a = mpmath.mpf(f.mass)
-        u = f.normal.entries
+        u = f.normal
         s, v, r = _svr(f, x, z)
         F += a * (s * mpmath.log(s + r) - r)
         for i in range(n):

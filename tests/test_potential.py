@@ -8,7 +8,7 @@ import pytest
 
 from torichk import (DEFAULT, ArrangementError, BranchLocusError, DeformationMatrix,
                      DifferentiationError, DomainEscapeError, EvaluationError, Flat,
-                     FlatArrangement, KahlerChartPoint, NoConvergenceError, Normal,
+                     FlatArrangement, KahlerChartPoint, NoConvergenceError,
                      OnFlatError, Point3n, SamplingError, entry, eval_F, eval_F_z,
                      eval_Phi, eval_connection, eval_metric, legendre_solve,
                      phi_batch, potential, quotient_metric, reconstruct_F_from_K,
@@ -218,8 +218,8 @@ def test_connection_matches_mixed_differences():
 
 def test_additivity_over_disjoint_union():
     rng = np.random.default_rng(10)
-    a1 = FlatArrangement(1, (Flat(Normal((1,)), (-1.0, 0.0, 0.0), 1.0),))
-    a2 = FlatArrangement(1, (Flat(Normal((1,)), (1.0, 0.0, 0.0), 1.0),))
+    a1 = FlatArrangement(1, (Flat((1,), (-1.0, 0.0, 0.0), 1.0),))
+    a2 = FlatArrangement(1, (Flat((1,), (1.0, 0.0, 0.0), 1.0),))
     both = FlatArrangement(1, a1.flats + a2.flats)
     B1 = DeformationMatrix([[0.5]])
     B2 = DeformationMatrix([[0.25]])

@@ -6,7 +6,7 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from torichk import (DeformationMatrix, Flat, FlatArrangement, Normal, Point3n,
+from torichk import (DeformationMatrix, Flat, FlatArrangement, Point3n,
                      classification_report, eval_F, eval_Phi, translate)
 
 PALETTES = {
@@ -25,7 +25,7 @@ def moved_arrangements(draw):
     flats = draw(st.lists(
         st.tuples(st.sampled_from(PALETTES[n]), st.tuples(*[st.sampled_from(OFFSETS)] * 3)),
         min_size=2, max_size=7, unique=True))
-    arr = FlatArrangement(n, tuple(Flat(Normal(u), lam) for u, lam in flats))
+    arr = FlatArrangement(n, tuple(Flat(u, lam) for u, lam in flats))
 
     # A = signed permutation times elementary row operations, det A = +-1
     A = np.eye(n, dtype=int)[draw(st.permutations(range(n)))]
@@ -35,7 +35,7 @@ def moved_arrangements(draw):
         A[i] += draw(st.sampled_from((-1, 1))) * A[j]
     # u.x = (A u).(A^-T x): same offsets on the normals A u
     rebased = FlatArrangement(n, tuple(
-        Flat(Normal(tuple(int(v) for v in A @ f.normal.entries)), f.offsets, f.mass)
+        Flat(tuple(int(v) for v in A @ f.normal), f.offsets, f.mass)
         for f in arr.flats))
 
     shift = draw(st.lists(st.sampled_from(OFFSETS), min_size=3 * n, max_size=3 * n))
@@ -75,7 +75,7 @@ def arrangements_and_points(draw):
         st.tuples(st.sampled_from(PALETTES[n]), st.tuples(*[st.sampled_from(OFFSETS)] * 3),
                   st.sampled_from(MASSES)),
         min_size=1, max_size=5, unique_by=lambda f: (f[0], f[1])))
-    arr = FlatArrangement(n, tuple(Flat(Normal(u), lam, a) for u, lam, a in flats))
+    arr = FlatArrangement(n, tuple(Flat(u, lam, a) for u, lam, a in flats))
     c = np.array(draw(st.lists(COORDS, min_size=3 * n, max_size=3 * n)))
     p = Point3n.from_coords(c)
     _, _, r, t = arr.svr(p.x, p.z)
@@ -101,9 +101,9 @@ def test_potential_invariant_under_translation(case):
 def test_a_flat_given_with_the_opposite_sign_evaluates_alike(case, data):
     # (-u, -lambda) cuts out the flat (u, lambda); it evaluates bit for bit alike
     arr, p, _, _ = case
-    flip = data.draw(st.lists(st.booleans(), min_size=len(arr), max_size=len(arr)))
+    flip = data.draw(st.lists(st.booleans(), min_size=len(arr.flats), max_size=len(arr.flats)))
     negated = FlatArrangement(arr.dimension, tuple(
-        Flat(tuple(-e for e in f.normal.entries), tuple(-o for o in f.offsets), f.mass)
+        Flat(tuple(-e for e in f.normal), tuple(-o for o in f.offsets), f.mass)
         if neg else f for f, neg in zip(arr.flats, flip)))
     assert eval_F(negated, None, p) == eval_F(arr, None, p)
     assert np.array_equal(eval_Phi(negated, None, p), eval_Phi(arr, None, p))

@@ -752,9 +752,10 @@ def test_growth_validates_radii():
         growth_fit(FLAT_H.arrangement, None, base, [100.0])
 
 
-def _unscreened_growth_chunk(arr, B, base_coords, dirs, radii, n):
+def _unscreened_growth_chunk(arr, B, base_coords, dirs, radii):
     """The growth chunk without probe screening: every T round integrates
     all of dirs.  Kept as the reference the screened loop must reproduce."""
+    n = arr.dimension
     rmax = float(radii[-1])
     nodes = 512
     T = max(rmax, 4.0)
@@ -854,7 +855,7 @@ def test_growth_chunk_integrates_all_rays_once(monkeypatch):
     dirs = np.random.default_rng(213).standard_normal((512, 3))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     base = np.array([0.3, -0.2, 0.1])
-    verify._growth_chunk(EH.arrangement, EH.deformation, base, dirs, GROWTH_RADII, 1)
+    verify._growth_chunk(EH.arrangement, EH.deformation, base, dirs, GROWTH_RADII)
     blocks = 512 // verify.RAY_BLOCK
     rounds = len(calls) - blocks
     assert rounds >= 1
@@ -886,7 +887,7 @@ def test_growth_chunk_working_set_does_not_grow_with_the_chunk(name):
     tracemalloc.start()
     try:
         verify._growth_chunk(e.arrangement, e.deformation, np.zeros(3 * n), dirs,
-                             GROWTH_RADII, n)
+                             GROWTH_RADII)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -894,16 +895,14 @@ def test_growth_chunk_working_set_does_not_grow_with_the_chunk(name):
 
 
 def test_growth_chunk_raises_sampling_error_when_rays_stay_short(monkeypatch):
-    def short_rays(arr, B, base_coords, dirs, T, n):
-        t = np.geomspace(1e-4, T, 512)
-        zero = np.zeros((dirs.shape[0], t.size))
-        return t, zero, zero
+    def short_rays(arr, B, base_coords, dirs, T):
+        zero = np.zeros((dirs.shape[0], 512))
+        return zero, zero
 
     monkeypatch.setattr(verify, "_rays", short_rays)
     dirs = np.eye(3)
     with pytest.raises(SamplingError, match="largest radius"):
-        verify._growth_chunk(EH.arrangement, None, np.zeros(3), dirs,
-                             GROWTH_RADII, 1)
+        verify._growth_chunk(EH.arrangement, None, np.zeros(3), dirs, GROWTH_RADII)
 
 
 # -- harness ------------------------------------------------------------------
