@@ -86,14 +86,13 @@ class Flat:
     mass: float = 1.0
 
     def __post_init__(self):
-        normal = []
-        for e in self.normal:
-            if isinstance(e, float) and not e.is_integer():
-                raise ArrangementError(f"normal entries must be integers: {self.normal!r}")
-            try:
-                normal.append(int(e))
-            except (TypeError, ValueError):
-                raise ArrangementError(f"normal entries must be integers: {self.normal!r}")
+        # an entry is integral when int() keeps its value, whatever its type
+        try:
+            normal = tuple(int(e) for e in self.normal)
+        except (TypeError, ValueError, OverflowError):
+            normal = None
+        if normal is None or normal != tuple(self.normal):
+            raise ArrangementError(f"normal entries must be integers: {self.normal!r}")
         if not any(normal):
             raise ArrangementError("normal must be nonzero")
         g = math.gcd(*normal)
@@ -105,7 +104,6 @@ class Flat:
         mass = float(self.mass)
         if not (mass > 0 and math.isfinite(mass)):
             raise ArrangementError("mass must be positive")
-        normal = tuple(normal)
         if next(e for e in normal if e != 0) < 0:
             normal = tuple(-e for e in normal)
             off = tuple(-v for v in off)

@@ -1,7 +1,8 @@
 """Command-line surface.
 
 Exit codes: 0 success, 1 check or verification failure, 2 input error.
-All JSON output is key-sorted so runs with the same seed are byte-identical.
+All JSON output is key-sorted so runs with the same seed are byte-identical,
+and strict: a non-finite value (inf, nan) prints as null.
 run_cli parses with one parser per process, built on its first call and
 kept; build_parser() still returns a fresh parser for callers that extend it.
 """
@@ -9,6 +10,7 @@ kept; build_parser() still returns a fresh parser for callers that extend it.
 import argparse
 import functools
 import json
+import math
 import re
 import sys
 
@@ -57,8 +59,25 @@ def _parse_point(text, n, flag="--point"):
     return Point3n.from_coords(vals)
 
 
+def _finite(value):
+    """value with every non-finite float inside it replaced by None."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: _finite(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite(v) for v in value]
+    return value
+
+
 def _emit(doc):
-    sys.stdout.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    """Write doc as strict JSON, where a non-finite float prints as null; the
+    document is walked only when it holds one."""
+    try:
+        text = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError:
+        text = json.dumps(_finite(doc), sort_keys=True, indent=2, allow_nan=False)
+    sys.stdout.write(text + "\n")
 
 
 def _seed(text):

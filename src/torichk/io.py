@@ -2,8 +2,9 @@
 
 Schema: {"n": int, "flats": [{"u": [int, ...], "lambda": [f, f, f],
 "a": float}, ...], "B": [[float, ...], ...]}; "B" is optional and defaults
-to the zero matrix.  Errors name the offending field (and source line for
-syntax problems) so CLI diagnostics stay actionable.
+to the zero matrix, and any other field is refused.  Errors name the
+offending field (and source line for syntax problems) so CLI diagnostics
+stay actionable.
 """
 
 import json
@@ -44,6 +45,16 @@ def _refuse_non_numbers(field, value):
         raise ArrangementError(f"{field} must hold numbers, got {value!r}")
 
 
+def _refuse_unknown_fields(where, raw, known):
+    """Raise ArrangementError naming the keys of raw outside known: a misspelt
+    field would otherwise be dropped and its default used."""
+    unknown = [key for key in raw if key not in known]
+    if unknown:
+        raise ArrangementError(
+            f"{where}unknown field {', '.join(map(json.dumps, unknown))}; "
+            f"known: {', '.join(map(json.dumps, known))}")
+
+
 def parse_arrangement(data):
     """Build (FlatArrangement, DeformationMatrix) from a decoded mapping."""
     if not isinstance(data, dict):
@@ -77,6 +88,7 @@ def parse_arrangement(data):
             flat = Flat(tuple(u), tuple(float(v) for v in lam), float(raw["a"]))
         except (ArrangementError, TypeError, ValueError) as exc:
             raise ArrangementError(f"flats[{idx}]: {exc}") from exc
+        _refuse_unknown_fields(f"flats[{idx}]: ", raw, ("u", "lambda", "a"))
         flats.append(flat)
 
     arr = FlatArrangement(n, tuple(flats))
@@ -97,6 +109,7 @@ def parse_arrangement(data):
             raise ArrangementError(f'field "B": {exc}') from exc
     else:
         B = DeformationMatrix.zero(n)
+    _refuse_unknown_fields("", data, ("n", "flats", "B"))
     return arr, B
 
 

@@ -462,7 +462,7 @@ def _growth_chunk(arr, B, base_coords, dirs, radii):
     for _ in range(80):
         proxy, _ = _rays(arr, B, base_coords, probe, T)
         if proxy[0, -1] >= rmax:
-            proxy, Vc = _rays(arr, B, base_coords, dirs, T)
+            proxy, volume = _rays(arr, B, base_coords, dirs, T)
             if proxy[:, -1].min() >= rmax:
                 break
             probe = dirs[[int(np.argmin(proxy[:, -1]))]]
@@ -479,8 +479,8 @@ def _growth_chunk(arr, B, base_coords, dirs, radii):
         rows = np.arange(dirs.shape[0])
         p_lo = proxy[rows, lo]
         p_hi = proxy[rows, idx]
-        v_lo = Vc[rows, lo]
-        v_hi = Vc[rows, idx]
+        v_lo = volume[rows, lo]
+        v_hi = volume[rows, idx]
         frac = np.clip((R - p_lo) / np.where(p_hi > p_lo, p_hi - p_lo, 1.0), 0.0, 1.0)
         vals = v_lo + frac * (v_hi - v_lo)
         vals = np.where(proxy[:, 0] >= R, 0.0, vals)

@@ -94,6 +94,22 @@ def test_validate_rejects_malformed_shape(capsys, tmp_path):
     assert 'field "flats" must be a list' in err
 
 
+@pytest.mark.parametrize("cmd, doc, message", [
+    # a misspelt "B" used to be dropped: the unit flat classified as flat H
+    ("classify", {"n": 1, "flats": [_GOOD_FLAT], "b": [[1.0]]},
+     'unknown field "b"; known: "n", "flats", "B"'),
+    ("validate", {"n": 1, "flats": [_GOOD_FLAT, dict(_GOOD_FLAT, u=[-1], m=5)]},
+     'flats[1]: unknown field "m"; known: "u", "lambda", "a"'),
+])
+def test_unknown_fields_are_refused(capsys, tmp_path, cmd, doc, message):
+    with pytest.raises(ArrangementError) as exc:
+        parse_arrangement(doc)
+    assert str(exc.value) == message
+    code, out, err = _run(capsys, cmd, _write_arrangement(tmp_path, doc))
+    assert code == 2 and out == ""
+    assert message in err
+
+
 def test_validate_nonsmooth_exit_one(capsys):
     code, out, err = _run(capsys, "validate", "n2-nonsmooth")
     assert code == 1

@@ -10,6 +10,7 @@ output on purpose regenerates the file with
 and says which digests moved and why.
 """
 
+import functools
 import hashlib
 import io
 import json
@@ -39,6 +40,16 @@ def _cli(*argv):
     return code, buf.getvalue()
 
 
+@functools.cache
+def _verify(name, seed):
+    """(exit code, stdout) of verify; both tests of this file read it."""
+    return _cli("verify", name, "--seed", seed)
+
+
+def _refuse_constant(token):
+    raise ValueError(f"non-standard JSON constant {token}")
+
+
 def _sha(code, text):
     return hashlib.sha256(f"{code}\n{text}".encode()).hexdigest()
 
@@ -47,7 +58,7 @@ def _digests(name):
     """{command: digest}; verify's wall_time_s is the one unreproducible field."""
     out = {}
     for seed in SEEDS:
-        code, text = _cli("verify", name, "--seed", seed)
+        code, text = _verify(name, seed)
         doc = json.loads(text)
         for rep in doc["reports"]:
             del rep["wall_time_s"]
@@ -71,6 +82,13 @@ def _pinned():
 
 def test_every_catalog_entry_is_pinned():
     assert sorted(_pinned()) == sorted(entry_names())
+
+
+@pytest.mark.parametrize("name", entry_names())
+def test_verify_output_is_strict_json(name):
+    # Infinity and NaN are not JSON: jq and JSON.parse refuse them
+    for seed in SEEDS:
+        json.loads(_verify(name, seed)[1], parse_constant=_refuse_constant)
 
 
 @pytest.mark.parametrize("name", entry_names())

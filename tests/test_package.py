@@ -87,3 +87,14 @@ def test_the_check_skeleton_has_one_owner():
               if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)]
     assert called.count("_rng_for") == 1
     assert called.count("_report") + called.count("ResidualReport") == 1
+
+
+def test_no_module_rebinds_a_global():
+    # a value built once is cached with functools.cache, as the catalog,
+    # DeformationMatrix.zero and the CLI parser are; no module rebinds a global
+    globals_ = sorted(
+        f"{path.name}:{node.lineno}"
+        for path in sorted(pathlib.Path(torichk.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Global))
+    assert globals_ == []
