@@ -13,8 +13,7 @@ from .arrangement import (ClassificationReport, DeformationMatrix, Flat,
 from .catalog import CatalogEntry, Expected, catalog, entry, entry_names
 from .config import DEFAULT, Tolerances
 from .errors import (ArrangementError, BranchLocusError, DifferentiationError,
-                     DomainEscapeError, EvaluationError,
-                     InsufficientSamplesError, NoConvergenceError,
+                     DomainEscapeError, EvaluationError, NoConvergenceError,
                      OnFlatError, SamplingError, StencilClippedError)
 from .io import dump_arrangement, load_arrangement, parse_arrangement
 from .potential import (KahlerChartPoint, ReconstructedPotential, eval_F,
@@ -32,9 +31,9 @@ __all__ = [
     "ArrangementError", "BranchLocusError", "CatalogEntry",
     "ClassificationReport", "DEFAULT", "DeformationMatrix",
     "DifferentiationError", "DomainEscapeError", "EvaluationError", "Expected",
-    "Flat", "FlatArrangement", "GrowthFit", "InsufficientSamplesError",
-    "KahlerChartPoint", "NoConvergenceError", "OnFlatError",
-    "Point3n", "ReconstructedPotential", "ResidualReport", "SamplingError",
+    "Flat", "FlatArrangement", "GrowthFit", "KahlerChartPoint",
+    "NoConvergenceError", "OnFlatError", "Point3n", "ReconstructedPotential",
+    "ResidualReport", "SamplingError",
     "StencilClippedError", "Stratum", "Tolerances", "catalog",
     "classification_report", "conformal_factor_check", "dump_arrangement",
     "entry", "entry_names", "eval_F", "eval_F_z", "eval_Phi",

@@ -131,8 +131,13 @@ class FlatArrangement:
     flats: tuple = ()
 
     def __post_init__(self):
-        n = int(self.dimension)
-        if n < 1:
+        # as for a normal entry, int() must keep the value (so "2" is
+        # refused); a bool is refused although True == 1
+        try:
+            n = int(self.dimension)
+        except (TypeError, ValueError, OverflowError):
+            n = 0
+        if isinstance(self.dimension, (bool, np.bool_)) or n != self.dimension or n < 1:
             raise ArrangementError("dimension must be a positive integer")
         flats = tuple(self.flats)
         for k, f in enumerate(flats):

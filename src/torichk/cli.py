@@ -4,7 +4,7 @@ Exit codes: 0 success, 1 check or verification failure, 2 input error.
 All JSON output is key-sorted so runs with the same seed are byte-identical,
 and strict: a non-finite value (inf, nan) prints as null.
 run_cli parses with one parser per process, built on its first call and
-kept; build_parser() still returns a fresh parser for callers that extend it.
+kept: parsing leaves it unchanged.
 """
 
 import argparse
@@ -23,12 +23,11 @@ from .catalog import entry_names
 from .arrangement import Point3n, classification_report
 from .config import DEFAULT
 from .errors import (ArrangementError, DifferentiationError, DomainEscapeError,
-                     EvaluationError, InsufficientSamplesError, NoConvergenceError,
-                     SamplingError)
+                     EvaluationError, NoConvergenceError, SamplingError)
 from .io import dump_arrangement, load_arrangement
 from .potential import _off_domain, eval_F, eval_Phi, eval_metric, quotient_metric
 
-__all__ = ["main", "run_cli", "build_parser"]
+__all__ = ["main", "run_cli"]
 
 
 def _resolve(target):
@@ -91,8 +90,9 @@ def _seed(text):
     return value
 
 
-def build_parser():
-    """A new parser for the torichk command line, for callers that extend it."""
+@functools.cache
+def _parser():
+    """The parser of the torichk command line; each subcommand's run is its handler."""
     ap = argparse.ArgumentParser(
         prog="torichk",
         description="Construct, evaluate, verify, and classify toric "
@@ -101,20 +101,24 @@ def build_parser():
 
     p = sub.add_parser("validate", help="parse a file and run the smoothness check")
     p.add_argument("target")
+    p.set_defaults(run=_cmd_validate)
 
     p = sub.add_parser("classify", help="emit the classification report as JSON")
     p.add_argument("target")
+    p.set_defaults(run=_cmd_classify)
 
     p = sub.add_parser("eval", help="evaluate F, Phi, and the metrics at a point")
     p.add_argument("target")
     p.add_argument("--point", required=True,
                    help="3n comma-separated coordinates (x, Re z, Im z)")
+    p.set_defaults(run=_cmd_eval)
 
     p = sub.add_parser("verify", help="run numerical certification checks")
     p.add_argument("target")
     p.add_argument("--checks", default=None,
                    help="comma-separated subset of: " + ", ".join(ver.check_names()))
     p.add_argument("--seed", type=_seed, default=None)
+    p.set_defaults(run=_cmd_verify)
 
     p = sub.add_parser("growth", help="Monte-Carlo volume-growth exponent")
     p.add_argument("target")
@@ -124,6 +128,7 @@ def build_parser():
     p.add_argument("--seed", type=_seed, default=None)
     p.add_argument("--base", default=None,
                    help="3n comma-separated base-point coordinates (default origin)")
+    p.set_defaults(run=_cmd_growth)
 
     p = sub.add_parser("export-grid", help="sample Phi and metric data on a grid")
     p.add_argument("target")
@@ -134,14 +139,11 @@ def build_parser():
     p.add_argument("--fixed", default=None,
                    help="3n comma-separated coordinates for unswept axes")
     p.add_argument("--out", required=True, help="output CSV path, or - for stdout")
+    p.set_defaults(run=_cmd_export_grid)
 
     p = sub.add_parser("catalog", help="list the built-in examples")
-
+    p.set_defaults(run=_cmd_catalog)
     return ap
-
-
-# run_cli's parser, built on first use and kept: parsing leaves it unchanged
-_parser = functools.cache(build_parser)
 
 
 def _cmd_validate(args):
@@ -226,7 +228,10 @@ def _cmd_growth(args):
     }
     _emit(doc)
     if not fit.std_error <= DEFAULT.growth_max_stderr:
-        raise InsufficientSamplesError(fit.std_error, DEFAULT.growth_max_stderr)
+        print(f"check failed: growth-exponent standard error {fit.std_error:.3f} "
+              f"exceeds {DEFAULT.growth_max_stderr:.3f}; increase samples or radii",
+              file=sys.stderr)
+        return 1
     return 0
 
 
@@ -333,17 +338,6 @@ def _cmd_catalog(args):
     return 0
 
 
-_COMMANDS = {
-    "validate": _cmd_validate,
-    "classify": _cmd_classify,
-    "eval": _cmd_eval,
-    "verify": _cmd_verify,
-    "growth": _cmd_growth,
-    "export-grid": _cmd_export_grid,
-    "catalog": _cmd_catalog,
-}
-
-
 # options whose values are coordinates or ranges and so may start with "-"
 _SIGNED_VALUE_FLAGS = ("--point", "--base", "--range", "--fixed")
 
@@ -372,10 +366,7 @@ def run_cli(argv=None) -> int:
         # argparse exits 2 on usage errors already; normalize other codes
         return 2 if exc.code not in (0,) else 0
     try:
-        return _COMMANDS[args.command](args)
-    except InsufficientSamplesError as exc:
-        print(f"check failed: {exc}", file=sys.stderr)
-        return 1
+        return args.run(args)
     except (ArrangementError, EvaluationError, SamplingError, ValueError,
             NoConvergenceError, DomainEscapeError, DifferentiationError) as exc:
         print(f"error: {exc}", file=sys.stderr)

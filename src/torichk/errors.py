@@ -49,18 +49,6 @@ class DomainEscapeError(Exception):
     """Newton iterate left (or started outside) the potential's domain."""
 
 
-class InsufficientSamplesError(Exception):
-    """Monte Carlo estimate too noisy at the requested sample budget."""
-
-    def __init__(self, stderr, limit):
-        self.stderr = stderr
-        self.limit = limit
-        super().__init__(
-            f"growth-exponent standard error {stderr:.3f} exceeds {limit:.3f}; "
-            "increase samples or radii"
-        )
-
-
 class SamplingError(RuntimeError):
     """A sampler or the growth integrator could not produce its points or rays."""
 

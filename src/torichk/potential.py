@@ -60,8 +60,8 @@ from .errors import (BranchLocusError, DifferentiationError, DomainEscapeError,
 
 __all__ = [
     "Point3n", "KahlerChartPoint", "ReconstructedPotential",
-    "eval_F", "eval_Phi", "eval_connection", "eval_metric", "quotient_metric",
-    "legendre_solve", "reconstruct_F_from_K",
+    "eval_F", "eval_F_z", "eval_Phi", "eval_connection", "eval_metric",
+    "quotient_metric", "legendre_solve", "reconstruct_F_from_K", "phi_batch",
 ]
 
 
@@ -272,8 +272,8 @@ def _newton(arr, B, u, z, x):
             if stop.all():
                 break
             keep = ~stop
-            rows, x, vv, zbz, tau, g, f, s, r, t, res, gone = (
-                col[keep] for col in (rows, x, vv, zbz, tau, g, f, s, r, t, res, gone))
+            rows, x, vv, zbz, tau, g, f, r, t, res, gone = (
+                col[keep] for col in (rows, x, vv, zbz, tau, g, f, r, t, res, gone))
         phi = _phi(arr, Bm, r)
         # 4 times eval_Phi's 0.5 (phi + phi^T): scaling by 2 is exact
         hess = 2.0 * (phi + np.swapaxes(phi, 1, 2))
@@ -300,10 +300,10 @@ def _newton(arr, B, u, z, x):
                 arr, Bm, trial, s_new, r_new, t_new, zbz, tau)
             acc = todo & inside & (f_new <= f + DEFAULT.armijo * alpha * slope + noise)
             if acc.all():
-                x, g, f, s, r, t = trial, g_new, f_new, s_new, r_new, t_new
+                x, g, f, r, t = trial, g_new, f_new, r_new, t_new
                 break
-            x[acc], g[acc], f[acc], s[acc], r[acc], t[acc] = (
-                trial[acc], g_new[acc], f_new[acc], s_new[acc], r_new[acc], t_new[acc])
+            x[acc], g[acc], f[acc], r[acc], t[acc] = (
+                trial[acc], g_new[acc], f_new[acc], r_new[acc], t_new[acc])
             todo &= ~acc
             if not todo.any():
                 break

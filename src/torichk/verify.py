@@ -175,7 +175,7 @@ def polyharmonic_residual(arr: FlatArrangement, B, p: Point3n, v,
     return np.abs(fd.laplacian3(f, np.zeros(p.x.shape[:-1] + (3,)), step))
 
 
-def _k_blocks(arr, B, chart, step):
+def _k_blocks(arr, B, chart):
     """Wirtinger blocks (K_uu-bar, K_uz-bar, K_zu-bar, K_zz-bar) via a real Hessian.
 
     The exact gradient of K over stacked (Re u, Re z, Im z) is differenced
@@ -183,9 +183,10 @@ def _k_blocks(arr, B, chart, step):
     dK/dRe u = -4x, and dK/dz = F_z at the solution.  Only first derivatives
     of K are analytic inputs here, so one central difference of this gradient
     yields Hessian blocks with far less cancellation than double differences
-    of K values.  The 6n points +-step e_i of every chart (u, z, x each (n,)
-    or (..., n)) are solved as one stack warm-started at their chart, and
-    F_z is evaluated at them in one call.  Each block is (..., n, n).
+    of K values.  The 6n points +-h e_i, h = DEFAULT.fd_step, of every chart
+    (u, z, x each (n,) or (..., n)) are solved as one stack warm-started at
+    their chart, and F_z is evaluated at them in one call.  Each block is
+    (..., n, n).
 
     K is independent of Im u on the chart, so the real Hessian over
     (Re u, Re z, Im z) determines every block:
@@ -195,6 +196,7 @@ def _k_blocks(arr, B, chart, step):
     """
     n = chart.x.shape[-1]
     lead = chart.x.shape[:-1]
+    step = DEFAULT.fd_step
     E = step * np.eye(3 * n)
     W = np.stack([E, -E], axis=1).reshape(6 * n, 3 * n)  # +e_0, -e_0, +e_1, ...
     u = (chart.u[..., None, :] + W[:, :n]).reshape(-1, n)
@@ -219,12 +221,11 @@ def _k_blocks(arr, B, chart, step):
     return kuu, kuz, kzu, kzz
 
 
-def monge_ampere_residual(arr: FlatArrangement, B, chart,
-                          step: float = DEFAULT.fd_step):
+def monge_ampere_residual(arr: FlatArrangement, B, chart):
     """|K_uu-bar K_zz-bar - K_uz-bar K_zu-bar - 1| for n=1 chart points."""
     if arr.dimension != 1:
         raise ValueError("Monge-Ampere residual is the n=1 specialization")
-    kuu, kuz, kzu, kzz = (k[..., 0, 0] for k in _k_blocks(arr, B, chart, step))
+    kuu, kuz, kzu, kzz = (k[..., 0, 0] for k in _k_blocks(arr, B, chart))
     # in real arithmetic, as numpy's scalar complex product and abs compute it
     # for one chart; its complex array loops fuse multiply-adds and differ in
     # the last bit
@@ -233,10 +234,9 @@ def monge_ampere_residual(arr: FlatArrangement, B, chart,
     return np.hypot(re, im)
 
 
-def hessian_identity_residual(arr: FlatArrangement, B, chart,
-                              step: float = DEFAULT.fd_step):
+def hessian_identity_residual(arr: FlatArrangement, B, chart):
     """Deviation in K_uu-bar = -4 (F_xx)^{-1} and K_uz-bar = 2 (F_xx)^{-1} F_xz-bar."""
-    kuu, kuz, _, _ = _k_blocks(arr, B, chart, step)
+    kuu, kuz, _, _ = _k_blocks(arr, B, chart)
     p = Point3n(chart.x, chart.z)
     fxx = 4.0 * eval_Phi(arr, B, p)
     fxzbar = eval_connection(arr, B, p).conj()
@@ -246,11 +246,10 @@ def hessian_identity_residual(arr: FlatArrangement, B, chart,
     return np.maximum(r1, r2)
 
 
-def sp_condition_residual(arr: FlatArrangement, B, chart,
-                          step: float = DEFAULT.fd_step):
+def sp_condition_residual(arr: FlatArrangement, B, chart):
     """max-norm of M^T J M - J for the 2n x 2n chart Hessian block matrix M."""
     n = chart.x.shape[-1]
-    kuu, kuz, kzu, kzz = _k_blocks(arr, B, chart, step)
+    kuu, kuz, kzu, kzz = _k_blocks(arr, B, chart)
     M = np.block([[kuu, kuz], [kzu, kzz]])
     J = np.block([[np.zeros((n, n)), np.eye(n)], [-np.eye(n), np.zeros((n, n))]])
     return np.abs(np.swapaxes(M, -1, -2) @ J @ M - J).max(axis=(-2, -1))
@@ -308,11 +307,6 @@ def ricci_residual(arr: FlatArrangement, B, p: Point3n,
     return np.abs(ric).max(axis=(-2, -1))
 
 
-def _phi_11(arr, B, W):
-    """Phi at the R^3 points W (..., 3) of an n=1 arrangement, (...)."""
-    return eval_Phi(arr, B, Point3n(W[..., :1], W[..., 1:2] + 1j * W[..., 2:]))[..., 0, 0]
-
-
 def _conformal_law(arr, B, x3):
     """The step-independent part of conformal_factor_check at x3 (..., 3), (...).
 
@@ -341,7 +335,8 @@ def _conformal_law(arr, B, x3):
             bounds.append(bound)
     x3 = np.asarray(x3, dtype=float)
     pts = x3.reshape(-1, 3)
-    values = _phi_11(arr, B, np.concatenate([pts, np.reshape(probes, (-1, 3))]))
+    values = eval_Phi(arr, B, Point3n.from_coords(
+        np.concatenate([pts, np.reshape(probes, (-1, 3))])))[..., 0, 0]
 
     dists = np.linalg.norm(centers - pts[:, None, :], axis=-1)
     closed = b + np.sum(masses / (4.0 * dists), axis=-1)
@@ -352,7 +347,8 @@ def _conformal_law(arr, B, x3):
 
 def _conformal_harmonic(arr, B, x3, step):
     """|Laplacian of Phi| at x3 (..., 3): a Richardson pair at steps step and 2 step."""
-    return np.abs(fd.richardson_laplacian3(lambda W: _phi_11(arr, B, W), x3, step))
+    return np.abs(fd.richardson_laplacian3(
+        lambda W: eval_Phi(arr, B, Point3n.from_coords(W))[..., 0, 0], x3, step))
 
 
 def conformal_factor_check(arr: FlatArrangement, B, x3,
@@ -757,17 +753,19 @@ def run_checks(arr: FlatArrangement, B, checks=None, seed=None,
     B is None, a DeformationMatrix or an array (see DeformationMatrix.of).
     The default set excludes the n = 1 only checks at higher n, "growth" for
     non-smooth inputs and "classification" when no expectations are given.
-    A selection that is empty, names an unknown check, repeats a check or
-    holds an n = 1 only check at n > 1 raises ValueError before any check
-    runs; so does, when "classification" is selected, an empty set of
-    expectations, an expectation it does not know or an n = 1 sampled fact
-    at n > 1.
+    A selection that is a string, is empty, names an unknown check, repeats
+    a check or holds an n = 1 only check at n > 1 raises ValueError before
+    any check runs; so does, when "classification" is selected, an empty
+    set of expectations, an expectation it does not know or an n = 1
+    sampled fact at n > 1.
     """
     if seed is None:
         seed = DEFAULT.default_seed
     B = DeformationMatrix.of(B, arr.dimension)
     report = classification_report(arr, B)
     expected = expected or {}
+    if isinstance(checks, str):
+        raise ValueError(f"expected a list of check names, got the string {checks!r}")
     if checks is None:
         skip = {"growth": not report.smooth, "classification": not expected}
         checks = [name for name, check in _CHECKS.items()

@@ -68,6 +68,20 @@ def test_arrangement_rejects_bad_mass_and_dimension():
         FlatArrangement(2, (_flat((1,)),))
 
 
+@pytest.mark.parametrize("dimension", [1.5, "2", True, np.bool_(True), 0, -1, None,
+                                       float("nan"), float("inf")])
+def test_arrangement_refuses_a_dimension_int_would_change(dimension):
+    # int() alone would truncate 1.5 to 1 and read "2" as 2 and True as 1
+    with pytest.raises(ArrangementError, match="dimension must be a positive integer"):
+        FlatArrangement(dimension, ())
+
+
+@pytest.mark.parametrize("dimension", [2, 2.0, np.int64(2)])
+def test_arrangement_takes_an_integral_dimension(dimension):
+    arr = FlatArrangement(dimension, ())
+    assert arr.dimension == 2 and type(arr.dimension) is int
+
+
 def test_point_coords_roundtrip():
     p = Point3n(np.array([1.0, 2.0]), np.array([3.0 + 4.0j, 5.0 - 6.0j]))
     q = Point3n.from_coords(p.coords())

@@ -98,3 +98,16 @@ def test_no_module_rebinds_a_global():
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
         if isinstance(node, ast.Global))
     assert globals_ == []
+
+
+def test_every_reexport_is_public_in_its_module():
+    # torichk re-exports a name of a module with an __all__ only if that
+    # __all__ lists it
+    tree = ast.parse(pathlib.Path(torichk.__file__).read_text(encoding="utf-8"))
+    unlisted = sorted(
+        f"{node.module}.{alias.name}"
+        for node in tree.body if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+        if alias.name not in getattr(importlib.import_module(f"torichk.{node.module}"),
+                                     "__all__", [alias.name]))
+    assert unlisted == []

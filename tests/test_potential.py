@@ -581,7 +581,7 @@ def test_stencil_solves_equal_the_scalar_loop(e, monkeypatch):
     monkeypatch.setattr(verify, "_newton", recording)
     for chart in verify.sample_chart_points(arr, B, 4, np.random.default_rng(31)):
         verify._roundtrip_residual(arr, B, chart, DEFAULT.reconstruct_step)
-        verify._k_blocks(arr, B, chart, DEFAULT.fd_step)
+        verify._k_blocks(arr, B, chart)
     n = arr.dimension
     assert [len(u) for u, _, _ in stacks] == [8 * n + 1, 6 * n] * 4
     for u, z, x0 in stacks:

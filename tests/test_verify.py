@@ -196,14 +196,17 @@ def test_sp_condition_n2():
         assert sp_condition_residual(e.arrangement, e.deformation, sol) < 1e-4
 
 
-def test_monge_ampere_truncation_halves_with_step():
+def test_monge_ampere_truncation_halves_with_step(monkeypatch):
     # the first chart with min(r, s + r) >= 0.5: the sampler's candidates
     # draw the same numbers whether or not they are accepted
     charts = verify.sample_chart_points(EH.arrangement, None, 10, np.random.default_rng(205))
     _, _, r, t = EH.arrangement.svr(charts.x, charts.z)
     sol = charts[int(np.flatnonzero(np.minimum(r, t).min(axis=1) >= 0.5)[0])]
-    coarse = monge_ampere_residual(EH.arrangement, None, sol, step=2e-2)
-    fine = monge_ampere_residual(EH.arrangement, None, sol, step=1e-2)
+    residuals = []
+    for step in (2e-2, 1e-2):
+        monkeypatch.setattr(verify, "DEFAULT", dataclasses.replace(DEFAULT, fd_step=step))
+        residuals.append(monge_ampere_residual(EH.arrangement, None, sol))
+    coarse, fine = residuals
     assert coarse > 1e-7
     assert coarse / fine >= 3.0
 
@@ -423,9 +426,9 @@ def test_stencil_residuals_equal_the_pointwise_loops(name):
             assert np.array_equal(conformal_factor_check(arr, B, x3, h), want)
 
 
-def _pointwise_monge_ampere(arr, B, chart, step=DEFAULT.fd_step):
+def _pointwise_monge_ampere(arr, B, chart):
     # numpy's scalar complex arithmetic, one chart at a time
-    kuu, kuz, kzu, kzz = verify._k_blocks(arr, B, chart, step)
+    kuu, kuz, kzu, kzz = verify._k_blocks(arr, B, chart)
     det = kuu[0, 0] * kzz[0, 0] - kuz[0, 0] * kzu[0, 0]
     return abs(det - 1.0)
 
@@ -648,6 +651,8 @@ def test_sampled_facts_are_refused_at_n_2_before_any_check_runs(monkeypatch, key
     (["phi-fd", "polyharmonic", "phi-fd"], "check 'phi-fd' is selected more than once"),
     (["phi-fd", "bogus"], "unknown check 'bogus'"),
     (["phi-fd", "ricci"], "check 'ricci' does not apply to this arrangement"),
+    # a string would be read letter by letter, as the unknown check 'p'
+    ("phi-fd", "expected a list of check names, got the string 'phi-fd'"),
 ])
 def test_bad_selections_are_refused_before_any_check_runs(monkeypatch, checks, message):
     ran = _record_runs(monkeypatch)
