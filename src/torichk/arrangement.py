@@ -86,12 +86,14 @@ class Flat:
     mass: float = 1.0
 
     def __post_init__(self):
-        # an entry is integral when int() keeps its value, whatever its type
+        # an entry is integral when int() keeps its value, whatever its type;
+        # a bool is refused although True == 1
         try:
             normal = tuple(int(e) for e in self.normal)
         except (TypeError, ValueError, OverflowError):
             normal = None
-        if normal is None or normal != tuple(self.normal):
+        if (normal is None or normal != tuple(self.normal)
+                or any(isinstance(e, (bool, np.bool_)) for e in self.normal)):
             raise ArrangementError(f"normal entries must be integers: {self.normal!r}")
         if not any(normal):
             raise ArrangementError("normal must be nonzero")

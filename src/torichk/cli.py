@@ -272,7 +272,11 @@ GRID_BLOCK = 4096
 
 def _grid_rows(arr, B, w):
     """CSV rows for the grid points w (N, 3n): coordinates, Phi, det Phi and
-    det g, with NaN values where the evaluators' domain rule refuses a point."""
+    det g, with NaN values where the evaluators' domain rule refuses a point.
+
+    The text is built column by column.  A coordinate column holds few
+    distinct values, so each is formatted once, keyed by its bit pattern so
+    that -0.0 and 0.0 keep their own text."""
     n = arr.dimension
     p = Point3n.from_coords(w)
     _, _, r, t = arr.svr(p.x, p.z)
@@ -283,7 +287,13 @@ def _grid_rows(arr, B, w):
     vals = np.full((len(w), n * n + 2), np.nan)
     vals[off] = np.column_stack([phi.reshape(-1, n * n),
                                  np.linalg.det(phi), np.linalg.det(g)])
-    return [",".join(map(repr, row)) for row in np.hstack([w, vals]).tolist()]
+    cols = []
+    for c in w.T:
+        keys, inv = np.unique(c.view(np.int64), return_inverse=True)
+        text = [repr(v) for v in keys.view(float).tolist()]
+        cols.append(map(text.__getitem__, inv.tolist()))
+    cols += [map(repr, col) for col in vals.T.tolist()]
+    return list(map(",".join, zip(*cols)))
 
 
 def _cmd_export_grid(args):

@@ -518,7 +518,10 @@ def growth_fit(arr: FlatArrangement, B, base: Point3n, radii, samples: int = 409
     fiber_vol = (2.0 * math.pi) ** n
     volumes = sphere * fiber_vol * per_dir.mean(axis=0)
     if np.any(volumes <= 0):
-        raise ValueError("a requested radius is below the fiber scale; increase radii")
+        below = radii[np.argmax(volumes <= 0)]
+        raise ValueError(
+            f"radius {below:g} (radii {radii[0]:g} to {radii[-1]:g}) is below the "
+            "fiber scale of every sampled direction; increase radii")
 
     logR = np.log(radii)
     A = np.vstack([logR, np.ones_like(logR)]).T

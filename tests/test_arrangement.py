@@ -32,8 +32,10 @@ def test_normal_validation_messages():
         _flat((2, 0))
     with pytest.raises(ArrangementError, match=r"gcd 3"):
         _flat((3, -6))
-    # int() truncates a numpy float32 and a string is no number: neither is integral
-    for u in ((1.5, 0), (np.float32(1.5), 0), (np.float32("inf"), 1), ("1", 0), (None, 1)):
+    # int() truncates a numpy float32, a string is no number and a bool is no
+    # integer (although True == 1): none is integral
+    for u in ((1.5, 0), (np.float32(1.5), 0), (np.float32("inf"), 1), ("1", 0), (None, 1),
+              (True, False), (np.bool_(True), 0), (1, np.bool_(False))):
         with pytest.raises(ArrangementError, match="normal entries must be integers"):
             _flat(u)
     # integral floats are accepted and stored as ints

@@ -1,6 +1,10 @@
 """Command-line interface: exit codes, JSON output, grid export."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -256,6 +260,28 @@ def test_growth_nan_std_error_exits_one(capsys, monkeypatch):
                    "increase samples or radii\n")
 
 
+_HUGE_B = {"n": 1, "flats": [{"u": [1], "lambda": [0, 0, 0], "a": 1}], "B": [[1e300]]}
+
+
+@pytest.mark.parametrize("argv, radii", [
+    (["verify", "--seed", "1"], "60 to 960"),
+    (["growth", "--radii", "60,240", "--samples", "64"], "60 to 240"),
+], ids=["verify", "growth"])
+def test_growth_below_the_fiber_scale_names_the_radius(tmp_path, argv, radii):
+    # a fresh interpreter: verify's growth check overflows a cumulative sum
+    # on its way to this error, and that RuntimeWarning would fail the test
+    path = _write_arrangement(tmp_path, _HUGE_B)
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "torichk.cli", argv[0], path, *argv[1:]],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 2 and proc.stdout == ""
+    errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
+    assert errors == [f"error: radius 60 (radii {radii}) is below the fiber scale of "
+                      "every sampled direction; increase radii"]
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "flat-H"],
     ["growth", "flat-H", "--radii", "60,120"],
@@ -307,9 +333,10 @@ def test_export_grid_nan_on_flat(capsys, tmp_path):
     assert float(rows[2].split(",")[0]) == 1.0
 
 
-def _reference_grid_csv(arr, B, axes):
+def _reference_grid_csv(arr, B, axes, fixed=None):
     """export-grid's CSV for `axes` (name, start, stop, count) with the other
-    coordinates at 0, built point by point from the scalar evaluators."""
+    coordinates at `fixed` (3n floats, default 0), built point by point from
+    the scalar evaluators."""
     n = arr.dimension
     header = ([f"x{i+1}" for i in range(n)] + [f"rez{i+1}" for i in range(n)]
               + [f"imz{i+1}" for i in range(n)]
@@ -321,7 +348,7 @@ def _reference_grid_csv(arr, B, axes):
     mesh = np.meshgrid(*[np.linspace(a, b, c) for _, a, b, c in axes], indexing="ij")
     lines = [",".join(header)]
     for k in range(mesh[0].size):
-        w = np.zeros(3 * n)
+        w = np.zeros(3 * n) if fixed is None else np.array(fixed, dtype=float)
         for col, m in zip(cols, mesh):
             w[col] = m.reshape(-1)[k]
         p = Point3n.from_coords(w)
@@ -336,32 +363,89 @@ def _reference_grid_csv(arr, B, axes):
     return "\n".join(lines) + "\n"
 
 
+# an n = 2 grid over two blocks, so coordinate values repeat from one block to
+# the next, with x2 at -0.0, a value repr needs 17 digits for, a tiny one and
+# a negative one
+_N2_TWO_BLOCKS = ("n2-unimodular",
+                  [("x1", -1.0, 1.0, 65), ("imz2", -0.5, 0.5, GRID_BLOCK // 65 + 2)],
+                  (0.0, -0.0, 0.30000000000000004, 1e-300, -0.7, 0.0))
+
+
 def _grid_cases():
-    # every grid passes through flats (offsets on the grid lines, z = 0) and
-    # through the branch cuts on their negative side
+    # every grid at the origin's unswept coordinates passes through flats
+    # (offsets on the grid lines, z = 0) and through the branch cuts on their
+    # negative side
     n1 = [("x1", -3.0, 3.0, 25), ("imz1", -1.0, 1.0, 9)]
     n2 = [("x1", -1.0, 1.0, 9), ("x2", -1.0, 1.0, 9), ("imz2", -0.5, 0.5, 3)]
     for e in catalog():
-        yield pytest.param(e.name, n1 if e.arrangement.dimension == 1 else n2, id=e.name)
+        yield pytest.param(e.name, n1 if e.arrangement.dimension == 1 else n2, None,
+                           id=e.name)
     side = 65
     yield pytest.param("flat-H", [("x1", -3.0, 3.0, side),
-                                  ("rez1", -2.0, 2.0, GRID_BLOCK // side + 2)],
+                                  ("rez1", -2.0, 2.0, GRID_BLOCK // side + 2)], None,
                        id="flat-H-larger-than-a-block")
+    # unswept coordinates whose text a careless formatter would change: -0.0
+    # (x blocks keep its sign), a value repr needs 17 digits for, a tiny one
+    # and a negative one
+    yield pytest.param("eguchi-hanson", [("imz1", -1.0, 1.0, 9)],
+                       (-0.0, 0.30000000000000004, 1e-300), id="eguchi-hanson-fixed")
+    yield pytest.param("multi-EH-3", [("rez1", -1.0, 1.0, 9)],
+                       (-0.0, 5.0, -1e-300), id="multi-EH-3-fixed")
+    yield pytest.param(*_N2_TWO_BLOCKS, id="n2-unimodular-fixed-two-blocks")
 
 
-@pytest.mark.parametrize("name, axes", _grid_cases())
-def test_export_grid_matches_pointwise_reference(capsys, name, axes):
-    e = entry(name)
-    arr, B = e.arrangement, e.deformation
+def _grid_argv(name, axes, fixed=None):
     argv = ["export-grid", name]
     for ax, start, stop, count in axes:
         argv += ["--axis", ax, f"--range={start!r}:{stop!r}:{count}"]
-    code, out, err = _run(capsys, *argv, "--out", "-")
+    if fixed is not None:
+        argv.append("--fixed=" + ",".join(map(repr, fixed)))
+    return argv + ["--out", "-"]
+
+
+@pytest.mark.parametrize("name, axes, fixed", _grid_cases())
+def test_export_grid_matches_pointwise_reference(capsys, name, axes, fixed):
+    e = entry(name)
+    arr, B = e.arrangement, e.deformation
+    code, out, err = _run(capsys, *_grid_argv(name, axes, fixed))
     assert code == 0 and err == ""
-    assert out == _reference_grid_csv(arr, B, axes)
+    assert out == _reference_grid_csv(arr, B, axes, fixed)
     nan_rows = sum(line.endswith(",nan") for line in out.splitlines())
-    if len(arr.flats):
+    if len(arr.flats) and fixed is None:
         assert 0 < nan_rows < len(out.splitlines()) - 1
+
+
+def test_grid_rows_keep_the_sign_of_zero():
+    # -0.0 and 0.0 are equal but print differently, in one column and one block
+    e = entry("flat-H")
+    w = np.array([[-0.0, 1.0, 0.0], [0.0, 1.0, -0.0], [-0.0, 2.0, 0.5], [0.0, 1.0, -0.0]])
+    rows = cli._grid_rows(e.arrangement, e.deformation, w)
+    assert [row.split(",")[:3] for row in rows] == [list(map(repr, p)) for p in w.tolist()]
+
+
+def test_export_grid_formats_each_distinct_coordinate_once(capsys, monkeypatch):
+    # per block, one repr per distinct coordinate bit pattern in each column
+    # and one per value cell (n^2 Phi entries, det Phi, det g) in each row
+    calls = []
+
+    def counting_repr(value):
+        calls.append(value)
+        return repr(value)
+
+    name, axes, fixed = _N2_TWO_BLOCKS
+    n = entry(name).arrangement.dimension
+    mesh = np.meshgrid(*[np.linspace(a, b, c) for _, a, b, c in axes], indexing="ij")
+    w = np.tile(fixed, (mesh[0].size, 1))
+    w[:, 0], w[:, 5] = mesh[0].reshape(-1), mesh[1].reshape(-1)
+    blocks = [w[k:k + GRID_BLOCK] for k in range(0, len(w), GRID_BLOCK)]
+    assert len(blocks) == 2
+    distinct = sum(len({v.hex() for v in col}) for b in blocks for col in b.T.tolist())
+
+    monkeypatch.setattr(cli, "repr", counting_repr, raising=False)
+    code, out, err = _run(capsys, *_grid_argv(name, axes, fixed))
+    assert code == 0 and err == ""
+    assert len(out.splitlines()) == 1 + len(w)
+    assert len(calls) == distinct + len(w) * (n * n + 2)
 
 
 def test_export_grid_without_flats_or_deformation_exits_two(capsys, tmp_path):
