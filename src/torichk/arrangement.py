@@ -68,7 +68,10 @@ class Point3n:
         if w.ndim < 1 or w.shape[-1] % 3:
             raise ValueError("expected coordinates of length 3n along the last axis")
         n = w.shape[-1] // 3
-        return cls(w[..., :n], w[..., n:2 * n] + 1j * w[..., 2 * n:])
+        # filling .real and .imag keeps the sign of a zero, which re + 1j * im loses
+        z = np.empty(w.shape[:-1] + (n,), dtype=complex)
+        z.real, z.imag = w[..., n:2 * n], w[..., 2 * n:]
+        return cls(w[..., :n], z)
 
 
 @dataclass(frozen=True)
@@ -180,15 +183,6 @@ class FlatArrangement:
         v = z @ f.U.T - f.lc
         r = np.sqrt(s * s + (v * v.conj()).real)
         return s, v, r, s + r  # t after r's statement: none of its temporaries is alive
-
-    def sr(self, x, vv):
-        """s, r and t of svr at x (..., n) for a given |v|^2 (..., d), by svr's arithmetic.
-
-        For callers that move x at a fixed z.
-        """
-        s = x @ self.frame.U.T - self.frame.l1
-        r = np.sqrt(s * s + vv)
-        return s, r, s + r
 
 
 class DeformationMatrix:

@@ -11,6 +11,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import re
 import sys
 
@@ -32,7 +33,6 @@ __all__ = ["main", "run_cli"]
 
 def _resolve(target):
     """A path to an arrangement file, or a catalog entry name."""
-    import os
     if os.path.exists(target):
         arr, B = load_arrangement(target)
         return arr, B, None
@@ -117,7 +117,7 @@ def _parser():
     p.add_argument("target")
     p.add_argument("--checks", default=None,
                    help="comma-separated subset of: " + ", ".join(ver.check_names()))
-    p.add_argument("--seed", type=_seed, default=None)
+    p.add_argument("--seed", type=_seed, default=DEFAULT.default_seed)
     p.set_defaults(run=_cmd_verify)
 
     p = sub.add_parser("growth", help="Monte-Carlo volume-growth exponent")
@@ -125,7 +125,7 @@ def _parser():
     p.add_argument("--radii", required=True,
                    help="comma-separated increasing radii")
     p.add_argument("--samples", type=int, default=4096)
-    p.add_argument("--seed", type=_seed, default=None)
+    p.add_argument("--seed", type=_seed, default=DEFAULT.default_seed)
     p.add_argument("--base", default=None,
                    help="3n comma-separated base-point coordinates (default origin)")
     p.set_defaults(run=_cmd_growth)
@@ -197,7 +197,7 @@ def _cmd_verify(args):
                              expected=expected)
     doc = {
         "target": args.target,
-        "seed": args.seed if args.seed is not None else DEFAULT.default_seed,
+        "seed": args.seed,
         "reports": [r.as_dict() for r in reports],
         "all_passed": all(r.passed for r in reports),
     }
@@ -215,8 +215,7 @@ def _cmd_growth(args):
         base = _parse_point(args.base, arr.dimension, flag="--base")
     else:
         base = Point3n(np.zeros(arr.dimension), np.zeros(arr.dimension))
-    seed = args.seed if args.seed is not None else DEFAULT.default_seed
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(args.seed)
     fit = ver.growth_fit(arr, B, base, radii, samples=args.samples, rng=rng)
     doc = {
         "exponent": fit.exponent,
@@ -224,7 +223,7 @@ def _cmd_growth(args):
         "radii": fit.radii.tolist(),
         "volumes": fit.volumes.tolist(),
         "samples": fit.samples,
-        "seed": seed,
+        "seed": args.seed,
     }
     _emit(doc)
     if not fit.std_error <= DEFAULT.growth_max_stderr:
@@ -281,9 +280,8 @@ def _grid_rows(arr, B, w):
     p = Point3n.from_coords(w)
     _, _, r, t = arr.svr(p.x, p.z)
     off = ~_off_domain(r, t)
-    q = Point3n(p.x[off], p.z[off])
-    phi = eval_Phi(arr, B, q)
-    g = eval_metric(arr, B, q)
+    g = eval_metric(arr, B, Point3n(p.x[off], p.z[off]))
+    phi = g[:, :n, :n]  # the metric's first diagonal block: Phi, evaluated once
     vals = np.full((len(w), n * n + 2), np.nan)
     vals[off] = np.column_stack([phi.reshape(-1, n * n),
                                  np.linalg.det(phi), np.linalg.det(g)])
@@ -377,7 +375,7 @@ def run_cli(argv=None) -> int:
         return 2 if exc.code not in (0,) else 0
     try:
         return args.run(args)
-    except (ArrangementError, EvaluationError, SamplingError, ValueError,
+    except (EvaluationError, SamplingError, ValueError,
             NoConvergenceError, DomainEscapeError, DifferentiationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

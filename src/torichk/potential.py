@@ -8,7 +8,8 @@ Everything derives from one scalar potential on R^n x C^n,
 with per-flat quantities s_k = <x,u_k> - l1_k, v_k = <z,u_k> - (l2_k + i l3_k)
 and r_k = sqrt(s_k^2 + |v_k|^2) (the Euclidean-style distance data of the
 flat).  One kernel, FlatArrangement.svr over the arrays FlatArrangement.frame,
-computes them and t_k = s_k + r_k under the logarithm.  This module alone
+computes them and t_k = s_k + r_k under the logarithm, for the evaluators and
+for every trial point of the Newton line search alike.  This module alone
 holds the domain rule (every r_k above DEFAULT.on_flat and, but for Phi,
 every t_k above DEFAULT.branch): _check_domain raises it for every evaluator
 and the Newton solver; _off_domain is its per-point mask.  With no flats
@@ -210,24 +211,24 @@ def _dot(a, b):
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
-def _legendre_objective(arr, Bm, x, s, r, t, zbz, tau):
-    """K = F - tau.x and its x-gradient at the rows of x (K, n), z held fixed.
+def _legendre_objective(arr, Bm, x, z, zbz, tau):
+    """K = F - tau.x and its x-gradient at the rows (x, z) of (K, n) stacks.
 
-    s, r, t (K, d) are the flat data of the rows (see svr) and zbz (K,) is
-    Re(z B conj(z)).  Returns (ok, grad, K), where ok (K,) marks the rows
-    inside the domain (every t_k > 0); the other rows carry
-    placeholder values.  Each product is a stack of the one-row BLAS calls
-    (gemv or dot) that a single point makes, so no row depends on the stack
-    it is in.
+    zbz (K,) is Re(z B conj(z)).  Returns (ok, grad, K, r, t), where ok (K,)
+    marks the rows inside the domain (every t_k > 0), the other rows carrying
+    placeholder values, and r, t (K, d) are the flat data of svr at the rows.
+    Each product is a stack of the one-row BLAS calls (gemv or dot) that a
+    single point makes, so no row depends on the stack it is in.
     """
     U, a = arr.frame.U, arr.frame.a
+    s, _, r, t = arr.svr(x, z)
     g = 4.0 * (Bm @ x[:, :, None])[:, :, 0]
     val = 2.0 * _dot((x[:, None, :] @ Bm)[:, 0], x) - zbz
     ok = np.minimum.reduce(t, axis=1, initial=np.inf) > 0.0
     logt = np.log(t if ok.all() else np.where(ok[:, None], t, 1.0))
     g = g + ((a * logt)[:, None, :] @ U)[:, 0]
     val = np.add.reduce(a * (s * logt - r), axis=1) + val
-    return ok, g - tau, val - _dot(tau, x)
+    return ok, g - tau, val - _dot(tau, x), r, t
 
 
 def _newton(arr, B, u, z, x):
@@ -247,10 +248,8 @@ def _newton(arr, B, u, z, x):
     rows = np.arange(len(u))
     x = np.array(np.broadcast_to(x, u.shape), dtype=float)
     tau = 2.0 * (u + u.conj()).real
-    s, v, r, t = arr.svr(x, z)
-    vv = (v * v.conj()).real
     zbz = _dot((z[:, None, :] @ Bm.astype(complex))[:, 0], z.conj()).real
-    ok, g, f = _legendre_objective(arr, Bm, x, s, r, t, zbz, tau)
+    ok, g, f, r, t = _legendre_objective(arr, Bm, x, z, zbz, tau)
     gone = ~ok  # rows that failed and still have to leave the stack
     if not ok.all():
         for j in gone.nonzero()[0]:
@@ -272,8 +271,8 @@ def _newton(arr, B, u, z, x):
             if stop.all():
                 break
             keep = ~stop
-            rows, x, vv, zbz, tau, g, f, r, t, res, gone = (
-                col[keep] for col in (rows, x, vv, zbz, tau, g, f, r, t, res, gone))
+            rows, x, z, zbz, tau, g, f, r, t, res, gone = (
+                col[keep] for col in (rows, x, z, zbz, tau, g, f, r, t, res, gone))
         phi = _phi(arr, Bm, r)
         # 4 times eval_Phi's 0.5 (phi + phi^T): scaling by 2 is exact
         hess = 2.0 * (phi + np.swapaxes(phi, 1, 2))
@@ -295,9 +294,8 @@ def _newton(arr, B, u, z, x):
         todo = ~gone
         for _ in range(60):
             trial = x + alpha[:, None] * step
-            s_new, r_new, t_new = arr.sr(trial, vv)
-            inside, g_new, f_new = _legendre_objective(
-                arr, Bm, trial, s_new, r_new, t_new, zbz, tau)
+            inside, g_new, f_new, r_new, t_new = _legendre_objective(
+                arr, Bm, trial, z, zbz, tau)
             acc = todo & inside & (f_new <= f + DEFAULT.armijo * alpha * slope + noise)
             if acc.all():
                 x, g, f, r, t = trial, g_new, f_new, r_new, t_new

@@ -12,7 +12,7 @@ import pytest
 from torichk import (ArrangementError, DifferentiationError, DomainEscapeError,
                      EvaluationError, NoConvergenceError, Point3n, SamplingError, catalog,
                      entry, eval_Phi, eval_metric, parse_arrangement, verify)
-from torichk import cli
+from torichk import cli, potential
 from torichk.cli import GRID_BLOCK, run_cli
 
 
@@ -141,6 +141,14 @@ def test_eval_point(capsys):
     assert doc["F"] == pytest.approx(np.log(2.0) - 1.0, abs=1e-14)
     assert len(doc["metric"]) == 4
     assert len(doc["quotient_metric"]) == 3
+
+
+def test_eval_keeps_the_sign_of_zero(capsys):
+    code, out, err = _run(capsys, "eval", "flat-H", "--point=1,-0.0,-0.0")
+    assert code == 0
+    point = json.loads(out)["point"]
+    assert point == [1.0, 0.0, 0.0]
+    assert np.signbit(point).tolist() == [False, True, True]
 
 
 def test_eval_on_flat_exits_two(capsys):
@@ -446,6 +454,26 @@ def test_export_grid_formats_each_distinct_coordinate_once(capsys, monkeypatch):
     assert code == 0 and err == ""
     assert len(out.splitlines()) == 1 + len(w)
     assert len(calls) == distinct + len(w) * (n * n + 2)
+
+
+def test_export_grid_evaluates_phi_once_per_block(capsys, monkeypatch):
+    # Phi is read from the metric's first diagonal block, so each block runs
+    # one eval_Phi, counted through every module's binding of it
+    calls = []
+
+    def counting_eval_Phi(arr, B, p):
+        calls.append(len(p.x))
+        return eval_Phi(arr, B, p)
+
+    for module in (potential, cli):
+        monkeypatch.setattr(module, "eval_Phi", counting_eval_Phi)
+    name, axes, fixed = _N2_TWO_BLOCKS
+    code, out, err = _run(capsys, *_grid_argv(name, axes, fixed))
+    assert code == 0 and err == ""
+    rows = out.splitlines()[1:]
+    assert len(calls) == -(-len(rows) // GRID_BLOCK) == 2
+    # the points the domain rule refuses are not evaluated
+    assert sum(calls) == sum(not row.endswith(",nan") for row in rows)
 
 
 def test_export_grid_without_flats_or_deformation_exits_two(capsys, tmp_path):

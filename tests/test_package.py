@@ -57,19 +57,20 @@ def test_tolerances_are_one_table_without_a_per_call_knob():
 
 
 def test_per_flat_data_and_the_domain_rule_have_one_owner():
-    # t = s + r is computed only by the FlatArrangement kernel (svr, sr), and
-    # only the potential module applies the domain thresholds
+    # t = s + r is computed only by the return of the FlatArrangement kernel
+    # svr, and only the potential module applies the domain thresholds
     trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
              for path in sorted(pathlib.Path(torichk.__file__).parent.glob("*.py"))}
-    kernel = {id(node) for node in ast.walk(trees["arrangement.py"])
-              if isinstance(node, ast.ClassDef) and node.name == "FlatArrangement"
-              for node in ast.walk(node)}
+    svr_return = [node.lineno for cls in ast.walk(trees["arrangement.py"])
+                  if isinstance(cls, ast.ClassDef) and cls.name == "FlatArrangement"
+                  for fn in cls.body if getattr(fn, "name", None) == "svr"
+                  for node in ast.walk(fn) if isinstance(node, ast.Return)]
     s_plus_r = sorted(
         f"{file}:{node.lineno}" for file, tree in trees.items() for node in ast.walk(tree)
         if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add)
-        and {getattr(node.left, "id", None), getattr(node.right, "id", None)} == {"s", "r"}
-        and id(node) not in kernel)
-    assert s_plus_r == []
+        and {getattr(node.left, "id", None), getattr(node.right, "id", None)} == {"s", "r"})
+    assert len(svr_return) == 1
+    assert s_plus_r == [f"arrangement.py:{svr_return[0]}"]
     thresholds = sorted(
         f"{file}:{node.lineno}" for file in ("cli.py", "verify.py")
         for node in ast.walk(trees[file])
