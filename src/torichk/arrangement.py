@@ -11,6 +11,7 @@ normal forms decide whether active normal sets extend to a Z-basis of Z^n.
 import math
 from dataclasses import dataclass
 from functools import cache, cached_property
+from itertools import compress
 from typing import NamedTuple
 
 import numpy as np
@@ -43,7 +44,7 @@ class Point3n:
         z = np.array(self.z, dtype=complex, ndmin=1)
         if x.shape != z.shape:
             raise ValueError("x and z must have equal shapes (..., n)")
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(z))):
+        if not (np.isfinite(x).all() and np.isfinite(z).all()):
             raise ValueError("point coordinates must be finite")
         object.__setattr__(self, "x", _as_readonly(x))
         object.__setattr__(self, "z", _as_readonly(z))
@@ -171,17 +172,19 @@ class FlatArrangement:
             U, lam[:, 0].copy(), lam[:, 1] + 1j * lam[:, 2], a,
             np.linalg.norm(U, axis=1), np.abs(lam).max(axis=1))))
 
-    def svr(self, x, z):
+    def svr(self, x, z=None, vv=None):
         """Per-flat data at x (..., n) real and z (..., n) complex, each (..., d):
 
             s_k = <x,u_k> - l1_k,  v_k = <z,u_k> - lc_k,  r_k = sqrt(s_k^2 + |v_k|^2),
 
         and t_k = s_k + r_k under F's logarithm; every evaluator and sampler reads these.
+        A caller that moves x at a fixed z passes vv = |v|^2 (..., d) in place
+        of z; v is then None.
         """
         f = self.frame
         s = x @ f.U.T - f.l1
-        v = z @ f.U.T - f.lc
-        r = np.sqrt(s * s + (v * v.conj()).real)
+        v = None if z is None else z @ f.U.T - f.lc
+        r = np.sqrt(s * s + (vv if v is None else (v * v.conj()).real))
         return s, v, r, s + r  # t after r's statement: none of its temporaries is alive
 
 
@@ -309,7 +312,7 @@ def flat_distances(arr: FlatArrangement, x, z) -> np.ndarray:
 def _offset_scale(arr, idx):
     """max(1, largest |offset| of the flats idx): residuals up to tol times
     this count as zero."""
-    return max(1.0, float(arr.frame.sizes[idx].max()))
+    return float(arr.frame.sizes[idx].max(initial=1.0))
 
 
 def _solve_flat_system(arr, idx, atol):
@@ -345,25 +348,73 @@ def _closure(arr, idx, base, atol):
     return tuple(sorted(out))
 
 
-def _screen(arr, S, tol):
-    """One SVD of the normals U_S of stratum S: (nullspace (n, n - rank), skip (d,)).
+def _stratum_point(arr, S):
+    """One SVD of the normals U_S of the flats S: (x, z, null, pinv).
 
-    skip[j]: u_j = c_j . U_S lies in the span of U_S, and |l_j - c_j . l_S|,
-    which (u_j.x - l_j) - c_j . (U_S x - l_S) equals at every x, exceeds
-    (1 + |c_j|_1) tol * scale a thousandfold, far beyond rounding; so no x is
-    within tol * scale of all of S + {j}, and _solve_flat_system returns None.
+    (x, z) = V_r Sigma_r^-1 W_r^T (l1_S, lc_S) is the min-norm point of S,
+    null (n, n - rank) a basis of the nullspace of U_S and pinv (n, |S|) the
+    pseudo-inverse of U_S.
     """
     f = arr.frame
-    U, l1, lc = f.U, f.l1, f.lc
     idx = list(S)
-    w, sv, vt = np.linalg.svd(U[idx])
-    rank = int(np.sum(sv > 1e-11 * max(1.0, sv[0])))
-    C = (U @ vt[:rank].T / sv[:rank]) @ w[:, :rank].T  # u_j ~ C[j] @ U_S, (d, k)
-    in_span = np.abs(C @ U[idx] - U).max(axis=1) <= 1e-9
-    gap = np.maximum(np.abs(C @ l1[idx] - l1), np.abs(C @ lc[idx] - lc))
-    bound = (1e3 * tol * (1.0 + np.abs(C).sum(axis=1))
-             * np.maximum(_offset_scale(arr, idx), f.sizes))
-    return vt[rank:].T, in_span & (gap > bound)
+    w, sv, vt = np.linalg.svd(f.U[idx])
+    rank = int(np.count_nonzero(sv > 1e-11 * max(1.0, sv[0])))
+    pinv = (vt[:rank].T / sv[:rank]) @ w[:, :rank].T
+    return pinv @ f.l1[idx], pinv @ f.lc[idx], vt[rank:].T, pinv
+
+
+def _extensions(arr, S, todo, x, z, null, pinv, tol):
+    """The closed index set of every candidate S + {j}, j in todo (not in
+    S), whose flats meet within atol_j = tol * _offset_scale(arr, S + {j}).
+
+    (x, z, null, pinv) are those of _stratum_point(arr, S), and s, v are svr
+    at (x, z).  With P = U null (d, n - rank), a flat j with P_j != 0 always
+    meets S, at the min-norm point x - null P_j^T s_j / |P_j|^2 (z likewise
+    with v_j), where flat k has s_k - (P_k . P_j) s_j / |P_j|^2; its closure
+    adds the flats within atol_j of that point whose P_k is parallel to P_j,
+    that is, whose u_k lies in the span of U_S and u_j.  These are (|J|, d)
+    column operations over all such candidates at once.
+
+    A flat with u_j = c_j . U_S in the span of U_S (P_j = 0) is skipped when
+    max(|s_j|, |v_j|), which differs from the gap |l_j - c_j . l_S| by at most
+    |c_j|_1 times S's own residual (a few atol), exceeds (1 + |c_j|_1) atol_j
+    a thousandfold: no point is within atol_j of every flat of S + {j}, the
+    gap being at most (1 + |c_j|_1) atol_j at such a point.  The few left,
+    near the tolerance, are solved and closed by least squares.
+    """
+    f = arr.frame
+    idx = list(S)
+    closed = []
+    if not todo:
+        return closed
+    todo = np.array(todo)
+    atol = tol * np.maximum(_offset_scale(arr, idx), f.sizes)
+    s, v, _, _ = arr.svr(x, z)
+    P = f.U @ null
+    pp = np.einsum("jm,jm->j", P, P)  # squared distance of u_j from the span of U_S
+    off = pp[todo] > 1e-18
+    J, K = todo[off], todo[~off]
+    if J.size:
+        G = P[J] @ P.T  # P_j . P_k, (|J|, d)
+        c = 1.0 / pp[J]
+        # s_k and v_k at the point of candidate j: u_k . null P_j^T = G_jk
+        hit = (np.abs(s - (s[J] * c)[:, None] * G)
+               + np.abs(v - (v[J] * c)[:, None] * G)) <= atol[J, None]
+        if null.shape[1] > 1:  # else every P_k is parallel to P_j
+            rest = P - (G * c[:, None])[:, :, None] * P[J, None, :]
+            hit &= np.einsum("jkm,jkm->jk", rest, rest) <= 1e-18
+        hit[:, idx] = True
+        hit[np.arange(J.size), J] = True
+        closed = [tuple(compress(range(len(f.U)), row)) for row in hit.tolist()]
+    if K.size:
+        gap = np.maximum(np.abs(s[K]), np.abs(v[K]))
+        bound = 1e3 * (1.0 + np.abs(f.U[K] @ pinv).sum(axis=1)) * atol[K]
+        for j in K[gap <= bound].tolist():
+            cand = sorted(idx + [j])
+            base = _solve_flat_system(arr, cand, atol[j])
+            if base is not None:
+                closed.append(_closure(arr, cand, base, atol[j]))
+    return closed
 
 
 def _witness(arr, active, base, null, rng, tol):
@@ -371,12 +422,12 @@ def _witness(arr, active, base, null, rng, tol):
     flat along the nullspace of the active normals, as a Point3n."""
     others = [j for j in range(len(arr.flats)) if j not in active]
     x, z = base
-    if null.shape[1] == 0 or not others:
+    m = null.shape[1]
+    if m == 0 or not others:
         return Point3n(x, z)
     for _ in range(64):
-        cx = rng.uniform(-1.0, 1.0, null.shape[1])
-        cz = rng.uniform(-1.0, 1.0, null.shape[1]) + 1j * rng.uniform(-1.0, 1.0, null.shape[1])
-        cand = x + null @ cx, z + null @ cz
+        c = rng.uniform(-1.0, 1.0, 3 * m)  # the draws for x, Re z and Im z in turn
+        cand = x + null @ c[:m], z + null @ (c[m:2 * m] + 1j * c[2 * m:])
         if (flat_distances(arr, *cand)[others] > 1e3 * tol).all():
             return Point3n(*cand)
     raise ArrangementError("could not find a witness avoiding the other flats")
@@ -389,53 +440,46 @@ def intersection_strata(arr: FlatArrangement) -> list:
     (all flats containing it); index subsets cutting out the same
     intersection are not listed separately.
 
-    Breadth first: each stratum S is extended by every flat j not in S, and
-    each such candidate counts towards DEFAULT.strata_subset_limit; only new
-    candidates that the screen of S cannot rule out are solved.  Solves and
-    closures work on raw (x, z) arrays: the witnesses are the only validated
-    Point3n built, one per stratum.  Strata with the same active normals
-    share one Smith form.
+    Breadth first from the whole space: each stratum S gets one SVD of its
+    normals (_stratum_point), which gives its min-norm point, and is then
+    extended by every flat j not in S at once (_extensions); each such
+    candidate counts towards DEFAULT.strata_subset_limit.  Only extensions
+    by a flat whose normal lies in the span of S's normals, and which the
+    screen of S cannot rule out, take a least-squares solve.  The witness of
+    S perturbs S's own min-norm point, so it does not depend on the
+    candidate that found S; the witnesses are the only validated Point3n
+    built, one per stratum.  Strata with the same active normals share one
+    Smith form.
     """
-    d = len(arr.flats)
+    d, n = len(arr.flats), arr.dimension
     rng = np.random.default_rng(DEFAULT.default_seed)
     tol, limit = DEFAULT.on_flat, DEFAULT.strata_subset_limit
 
-    def solve(idx):
-        atol = tol * _offset_scale(arr, idx)
-        base = _solve_flat_system(arr, idx, atol)
-        return None if base is None else (_closure(arr, idx, base, atol), base)
-
-    found = {}
-    nulls = {}
-    solved = set()
+    # the singletons extend the whole space, whose min-norm point is 0
+    found = dict.fromkeys(_extensions(
+        arr, (), range(d), np.zeros(n), np.zeros(n, dtype=complex), np.eye(n), None, tol))
+    frontier = list(found)
+    solved = set()  # candidate subsets as bit masks: each is extended once
     examined = 0
-    frontier = []
-    for k in range(d):
-        closed, base = solve([k])
-        if closed not in found:
-            found[closed] = base
-            frontier.append(closed)
     while frontier:
         next_frontier = []
         for S in frontier:
-            nulls[S], skip = _screen(arr, S, tol)
+            examined += d - len(S)
+            if examined > limit:
+                raise ArrangementError(
+                    f"strata enumeration exceeded {limit} candidate subsets")
+            bits = sum(1 << k for k in S)
+            todo = []
             for j in range(d):
-                if j in S:
-                    continue
-                examined += 1
-                if examined > limit:
-                    raise ArrangementError(
-                        f"strata enumeration exceeded {limit} candidate subsets")
-                cand = tuple(sorted(set(S) | {j}))
-                if skip[j] or cand in solved:
-                    continue
-                solved.add(cand)
-                hit = solve(list(cand))
-                if hit is None:
-                    continue
-                closed, base = hit
+                cand = bits | 1 << j
+                if cand != bits and cand not in solved:  # j not in S, S + {j} new
+                    solved.add(cand)
+                    todo.append(j)
+            x, z, null, pinv = _stratum_point(arr, S)
+            found[S] = (x, z), null
+            for closed in _extensions(arr, S, todo, x, z, null, pinv, tol):
                 if closed not in found:
-                    found[closed] = base
+                    found[closed] = None
                     next_frontier.append(closed)
         frontier = next_frontier
 
@@ -445,8 +489,9 @@ def intersection_strata(arr: FlatArrangement) -> list:
         rows = tuple(arr.flats[k].normal for k in S)
         if rows not in factors:
             factors[rows] = tuple(lattice.invariant_factors(rows))
+        base, null = found[S]
         strata.append(Stratum(
-            active=S, witness=_witness(arr, S, found[S], nulls[S], rng, tol),
+            active=S, witness=_witness(arr, S, base, null, rng, tol),
             invariant_factors=factors[rows]))
     return strata
 

@@ -211,17 +211,18 @@ def _dot(a, b):
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
-def _legendre_objective(arr, Bm, x, z, zbz, tau):
-    """K = F - tau.x and its x-gradient at the rows (x, z) of (K, n) stacks.
+def _legendre_objective(arr, Bm, x, vv, zbz, tau):
+    """K = F - tau.x and its x-gradient at the rows x (K, n), z held fixed.
 
-    zbz (K,) is Re(z B conj(z)).  Returns (ok, grad, K, r, t), where ok (K,)
-    marks the rows inside the domain (every t_k > 0), the other rows carrying
-    placeholder values, and r, t (K, d) are the flat data of svr at the rows.
+    vv (K, d) is |v|^2 and zbz (K,) is Re(z B conj(z)) at the rows' z.
+    Returns (ok, grad, K, r, t), where ok (K,) marks the rows inside the
+    domain (every t_k > 0), the other rows carrying placeholder values, and
+    r, t (K, d) are the flat data of svr at the rows.
     Each product is a stack of the one-row BLAS calls (gemv or dot) that a
     single point makes, so no row depends on the stack it is in.
     """
     U, a = arr.frame.U, arr.frame.a
-    s, _, r, t = arr.svr(x, z)
+    s, _, r, t = arr.svr(x, vv=vv)
     g = 4.0 * (Bm @ x[:, :, None])[:, :, 0]
     val = 2.0 * _dot((x[:, None, :] @ Bm)[:, 0], x) - zbz
     ok = np.minimum.reduce(t, axis=1, initial=np.inf) > 0.0
@@ -249,7 +250,9 @@ def _newton(arr, B, u, z, x):
     x = np.array(np.broadcast_to(x, u.shape), dtype=float)
     tau = 2.0 * (u + u.conj()).real
     zbz = _dot((z[:, None, :] @ Bm.astype(complex))[:, 0], z.conj()).real
-    ok, g, f, r, t = _legendre_objective(arr, Bm, x, z, zbz, tau)
+    v = arr.svr(x, z)[1]
+    vv = (v * v.conj()).real  # z is fixed per row: svr reads |v|^2 from here on
+    ok, g, f, r, t = _legendre_objective(arr, Bm, x, vv, zbz, tau)
     gone = ~ok  # rows that failed and still have to leave the stack
     if not ok.all():
         for j in gone.nonzero()[0]:
@@ -271,8 +274,8 @@ def _newton(arr, B, u, z, x):
             if stop.all():
                 break
             keep = ~stop
-            rows, x, z, zbz, tau, g, f, r, t, res, gone = (
-                col[keep] for col in (rows, x, z, zbz, tau, g, f, r, t, res, gone))
+            rows, x, vv, zbz, tau, g, f, r, t, res, gone = (
+                col[keep] for col in (rows, x, vv, zbz, tau, g, f, r, t, res, gone))
         phi = _phi(arr, Bm, r)
         # 4 times eval_Phi's 0.5 (phi + phi^T): scaling by 2 is exact
         hess = 2.0 * (phi + np.swapaxes(phi, 1, 2))
@@ -295,7 +298,7 @@ def _newton(arr, B, u, z, x):
         for _ in range(60):
             trial = x + alpha[:, None] * step
             inside, g_new, f_new, r_new, t_new = _legendre_objective(
-                arr, Bm, trial, z, zbz, tau)
+                arr, Bm, trial, vv, zbz, tau)
             acc = todo & inside & (f_new <= f + DEFAULT.armijo * alpha * slope + noise)
             if acc.all():
                 x, g, f, r, t = trial, g_new, f_new, r_new, t_new

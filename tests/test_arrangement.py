@@ -402,7 +402,8 @@ def _reference_strata(arr):
     for S in sorted(found, key=lambda s: (len(s), s)):
         _, sv, vt = np.linalg.svd(arr.frame.U[list(S)])
         rank = int(np.sum(sv > 1e-11 * max(1.0, sv[0])))
-        witness = arrangement._witness(arr, S, found[S], vt[rank:].T, rng, tol)
+        witness = arrangement._witness(arr, S, arrangement._stratum_point(arr, S)[:2],
+                                       vt[rank:].T, rng, tol)
         rows = [arr.flats[k].normal for k in S]
         strata.append((S, len(lattice.invariant_factors(rows)), witness))
     return strata, examined
@@ -478,6 +479,66 @@ def test_strata_match_the_reference_on_random_dependent_arrangements():
     assert compared >= 45
 
 
+def test_strata_in_the_tolerance_band_take_the_least_squares_path(monkeypatch):
+    # flat 2 passes 3e-9 from the point of flats 0 and 1, past the tolerance
+    # 1.5e-9 of that pair but inside the screen's margin; the least-squares
+    # point of all three lies within tolerance of each, so (0, 1, 2) is a
+    # stratum besides the three pairs.  The normal of 2 lies in the span of
+    # 0 and 1, so only least squares can find it.
+    arr = FlatArrangement(2, (_flat((1, 1), (0.5, 0.5, -1 / 3)),
+                              _flat((1, -1), (-0.5, 1.5, -1 / 3)),
+                              _flat((1, 2), (1.0, 3e-9, -1 / 3))))
+    calls = Counter()
+    _count_calls(monkeypatch, calls, np.linalg, "lstsq")
+    strata = intersection_strata(arr)
+    assert [(s.active, s.rank) for s in strata] == [
+        ((0,), 1), ((1,), 1), ((2,), 1), ((0, 1), 2), ((0, 2), 2), ((1, 2), 2), ((0, 1, 2), 2)]
+    assert calls["lstsq"] > 0
+    assert _assert_matches_reference(arr)
+
+
+def _all_test_arrangements():
+    """The catalog, the family and the random dependent arrangements of the
+    reference test, in the same draws."""
+    rng = np.random.default_rng(8)
+    return ([e.arrangement for e in catalog()] + _family()
+            + [_random_dependent_arrangement(rng, n) for n in (2, 3) for _ in range(30)])
+
+
+def test_stratum_points_are_least_squares_points_and_witnesses_sit_on_their_flats(monkeypatch):
+    # c fixed before measuring: each stratum's point, as the enumerator uses
+    # it, is the min-norm least-squares point of its active flats to within
+    # c eps times their offset scale
+    c, eps = 64, np.finfo(float).eps
+    compared = 0
+    for arr in _all_test_arrangements():
+        f = arr.frame
+        with monkeypatch.context() as m:
+            # the witness of each stratum is its point itself
+            m.setattr(arrangement, "_witness", lambda arr, S, base, null, rng, tol: Point3n(*base))
+            points = intersection_strata(arr)
+        for s in points:
+            idx = list(s.active)
+            scale = max(1.0, float(f.sizes[idx].max()))
+            x = np.linalg.lstsq(f.U[idx], f.l1[idx], rcond=None)[0]
+            z = np.linalg.lstsq(f.U[idx].astype(complex), f.lc[idx], rcond=None)[0]
+            assert np.abs(s.witness.x - x).max() <= c * eps * scale
+            assert np.abs(s.witness.z - z).max() <= c * eps * scale
+        try:
+            strata = intersection_strata(arr)
+        except ArrangementError as exc:
+            # a nudge below the witness clearance can leave no witness
+            assert str(exc) == "could not find a witness avoiding the other flats"
+            continue
+        compared += 1
+        assert [s.active for s in strata] == [s.active for s in points]
+        for s in strata:
+            scale = max(1.0, float(f.sizes[list(s.active)].max()))
+            on = flat_distances(arr, s.witness.x, s.witness.z) <= DEFAULT.on_flat * scale
+            assert tuple(np.flatnonzero(on).tolist()) == s.active
+    assert compared >= 45 + len(catalog()) + len(_family())
+
+
 def _count_calls(monkeypatch, calls, owner, name):
     inner = getattr(owner, name)
 
@@ -487,11 +548,14 @@ def _count_calls(monkeypatch, calls, owner, name):
     monkeypatch.setattr(owner, name, counted)
 
 
-def test_one_solve_per_stratum_and_one_smith_form_per_normal_set(monkeypatch):
-    # strata with the same active normals (parallel or translated flats)
-    # share one Smith form within an enumeration
+def test_one_svd_per_stratum_no_lstsq_and_one_smith_form_per_normal_set(monkeypatch):
+    # each stratum takes one SVD of its normals, which extends it by every
+    # flat at once: the family has no extension left for least squares; strata
+    # with the same active normals (parallel or translated flats) share one
+    # Smith form within an enumeration
     calls = Counter()
-    _count_calls(monkeypatch, calls, arrangement, "_solve_flat_system")
+    _count_calls(monkeypatch, calls, np.linalg, "svd")
+    _count_calls(monkeypatch, calls, np.linalg, "lstsq")
     _count_calls(monkeypatch, calls, lattice, "smith_normal_form")
     strata = normal_sets = 0
     for arr in _family():
@@ -500,7 +564,7 @@ def test_one_solve_per_stratum_and_one_smith_form_per_normal_set(monkeypatch):
         normal_sets += len({tuple(arr.flats[k].normal for k in s.active)
                             for s in report.strata})
     assert normal_sets < strata
-    assert calls == {"_solve_flat_system": strata, "smith_normal_form": normal_sets}
+    assert calls == {"svd": strata, "smith_normal_form": normal_sets}
 
 
 def test_one_point_per_stratum(monkeypatch):
