@@ -234,19 +234,6 @@ def _cmd_growth(args):
     return 0
 
 
-_AXIS_BLOCKS = {"x": 0, "rez": 1, "imz": 2}
-
-
-def _axis_index(name, n):
-    for prefix, block in _AXIS_BLOCKS.items():
-        if name.startswith(prefix) and name[len(prefix):].isdigit():
-            i = int(name[len(prefix):])
-            if 1 <= i <= n:
-                return block * n + (i - 1)
-    raise ArrangementError(
-        f"--axis {name!r}: expected x<i>, rez<i>, or imz<i> with 1 <= i <= {n}")
-
-
 def _parse_range(text):
     parts = text.split(":")
     if len(parts) != 3:
@@ -299,17 +286,21 @@ def _cmd_export_grid(args):
     n = arr.dimension
     if len(args.axis) != len(args.ranges):
         raise ArrangementError("each --axis needs a matching --range")
-    idxs = [_axis_index(a, n) for a in args.axis]
-    if len(set(idxs)) != len(idxs):
-        raise ArrangementError("swept axes must be distinct")
+    # the 3n coordinate names in Point3n.coords order: the --axis values and
+    # the CSV header's first columns
+    names = [f"{block}{i + 1}" for block in ("x", "rez", "imz") for i in range(n)]
+    for a in args.axis:
+        if a not in names:
+            raise ArrangementError(
+                f"--axis {a!r}: expected x<i>, rez<i>, or imz<i> with 1 <= i <= {n}")
+    if len(set(args.axis)) != len(args.axis):
+        raise ArrangementError("--axis: swept axes must be distinct")
+    idxs = [names.index(a) for a in args.axis]
     grids = [_parse_range(r) for r in args.ranges]
     fixed = (np.asarray(_parse_point(args.fixed, n, flag="--fixed").coords())
              if args.fixed is not None else np.zeros(3 * n))
 
-    header = ([f"x{i+1}" for i in range(n)]
-              + [f"rez{i+1}" for i in range(n)]
-              + [f"imz{i+1}" for i in range(n)]
-              + [f"phi{i+1}{j+1}" for i in range(n) for j in range(n)]
+    header = (names + [f"phi{i+1}{j+1}" for i in range(n) for j in range(n)]
               + ["det_phi", "det_g"])
     mesh = np.meshgrid(*grids, indexing="ij")
     w = np.tile(fixed, (mesh[0].size, 1))

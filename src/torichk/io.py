@@ -99,7 +99,7 @@ def parse_arrangement(data):
         try:
             mat = np.asarray(raw_b, dtype=float)
         except (TypeError, ValueError) as exc:
-            raise ArrangementError(f'field "B" must be an {n}x{n} matrix') from exc
+            raise ArrangementError(f'field "B" must be a {n}x{n} matrix') from exc
         if mat.shape != (n, n):
             raise ArrangementError(
                 f'field "B" must be {n}x{n}, got shape {mat.shape}')

@@ -38,9 +38,11 @@ Kaehler potential of the chart (u, z) is the Legendre transform
 computed by a damped Newton iteration: F is strictly convex in x wherever
 Phi is positive definite, so the solve is globally convergent inside the
 domain {s_k + r_k > 0 for all k}.  One kernel runs it over a stack of
-(u, z) rows, each with its own convergence test, Armijo backtracking,
-iteration count and failure; every row gets the values it gets when solved
-alone.  legendre_solve is its single-point form.  reconstruct_F_from_K
+(u, z) rows, each with its own convergence test, Armijo backtracking and
+iteration count; every row gets the values it gets when solved alone.  A
+stack stops at its first failing row and raises the error that row raises
+alone; the verify module's _stacked picks which sample's error a check
+raises.  legendre_solve is its single-point form.  reconstruct_F_from_K
 takes a stacked chart potential, kahler(u (..., K, n), z (..., K, n)) ->
 (..., K), and calls it once with every node of the stencils of every chart
 point it is given, so the verify module solves the stencils of a whole
@@ -57,7 +59,7 @@ import numpy as np
 from .arrangement import DeformationMatrix, FlatArrangement, Point3n
 from .config import DEFAULT
 from .errors import (BranchLocusError, DifferentiationError, DomainEscapeError,
-                     EvaluationError, NoConvergenceError, OnFlatError)
+                     NoConvergenceError, OnFlatError)
 
 __all__ = [
     "Point3n", "KahlerChartPoint", "ReconstructedPotential",
@@ -237,15 +239,16 @@ def _newton(arr, B, u, z, x):
 
     x holds the starting points, broadcast to (K, n).  Every row runs its own
     iteration: Hessian 4 Phi at its iterate, convergence test, Armijo
-    backtracking, iteration count and failure, with the values a stack of
-    that one row gives.  Returns (x, K, residual, iterations), one entry per
-    row, or raises the error of the first failing row.
+    backtracking and iteration count, with the values a stack of that one
+    row gives.  Returns (x, K, residual, iterations), one entry per row.
+    The stack stops at its first failing row, the first to fail as the
+    iterations run, and raises the error that row raises alone; the verify
+    module's _stacked picks which sample's error a check raises.
     """
     n = u.shape[1]
     Bm = DeformationMatrix.of(B, n).entries
     out_x, out_K = np.empty(u.shape), np.empty(len(u))
     out_res, out_it = np.empty(len(u)), np.zeros(len(u), dtype=int)
-    errors = {}
     rows = np.arange(len(u))
     x = np.array(np.broadcast_to(x, u.shape), dtype=float)
     tau = 2.0 * (u + u.conj()).real
@@ -253,29 +256,22 @@ def _newton(arr, B, u, z, x):
     v = arr.svr(x, z)[1]
     vv = (v * v.conj()).real  # z is fixed per row: svr reads |v|^2 from here on
     ok, g, f, r, t = _legendre_objective(arr, Bm, x, vv, zbz, tau)
-    gone = ~ok  # rows that failed and still have to leave the stack
     if not ok.all():
-        for j in gone.nonzero()[0]:
-            errors[j] = DomainEscapeError("initial point lies outside the potential's domain")
+        raise DomainEscapeError("initial point lies outside the potential's domain")
     for it in range(1, DEFAULT.newton_max_iter + 1):
         res = np.maximum.reduce(np.abs(g), axis=1)
         # Phi, the Hessian, is undefined on a flat
-        stop = (gone | (res <= DEFAULT.newton_residual)
+        stop = ((res <= DEFAULT.newton_residual)
                 | (np.minimum.reduce(r, axis=1, initial=np.inf) <= DEFAULT.on_flat))
         if stop.any():
-            for j in (stop & ~gone).nonzero()[0]:
-                try:
-                    _check_domain(r[j], t[j])
-                except EvaluationError as exc:
-                    errors[rows[j]] = exc
-                    continue
-                out_x[rows[j]], out_K[rows[j]] = x[j], f[j]
-                out_res[rows[j]], out_it[rows[j]] = res[j], it - 1
+            _check_domain(r[stop], t[stop])
+            j = rows[stop]
+            out_x[j], out_K[j], out_res[j], out_it[j] = x[stop], f[stop], res[stop], it - 1
             if stop.all():
                 break
             keep = ~stop
-            rows, x, vv, zbz, tau, g, f, r, t, res, gone = (
-                col[keep] for col in (rows, x, vv, zbz, tau, g, f, r, t, res, gone))
+            rows, x, vv, zbz, tau, g, f, r, t, res = (
+                col[keep] for col in (rows, x, vv, zbz, tau, g, f, r, t, res))
         phi = _phi(arr, Bm, r)
         # 4 times eval_Phi's 0.5 (phi + phi^T): scaling by 2 is exact
         hess = 2.0 * (phi + np.swapaxes(phi, 1, 2))
@@ -288,13 +284,12 @@ def _newton(arr, B, u, z, x):
                 try:
                     step[j] = -np.linalg.solve(hess[j], g[j])
                 except np.linalg.LinAlgError:
-                    gone[j] = True
-                    errors[rows[j]] = NoConvergenceError(float(res[j]), it - 1)
+                    raise NoConvergenceError(float(res[j]), it - 1) from None
         slope = _dot(g, step)
         # allow for floating noise in F so full steps survive near the minimum
         noise = 4e-12 * np.maximum(1.0, np.abs(f))
         alpha = np.ones(len(rows))
-        todo = ~gone
+        todo = np.ones(len(rows), dtype=bool)
         for _ in range(60):
             trial = x + alpha[:, None] * step
             inside, g_new, f_new, r_new, t_new = _legendre_objective(
@@ -310,18 +305,14 @@ def _newton(arr, B, u, z, x):
                 break
             alpha[todo] *= 0.5
         else:
-            for j in todo.nonzero()[0]:
-                gone[j] = True
-                errors[rows[j]] = (
-                    NoConvergenceError(float(res[j]), it) if inside[j] else DomainEscapeError(
-                        "line search blocked by the domain boundary; "
-                        "the requested fiber point is outside the chart"))
+            j = todo.argmax()
+            if inside[j]:
+                raise NoConvergenceError(float(res[j]), it)
+            raise DomainEscapeError("line search blocked by the domain boundary; "
+                                    "the requested fiber point is outside the chart")
     else:
-        for j in (~gone).nonzero()[0]:
-            errors[rows[j]] = NoConvergenceError(float(np.abs(g[j]).max()),
-                                                 DEFAULT.newton_max_iter)
-    if errors:
-        raise errors[min(errors)]
+        if len(rows):  # an empty stack has no row to fail
+            raise NoConvergenceError(float(np.abs(g[0]).max()), DEFAULT.newton_max_iter)
     return out_x, out_K, out_res, out_it
 
 

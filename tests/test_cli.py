@@ -114,6 +114,78 @@ def test_unknown_fields_are_refused(capsys, tmp_path, cmd, doc, message):
     assert message in err
 
 
+def _file(text):
+    """An argv item: the path of a file holding text, written under the test's tmp_path."""
+    def write(tmp_path):
+        path = tmp_path / "arr.json"
+        path.write_text(text)
+        return str(path)
+    return write
+
+
+def _doc(doc):
+    return _file(json.dumps(doc))
+
+
+_FLAT2 = {"u": [1, 0], "lambda": [0, 0, 0], "a": 1.0}
+_EXPORT = ["export-grid", "flat-H", "--out", "-"]
+
+
+@pytest.mark.parametrize("argv, field", [
+    (["classify", _file("[1, 2]")], "top level must be a JSON object"),
+    (["validate", _file('{"n": 1,')], "arr.json: invalid JSON at line 1"),
+    (["classify", str], "cannot read"),
+    (["verify", _doc({"flats": []})], 'missing field "n"'),
+    (["classify", _doc({"n": 0})], 'field "n" must be a positive integer, got 0'),
+    (["classify", _doc({"n": 1.5})], 'field "n" must be a positive integer, got 1.5'),
+    (["classify", _doc({"n": True})], 'field "n" must be a positive integer, got True'),
+    (["validate", _doc({"n": 1, "flats": [[1, 0, 0]]})], "flats[0] must be an object"),
+    (["validate", _doc({"n": 1, "flats": [{"u": [1], "lambda": [0, 0, 0]}]})],
+     'flats[0] missing field "a"'),
+    (["eval", _doc({"n": 2, "flats": [_GOOD_FLAT]}), "--point", "0,0,0,0,0,0"],
+     "flats[0].u must be a length-2"),
+    (["classify", _doc({"n": 1, "flats": [dict(_GOOD_FLAT, **{"lambda": [0, 0]})]})],
+     "flats[0].lambda must be a length-3"),
+    (["verify", _file('{"n": 1, "flats": [{"u": [1], "lambda": [1e999, 0, 0], "a": 1}]}')],
+     "flats[0]: offsets must be three finite reals"),
+    (["classify", _doc({"n": 1, "flats": [dict(_GOOD_FLAT, a=0)]})],
+     "flats[0]: mass must be positive"),
+    (["validate", _doc({"n": 2, "flats": [dict(_FLAT2, u=[2, 4])]})],
+     "flats[0]: normal not primitive"),
+    (["classify", _doc({"n": 1, "flats": [_GOOD_FLAT, _GOOD_FLAT]})],
+     "flats[0] and flats[1] are identical"),
+    (["classify", _doc({"n": 2, "flats": [_FLAT2], "B": [[1, 0], [0]]})],
+     'field "B" must be a 2x2 matrix'),
+    (["classify", _doc({"n": 2, "flats": [_FLAT2], "B": [[1, 0, 0], [0, 1, 0]]})],
+     'field "B" must be 2x2, got shape (2, 3)'),
+    (["eval", _doc({"n": 2, "flats": [_FLAT2], "B": [[1, 0.5], [0, 1]]}),
+      "--point", "1,0,0,0,0,0"], 'field "B": deformation matrix must be symmetric'),
+    (["verify", _doc({"n": 2, "flats": [_FLAT2], "B": [[1, 0], [0, -1]]})],
+     'field "B": deformation matrix not positive semidefinite'),
+    (_EXPORT + ["--axis", "x2", "--range=0:1:3"], "--axis 'x2': expected x<i>"),
+    (_EXPORT + ["--axis", "x01", "--range=0:1:3"], "--axis 'x01': expected x<i>"),
+    (_EXPORT + ["--axis", "x1", "--range=0:1"], "--range '0:1': expected START:STOP:COUNT"),
+    (_EXPORT + ["--axis", "x1", "--range=0:b:3"], "--range '0:b:3': could not convert"),
+    (_EXPORT + ["--axis", "x1", "--range=0:1:0"], "--range '0:1:0': COUNT must be positive"),
+    (_EXPORT + ["--axis", "x1", "--axis", "rez1", "--range=0:1:3"],
+     "each --axis needs a matching --range"),
+    (_EXPORT + ["--axis", "x1", "--range=0:1:3", "--axis", "x1", "--range=0:1:3"],
+     "--axis: swept axes must be distinct"),
+    (["growth", "flat-H", "--radii", "1,a"], "--radii: could not convert"),
+], ids=["top-level-list", "invalid-json", "directory", "no-n", "n-0", "n-1.5", "n-true",
+        "flat-not-object", "flat-no-a", "u-length", "lambda-length", "lambda-1e999",
+        "mass-0", "non-primitive", "identical-flats", "B-ragged", "B-shape",
+        "B-asymmetric", "B-not-psd", "axis-x2-at-n-1", "axis-x01", "range-two-parts",
+        "range-not-a-number", "range-count-0", "axis-without-range", "axis-repeated",
+        "radii-not-a-number"])
+def test_a_bad_input_exits_two_with_one_error_line_naming_it(capsys, tmp_path, argv, field):
+    # str stands for tmp_path itself, a directory
+    code, out, err = _run(capsys, *(a(tmp_path) if callable(a) else a for a in argv))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+    assert field in err
+
+
 def test_validate_nonsmooth_exit_one(capsys):
     code, out, err = _run(capsys, "validate", "n2-nonsmooth")
     assert code == 1

@@ -11,7 +11,8 @@ from torichk import (DEFAULT, ArrangementError, DeformationMatrix, Flat, FlatArr
                      KahlerChartPoint, Point3n,
                      SamplingError, StencilClippedError, catalog, entry, eval_F,
                      eval_metric, eval_Phi, legendre_solve)
-from torichk import arrangement, classification_report, intersection_strata, verify
+from torichk import (arrangement, classification_report, intersection_strata, potential,
+                     verify)
 from torichk.verify import (ResidualReport, conformal_factor_check, growth_fit,
                             hessian_identity_residual, monge_ampere_residual,
                             polyharmonic_residual, ricci_residual, run_checks,
@@ -599,6 +600,33 @@ def test_a_failing_sample_raises_what_the_per_item_loop_raises(check, gap, monke
     with pytest.raises(type(first.value)) as got:
         run_checks(arr, B, checks=[check], seed=1)
     assert got.value.args == first.value.args
+
+
+@pytest.mark.parametrize("check, first_failing", [("roundtrip", 0), ("sp-condition", 1)])
+def test_a_failing_chart_raises_what_the_per_chart_loop_raises(check, first_failing,
+                                                              monkeypatch):
+    # with Newton cut to two iterations, the charts' stencil stacks stop
+    # short, each with its own residual; the check raises the error of the
+    # first chart that fails alone, whichever row the stacked solve stops at
+    arr, B = TN.arrangement, TN.deformation
+    charts = verify.sample_chart_points(arr, B, 4, np.random.default_rng(0))
+    monkeypatch.setattr(verify, "sample_chart_points", lambda *args: charts)
+    monkeypatch.setattr(potential, "DEFAULT",
+                        dataclasses.replace(DEFAULT, newton_max_iter=2))
+    measure = {"roundtrip": verify._roundtrip_residual,
+               "sp-condition": sp_condition_residual}[check]
+    errors = []
+    for i in range(len(charts)):
+        try:
+            measure(arr, B, charts[i:i + 1])
+        except Exception as exc:
+            errors.append((i, exc))
+    assert errors[0][0] == first_failing
+    first = errors[0][1]
+    assert len({e.args for _, e in errors}) > 1  # the charts fail differently
+    with pytest.raises(type(first)) as got:
+        run_checks(arr, B, checks=[check], seed=1)
+    assert got.value.args == first.args
 
 
 def _record_runs(monkeypatch):
