@@ -109,7 +109,7 @@ class Flat:
             raise ArrangementError("offsets must be three finite reals")
         mass = float(self.mass)
         if not (mass > 0 and math.isfinite(mass)):
-            raise ArrangementError("mass must be positive")
+            raise ArrangementError(f"mass must be {'positive' if mass <= 0 else 'finite'}")
         if next(e for e in normal if e != 0) < 0:
             normal = tuple(-e for e in normal)
             off = tuple(-v for v in off)

@@ -1,10 +1,10 @@
 """Arrangement file I/O.
 
 Schema: {"n": int, "flats": [{"u": [int, ...], "lambda": [f, f, f],
-"a": float}, ...], "B": [[float, ...], ...]}; "B" is optional and defaults
-to the zero matrix, and any other field is refused.  Errors name the
-offending field (and source line for syntax problems) so CLI diagnostics
-stay actionable.
+"a": float}, ...], "B": [[float, ...], ...]}, with 1 <= n <= MAX_DIMENSION;
+"B" is optional and defaults to the zero matrix, and any other field is
+refused.  Errors name the offending field (and source line for syntax
+problems) so CLI diagnostics stay actionable.
 """
 
 import json
@@ -15,6 +15,8 @@ from .arrangement import DeformationMatrix, Flat, FlatArrangement
 from .errors import ArrangementError
 
 __all__ = ["load_arrangement", "parse_arrangement", "dump_arrangement"]
+
+MAX_DIMENSION = 64  # refused before any n x n array is built; the workloads use n <= 3
 
 
 def load_arrangement(path):
@@ -64,6 +66,8 @@ def parse_arrangement(data):
     n = data["n"]
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ArrangementError(f'field "n" must be a positive integer, got {n!r}')
+    if n > MAX_DIMENSION:
+        raise ArrangementError(f'field "n" must be at most {MAX_DIMENSION}, got {n}')
 
     raw_flats = data.get("flats", [])
     if not isinstance(raw_flats, list):

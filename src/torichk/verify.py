@@ -21,10 +21,8 @@ and at twice it and requires the expected decay before passing a verdict.
 
 import functools
 import math
-import os
 import time
 from collections.abc import Callable
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -381,28 +379,27 @@ class GrowthFit:
 
 
 # directions per phi_batch call in _rays: one block's points, Phi and per-flat
-# temporaries stay in the low MB whatever the chunk size or the number of flats
-RAY_BLOCK = 64
+# temporaries stay near the CPU caches whatever the chunk size or the number of flats
+RAY_BLOCK = 32
 
 
-def _rays(arr, B, base_coords, dirs, T):
+def _rays(arr, B, base_coords, dirs, T, out):
     """Radial rays over the node grid geomspace(1e-4, T, 512), one per direction.
 
-    Returns the distance proxy (cumulative radial path length in the quotient
-    metric plus a torus-fiber diameter bound, forced monotone) and the
-    cumulative trapezoid integral of det Phi t^(3n-1) dt, the ball volume
-    along the ray, both of shape (len(dirs), 512).  Each row depends only on
+    Writes into out = (proxy, volume), two (len(dirs), 512) arrays, and
+    returns it: the distance proxy (cumulative radial path length in the
+    quotient metric plus a torus-fiber diameter bound, forced monotone) and
+    the trapezoid increments of the integral of det Phi t^(3n-1) dt, whose
+    cumulative sum is the ball volume along the ray.  Each row depends only on
     its own direction.  The rays are evaluated in blocks of RAY_BLOCK
-    directions, one phi_batch call each, written straight into the two
-    outputs; the working set beyond them is one block's, independent of
-    len(dirs).
+    directions, one phi_batch call each, written straight into out; the
+    working set beyond it is one block's, independent of len(dirs).
     """
     n = arr.dimension
     nodes = 512
     t = np.geomspace(1e-4, T, nodes)
     dt = np.diff(t)
-    proxy = np.empty((dirs.shape[0], nodes))
-    volume = np.empty((dirs.shape[0], nodes))
+    proxy, volume = out
     for lo in range(0, dirs.shape[0], RAY_BLOCK):
         d = dirs[lo:lo + RAY_BLOCK]
         # the points base + t * d, coordinate block by coordinate block
@@ -432,11 +429,10 @@ def _rays(arr, B, base_coords, dirs, T):
         V = volume[lo:lo + RAY_BLOCK]
         V[:, 0] = integrand[:, 0] * t[0] / (3.0 * n)
         V[:, 1:] = 0.5 * (integrand[:, 1:] + integrand[:, :-1]) * dt[None, :]
-        np.cumsum(V, axis=1, out=V)
-    return proxy, volume
+    return out
 
 
-def _growth_chunk(arr, B, base_coords, dirs, radii):
+def _growth_chunk(arr, B, base_coords, dirs, radii, rays=None):
     """Per-direction ball volumes, interpolated at radii along the rays of _rays.
 
     The ball is measured with the distance proxy of _rays.  The ray length T
@@ -449,16 +445,19 @@ def _growth_chunk(arr, B, base_coords, dirs, radii):
     same final T and the same full integration.  This rests on each row of
     phi_batch not depending on the batch it is computed in, which also lets
     _rays evaluate the chunk in blocks of RAY_BLOCK directions, so the working
-    set is the two (len(dirs), 512) arrays plus one block's, whatever the
-    number of flats.
+    set is the two (len(dirs), 512) ray arrays plus one block's, whatever the
+    number of flats.  The ray arrays are the first len(dirs) rows of rays, a
+    (2, >= len(dirs), 512) buffer that growth_fit reuses for every chunk.
     """
+    if rays is None:
+        rays = np.empty((2, dirs.shape[0], 512))
     rmax = float(radii[-1])
     T = max(rmax, 4.0)
     probe = dirs[:1]
     for _ in range(80):
-        proxy, _ = _rays(arr, B, base_coords, probe, T)
+        proxy, _ = _rays(arr, B, base_coords, probe, T, rays[:, :1])
         if proxy[0, -1] >= rmax:
-            proxy, volume = _rays(arr, B, base_coords, dirs, T)
+            proxy, volume = _rays(arr, B, base_coords, dirs, T, rays[:, :dirs.shape[0]])
             if proxy[:, -1].min() >= rmax:
                 break
             probe = dirs[[int(np.argmin(proxy[:, -1]))]]
@@ -466,22 +465,16 @@ def _growth_chunk(arr, B, base_coords, dirs, radii):
     else:
         raise SamplingError("radial integration range failed to cover the largest radius")
 
-    nodes = proxy.shape[1]
-    out = np.empty((dirs.shape[0], radii.size))
-    for j, R in enumerate(radii):
-        idx = (proxy < R).sum(axis=1)
-        idx = np.clip(idx, 1, nodes - 1)
-        lo = idx - 1
-        rows = np.arange(dirs.shape[0])
-        p_lo = proxy[rows, lo]
-        p_hi = proxy[rows, idx]
-        v_lo = volume[rows, lo]
-        v_hi = volume[rows, idx]
-        frac = np.clip((R - p_lo) / np.where(p_hi > p_lo, p_hi - p_lo, 1.0), 0.0, 1.0)
-        vals = v_lo + frac * (v_hi - v_lo)
-        vals = np.where(proxy[:, 0] >= R, 0.0, vals)
-        out[:, j] = vals
-    return out
+    # each radius R reads the nodes idx - 1 and idx around its crossing (the
+    # proxy rows are sorted); the ball volumes are summed only that far, since
+    # past the largest radius a huge det Phi (B = 1e300) would overflow float64
+    idx = np.clip([row.searchsorted(radii) for row in proxy], 1, proxy.shape[1] - 1)
+    V = volume[:, :idx.max() + 1]
+    np.cumsum(V, axis=1, out=V)
+    p_lo, p_hi = np.take_along_axis(proxy, idx - 1, 1), np.take_along_axis(proxy, idx, 1)
+    v_lo, v_hi = np.take_along_axis(volume, idx - 1, 1), np.take_along_axis(volume, idx, 1)
+    frac = np.clip((radii - p_lo) / np.where(p_hi > p_lo, p_hi - p_lo, 1.0), 0.0, 1.0)
+    return np.where(proxy[:, :1] >= radii, 0.0, v_lo + frac * (v_hi - v_lo))
 
 
 def growth_fit(arr: FlatArrangement, B, base: Point3n, radii, samples: int = 4096,
@@ -504,15 +497,12 @@ def growth_fit(arr: FlatArrangement, B, base: Point3n, radii, samples: int = 409
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     base_coords = base.coords()
 
-    # the chunks are independent and map keeps their order, so the volumes
-    # do not depend on the number of worker threads
-    pieces = [dirs[lo:lo + 512] for lo in range(0, samples, 512)]
-    # one worker per CPU the process may use; only Linux reports its affinity
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    with ThreadPoolExecutor(max_workers=min(cpus or 1, len(pieces))) as ex:
-        chunks = list(ex.map(
-            lambda piece: _growth_chunk(arr, B, base_coords, piece, radii), pieces))
-    per_dir = np.vstack(chunks)  # (samples, nR)
+    # 512-direction chunks, each with its own T rounds and node grid, in order
+    # on this thread through one ray buffer: allocating it per chunk would hand
+    # its pages back to the system and fault them in again for the next chunk
+    rays = np.empty((2, min(samples, 512), 512))
+    per_dir = np.vstack([_growth_chunk(arr, B, base_coords, dirs[lo:lo + 512], radii, rays)
+                         for lo in range(0, samples, 512)])  # (samples, nR)
 
     sphere = 2.0 * math.pi ** (1.5 * n) / math.gamma(1.5 * n)
     fiber_vol = (2.0 * math.pi) ** n

@@ -5,6 +5,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -186,6 +187,24 @@ def test_a_bad_input_exits_two_with_one_error_line_naming_it(capsys, tmp_path, a
     assert field in err
 
 
+@pytest.mark.parametrize("text, message", [
+    ('{"n": 100000000000}', 'field "n" must be at most 64, got 100000000000'),
+    ('{"n": 5000}', 'field "n" must be at most 64, got 5000'),
+    ('{"n": 1, "flats": [{"u": [1], "lambda": [0, 0, 0], "a": 1e999}]}',
+     "flats[0]: mass must be finite"),
+], ids=["n-1e11", "n-5000", "mass-1e999"])
+def test_validate_names_a_huge_n_or_mass_at_once(capsys, tmp_path, text, message):
+    # refused at the boundary: no n x n matrix is built, and the overflowed
+    # mass is named for what it is, not as a nonpositive one
+    path = tmp_path / "arr.json"
+    path.write_text(text)
+    start = time.perf_counter()
+    code, out, err = _run(capsys, "validate", str(path))
+    assert time.perf_counter() - start < 0.5
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_validate_nonsmooth_exit_one(capsys):
     code, out, err = _run(capsys, "validate", "n2-nonsmooth")
     assert code == 1
@@ -348,12 +367,13 @@ _HUGE_B = {"n": 1, "flats": [{"u": [1], "lambda": [0, 0, 0], "a": 1}], "B": [[1e
     (["growth", "--radii", "60,240", "--samples", "64"], "60 to 240"),
 ], ids=["verify", "growth"])
 def test_growth_below_the_fiber_scale_names_the_radius(tmp_path, argv, radii):
-    # a fresh interpreter: verify's growth check overflows a cumulative sum
-    # on its way to this error, and that RuntimeWarning would fail the test
+    # a fresh interpreter with every warning an error: at B = 1e300 the ball
+    # volume past the largest radius exceeds float64, and a RuntimeWarning on
+    # the way would end the command with a traceback instead of this line
     path = _write_arrangement(tmp_path, _HUGE_B)
     src = pathlib.Path(__file__).resolve().parents[1] / "src"
     proc = subprocess.run(
-        [sys.executable, "-m", "torichk.cli", argv[0], path, *argv[1:]],
+        [sys.executable, "-W", "error", "-m", "torichk.cli", argv[0], path, *argv[1:]],
         capture_output=True, text=True, timeout=120,
         env={**os.environ, "PYTHONPATH": str(src)})
     assert proc.returncode == 2 and proc.stdout == ""

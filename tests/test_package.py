@@ -112,3 +112,16 @@ def test_every_reexport_is_public_in_its_module():
         if alias.name not in getattr(importlib.import_module(f"torichk.{node.module}"),
                                      "__all__", [alias.name]))
     assert unlisted == []
+
+
+def test_no_module_starts_threads_or_processes():
+    # torichk is a single-process tool: to use more cores, run more processes
+    banned = {"threading", "concurrent", "multiprocessing", "_thread"}
+    imports = sorted(
+        f"{path.name}:{node.lineno}:{name}"
+        for path in sorted(pathlib.Path(torichk.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        for name in ([a.name for a in node.names] if isinstance(node, ast.Import)
+                     else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+        if name.split(".")[0] in banned)
+    assert imports == []

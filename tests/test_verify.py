@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -750,31 +751,26 @@ def test_growth_needs_a_sample_per_batch():
     assert math.isfinite(fit.std_error)
 
 
-def test_growth_volumes_do_not_depend_on_the_thread_count(monkeypatch):
-    # the pool has one worker per CPU the process may use, at most one per chunk
-    workers = []
+@pytest.mark.parametrize("name", ["taub-nut", "n2-unimodular"])
+def test_growth_does_not_depend_on_the_ray_block_and_starts_no_thread(name, monkeypatch):
+    # every row of phi_batch, eigvalsh, det and cumsum is independent of its
+    # block, so any block size gives the same bits; 600 samples are chunks of
+    # 512 and 88 directions, so blocks of 7 and 32 end part-full
+    def no_thread(self):
+        raise AssertionError("growth_fit started a thread")
 
-    class Recording(verify.ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            workers.append(max_workers)
-            super().__init__(max_workers=max_workers)
-
-    monkeypatch.setattr(verify, "ThreadPoolExecutor", Recording)
-
-    def volumes(cpus):
-        monkeypatch.setattr(verify.os, "sched_getaffinity", lambda pid: set(range(cpus)))
-        return growth_fit(TN.arrangement, TN.deformation, _pt(0.0, 0j), GROWTH_RADII,
-                          samples=2048, rng=np.random.default_rng(5)).volumes
-
-    want = volumes(8)
-    assert np.array_equal(volumes(1), want)
-    assert np.array_equal(volumes(2), want)
-    # where the platform reports no affinity, the CPU count stands in
-    monkeypatch.delattr(verify.os, "sched_getaffinity")
-    monkeypatch.setattr(verify.os, "cpu_count", lambda: 3)
-    assert np.array_equal(growth_fit(TN.arrangement, TN.deformation, _pt(0.0, 0j), GROWTH_RADII,
-                                     samples=2048, rng=np.random.default_rng(5)).volumes, want)
-    assert workers == [4, 1, 2, 3]  # 2048 samples are 4 chunks
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
+    e = entry(name)
+    n = e.arrangement.dimension
+    fits = []
+    for block in (1, 7, 32, 512):
+        monkeypatch.setattr(verify, "RAY_BLOCK", block)
+        fits.append(growth_fit(e.arrangement, e.deformation, _pt(np.zeros(n), np.zeros(n)),
+                               GROWTH_RADII, samples=600, rng=np.random.default_rng(5)))
+    for fit in fits[1:]:
+        assert np.array_equal(fit.volumes, fits[0].volumes)
+        assert fit.exponent == fits[0].exponent
+        assert fit.std_error == fits[0].std_error
 
 
 def test_growth_validates_radii():
@@ -785,9 +781,10 @@ def test_growth_validates_radii():
         growth_fit(FLAT_H.arrangement, None, base, [100.0])
 
 
-def _unscreened_growth_chunk(arr, B, base_coords, dirs, radii):
+def _unscreened_growth_chunk(arr, B, base_coords, dirs, radii, rays=None):
     """The growth chunk without probe screening: every T round integrates
-    all of dirs.  Kept as the reference the screened loop must reproduce."""
+    all of dirs, and growth_fit's ray buffer is not used.  Kept as the
+    reference the screened loop must reproduce."""
     n = arr.dimension
     rmax = float(radii[-1])
     nodes = 512
@@ -927,8 +924,30 @@ def test_growth_chunk_working_set_does_not_grow_with_the_chunk(name):
     assert peak <= 16 * 2**20, peak
 
 
+@pytest.mark.parametrize("name", ["multi-EH-3", "n2-unimodular"])
+def test_growth_fit_working_set_is_one_chunk_and_one_ray_block(name):
+    # the chunks run one after another on this thread, so the peak is one
+    # chunk's two (512, 512) float64 outputs, plus one ray block of
+    # RAY_BLOCK * 512 points at most 8 bytes * (3n [X, Z] + 10d [svr's per-flat
+    # arrays and temporaries] + 3n^2 [Phi, eigvalsh and det copies] + 12
+    # [speed, fiber and trapezoid temporaries]) each, plus 1 MiB for the
+    # directions and the per-direction volumes
+    e = entry(name)
+    n, d = e.arrangement.dimension, len(e.arrangement.flats)
+    bound = (2 * 512 * 512 * 8 + verify.RAY_BLOCK * 512 * 8 * (3 * n + 10 * d + 3 * n * n + 12)
+             + 2**20)
+    tracemalloc.start()
+    try:
+        growth_fit(e.arrangement, e.deformation, _pt(np.zeros(n), np.zeros(n)), GROWTH_RADII,
+                   samples=4096, rng=np.random.default_rng(215))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound, (peak, bound)
+
+
 def test_growth_chunk_raises_sampling_error_when_rays_stay_short(monkeypatch):
-    def short_rays(arr, B, base_coords, dirs, T):
+    def short_rays(arr, B, base_coords, dirs, T, out):
         zero = np.zeros((dirs.shape[0], 512))
         return zero, zero
 
