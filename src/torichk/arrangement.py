@@ -182,10 +182,26 @@ class FlatArrangement:
         of z; v is then None.
         """
         f = self.frame
-        s = x @ f.U.T - f.l1
-        v = None if z is None else z @ f.U.T - f.lc
-        r = np.sqrt(s * s + (vv if v is None else (v * v.conj()).real))
-        return s, v, r, s + r  # t after r's statement: none of its temporaries is alive
+        return _per_flat(x @ f.U.T, f.l1, None if z is None else z @ f.U.T, f.lc, vv)
+
+    def svr_by_flat(self, x, z):
+        """svr at the rows of x (N, n) and z (N, n), flat-major: each output is (d, N).
+
+        One pass over N values takes off each flat's offset, not N passes over d.
+        The bits are svr's: U @ x.T makes the BLAS sums of x @ U.T, and for n = 1
+        a broadcast makes the same single products faster than BLAS.
+        """
+        f = self.frame
+        mul = np.multiply if self.dimension == 1 else np.matmul
+        return _per_flat(mul(f.U, x.T), f.l1[:, None], mul(f.U, z.T), f.lc[:, None], None)
+
+
+def _per_flat(xu, l1, zu, lc, vv):
+    """s, v, r, t of FlatArrangement.svr from the products <x,u_k> and <z,u_k>."""
+    s = xu - l1
+    v = None if zu is None else zu - lc
+    r = np.sqrt(s * s + (vv if v is None else (v * v.conj()).real))
+    return s, v, r, s + r  # t after r's statement: none of its temporaries is alive
 
 
 class DeformationMatrix:

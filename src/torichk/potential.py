@@ -382,5 +382,7 @@ def reconstruct_F_from_K(kahler, u, z,
 def phi_batch(arr: FlatArrangement, B, X: np.ndarray, Z: np.ndarray) -> np.ndarray:
     """Phi at many points: X (N, n) real, Z (N, n) complex -> (N, n, n).
 
-    The formula of eval_Phi without its point validation and flat checks."""
-    return _phi(arr, DeformationMatrix.of(B, arr.dimension).entries, arr.svr(X, Z)[2])
+    The formula of eval_Phi without its point validation and flat checks.  The
+    flat distances come from svr_by_flat, whose (d, N) layout runs each step
+    over N values at a time, with the bits that svr gives."""
+    return _phi(arr, DeformationMatrix.of(B, arr.dimension).entries, arr.svr_by_flat(X, Z)[2].T)

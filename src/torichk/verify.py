@@ -383,23 +383,25 @@ class GrowthFit:
 RAY_BLOCK = 32
 
 
-def _rays(arr, B, base_coords, dirs, T, out):
+def _rays(arr, B, base_coords, dirs, T, rmax):
     """Radial rays over the node grid geomspace(1e-4, T, 512), one per direction.
 
-    Writes into out = (proxy, volume), two (len(dirs), 512) arrays, and
-    returns it: the distance proxy (cumulative radial path length in the
-    quotient metric plus a torus-fiber diameter bound, forced monotone) and
-    the trapezoid increments of the integral of det Phi t^(3n-1) dt, whose
-    cumulative sum is the ball volume along the ray.  Each row depends only on
-    its own direction.  The rays are evaluated in blocks of RAY_BLOCK
-    directions, one phi_batch call each, written straight into out; the
-    working set beyond it is one block's, independent of len(dirs).
+    Returns the distance proxy (cumulative radial path length in the quotient
+    metric plus a torus-fiber diameter bound, forced monotone) and the ball
+    volume (the cumulative trapezoid integral of det Phi t^(3n-1) dt), both
+    (len(dirs), 512).  The volume is formed only up to the node after the
+    proxy's crossing of rmax, the last one a radius up to rmax reads, and
+    left unset past it, where a huge det Phi (B = 1e303) would overflow
+    float64.  Each row depends only on its own direction.  The rays are
+    evaluated in blocks of RAY_BLOCK directions, one phi_batch call each,
+    written straight into the outputs; the working set beyond them is one
+    block's, independent of len(dirs).
     """
     n = arr.dimension
     nodes = 512
     t = np.geomspace(1e-4, T, nodes)
     dt = np.diff(t)
-    proxy, volume = out
+    proxy, volume = np.empty((2, dirs.shape[0], nodes))
     for lo in range(0, dirs.shape[0], RAY_BLOCK):
         d = dirs[lo:lo + RAY_BLOCK]
         # the points base + t * d, coordinate block by coordinate block
@@ -410,29 +412,28 @@ def _rays(arr, B, base_coords, dirs, T, out):
             part += base_coords[blk * n:(blk + 1) * n]
         phi = phi_batch(arr, B, X.reshape(-1, n), Z.reshape(-1, n)).reshape(
             d.shape[0], nodes, n, n)
-        speed2 = (np.einsum("di,dtij,dj->dt", d[:, :n], phi, d[:, :n])
-                  + np.einsum("di,dtij,dj->dt", d[:, n:2 * n], phi, d[:, n:2 * n])
-                  + np.einsum("di,dtij,dj->dt", d[:, 2 * n:], phi, d[:, 2 * n:]))
-        speed = np.sqrt(speed2)
-        if n == 1:
-            lam_min = detphi = phi[:, :, 0, 0]
-        else:
-            lam_min = np.linalg.eigvalsh(phi)[..., 0]
-            detphi = np.linalg.det(phi)
+        speed = np.sqrt(np.einsum("di,dtij,dj->dt", d[:, :n], phi, d[:, :n])
+                        + np.einsum("di,dtij,dj->dt", d[:, n:2 * n], phi, d[:, n:2 * n])
+                        + np.einsum("di,dtij,dj->dt", d[:, 2 * n:], phi, d[:, 2 * n:]))
+        lam_min = phi[:, :, 0, 0] if n == 1 else np.linalg.eigvalsh(phi)[..., 0]
         L = proxy[lo:lo + RAY_BLOCK]
         L[:, 0] = speed[:, 0] * t[0]
         L[:, 1:] = 0.5 * (speed[:, 1:] + speed[:, :-1]) * dt[None, :]
         np.cumsum(L, axis=1, out=L)
         L += math.pi * math.sqrt(n) / np.sqrt(lam_min)  # the fiber bound
-        np.maximum.accumulate(L, axis=1, out=L)
-        integrand = detphi * t[None, :] ** (3 * n - 1)
-        V = volume[lo:lo + RAY_BLOCK]
+        if not (L[:, 1:] >= L[:, :-1]).all():
+            np.maximum.accumulate(L, axis=1, out=L)
+        m = min(max(int((L < rmax).sum(axis=1).max()), 1), nodes - 1) + 1
+        detphi = phi[:, :m, 0, 0] if n == 1 else np.linalg.det(phi[:, :m])
+        integrand = detphi * t[:m] ** (3 * n - 1)
+        V = volume[lo:lo + RAY_BLOCK, :m]
         V[:, 0] = integrand[:, 0] * t[0] / (3.0 * n)
-        V[:, 1:] = 0.5 * (integrand[:, 1:] + integrand[:, :-1]) * dt[None, :]
-    return out
+        V[:, 1:] = 0.5 * (integrand[:, 1:] + integrand[:, :-1]) * dt[:m - 1]
+        np.cumsum(V, axis=1, out=V)
+    return proxy, volume
 
 
-def _growth_chunk(arr, B, base_coords, dirs, radii, rays=None):
+def _growth_chunk(arr, B, base_coords, dirs, radii):
     """Per-direction ball volumes, interpolated at radii along the rays of _rays.
 
     The ball is measured with the distance proxy of _rays.  The ray length T
@@ -445,19 +446,16 @@ def _growth_chunk(arr, B, base_coords, dirs, radii, rays=None):
     same final T and the same full integration.  This rests on each row of
     phi_batch not depending on the batch it is computed in, which also lets
     _rays evaluate the chunk in blocks of RAY_BLOCK directions, so the working
-    set is the two (len(dirs), 512) ray arrays plus one block's, whatever the
-    number of flats.  The ray arrays are the first len(dirs) rows of rays, a
-    (2, >= len(dirs), 512) buffer that growth_fit reuses for every chunk.
+    set is the two (len(dirs), 512) arrays plus one block's, whatever the
+    number of flats.
     """
-    if rays is None:
-        rays = np.empty((2, dirs.shape[0], 512))
     rmax = float(radii[-1])
     T = max(rmax, 4.0)
     probe = dirs[:1]
     for _ in range(80):
-        proxy, _ = _rays(arr, B, base_coords, probe, T, rays[:, :1])
+        proxy, _ = _rays(arr, B, base_coords, probe, T, rmax)
         if proxy[0, -1] >= rmax:
-            proxy, volume = _rays(arr, B, base_coords, dirs, T, rays[:, :dirs.shape[0]])
+            proxy, volume = _rays(arr, B, base_coords, dirs, T, rmax)
             if proxy[:, -1].min() >= rmax:
                 break
             probe = dirs[[int(np.argmin(proxy[:, -1]))]]
@@ -466,11 +464,8 @@ def _growth_chunk(arr, B, base_coords, dirs, radii, rays=None):
         raise SamplingError("radial integration range failed to cover the largest radius")
 
     # each radius R reads the nodes idx - 1 and idx around its crossing (the
-    # proxy rows are sorted); the ball volumes are summed only that far, since
-    # past the largest radius a huge det Phi (B = 1e300) would overflow float64
+    # proxy rows are sorted), which _rays has integrated the volume to
     idx = np.clip([row.searchsorted(radii) for row in proxy], 1, proxy.shape[1] - 1)
-    V = volume[:, :idx.max() + 1]
-    np.cumsum(V, axis=1, out=V)
     p_lo, p_hi = np.take_along_axis(proxy, idx - 1, 1), np.take_along_axis(proxy, idx, 1)
     v_lo, v_hi = np.take_along_axis(volume, idx - 1, 1), np.take_along_axis(volume, idx, 1)
     frac = np.clip((radii - p_lo) / np.where(p_hi > p_lo, p_hi - p_lo, 1.0), 0.0, 1.0)
@@ -498,14 +493,10 @@ def growth_fit(arr: FlatArrangement, B, base: Point3n, radii, samples: int = 409
     base_coords = base.coords()
 
     # 512-direction chunks, each with its own T rounds and node grid, in order
-    # on this thread through one ray buffer: allocating it per chunk would hand
-    # its pages back to the system and fault them in again for the next chunk
-    rays = np.empty((2, min(samples, 512), 512))
-    per_dir = np.vstack([_growth_chunk(arr, B, base_coords, dirs[lo:lo + 512], radii, rays)
+    per_dir = np.vstack([_growth_chunk(arr, B, base_coords, dirs[lo:lo + 512], radii)
                          for lo in range(0, samples, 512)])  # (samples, nR)
 
-    sphere = 2.0 * math.pi ** (1.5 * n) / math.gamma(1.5 * n)
-    fiber_vol = (2.0 * math.pi) ** n
+    sphere, fiber_vol = 2.0 * math.pi ** (1.5 * n) / math.gamma(1.5 * n), (2.0 * math.pi) ** n
     volumes = sphere * fiber_vol * per_dir.mean(axis=0)
     if np.any(volumes <= 0):
         below = radii[np.argmax(volumes <= 0)]
@@ -515,20 +506,15 @@ def growth_fit(arr: FlatArrangement, B, base: Point3n, radii, samples: int = 409
 
     logR = np.log(radii)
     A = np.vstack([logR, np.ones_like(logR)]).T
-    exponent = float(np.linalg.lstsq(A, np.log(volumes), rcond=None)[0][0])
 
-    batch_slopes = []
-    for b in range(8):
-        sel = per_dir[b::8].mean(axis=0)
-        if np.any(sel <= 0):
-            continue
-        batch_slopes.append(float(np.linalg.lstsq(A, np.log(sphere * fiber_vol * sel),
-                                                  rcond=None)[0][0]))
-    if len(batch_slopes) >= 2:
-        stderr = float(np.std(batch_slopes, ddof=1) / math.sqrt(len(batch_slopes)))
-    else:
-        stderr = float("inf")
-    return GrowthFit(exponent=exponent, std_error=stderr, radii=radii,
+    def slope(v):
+        return float(np.linalg.lstsq(A, np.log(v), rcond=None)[0][0])
+
+    batches = [per_dir[b::8].mean(axis=0) for b in range(8)]
+    batch_slopes = [slope(sphere * fiber_vol * sel) for sel in batches if not np.any(sel <= 0)]
+    stderr = (float(np.std(batch_slopes, ddof=1) / math.sqrt(len(batch_slopes)))
+              if len(batch_slopes) >= 2 else float("inf"))
+    return GrowthFit(exponent=slope(volumes), std_error=stderr, radii=radii,
                      volumes=volumes, samples=samples)
 
 

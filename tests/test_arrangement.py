@@ -162,6 +162,25 @@ def test_svr_batched_matches_row_by_row():
         assert not arr.frame.U.flags.writeable
 
 
+def test_svr_by_flat_is_svr_flat_major():
+    # the same bits as svr, transposed: the catalog, and an n = 3 arrangement
+    # of seven flats whose products sum three coordinates; one row, a few,
+    # and a growth ray block's worth
+    rng = np.random.default_rng(12)
+    normals = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (0, 1, -1), (1, 1, 1), (2, -1, 3)]
+    n3 = FlatArrangement(3, [Flat(u, tuple(rng.uniform(-1.0, 1.0, 3)), 0.5 + k)
+                             for k, u in enumerate(normals)])
+    for arr in [e.arrangement for e in catalog()] + [n3]:
+        n, d = arr.dimension, len(arr.flats)
+        for rows in (1, 7, 16384):
+            X = rng.uniform(-3.0, 3.0, (rows, n)) * 10.0 ** rng.uniform(-4, 4, (rows, 1))
+            Z = X[::-1] * rng.uniform(-2.0, 2.0, (rows, n)) + 1j * rng.uniform(-3.0, 3.0, (rows, n))
+            for got, want in zip(arr.svr_by_flat(X, Z), arr.svr(X, Z)):
+                assert got.shape == (d, rows)
+                assert np.array_equal(np.ascontiguousarray(got.T).view(np.int64),
+                                      want.view(np.int64))
+
+
 def test_strata_axes_pair():
     # two coordinate flats in n=2: two singletons and the double point
     arr = _axes_n2()

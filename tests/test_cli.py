@@ -359,18 +359,20 @@ def test_growth_nan_std_error_exits_one(capsys, monkeypatch):
                    "increase samples or radii\n")
 
 
-_HUGE_B = {"n": 1, "flats": [{"u": [1], "lambda": [0, 0, 0], "a": 1}], "B": [[1e300]]}
+_VERIFY = (["verify", "--seed", "1"], "60 to 960")
+_GROWTH = (["growth", "--radii", "60,240", "--samples", "64"], "60 to 240")
 
 
-@pytest.mark.parametrize("argv, radii", [
-    (["verify", "--seed", "1"], "60 to 960"),
-    (["growth", "--radii", "60,240", "--samples", "64"], "60 to 240"),
-], ids=["verify", "growth"])
-def test_growth_below_the_fiber_scale_names_the_radius(tmp_path, argv, radii):
+@pytest.mark.parametrize("argv, radii, b", [
+    (*_VERIFY, 1e300), (*_GROWTH, 1e300), (*_VERIFY, 1e303), (*_GROWTH, 1e303),
+], ids=["verify", "growth", "verify-1e303", "growth-1e303"])
+def test_growth_below_the_fiber_scale_names_the_radius(tmp_path, argv, radii, b):
     # a fresh interpreter with every warning an error: at B = 1e300 the ball
-    # volume past the largest radius exceeds float64, and a RuntimeWarning on
-    # the way would end the command with a traceback instead of this line
-    path = _write_arrangement(tmp_path, _HUGE_B)
+    # volume past the largest radius exceeds float64, at B = 1e303 so does
+    # det Phi t^(3n-1) there, and a RuntimeWarning on the way would end the
+    # command with a traceback instead of this line
+    path = _write_arrangement(
+        tmp_path, {"n": 1, "flats": [{"u": [1], "lambda": [0, 0, 0], "a": 1}], "B": [[b]]})
     src = pathlib.Path(__file__).resolve().parents[1] / "src"
     proc = subprocess.run(
         [sys.executable, "-W", "error", "-m", "torichk.cli", argv[0], path, *argv[1:]],

@@ -57,13 +57,13 @@ def test_tolerances_are_one_table_without_a_per_call_knob():
 
 
 def test_per_flat_data_and_the_domain_rule_have_one_owner():
-    # t = s + r is computed only by the return of the FlatArrangement kernel
-    # svr, and only the potential module applies the domain thresholds
+    # t = s + r is computed only by the return of arrangement._per_flat, the
+    # kernel of FlatArrangement.svr and svr_by_flat, and only the potential
+    # module applies the domain thresholds
     trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
              for path in sorted(pathlib.Path(torichk.__file__).parent.glob("*.py"))}
-    svr_return = [node.lineno for cls in ast.walk(trees["arrangement.py"])
-                  if isinstance(cls, ast.ClassDef) and cls.name == "FlatArrangement"
-                  for fn in cls.body if getattr(fn, "name", None) == "svr"
+    svr_return = [node.lineno for fn in trees["arrangement.py"].body
+                  if getattr(fn, "name", None) == "_per_flat"
                   for node in ast.walk(fn) if isinstance(node, ast.Return)]
     s_plus_r = sorted(
         f"{file}:{node.lineno}" for file, tree in trees.items() for node in ast.walk(tree)

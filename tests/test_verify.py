@@ -781,10 +781,9 @@ def test_growth_validates_radii():
         growth_fit(FLAT_H.arrangement, None, base, [100.0])
 
 
-def _unscreened_growth_chunk(arr, B, base_coords, dirs, radii, rays=None):
+def _unscreened_growth_chunk(arr, B, base_coords, dirs, radii):
     """The growth chunk without probe screening: every T round integrates
-    all of dirs, and growth_fit's ray buffer is not used.  Kept as the
-    reference the screened loop must reproduce."""
+    all of dirs.  Kept as the reference the screened loop must reproduce."""
     n = arr.dimension
     rmax = float(radii[-1])
     nodes = 512
@@ -947,7 +946,7 @@ def test_growth_fit_working_set_is_one_chunk_and_one_ray_block(name):
 
 
 def test_growth_chunk_raises_sampling_error_when_rays_stay_short(monkeypatch):
-    def short_rays(arr, B, base_coords, dirs, T, out):
+    def short_rays(arr, B, base_coords, dirs, T, rmax):
         zero = np.zeros((dirs.shape[0], 512))
         return zero, zero
 
