@@ -220,7 +220,10 @@ class DeformationMatrix:
         scale = max(1.0, float(np.abs(mat).max()) if mat.size else 0.0)
         if not np.allclose(mat, mat.T, atol=1e-12 * scale):
             raise ArrangementError("deformation matrix must be symmetric")
-        mat = 0.5 * (mat + mat.T)
+        with np.errstate(over="ignore"):  # a sum past float64 is refused below
+            mat = 0.5 * (mat + mat.T)
+        if not np.all(np.isfinite(mat)):
+            raise ArrangementError("deformation matrix too large: its symmetric part overflows")
         w, v = np.linalg.eigh(mat)
         if w.size and w.min() < -1e-9 * scale:
             raise ArrangementError(
@@ -364,32 +367,58 @@ def _closure(arr, idx, base, atol):
     return tuple(sorted(out))
 
 
-def _stratum_point(arr, S):
-    """One SVD of the normals U_S of the flats S: (x, z, null, pinv).
+def _frontier_points(arr, frontier):
+    """The min-norm point of each stratum S of a frontier, with what its
+    extensions read: [(x, z, null, pinv, s, v, P)] in frontier order.
 
-    (x, z) = V_r Sigma_r^-1 W_r^T (l1_S, lc_S) is the min-norm point of S,
-    null (n, n - rank) a basis of the nullspace of U_S and pinv (n, |S|) the
-    pseudo-inverse of U_S.
+    Per stratum, U_S = W Sigma V^T; the rank counts the singular values above
+    1e-11 max(1, sigma_1), pinv = V_r Sigma_r^-1 W_r^T (n, |S|) is the
+    pseudo-inverse of U_S, (x, z) = pinv (l1_S, lc_S) the min-norm point, null
+    = V_{rank:}^T (n, n - rank) a basis of the nullspace of U_S, s and v those
+    of svr at (x, z), each (d,), and P = U null (d, n - rank).  One SVD serves
+    the strata of each |S| and one product each group of the same (|S|, rank):
+    every slice of a stack is the call that a single stratum's arrays make,
+    with the same layout, so the bits are those of one stratum at a time.
     """
     f = arr.frame
-    idx = list(S)
-    w, sv, vt = np.linalg.svd(f.U[idx])
-    rank = int(np.count_nonzero(sv > 1e-11 * max(1.0, sv[0])))
-    pinv = (vt[:rank].T / sv[:rank]) @ w[:, :rank].T
-    return pinv @ f.l1[idx], pinv @ f.lc[idx], vt[rank:].T, pinv
+    out = [None] * len(frontier)
+    by_size = {}
+    for i, S in enumerate(frontier):
+        by_size.setdefault(len(S), []).append(i)
+    for rows in by_size.values():
+        rows = np.array(rows)
+        idx = np.array([frontier[i] for i in rows])
+        w, sv, vt = np.linalg.svd(f.U[idx])
+        ranks = np.count_nonzero(sv > 1e-11 * np.maximum(1.0, sv[:, :1]), axis=1)
+        for rank in np.unique(ranks).tolist():
+            sel = ranks == rank
+            vr = vt[sel]
+            pinv = (vr[:, :rank].transpose(0, 2, 1) / sv[sel, None, :rank]
+                    ) @ w[sel][:, :, :rank].transpose(0, 2, 1)
+            x = (pinv @ f.l1[idx[sel]][..., None])[..., 0]
+            z = (pinv @ f.lc[idx[sel]][..., None])[..., 0]
+            null = vr[:, rank:].transpose(0, 2, 1)
+            s = (x[:, None, :] @ f.U.T)[:, 0] - f.l1
+            v = (z[:, None, :] @ f.U.T)[:, 0] - f.lc
+            P = f.U @ null
+            for k, i in enumerate(rows[sel].tolist()):
+                out[i] = x[k], z[k], null[k], pinv[k], s[k], v[k], P[k]
+    return out
 
 
-def _extensions(arr, S, todo, x, z, null, pinv, tol):
+def _extend(arr, S, todo, s, v, P, pinv, tol):
     """The closed index set of every candidate S + {j}, j in todo (not in
     S), whose flats meet within atol_j = tol * _offset_scale(arr, S + {j}).
 
-    (x, z, null, pinv) are those of _stratum_point(arr, S), and s, v are svr
-    at (x, z).  With P = U null (d, n - rank), a flat j with P_j != 0 always
-    meets S, at the min-norm point x - null P_j^T s_j / |P_j|^2 (z likewise
-    with v_j), where flat k has s_k - (P_k . P_j) s_j / |P_j|^2; its closure
-    adds the flats within atol_j of that point whose P_k is parallel to P_j,
-    that is, whose u_k lies in the span of U_S and u_j.  These are (|J|, d)
-    column operations over all such candidates at once.
+    s, v, P and pinv are those of _frontier_points at S.  A flat j with
+    P_j != 0 always meets S, at the min-norm point x - null P_j^T s_j / |P_j|^2
+    (z likewise with v_j), where flat k has s_k - (P_k . P_j) s_j / |P_j|^2;
+    its closure adds the flats within atol_j of that point whose P_k is
+    parallel to P_j, that is, whose u_k lies in the span of U_S and u_j.
+    These are (|J|, d) column operations over all such candidates at once.
+    G = P_J P^T stays one product per stratum: the rows of a stacked product
+    can differ from it in their last bits, and G decides closures at the
+    tolerance.
 
     A flat with u_j = c_j . U_S in the span of U_S (P_j = 0) is skipped when
     max(|s_j|, |v_j|), which differs from the gap |l_j - c_j . l_S| by at most
@@ -405,8 +434,6 @@ def _extensions(arr, S, todo, x, z, null, pinv, tol):
         return closed
     todo = np.array(todo)
     atol = tol * np.maximum(_offset_scale(arr, idx), f.sizes)
-    s, v, _, _ = arr.svr(x, z)
-    P = f.U @ null
     pp = np.einsum("jm,jm->j", P, P)  # squared distance of u_j from the span of U_S
     off = pp[todo] > 1e-18
     J, K = todo[off], todo[~off]
@@ -416,7 +443,7 @@ def _extensions(arr, S, todo, x, z, null, pinv, tol):
         # s_k and v_k at the point of candidate j: u_k . null P_j^T = G_jk
         hit = (np.abs(s - (s[J] * c)[:, None] * G)
                + np.abs(v - (v[J] * c)[:, None] * G)) <= atol[J, None]
-        if null.shape[1] > 1:  # else every P_k is parallel to P_j
+        if P.shape[1] > 1:  # else every P_k is parallel to P_j
             rest = P - (G * c[:, None])[:, :, None] * P[J, None, :]
             hit &= np.einsum("jkm,jkm->jk", rest, rest) <= 1e-18
         hit[:, idx] = True
@@ -433,20 +460,73 @@ def _extensions(arr, S, todo, x, z, null, pinv, tol):
     return closed
 
 
-def _witness(arr, active, base, null, rng, tol):
-    """The point base = (x, z) on the flats active, perturbed off every other
-    flat along the nullspace of the active normals, as a Point3n."""
-    others = [j for j in range(len(arr.flats)) if j not in active]
-    x, z = base
-    m = null.shape[1]
-    if m == 0 or not others:
-        return Point3n(x, z)
-    for _ in range(64):
-        c = rng.uniform(-1.0, 1.0, 3 * m)  # the draws for x, Re z and Im z in turn
-        cand = x + null @ c[:m], z + null @ (c[m:2 * m] + 1j * c[2 * m:])
-        if (flat_distances(arr, *cand)[others] > 1e3 * tol).all():
-            return Point3n(*cand)
-    raise ArrangementError("could not find a witness avoiding the other flats")
+def _witness_draws(arr, strata, c, tol):
+    """The witness candidates of strata [(active, x, z, null)] at the draws
+    c, 3 m per stratum in turn (m its null width), as (x, z, ok): x + null
+    c_x and z + null (c_re + i c_im), (k, n) each, and whether each lies
+    farther than 1e3 tol from every flat not active, (k,).  Each group of the
+    same m is a stack of the products one stratum's arrays make."""
+    f = arr.frame
+    widths = [null.shape[1] for *_, null in strata]
+    start = np.cumsum([0] + [3 * m for m in widths])
+    cx = np.empty((len(strata), arr.dimension))
+    cz = np.empty_like(cx, dtype=complex)
+    by_width = {}
+    for i, m in enumerate(widths):
+        by_width.setdefault(m, []).append(i)
+    for m, rows in by_width.items():
+        C = c[start[rows, None] + np.arange(3 * m)]
+        null = np.stack([strata[i][3].T for i in rows]).transpose(0, 2, 1)
+        cx[rows] = np.array([strata[i][1] for i in rows]) + (null @ C[:, :m, None])[..., 0]
+        cz[rows] = np.array([strata[i][2] for i in rows]) + (
+            null @ (C[:, m:2 * m] + 1j * C[:, 2 * m:])[..., None])[..., 0]
+    s = (cx[:, None, :] @ f.U.T)[:, 0] - f.l1
+    v = (cz[:, None, :] @ f.U.T)[:, 0] - f.lc
+    away = np.abs(s) + np.abs(v) > 1e3 * tol
+    for row, (active, *_) in zip(away, strata):
+        row[list(active)] = True
+    return cx, cz, away.all(axis=1)
+
+
+def _witnesses(arr, strata, rng, tol):
+    """The witness of each stratum of [(active, x, z, null)], as a Point3n:
+    its point (x, z), perturbed off every other flat along the nullspace null
+    of the active normals.
+
+    Each stratum in turn draws 3 m uniforms in [-1, 1) from rng until its
+    candidate (_witness_draws) lies off the other flats, 64 times at most.
+    The first draws of all the strata come from one rng call; from the
+    first refused one on, rng is wound back to it and that stratum draws
+    alone, so that the draws and rng's final state are those of one stratum
+    at a time.
+    """
+    d = len(arr.flats)
+    points = [(x, z) for _, x, z, _ in strata]
+    pending = [i for i, (active, _, _, null) in enumerate(strata)
+               if null.shape[1] and len(active) < d]
+    while pending:
+        state = rng.bit_generator.state
+        widths = [3 * strata[i][3].shape[1] for i in pending]
+        cx, cz, ok = _witness_draws(
+            arr, [strata[i] for i in pending], rng.uniform(-1.0, 1.0, sum(widths)), tol)
+        first = int(np.argmin(ok)) if not ok.all() else len(pending)
+        for k, i in enumerate(pending[:first]):
+            points[i] = cx[k], cz[k]
+        if first == len(pending):
+            break
+        rng.bit_generator.state = state
+        rng.uniform(-1.0, 1.0, sum(widths[:first + 1]))  # up to the refused draw
+        i = pending[first]
+        for _ in range(63):
+            cx, cz, ok = _witness_draws(
+                arr, [strata[i]], rng.uniform(-1.0, 1.0, widths[first]), tol)
+            if ok[0]:
+                points[i] = cx[0], cz[0]
+                break
+        else:
+            raise ArrangementError("could not find a witness avoiding the other flats")
+        pending = pending[first + 1:]
+    return [Point3n(x, z) for x, z in points]
 
 
 def intersection_strata(arr: FlatArrangement) -> list:
@@ -456,29 +536,36 @@ def intersection_strata(arr: FlatArrangement) -> list:
     (all flats containing it); index subsets cutting out the same
     intersection are not listed separately.
 
-    Breadth first from the whole space: each stratum S gets one SVD of its
-    normals (_stratum_point), which gives its min-norm point, and is then
-    extended by every flat j not in S at once (_extensions); each such
-    candidate counts towards DEFAULT.strata_subset_limit.  Only extensions
-    by a flat whose normal lies in the span of S's normals, and which the
-    screen of S cannot rule out, take a least-squares solve.  The witness of
-    S perturbs S's own min-norm point, so it does not depend on the
-    candidate that found S; the witnesses are the only validated Point3n
-    built, one per stratum.  Strata with the same active normals share one
-    Smith form.
+    Breadth first from the whole space, one frontier at a time.  First, in
+    frontier order, each stratum S gets the flats j that make S + {j} a
+    candidate not yet seen; each candidate counts towards
+    DEFAULT.strata_subset_limit, so the count and the error depend only on
+    that order.  Then the frontier's min-norm points, nullspaces and flat
+    data come as stacks (_frontier_points): one SVD per |S|, and products
+    that run, slice by slice, the BLAS call one stratum would.  Each S is
+    then extended by every flat at once (_extend), its G = P_J P^T one
+    product per stratum, since a stacked product's rows may differ from it
+    in their last bits.  Only extensions by a flat whose normal lies in the
+    span of S's normals, and which the screen of S cannot rule out, take a
+    least-squares solve.  The witness of S perturbs S's own min-norm point,
+    so it does not depend on the candidate that found S; the witnesses'
+    first draws are one rng call and one stacked distance test
+    (_witnesses), and they are the only validated Point3n built, one per
+    stratum.  Strata with the same active normals share one Smith form.
     """
+    f = arr.frame
     d, n = len(arr.flats), arr.dimension
     rng = np.random.default_rng(DEFAULT.default_seed)
     tol, limit = DEFAULT.on_flat, DEFAULT.strata_subset_limit
 
-    # the singletons extend the whole space, whose min-norm point is 0
-    found = dict.fromkeys(_extensions(
-        arr, (), range(d), np.zeros(n), np.zeros(n, dtype=complex), np.eye(n), None, tol))
+    # the singletons extend the whole space: its point is 0 and P = U
+    s, v, _, _ = arr.svr(np.zeros(n), np.zeros(n, dtype=complex))
+    found = dict.fromkeys(_extend(arr, (), range(d), s, v, f.U, None, tol))
     frontier = list(found)
     solved = set()  # candidate subsets as bit masks: each is extended once
     examined = 0
     while frontier:
-        next_frontier = []
+        todos = []
         for S in frontier:
             examined += d - len(S)
             if examined > limit:
@@ -491,24 +578,26 @@ def intersection_strata(arr: FlatArrangement) -> list:
                 if cand != bits and cand not in solved:  # j not in S, S + {j} new
                     solved.add(cand)
                     todo.append(j)
-            x, z, null, pinv = _stratum_point(arr, S)
-            found[S] = (x, z), null
-            for closed in _extensions(arr, S, todo, x, z, null, pinv, tol):
+            todos.append(todo)
+        next_frontier = []
+        for S, todo, (x, z, null, pinv, s, v, P) in zip(
+                frontier, todos, _frontier_points(arr, frontier)):
+            found[S] = x, z, null
+            for closed in _extend(arr, S, todo, s, v, P, pinv, tol):
                 if closed not in found:
                     found[closed] = None
                     next_frontier.append(closed)
         frontier = next_frontier
 
+    order = sorted(found, key=lambda s: (len(s), s))
+    witnesses = _witnesses(arr, [(S, *found[S]) for S in order], rng, tol)
     factors = {}  # active normal rows -> their invariant factors
     strata = []
-    for S in sorted(found, key=lambda s: (len(s), s)):
+    for S, witness in zip(order, witnesses):
         rows = tuple(arr.flats[k].normal for k in S)
         if rows not in factors:
             factors[rows] = tuple(lattice.invariant_factors(rows))
-        base, null = found[S]
-        strata.append(Stratum(
-            active=S, witness=_witness(arr, S, base, null, rng, tol),
-            invariant_factors=factors[rows]))
+        strata.append(Stratum(active=S, witness=witness, invariant_factors=factors[rows]))
     return strata
 
 

@@ -502,7 +502,7 @@ def growth_fit(arr: FlatArrangement, B, base: Point3n, radii, samples: int = 409
         below = radii[np.argmax(volumes <= 0)]
         raise ValueError(
             f"radius {below:g} (radii {radii[0]:g} to {radii[-1]:g}) is below the "
-            "fiber scale of every sampled direction; increase radii")
+            "start of every sampled ray (its first node's distance proxy); increase radii")
 
     logR = np.log(radii)
     A = np.vstack([logR, np.ones_like(logR)]).T

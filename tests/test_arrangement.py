@@ -2,8 +2,13 @@
 
 import dataclasses
 import functools
+import hashlib
 import importlib.util
+import io
+import json
+import tempfile
 from collections import Counter
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import numpy as np
@@ -284,6 +289,18 @@ def test_deformation_matrix_validation():
     assert DeformationMatrix([[2.0, 1.0], [1.0, 2.0]]).order == 2
 
 
+def test_deformation_matrix_symmetrizes_finite_sums_bit_for_bit_and_refuses_an_overflow():
+    rng = np.random.default_rng(4)
+    for scale in (1e-300, 1.0, 1e300, 1e307):
+        m = rng.uniform(0.5, 1.0, (3, 3))
+        a = (m @ m.T + np.eye(3)) * scale
+        a[0, 1] *= 1.0 + 1e-15  # within the symmetry tolerance, so averaged
+        assert np.array_equal(DeformationMatrix(a).entries, 0.5 * (a + a.T))
+    for big in ([[1e308]], [[1.7e308, 0.0], [0.0, 1.0]], [[8e307, -1e308], [-1e308, 8e307]]):
+        with pytest.raises(ArrangementError, match="symmetric part overflows"):
+            DeformationMatrix(big)
+
+
 def test_deformation_matrix_of_takes_none_arrays_and_matrices():
     B = DeformationMatrix([[1.0, 0.0], [0.0, 0.0]])
     assert DeformationMatrix.of(B, 2) is B
@@ -380,6 +397,34 @@ def test_translate_moves_strata_with_the_arrangement():
 # --------------------------------------------------------------------------
 # the strata enumerator against its reference
 
+def _reference_point(arr, S):
+    """The min-norm point (x, z) of the flats S and a basis null (n, n - rank)
+    of the nullspace of their normals, from one SVD of those normals alone."""
+    f = arr.frame
+    idx = list(S)
+    w, sv, vt = np.linalg.svd(f.U[idx])
+    rank = int(np.count_nonzero(sv > 1e-11 * max(1.0, sv[0])))
+    pinv = (vt[:rank].T / sv[:rank]) @ w[:, :rank].T
+    return pinv @ f.l1[idx], pinv @ f.lc[idx], vt[rank:].T
+
+
+def _reference_witness(arr, active, x, z, null, rng, tol, refused=None):
+    """The point (x, z) of the flats active, perturbed off every other flat
+    along null, one draw at a time; refused(c), if given, refuses the draws c
+    besides."""
+    others = [j for j in range(len(arr.flats)) if j not in active]
+    m = null.shape[1]
+    if m == 0 or not others:
+        return Point3n(x, z)
+    for _ in range(64):
+        c = rng.uniform(-1.0, 1.0, 3 * m)  # the draws for x, Re z and Im z in turn
+        cand = x + null @ c[:m], z + null @ (c[m:2 * m] + 1j * c[2 * m:])
+        if ((flat_distances(arr, *cand)[others] > 1e3 * tol).all()
+                and not (refused is not None and refused(c))):
+            return Point3n(*cand)
+    raise ArrangementError("could not find a witness avoiding the other flats")
+
+
 def _reference_strata(arr):
     """The breadth-first enumeration that solves every candidate subset.
 
@@ -419,10 +464,7 @@ def _reference_strata(arr):
         frontier = next_frontier
     strata = []
     for S in sorted(found, key=lambda s: (len(s), s)):
-        _, sv, vt = np.linalg.svd(arr.frame.U[list(S)])
-        rank = int(np.sum(sv > 1e-11 * max(1.0, sv[0])))
-        witness = arrangement._witness(arr, S, arrangement._stratum_point(arr, S)[:2],
-                                       vt[rank:].T, rng, tol)
+        witness = _reference_witness(arr, S, *_reference_point(arr, S), rng, tol)
         rows = [arr.flats[k].normal for k in S]
         strata.append((S, len(lattice.invariant_factors(rows)), witness))
     return strata, examined
@@ -458,6 +500,50 @@ def _family():
     """The 20 base arrangements of the classify-strata workload."""
     return [parse_arrangement(doc)[0] for doc in _workloads().base_family()]
 
+
+# the classify-strata workload's seeds whose moved family is pinned; a change
+# that moves these outputs on purpose regenerates the file with
+#
+#     PYTHONPATH=src python tests/test_arrangement.py
+#
+# and says which digests moved and why
+FAMILY_SEEDS = (1, 2)
+FAMILY_DIGESTS = Path(__file__).resolve().parent / "family_digests.json"
+
+
+def _moved_family(seed):
+    """The family as the classify-strata workload moves it at `seed`:
+    [(name, document, the document with its flats permuted)], drawn from one
+    rng in the workload's order."""
+    wl = _workloads()
+    rng = np.random.default_rng(seed)
+    docs = [wl.moved(doc, rng) for doc in wl.base_family()]
+    out = []
+    for i, doc in enumerate(docs):
+        perm = rng.permutation(len(doc["flats"]))
+        out.append((f"family-{i}@{seed}", doc,
+                    dict(doc, flats=[doc["flats"][k] for k in perm])))
+    return out
+
+
+def _family_digests(workdir):
+    """{case: {command: sha256 of its exit code and stdout}} of classify and
+    validate on every moved family arrangement and its permutation."""
+    out = {}
+    for seed in FAMILY_SEEDS:
+        for name, doc, permuted in _moved_family(seed):
+            out[name] = {}
+            for suffix, d in (("", doc), (" (permuted)", permuted)):
+                path = Path(workdir) / "arrangement.json"
+                path.write_text(json.dumps(d), encoding="utf-8")
+                for cmd in ("classify", "validate"):
+                    buf = io.StringIO()
+                    with redirect_stdout(buf):
+                        code = cli.run_cli([cmd, str(path)])
+                    out[name][cmd + suffix] = hashlib.sha256(
+                        f"{code}\n{buf.getvalue()}".encode()).hexdigest()
+    return out
+
 # moves off a consistent intersection: inside the solve's tolerance, just past
 # it, past it but inside the screen's margin, and far past both
 _NUDGES = (3e-10, 3e-9, 2e-6, 1e-3)
@@ -486,6 +572,19 @@ def _random_dependent_arrangement(rng, n):
 def test_strata_match_the_reference_on_catalog_and_family():
     for arr in [e.arrangement for e in catalog()] + _family():
         assert _assert_matches_reference(arr)
+
+
+def test_strata_match_the_reference_on_the_moved_family():
+    # a change of lattice basis makes normals larger than the base family's
+    for seed in FAMILY_SEEDS:
+        for _, doc, permuted in _moved_family(seed):
+            for d in (doc, permuted):
+                assert _assert_matches_reference(parse_arrangement(d)[0])
+
+
+def test_classify_and_validate_of_the_moved_family_match_the_pinned_digests(tmp_path):
+    want = json.loads(FAMILY_DIGESTS.read_text(encoding="utf-8"))
+    assert _family_digests(tmp_path) == want
 
 
 def test_strata_match_the_reference_on_random_dependent_arrangements():
@@ -547,7 +646,8 @@ def test_stratum_points_are_least_squares_points_and_witnesses_sit_on_their_flat
         f = arr.frame
         with monkeypatch.context() as m:
             # the witness of each stratum is its point itself
-            m.setattr(arrangement, "_witness", lambda arr, S, base, null, rng, tol: Point3n(*base))
+            m.setattr(arrangement, "_witnesses", lambda arr, strata, rng, tol: [
+                Point3n(x, z) for _, x, z, _ in strata])
             points = intersection_strata(arr)
         for s in points:
             idx = list(s.active)
@@ -580,15 +680,27 @@ def _count_calls(monkeypatch, calls, owner, name):
     monkeypatch.setattr(owner, name, counted)
 
 
-def test_one_svd_per_stratum_no_lstsq_and_one_smith_form_per_normal_set(monkeypatch):
-    # each stratum takes one SVD of its normals, which extends it by every
-    # flat at once: the family has no extension left for least squares; strata
-    # with the same active normals (parallel or translated flats) share one
-    # Smith form within an enumeration
+def test_one_svd_per_frontier_and_size_no_lstsq_and_one_smith_form_per_normal_set(monkeypatch):
+    # each frontier takes one stacked SVD per size |S| of its strata, whose
+    # rows are those strata, and extends every stratum by every flat at once:
+    # the family has no extension left for least squares; strata with the
+    # same active normals (parallel or translated flats) share one Smith
+    # form within an enumeration
     calls = Counter()
-    _count_calls(monkeypatch, calls, np.linalg, "svd")
+    frontiers = []  # (the frontier, the (rows, |S|) of each SVD it takes)
     _count_calls(monkeypatch, calls, np.linalg, "lstsq")
     _count_calls(monkeypatch, calls, lattice, "smith_normal_form")
+    svd, points = np.linalg.svd, arrangement._frontier_points
+
+    def stacked_svd(a, *args, **kw):
+        frontiers[-1][1].append(a.shape[:2])
+        return svd(a, *args, **kw)
+
+    def frontier_points(arr, frontier):
+        frontiers.append((list(frontier), []))
+        return points(arr, frontier)
+    monkeypatch.setattr(np.linalg, "svd", stacked_svd)
+    monkeypatch.setattr(arrangement, "_frontier_points", frontier_points)
     strata = normal_sets = 0
     for arr in _family():
         report = classification_report(arr, DeformationMatrix.zero(arr.dimension))
@@ -596,7 +708,12 @@ def test_one_svd_per_stratum_no_lstsq_and_one_smith_form_per_normal_set(monkeypa
         normal_sets += len({tuple(arr.flats[k].normal for k in s.active)
                             for s in report.strata})
     assert normal_sets < strata
-    assert calls == {"svd": strata, "smith_normal_form": normal_sets}
+    assert calls == {"smith_normal_form": normal_sets}
+    for frontier, shapes in frontiers:
+        sizes = Counter(len(S) for S in frontier)
+        assert sorted(shapes) == sorted((rows, size) for size, rows in sizes.items())
+    assert sum(len(frontier) for frontier, _ in frontiers) == strata
+    assert len(frontiers) <= sum(len(shapes) for _, shapes in frontiers) < strata
 
 
 def test_one_point_per_stratum(monkeypatch):
@@ -625,6 +742,52 @@ def test_strata_subset_limit_counts_every_candidate(capsys, monkeypatch):
     assert captured.err.splitlines() == [f"error: {message}"]
 
 
+def test_witness_draws_refused_64_times_end_in_the_same_error():
+    # flat 2 runs 1e-7 from flat 1, inside the witness clearance 1e3 on_flat:
+    # every draw of stratum (1,) is refused, after stratum (0,) took its first
+    arr = FlatArrangement(2, (_flat((0, 1)), _flat((1, 0)), _flat((1, 0), (1e-7, 0.0, 0.0))))
+    tol = DEFAULT.on_flat
+    assert not _assert_matches_reference(arr)
+    strata = [(S, *_reference_point(arr, S)) for S in [(0,), (1,), (2,), (0, 1), (0, 2)]]
+    got, want = np.random.default_rng(3), np.random.default_rng(3)
+    message = "^could not find a witness avoiding the other flats$"
+    with pytest.raises(ArrangementError, match=message):
+        arrangement._witnesses(arr, strata, got, tol)
+    with pytest.raises(ArrangementError, match=message):
+        for S, x, z, null in strata:
+            _reference_witness(arr, S, x, z, null, want, tol)
+    assert got.bit_generator.state == want.bit_generator.state
+
+
+def test_refused_witness_draws_are_redrawn_as_one_stratum_at_a_time(monkeypatch):
+    # a patched rule refuses, besides, every draw whose first uniform is
+    # positive, about half of them: the stacked first draws give way to one
+    # stratum at a time with the draws, witnesses and final rng state of the
+    # one-at-a-time loop
+    draws, tol = arrangement._witness_draws, DEFAULT.on_flat
+
+    def refusing(arr, strata, c, tol):
+        cx, cz, ok = draws(arr, strata, c, tol)
+        start = np.cumsum([0] + [3 * null.shape[1] for *_, null in strata])[:-1]
+        return cx, cz, ok & (c[start] <= 0.0)
+    monkeypatch.setattr(arrangement, "_witness_draws", refusing)
+    refused = Counter()
+
+    def positive(c):
+        refused[c[0] > 0.0] += 1
+        return c[0] > 0.0
+    for arr in [entry("n2-unimodular").arrangement] + _family()[:4]:
+        strata = [(S, *_reference_point(arr, S)) for S, _, _ in _reference_strata(arr)[0]]
+        got, want = np.random.default_rng(5), np.random.default_rng(5)
+        points = arrangement._witnesses(arr, strata, got, tol)
+        assert len(points) == len(strata)
+        for p, (S, x, z, null) in zip(points, strata):
+            w = _reference_witness(arr, S, x, z, null, want, tol, refused=positive)
+            assert np.array_equal(p.x, w.x) and np.array_equal(p.z, w.z)
+        assert got.bit_generator.state == want.bit_generator.state
+    assert refused[True] > 50 and refused[False] > 50
+
+
 def test_strata_at_large_offsets_are_not_duplicated():
     # three flats through one point, far from the origin: the residuals of the
     # solve and the closure both scale with the offsets
@@ -633,3 +796,9 @@ def test_strata_at_large_offsets_are_not_duplicated():
         a, b = rng.uniform(-1e9, 1e9, (2, 3))
         arr = FlatArrangement(2, (_flat((1, 0), a), _flat((0, 1), b), _flat((1, 1), a + b)))
         assert [s.active for s in intersection_strata(arr)] == [(0,), (1,), (2,), (0, 1, 2)]
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as workdir:
+        FAMILY_DIGESTS.write_text(json.dumps(_family_digests(workdir), sort_keys=True,
+                                             indent=2) + "\n", encoding="utf-8")

@@ -380,8 +380,26 @@ def test_growth_below_the_fiber_scale_names_the_radius(tmp_path, argv, radii, b)
         env={**os.environ, "PYTHONPATH": str(src)})
     assert proc.returncode == 2 and proc.stdout == ""
     errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
-    assert errors == [f"error: radius 60 (radii {radii}) is below the fiber scale of "
-                      "every sampled direction; increase radii"]
+    assert errors == [f"error: radius 60 (radii {radii}) is below the start of every "
+                      "sampled ray (its first node's distance proxy); increase radii"]
+
+
+@pytest.mark.parametrize("argv", [["validate"], ["classify"], ["verify", "--seed", "1"]],
+                         ids=["validate", "classify", "verify"])
+def test_a_deformation_matrix_whose_symmetric_part_overflows_is_an_input_error(tmp_path, argv):
+    # B + B^T exceeds float64 at B = 1e308: under -W error the overflow
+    # warning of the symmetrization ended the command with a traceback, and
+    # without it validate called an infinite B valid
+    path = _write_arrangement(
+        tmp_path, {"n": 1, "flats": [{"u": [1], "lambda": [0, 0, 0], "a": 1}], "B": [[1e308]]})
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "torichk.cli", argv[0], path, *argv[1:]],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.splitlines() == [
+        "error: field \"B\": deformation matrix too large: its symmetric part overflows"]
 
 
 @pytest.mark.parametrize("argv", [
