@@ -385,9 +385,9 @@ def _frontier_points(arr, frontier):
     by_size = {}
     for i, S in enumerate(frontier):
         by_size.setdefault(len(S), []).append(i)
-    for rows in by_size.values():
-        rows = np.array(rows)
-        idx = np.array([frontier[i] for i in rows])
+    for members in by_size.values():
+        rows = np.array(members)
+        idx = np.array([frontier[i] for i in members])
         w, sv, vt = np.linalg.svd(f.U[idx])
         ranks = np.count_nonzero(sv > 1e-11 * np.maximum(1.0, sv[:, :1]), axis=1)
         for rank in np.unique(ranks).tolist():
