@@ -390,7 +390,7 @@ def _frontier_points(arr, frontier):
         idx = np.array([frontier[i] for i in members])
         w, sv, vt = np.linalg.svd(f.U[idx])
         ranks = np.count_nonzero(sv > 1e-11 * np.maximum(1.0, sv[:, :1]), axis=1)
-        for rank in np.unique(ranks).tolist():
+        for rank in sorted(set(ranks.tolist())):
             sel = ranks == rank
             vr = vt[sel]
             pinv = (vr[:, :rank].transpose(0, 2, 1) / sv[sel, None, :rank]
