@@ -502,7 +502,8 @@ def _family():
 
 
 # the classify-strata workload's seeds whose moved family is pinned; a change
-# that moves these outputs on purpose regenerates the file with
+# that moves these outputs, or the strata digests below, on purpose
+# regenerates both files with
 #
 #     PYTHONPATH=src python tests/test_arrangement.py
 #
@@ -567,6 +568,45 @@ def _random_dependent_arrangement(rng, n):
                 lam[rng.integers(3)] += rng.choice(_NUDGES)
         flats.setdefault((u, tuple(lam)), _flat(u, lam))
     return FlatArrangement(n, tuple(flats.values()))
+
+
+# the strata of the catalog and of the random dependent generator at these
+# seeds, 60 arrangements per seed and n, are pinned like the family's
+# digests and regenerated with them
+STRATA_SEEDS = (1, 2)
+STRATA_DIGESTS = Path(__file__).resolve().parent / "strata_digests.json"
+
+
+def _strata_digest(arrangements):
+    """sha256 of each arrangement's strata in turn: the active sets, invariant
+    factors and witness x and z bytes, or the ArrangementError's text."""
+    h = hashlib.sha256()
+    for arr in arrangements:
+        try:
+            for s in intersection_strata(arr):
+                h.update(f"{s.active} {s.invariant_factors}\n".encode())
+                h.update(s.witness.x.tobytes() + s.witness.z.tobytes())
+        except ArrangementError as exc:
+            h.update(f"error: {exc}\n".encode())
+        h.update(b"\n")
+    return h.hexdigest()
+
+
+def _strata_digests():
+    out = {"catalog": _strata_digest(e.arrangement for e in catalog())}
+    for seed in STRATA_SEEDS:
+        rng = np.random.default_rng(seed)
+        for n in (2, 3):
+            out[f"random-dependent@{seed} n={n}"] = _strata_digest(
+                _random_dependent_arrangement(rng, n) for _ in range(60))
+    return out
+
+
+def test_strata_of_the_catalog_and_random_dependent_arrangements_match_the_pinned_digests():
+    # about one draw in ten ends in "could not find a witness avoiding the
+    # other flats", so the digests pin that error path as well
+    want = json.loads(STRATA_DIGESTS.read_text(encoding="utf-8"))
+    assert _strata_digests() == want
 
 
 def test_strata_match_the_reference_on_catalog_and_family():
@@ -802,3 +842,5 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as workdir:
         FAMILY_DIGESTS.write_text(json.dumps(_family_digests(workdir), sort_keys=True,
                                              indent=2) + "\n", encoding="utf-8")
+    STRATA_DIGESTS.write_text(json.dumps(_strata_digests(), sort_keys=True,
+                                         indent=2) + "\n", encoding="utf-8")
