@@ -11,7 +11,7 @@ normal forms decide whether active normal sets extend to a Z-basis of Z^n.
 import math
 from dataclasses import dataclass
 from functools import cache, cached_property
-from itertools import compress
+from itertools import chain, compress
 from typing import NamedTuple
 
 import numpy as np
@@ -328,12 +328,6 @@ def flat_distances(arr: FlatArrangement, x, z) -> np.ndarray:
     return np.abs(s) + np.abs(v)
 
 
-def _offset_scale(arr, idx):
-    """max(1, largest |offset| of the flats idx): residuals up to tol times
-    this count as zero."""
-    return float(arr.frame.sizes[idx].max(initial=1.0))
-
-
 def _solve_flat_system(arr, idx, atol):
     """Min-norm point (x, z) of the intersection of the flats idx, or None.
 
@@ -368,8 +362,9 @@ def _closure(arr, idx, base, atol):
 
 
 def _frontier_points(arr, frontier):
-    """The min-norm point of each stratum S of a frontier, with what its
-    extensions read: [(x, z, null, pinv, s, v, P)] in frontier order.
+    """The min-norm points of a frontier's strata S and what their extensions
+    read, as stacks [(rows, idx, x, z, null, pinv, s, v, P)], one per group
+    of the same (|S|, rank): rows its positions in the frontier, idx its flats.
 
     Per stratum, U_S = W Sigma V^T; the rank counts the singular values above
     1e-11 max(1, sigma_1), pinv = V_r Sigma_r^-1 W_r^T (n, |S|) is the
@@ -381,7 +376,7 @@ def _frontier_points(arr, frontier):
     with the same layout, so the bits are those of one stratum at a time.
     """
     f = arr.frame
-    out = [None] * len(frontier)
+    out = []
     by_size = {}
     for i, S in enumerate(frontier):
         by_size.setdefault(len(S), []).append(i)
@@ -400,63 +395,67 @@ def _frontier_points(arr, frontier):
             null = vr[:, rank:].transpose(0, 2, 1)
             s = (x[:, None, :] @ f.U.T)[:, 0] - f.l1
             v = (z[:, None, :] @ f.U.T)[:, 0] - f.lc
-            P = f.U @ null
-            for k, i in enumerate(rows[sel].tolist()):
-                out[i] = x[k], z[k], null[k], pinv[k], s[k], v[k], P[k]
+            out.append((rows[sel], idx[sel], x, z, null, pinv, s, v, f.U @ null))
     return out
 
 
-def _extend(arr, S, todo, s, v, P, pinv, tol):
-    """The closed index set of every candidate S + {j}, j in todo (not in
-    S), whose flats meet within atol_j = tol * _offset_scale(arr, S + {j}).
+def _extend(arr, idx, todo, s, v, P, pinv, tol):
+    """The closed index sets of the candidates S + {j}, j in S's row of todo
+    (k, d), of a group of strata S of one size and rank, whose flats meet
+    within atol_j = tol max(1, largest |offset| of the flats S + {j}): one
+    list per stratum.  idx, s, v, P and pinv are the group's stacks from
+    _frontier_points.
 
-    s, v, P and pinv are those of _frontier_points at S.  A flat j with
-    P_j != 0 always meets S, at the min-norm point x - null P_j^T s_j / |P_j|^2
-    (z likewise with v_j), where flat k has s_k - (P_k . P_j) s_j / |P_j|^2;
-    its closure adds the flats within atol_j of that point whose P_k is
-    parallel to P_j, that is, whose u_k lies in the span of U_S and u_j.
-    These are (|J|, d) column operations over all such candidates at once.
-    G = P_J P^T stays one product per stratum: the rows of a stacked product
-    can differ from it in their last bits, and G decides closures at the
-    tolerance.
+    A flat j with P_j != 0 always meets S, at the min-norm point
+    x - null P_j^T s_j / |P_j|^2 (z likewise with v_j), where flat k has
+    s_k - G_jk s_j / |P_j|^2, G_jk = P_j . P_k; its closure adds the flats
+    within atol_j of that point whose P_k is parallel to P_j, that is, whose
+    u_k lies in the span of U_S and u_j.  These are (|J|, d) column
+    operations over the group's candidates at once.  At null width 1 each
+    G_jk is one product, made by one stacked outer product; past it,
+    G = P_J P^T stays one product per stratum, since a stacked product's
+    rows can differ from it in their last bits and G decides closures at
+    the tolerance.
 
-    A flat with u_j = c_j . U_S in the span of U_S (P_j = 0) is skipped when
-    max(|s_j|, |v_j|), which differs from the gap |l_j - c_j . l_S| by at most
-    |c_j|_1 times S's own residual (a few atol), exceeds (1 + |c_j|_1) atol_j
-    a thousandfold: no point is within atol_j of every flat of S + {j}, the
-    gap being at most (1 + |c_j|_1) atol_j at such a point.  The few left,
-    near the tolerance, are solved and closed by least squares.
+    A flat with u_j = c_j . U_S in the span of U_S (P_j = 0, so every flat
+    at a point) is skipped when max(|s_j|, |v_j|), which differs from the
+    gap |l_j - c_j . l_S| by at most |c_j|_1 times S's own residual (a few
+    atol), exceeds (1 + |c_j|_1) atol_j a thousandfold: no point is within
+    atol_j of every flat of S + {j}, the gap being at most (1 + |c_j|_1)
+    atol_j at such a point.  The few left, near the tolerance, are solved
+    and closed by least squares.
     """
     f = arr.frame
-    idx = list(S)
-    closed = []
-    if not todo:
-        return closed
-    todo = np.array(todo)
-    atol = tol * np.maximum(_offset_scale(arr, idx), f.sizes)
-    pp = np.einsum("jm,jm->j", P, P)  # squared distance of u_j from the span of U_S
-    off = pp[todo] > 1e-18
-    J, K = todo[off], todo[~off]
+    closed = [[] for _ in todo]
+    atol = tol * np.maximum(f.sizes[idx].max(axis=1, initial=1.0)[:, None], f.sizes)
+    pp = np.einsum("ijm,ijm->ij", P, P)  # squared distance of u_j from the span of U_S
+    off = todo & (pp > 1e-18)
+    i, J = np.nonzero(off)  # candidate S_i + {j}, stratum by stratum
     if J.size:
-        G = P[J] @ P.T  # P_j . P_k, (|J|, d)
-        c = 1.0 / pp[J]
+        if P.shape[2] == 1:
+            G = P[i, J] * P[i, :, 0]  # P_j . P_k, (|J|, d)
+        else:
+            G = np.concatenate([P[r, row] @ P[r].T for r, row in enumerate(off) if row.any()])
+        c = 1.0 / pp[i, J]
         # s_k and v_k at the point of candidate j: u_k . null P_j^T = G_jk
-        hit = (np.abs(s - (s[J] * c)[:, None] * G)
-               + np.abs(v - (v[J] * c)[:, None] * G)) <= atol[J, None]
-        if P.shape[1] > 1:  # else every P_k is parallel to P_j
-            rest = P - (G * c[:, None])[:, :, None] * P[J, None, :]
+        hit = (np.abs(s[i] - (s[i, J] * c)[:, None] * G)
+               + np.abs(v[i] - (v[i, J] * c)[:, None] * G)) <= atol[i, J][:, None]
+        if P.shape[2] > 1:  # else every P_k is parallel to P_j
+            rest = P[i] - (G * c[:, None])[:, :, None] * P[i, J][:, None, :]
             hit &= np.einsum("jkm,jkm->jk", rest, rest) <= 1e-18
-        hit[:, idx] = True
+        hit[np.arange(J.size)[:, None], idx[i]] = True
         hit[np.arange(J.size), J] = True
-        closed = [tuple(compress(range(len(f.U)), row)) for row in hit.tolist()]
-    if K.size:
-        gap = np.maximum(np.abs(s[K]), np.abs(v[K]))
-        bound = 1e3 * (1.0 + np.abs(f.U[K] @ pinv).sum(axis=1)) * atol[K]
-        for j in K[gap <= bound].tolist():
-            cand = sorted(idx + [j])
-            base = _solve_flat_system(arr, cand, atol[j])
+        for r, row in zip(i.tolist(), hit.tolist()):
+            closed[r].append(tuple(compress(range(len(f.U)), row)))
+    K = todo & ~off
+    if K.any():
+        gap = np.maximum(np.abs(s), np.abs(v))
+        bound = 1e3 * (1.0 + np.abs(f.U @ pinv).sum(axis=2)) * atol
+        for r, j in np.argwhere(K & (gap <= bound)).tolist():
+            cand = sorted(idx[r].tolist() + [j])
+            base = _solve_flat_system(arr, cand, atol[r, j])
             if base is not None:
-                closed.append(_closure(arr, cand, base, atol[j]))
+                closed[r].append(_closure(arr, cand, base, atol[r, j]))
     return closed
 
 
@@ -542,16 +541,17 @@ def intersection_strata(arr: FlatArrangement) -> list:
     DEFAULT.strata_subset_limit, so the count and the error depend only on
     that order.  Then the frontier's min-norm points, nullspaces and flat
     data come as stacks (_frontier_points): one SVD per |S|, and products
-    that run, slice by slice, the BLAS call one stratum would.  Each S is
-    then extended by every flat at once (_extend), its G = P_J P^T one
-    product per stratum, since a stacked product's rows may differ from it
-    in their last bits.  Only extensions by a flat whose normal lies in the
-    span of S's normals, and which the screen of S cannot rule out, take a
-    least-squares solve.  The witness of S perturbs S's own min-norm point,
-    so it does not depend on the candidate that found S; the witnesses'
-    first draws are one rng call and one stacked distance test
-    (_witnesses), and they are the only validated Point3n built, one per
-    stratum.  Strata with the same active normals share one Smith form.
+    that run, slice by slice, the BLAS call one stratum would.  Each group
+    of the same (|S|, rank) is extended by every flat at once (_extend),
+    G = P_J P^T being one outer product at null width 1 and one product per
+    stratum past it; the closures join the next frontier in frontier order.
+    Only extensions by a flat whose normal lies in the span of S's normals,
+    and which the screen of S cannot rule out, take a least-squares solve.
+    The witness of S perturbs S's own min-norm point, so it does not depend
+    on the candidate that found S; the witnesses' first draws are one rng
+    call and one stacked distance test (_witnesses), and they are the only
+    validated Point3n built, one per stratum.  Strata with the same active
+    normals share one Smith form.
     """
     f = arr.frame
     d, n = len(arr.flats), arr.dimension
@@ -560,34 +560,35 @@ def intersection_strata(arr: FlatArrangement) -> list:
 
     # the singletons extend the whole space: its point is 0 and P = U
     s, v, _, _ = arr.svr(np.zeros(n), np.zeros(n, dtype=complex))
-    found = dict.fromkeys(_extend(arr, (), range(d), s, v, f.U, None, tol))
+    found = dict.fromkeys(_extend(arr, np.zeros((1, 0), dtype=int), np.ones((1, d), dtype=bool),
+                                  s[None], v[None], f.U[None], None, tol)[0])
     frontier = list(found)
     solved = set()  # candidate subsets as bit masks: each is extended once
     examined = 0
     while frontier:
-        todos = []
-        for S in frontier:
+        todo = np.zeros((len(frontier), d), dtype=bool)
+        for row, S in zip(todo, frontier):
             examined += d - len(S)
             if examined > limit:
                 raise ArrangementError(
                     f"strata enumeration exceeded {limit} candidate subsets")
             bits = sum(1 << k for k in S)
-            todo = []
             for j in range(d):
                 cand = bits | 1 << j
                 if cand != bits and cand not in solved:  # j not in S, S + {j} new
                     solved.add(cand)
-                    todo.append(j)
-            todos.append(todo)
-        next_frontier = []
-        for S, todo, (x, z, null, pinv, s, v, P) in zip(
-                frontier, todos, _frontier_points(arr, frontier)):
-            found[S] = x, z, null
-            for closed in _extend(arr, S, todo, s, v, P, pinv, tol):
-                if closed not in found:
-                    found[closed] = None
-                    next_frontier.append(closed)
-        frontier = next_frontier
+                    row[j] = True
+        closures = [None] * len(frontier)
+        for rows, idx, x, z, null, pinv, s, v, P in _frontier_points(arr, frontier):
+            closed = _extend(arr, idx, todo[rows], s, v, P, pinv, tol)
+            for k, i in enumerate(rows.tolist()):
+                found[frontier[i]] = x[k], z[k], null[k]
+                closures[i] = closed[k]
+        frontier = []
+        for closed in chain.from_iterable(closures):
+            if closed not in found:
+                found[closed] = None
+                frontier.append(closed)
 
     order = sorted(found, key=lambda s: (len(s), s))
     witnesses = _witnesses(arr, [(S, *found[S]) for S in order], rng, tol)

@@ -425,6 +425,12 @@ def _reference_witness(arr, active, x, z, null, rng, tol, refused=None):
     raise ArrangementError("could not find a witness avoiding the other flats")
 
 
+def _offset_scale(arr, idx):
+    """max(1, largest |offset| of the flats idx): residuals up to tol times
+    this count as zero."""
+    return float(arr.frame.sizes[idx].max(initial=1.0))
+
+
 def _reference_strata(arr):
     """The breadth-first enumeration that solves every candidate subset.
 
@@ -438,7 +444,7 @@ def _reference_strata(arr):
     frontier = []
 
     def atol(idx):
-        return tol * arrangement._offset_scale(arr, idx)
+        return tol * _offset_scale(arr, idx)
 
     for k in range(d):
         pt = arrangement._solve_flat_system(arr, [k], atol([k]))
@@ -754,6 +760,64 @@ def test_one_svd_per_frontier_and_size_no_lstsq_and_one_smith_form_per_normal_se
         assert sorted(shapes) == sorted((rows, size) for size, rows in sizes.items())
     assert sum(len(frontier) for frontier, _ in frontiers) == strata
     assert len(frontiers) <= sum(len(shapes) for _, shapes in frontiers) < strata
+
+
+class _CountedProducts(np.ndarray):
+    """An array view that counts the matrix products it takes part in."""
+    products = 0
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kw):
+        if ufunc is np.matmul:
+            _CountedProducts.products += 1
+        return getattr(ufunc, method)(*(np.asarray(a) for a in inputs), **kw)
+
+
+def test_one_extension_per_frontier_group_and_products_per_stratum_past_null_width_one(
+        monkeypatch):
+    # the singletons take one _extend call, and each frontier one per group
+    # of its strata with the same (|S|, rank); G = P_J P^T is one product per
+    # stratum with a flat off its span only at a null width of 2 or more (a
+    # stacked outer product at width 1, nothing at a point)
+    frontiers, singletons = [], []  # [(frontier, its groups)], [the singletons' calls]
+    widths = Counter()  # null width -> strata extended
+    extend, points = arrangement._extend, arrangement._frontier_points
+
+    def counted_extend(arr, idx, todo, s, v, P, pinv, tol):
+        before = _CountedProducts.products
+        out = extend(arr, idx, todo, s, v, P.view(_CountedProducts), pinv, tol)
+        U, m = arr.frame.U, P.shape[2]
+        rank = arr.dimension - m
+        off_span = sum(any(np.linalg.matrix_rank(U[S + [j]]) > rank
+                           for j in np.flatnonzero(row)) for S, row in zip(idx.tolist(), todo))
+        assert _CountedProducts.products - before == (off_span if m >= 2 else 0)
+        widths[m] += len(idx)
+        (frontiers[-1][1] if frontiers else singletons).append(
+            sorted(map(tuple, idx.tolist())))
+        return out
+
+    def frontier_points(arr, frontier):
+        frontiers.append((list(frontier), []))
+        return points(arr, frontier)
+    for arr in [entry("eguchi-hanson").arrangement] + _family():
+        want = intersection_strata(arr)
+        frontiers.clear()
+        singletons.clear()
+        with monkeypatch.context() as m:
+            m.setattr(arrangement, "_extend", counted_extend)
+            m.setattr(arrangement, "_frontier_points", frontier_points)
+            got = intersection_strata(arr)
+        assert [(s.active, s.invariant_factors) for s in got] == [
+            (s.active, s.invariant_factors) for s in want]
+        assert all(np.array_equal(a.witness.x, b.witness.x)
+                   and np.array_equal(a.witness.z, b.witness.z) for a, b in zip(got, want))
+        rank = {s.active: s.rank for s in got}
+        assert singletons == [[()]]
+        for frontier, groups in frontiers:
+            want_groups = {}
+            for S in frontier:
+                want_groups.setdefault((len(S), rank[S]), []).append(S)
+            assert sorted(groups) == sorted(sorted(g) for g in want_groups.values())
+    assert widths[0] and widths[1] and widths[2]
 
 
 def test_one_point_per_stratum(monkeypatch):
