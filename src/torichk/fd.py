@@ -10,6 +10,8 @@ a stack of centres is one call for the whole stack.
 
 import numpy as np
 
+from .errors import DifferentiationError
+
 
 def star(w, h):
     """The centre w (..., m) and its 2m neighbours, (..., 1 + 2m, m).
@@ -46,11 +48,18 @@ def hessian(f, w, h):
 
 
 def _laplacian(vals, h):
-    """The 7-point Laplacian from the values on a star of step h, (..., 7) -> (...)."""
-    total = -6.0 * vals[..., 0]
-    for i in range(3):
-        total += vals[..., 1 + 2 * i] + vals[..., 2 + 2 * i]
-    return total / (h * h)
+    """The 7-point Laplacian from the values on a star of step h, (..., 7) -> (...);
+    finite values whose combination overflows raise DifferentiationError."""
+    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf follows an overflow
+        total = -6.0 * vals[..., 0]
+        for i in range(3):
+            total += vals[..., 1 + 2 * i] + vals[..., 2 + 2 * i]
+        total = total / (h * h)
+    if (~np.isfinite(total) & np.isfinite(vals).all(axis=-1)).any():
+        raise DifferentiationError(
+            f"finite-difference Laplacian overflows at step {h:g}: the stencil values are "
+            f"finite (up to {np.abs(vals).max():.3e}) but their combination is not")
+    return total
 
 
 def laplacian3(f, c, h):

@@ -384,6 +384,27 @@ def test_growth_below_the_fiber_scale_names_the_radius(tmp_path, argv, radii, b)
                       "sampled ray (its first node's distance proxy); increase radii"]
 
 
+@pytest.mark.parametrize("b, error", [
+    (1e306, "error: radius 60 (radii 60 to 960) is below the start of every sampled ray "
+            "(its first node's distance proxy); increase radii"),
+    (1e307, "error: finite-difference Laplacian overflows at step 0.0005: the stencil "
+            "values are finite (up to 3.312e+307) but their combination is not"),
+], ids=["1e306", "1e307"])
+def test_a_finite_difference_overflow_is_one_error_line(tmp_path, b, error):
+    # at B = 1e307 the polyharmonic check's 7-point Laplacian combined finite
+    # values of F past float64: under -W error the overflow warning ended
+    # verify with a traceback, and without it the check went on with inf
+    path = _write_arrangement(
+        tmp_path, {"n": 1, "flats": [{"u": [1], "lambda": [0, 0, 0], "a": 1}], "B": [[b]]})
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "torichk.cli", "verify", path, "--seed", "1"],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.splitlines() == [error]
+
+
 @pytest.mark.parametrize("argv", [["validate"], ["classify"], ["verify", "--seed", "1"]],
                          ids=["validate", "classify", "verify"])
 def test_a_deformation_matrix_whose_symmetric_part_overflows_is_an_input_error(tmp_path, argv):

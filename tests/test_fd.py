@@ -5,8 +5,9 @@ and returns their values (K,) or (..., K).
 """
 
 import numpy as np
+import pytest
 
-from torichk import fd
+from torichk import DifferentiationError, fd
 
 
 def _quadratic(A, b):
@@ -91,3 +92,21 @@ def test_a_stack_of_centres_is_one_call_and_each_centre_alone():
         assert calls == [(2, 3, nodes, 3)]
         for idx in np.ndindex(2, 3):
             assert np.array_equal(got[idx], stencil(f, C[idx], 1e-3))
+
+
+def test_laplacian_keeps_its_bits_and_refuses_an_overflow_of_finite_values():
+    # in range, the sum is the one taken without the overflow check; finite
+    # values past float64 once combined raise, and a non-finite value passes
+    # through as before
+    rng = np.random.default_rng(7)
+    vals = rng.normal(size=(5, 7)) * 1e3
+    total = -6.0 * vals[..., 0]
+    for i in range(3):
+        total += vals[..., 1 + 2 * i] + vals[..., 2 + 2 * i]
+    assert np.array_equal(fd._laplacian(vals, 1e-2), total / 1e-4)
+    big = np.full((2, 7), 1e307)
+    big[0, 1:] = 0.0
+    with pytest.raises(DifferentiationError, match="^finite-difference Laplacian overflows"):
+        fd._laplacian(big, 1e-3)
+    vals[0, 0] = np.inf
+    assert np.isinf(fd._laplacian(vals, 1e-2)[0])
