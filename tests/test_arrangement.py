@@ -431,10 +431,11 @@ def _offset_scale(arr, idx):
     return float(arr.frame.sizes[idx].max(initial=1.0))
 
 
-def _reference_strata(arr):
+def _reference_strata(arr, frontiers=None):
     """The breadth-first enumeration that solves every candidate subset.
 
-    Returns ([(active, rank, witness)], number of candidates examined).
+    Returns ([(active, rank, witness)], number of candidates examined), and
+    appends each frontier in turn to the list frontiers, if given.
     """
     d = len(arr.flats)
     rng = np.random.default_rng(DEFAULT.default_seed)
@@ -453,6 +454,8 @@ def _reference_strata(arr):
             found[closed] = pt
             frontier.append(closed)
     while frontier:
+        if frontiers is not None:
+            frontiers.append(frontier)
         next_frontier = []
         for S in frontier:
             for j in range(d):
@@ -777,7 +780,9 @@ def test_one_extension_per_frontier_group_and_products_per_stratum_past_null_wid
     # the singletons take one _extend call, and each frontier one per group
     # of its strata with the same (|S|, rank); G = P_J P^T is one product per
     # stratum with a flat off its span only at a null width of 2 or more (a
-    # stacked outer product at width 1, nothing at a point)
+    # stacked outer product at width 1, nothing at a point); the closures
+    # still make the frontiers, in their order, of the reference, which
+    # extends one stratum at a time
     frontiers, singletons = [], []  # [(frontier, its groups)], [the singletons' calls]
     widths = Counter()  # null width -> strata extended
     extend, points = arrangement._extend, arrangement._frontier_points
@@ -812,6 +817,9 @@ def test_one_extension_per_frontier_group_and_products_per_stratum_past_null_wid
                    and np.array_equal(a.witness.z, b.witness.z) for a, b in zip(got, want))
         rank = {s.active: s.rank for s in got}
         assert singletons == [[()]]
+        ref = []
+        _reference_strata(arr, ref)
+        assert [frontier for frontier, _ in frontiers] == ref
         for frontier, groups in frontiers:
             want_groups = {}
             for S in frontier:
