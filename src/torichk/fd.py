@@ -26,7 +26,8 @@ def star(w, h):
 
 
 def hessian(f, w, h):
-    """Full symmetric Hessian of f: R^m -> R at w (..., m), (..., m, m), central differences."""
+    """Full symmetric Hessian of f: R^m -> R at w (..., m), (..., m, m), central differences;
+    finite values whose combination overflows raise DifferentiationError."""
     S = star(w, h)
     m = S.shape[-1]
     E = h * np.eye(m)
@@ -41,10 +42,24 @@ def hessian(f, w, h):
     fpp, fpm, fmp, fmm = np.split(vals[..., 1 + 2 * m:], 4, axis=-1)
     d = np.arange(m)
     H = np.empty(vals.shape[:-1] + (m, m))
-    H[..., d, d] = (vals[..., 1:1 + 2 * m:2] - 2.0 * vals[..., :1]
-                    + vals[..., 2:2 + 2 * m:2]) / (h * h)
-    H[..., i, j] = H[..., j, i] = (fpp - fpm - fmp + fmm) / (4.0 * h * h)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf follows an overflow
+        H[..., d, d] = (vals[..., 1:1 + 2 * m:2] - 2.0 * vals[..., :1]
+                        + vals[..., 2:2 + 2 * m:2]) / (h * h)
+        H[..., i, j] = H[..., j, i] = (fpp - fpm - fmp + fmm) / (4.0 * h * h)
+    _refuse_overflow(H.reshape(H.shape[:-2] + (-1,)), vals, "Hessian", h)
     return H
+
+
+def richardson_hessian(f, w, h):
+    """(4 H(h) - H(2h)) / 3 for the Hessian H of hessian: O(h^4) truncation;
+    finite Hessians whose combination overflows raise DifferentiationError."""
+    fine, coarse = hessian(f, w, h), hessian(f, w, 2.0 * h)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf follows an overflow
+        out = (4.0 * fine - coarse) / 3.0
+    flat = out.shape[:-2] + (-1,)
+    _refuse_overflow(out.reshape(flat), np.stack([fine, coarse], axis=-1).reshape(flat),
+                     "Richardson Hessian", h)
+    return out
 
 
 def _laplacian(vals, h):
@@ -55,11 +70,17 @@ def _laplacian(vals, h):
         for i in range(3):
             total += vals[..., 1 + 2 * i] + vals[..., 2 + 2 * i]
         total = total / (h * h)
-    if (~np.isfinite(total) & np.isfinite(vals).all(axis=-1)).any():
-        raise DifferentiationError(
-            f"finite-difference Laplacian overflows at step {h:g}: the stencil values are "
-            f"finite (up to {np.abs(vals).max():.3e}) but their combination is not")
+    _refuse_overflow(total[..., None], vals, "Laplacian", h)
     return total
+
+
+def _refuse_overflow(out, vals, name, h):
+    """Raise DifferentiationError where a stencil's values (..., K) are all
+    finite but its results (..., M) are not."""
+    if (~np.isfinite(out).all(axis=-1) & np.isfinite(vals).all(axis=-1)).any():
+        raise DifferentiationError(
+            f"finite-difference {name} overflows at step {h:g}: the stencil values are "
+            f"finite (up to {np.abs(vals).max():.3e}) but their combination is not")
 
 
 def laplacian3(f, c, h):

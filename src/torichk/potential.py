@@ -59,7 +59,7 @@ import numpy as np
 from .arrangement import DeformationMatrix, FlatArrangement, Point3n
 from .config import DEFAULT
 from .errors import (BranchLocusError, DifferentiationError, DomainEscapeError,
-                     NoConvergenceError, OnFlatError)
+                     EvaluationError, NoConvergenceError, OnFlatError)
 
 __all__ = [
     "Point3n", "KahlerChartPoint", "ReconstructedPotential",
@@ -93,15 +93,22 @@ def _off_domain(r, t):
 def eval_F(arr: FlatArrangement, B, p: Point3n):
     """The master potential at p: a float for a single point, (...) for a batch.
 
-    Linear-in-x gauge terms are fixed to zero."""
+    Linear-in-x gauge terms are fixed to zero.  A point whose B terms
+    overflow float64 raises EvaluationError."""
     a = arr.frame.a
     s, _, r, t = arr.svr(p.x, p.z)
     _check_domain(r, t)
-    total = np.sum(a * (s * np.log(t) - r), axis=-1)
+    flats = np.sum(a * (s * np.log(t) - r), axis=-1)
     Bm = DeformationMatrix.of(B, arr.dimension).entries
     q1 = np.einsum("...i,ij,...j->...", p.x, Bm, p.x)
     q2 = np.einsum("...i,ij,...j->...", p.z, Bm, p.z.conj()).real
-    total = total + (2.0 * q1 - q2)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf follows an overflow
+        total = flats + (2.0 * q1 - q2)
+    # a Point3n is finite, and einsum overflows without a warning, so any
+    # non-finite sum of finite flat terms is an overflow of the B terms
+    if (~np.isfinite(total) & np.isfinite(flats)).any():
+        raise EvaluationError(f"master potential F overflows at a finite point: with B "
+                              f"up to {np.abs(Bm).max():.3e}, its value exceeds float64")
     return float(total) if total.ndim == 0 else total
 
 

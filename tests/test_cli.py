@@ -326,7 +326,7 @@ def test_growth_insufficient_exits_one(capsys):
                           "--radii", "4.6,5.2", "--samples", "32",
                           "--seed", "210")
     assert code == 1
-    assert err == ("check failed: growth-exponent standard error 4.083 exceeds 0.200; "
+    assert err == ("check failed: growth-exponent standard error 4.081 exceeds 0.200; "
                    "increase samples or radii\n")
 
 
@@ -389,11 +389,19 @@ def test_growth_below_the_fiber_scale_names_the_radius(tmp_path, argv, radii, b)
             "(its first node's distance proxy); increase radii"),
     (1e307, "error: finite-difference Laplacian overflows at step 0.0005: the stencil "
             "values are finite (up to 3.312e+307) but their combination is not"),
-], ids=["1e306", "1e307"])
+    (2e307, "error: finite-difference Richardson Hessian overflows at step 0.001: the "
+            "stencil values are finite (up to 8.000e+307) but their combination is not"),
+    (5e307, "error: master potential F overflows at a finite point: with B up to "
+            "5.000e+307, its value exceeds float64"),
+    (8e307, "error: master potential F overflows at a finite point: with B up to "
+            "8.000e+307, its value exceeds float64"),
+], ids=["1e306", "1e307", "2e307", "5e307", "8e307"])
 def test_a_finite_difference_overflow_is_one_error_line(tmp_path, b, error):
     # at B = 1e307 the polyharmonic check's 7-point Laplacian combined finite
-    # values of F past float64: under -W error the overflow warning ended
-    # verify with a traceback, and without it the check went on with inf
+    # values of F past float64, at B = 2e307 phi-fd's Richardson pair of
+    # Hessians did, and at B = 5e307 and 8e307 2 x^T B x in F itself did:
+    # under -W error the overflow warning ended verify with a traceback, and
+    # without it the check went on with inf
     path = _write_arrangement(
         tmp_path, {"n": 1, "flats": [{"u": [1], "lambda": [0, 0, 0], "a": 1}], "B": [[b]]})
     src = pathlib.Path(__file__).resolve().parents[1] / "src"

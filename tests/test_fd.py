@@ -110,3 +110,34 @@ def test_laplacian_keeps_its_bits_and_refuses_an_overflow_of_finite_values():
         fd._laplacian(big, 1e-3)
     vals[0, 0] = np.inf
     assert np.isinf(fd._laplacian(vals, 1e-2)[0])
+
+
+def test_hessian_refuses_an_overflow_of_finite_values():
+    # f = c x^2 on R^2 with finite values whose second difference exceeds
+    # float64; a non-finite value passes through as before
+    def f(W):
+        return 1e306 * W[..., 0] ** 2 + W[..., 1]
+
+    H = fd.hessian(f, np.zeros(2), 1e-3)
+    assert H[1, 1] == 0.0
+    with pytest.raises(DifferentiationError, match="^finite-difference Hessian overflows"):
+        fd.hessian(f, np.array([[0.0, 0.0], [10.0, 0.0]]), 1e-3)
+    H = fd.hessian(lambda W: np.where(W[..., 0] > 0, np.inf, 0.0), np.zeros(2), 1e-3)
+    assert not np.isfinite(H).all()
+
+
+def test_richardson_hessian_keeps_its_bits_and_refuses_an_overflow():
+    rng = np.random.default_rng(401)
+    A = rng.normal(size=(3, 3))
+    A = A + A.T
+    f = _quadratic(A, rng.normal(size=3))
+    w = rng.normal(size=3)
+    want = (4.0 * fd.hessian(f, w, 1e-2) - fd.hessian(f, w, 2e-2)) / 3.0
+    assert np.array_equal(fd.richardson_hessian(f, w, 1e-2), want)
+
+    def g(W):  # second derivative 6e307: finite, but four times it is not
+        return 3e307 * W[..., 0] ** 2
+
+    with pytest.raises(DifferentiationError,
+                       match="^finite-difference Richardson Hessian overflows at step 0.001"):
+        fd.richardson_hessian(g, np.zeros(1), 1e-3)

@@ -5,6 +5,9 @@ import ast
 import importlib
 import pathlib
 import pkgutil
+import re
+import sys
+import tomllib
 
 import pytest
 
@@ -125,3 +128,21 @@ def test_no_module_starts_threads_or_processes():
                      else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
         if name.split(".")[0] in banned)
     assert imports == []
+
+
+def test_every_third_party_import_of_the_tests_is_declared():
+    # an environment built from .[test] must collect every test file: each
+    # top-level module the tests import is the standard library, torichk,
+    # or a distribution of dependencies or of the test extra
+    root = pathlib.Path(__file__).resolve().parents[1]
+    project = tomllib.loads((root / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+    declared = {re.match(r"[A-Za-z0-9_.-]+", req).group().lower().replace("-", "_")
+                for req in project["dependencies"] + project["optional-dependencies"]["test"]}
+    imported = {name.split(".")[0]
+                for path in sorted((root / "tests").glob("*.py"))
+                for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                for name in ([a.name for a in node.names] if isinstance(node, ast.Import)
+                             else [node.module] if isinstance(node, ast.ImportFrom)
+                             and node.level == 0 else [])}
+    third_party = imported - set(sys.stdlib_module_names) - {"torichk"}
+    assert sorted(third_party - declared) == []

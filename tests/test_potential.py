@@ -422,6 +422,18 @@ def test_batched_eval_F_matches_row_by_row(e):
     assert np.array_equal(grid, np.reshape(rows, (2, -1)))
 
 
+def test_eval_F_refuses_finite_terms_whose_sum_overflows():
+    # at B = 5e307, 2 x^T B x passes float64 at x = 3 (in einsum, which does
+    # not warn, or in its doubling) but not at x = 0.5
+    arr = FlatArrangement(1, (Flat((1,), (0.0, 0.0, 0.0), 1.0),))
+    B = DeformationMatrix([[5e307]])
+    assert math.isfinite(eval_F(arr, B, _pt(0.5, 0.1j)))
+    for x in (1.5, 3.0):
+        with pytest.raises(EvaluationError, match="^master potential F overflows at a "
+                                                  "finite point: with B up to 5.000e[+]307"):
+            eval_F(arr, B, Point3n(np.array([[0.5], [x]]), np.array([[0.1j], [0.1j]])))
+
+
 # -- Legendre chart round trips ----------------------------------------------
 
 def test_legendre_consistency_on_curved_entries():

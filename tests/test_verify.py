@@ -786,7 +786,7 @@ def _unscreened_growth_chunk(arr, B, base_coords, dirs, radii):
     all of dirs.  Kept as the reference the screened loop must reproduce."""
     n = arr.dimension
     rmax = float(radii[-1])
-    nodes = 512
+    nodes = verify.RAY_NODES
     T = max(rmax, 4.0)
     for _ in range(80):
         t = np.geomspace(1e-4, T, nodes)
@@ -834,8 +834,9 @@ def _unscreened_growth_chunk(arr, B, base_coords, dirs, radii):
         p_hi = proxy[rows, idx]
         v_lo = Vc[rows, lo]
         v_hi = Vc[rows, idx]
-        frac = np.clip((R - p_lo) / np.where(p_hi > p_lo, p_hi - p_lo, 1.0), 0.0, 1.0)
-        vals = v_lo + frac * (v_hi - v_lo)
+        span = np.log(p_hi) - np.log(p_lo)
+        frac = np.clip((np.log(R) - np.log(p_lo)) / np.where(span > 0, span, 1.0), 0.0, 1.0)
+        vals = v_lo * (v_hi / v_lo) ** frac
         vals = np.where(proxy[:, 0] >= R, 0.0, vals)
         out[:, j] = vals
     return out
@@ -870,9 +871,10 @@ def test_growth_screening_reproduces_unscreened_loop(name, monkeypatch):
 
 
 def test_growth_chunk_integrates_all_rays_once(monkeypatch):
-    # failed T rounds are caught by a single 512-node probe ray, so the
+    # failed T rounds are caught by a single RAY_NODES-node probe ray, so the
     # 512-direction chunk is integrated in full exactly once, at the final T,
     # as blocks of RAY_BLOCK directions
+    nodes = verify.RAY_NODES
     calls = []
     phi_batch = verify.phi_batch
 
@@ -889,13 +891,13 @@ def test_growth_chunk_integrates_all_rays_once(monkeypatch):
     rounds = len(calls) - blocks
     assert rounds >= 1
     assert ([len(X) for X, _ in calls]
-            == [512] * rounds + [verify.RAY_BLOCK * 512] * blocks)
+            == [nodes] * rounds + [verify.RAY_BLOCK * nodes] * blocks)
     # the blocks hold the points base + t * d of the last round's grid, every
     # direction and node once and in order
     T = max(float(GROWTH_RADII[-1]), 4.0)
     for _ in range(rounds - 1):
         T *= 1.8
-    t = np.geomspace(1e-4, T, 512)
+    t = np.geomspace(1e-4, T, nodes)
     P = (base + t[None, :, None] * dirs[:, None, :]).reshape(-1, 3)
     X = np.concatenate([X for X, _ in calls[rounds:]])
     Z = np.concatenate([Z for _, Z in calls[rounds:]])
@@ -906,7 +908,7 @@ def test_growth_chunk_integrates_all_rays_once(monkeypatch):
 
 @pytest.mark.parametrize("name", ["multi-EH-3", "n2-unimodular"])
 def test_growth_chunk_working_set_does_not_grow_with_the_chunk(name):
-    # one 512-direction chunk on this thread: beyond its (512, 512) outputs
+    # one 512-direction chunk on this thread: beyond its (512, RAY_NODES) outputs
     # one ray block is alive at a time (evaluating the whole chunk in one
     # phi_batch call peaked at 46-56 MB on these entries)
     e = entry(name)
@@ -926,14 +928,15 @@ def test_growth_chunk_working_set_does_not_grow_with_the_chunk(name):
 @pytest.mark.parametrize("name", ["multi-EH-3", "n2-unimodular"])
 def test_growth_fit_working_set_is_one_chunk_and_one_ray_block(name):
     # the chunks run one after another on this thread, so the peak is one
-    # chunk's two (512, 512) float64 outputs, plus one ray block of
-    # RAY_BLOCK * 512 points at most 8 bytes * (3n [X, Z] + 10d [svr's per-flat
+    # chunk's two (512, RAY_NODES) float64 outputs, plus one ray block of
+    # RAY_BLOCK * RAY_NODES points at most 8 bytes * (3n [X, Z] + 10d [svr's per-flat
     # arrays and temporaries] + 3n^2 [Phi, eigvalsh and det copies] + 12
     # [speed, fiber and trapezoid temporaries]) each, plus 1 MiB for the
     # directions and the per-direction volumes
     e = entry(name)
     n, d = e.arrangement.dimension, len(e.arrangement.flats)
-    bound = (2 * 512 * 512 * 8 + verify.RAY_BLOCK * 512 * 8 * (3 * n + 10 * d + 3 * n * n + 12)
+    nodes = verify.RAY_NODES
+    bound = (2 * 512 * nodes * 8 + verify.RAY_BLOCK * nodes * 8 * (3 * n + 10 * d + 3 * n * n + 12)
              + 2**20)
     tracemalloc.start()
     try:
@@ -947,13 +950,68 @@ def test_growth_fit_working_set_is_one_chunk_and_one_ray_block(name):
 
 def test_growth_chunk_raises_sampling_error_when_rays_stay_short(monkeypatch):
     def short_rays(arr, B, base_coords, dirs, T, rmax):
-        zero = np.zeros((dirs.shape[0], 512))
+        zero = np.zeros((dirs.shape[0], verify.RAY_NODES))
         return zero, zero
 
     monkeypatch.setattr(verify, "_rays", short_rays)
     dirs = np.eye(3)
     with pytest.raises(SamplingError, match="largest radius"):
         verify._growth_chunk(EH.arrangement, None, np.zeros(3), dirs, GROWTH_RADII)
+
+
+@pytest.mark.parametrize("c, k", [(2.5, 4.0), (0.7, 3.0), (1e-3, 8.0)])
+def test_growth_chunk_reads_a_power_law_exactly(monkeypatch, c, k):
+    # rays whose ball volume is c * proxy^k: log-log interpolation between the
+    # nodes gives c R^k at every radius (linear interpolation missed by ~1e-3)
+    def power_rays(arr, B, base_coords, dirs, T, rmax):
+        t = np.broadcast_to(np.geomspace(1e-4, T, verify.RAY_NODES), (dirs.shape[0],
+                                                                      verify.RAY_NODES))
+        return t, c * t ** k
+
+    monkeypatch.setattr(verify, "_rays", power_rays)
+    volumes = verify._growth_chunk(EH.arrangement, None, np.zeros(3), np.eye(3), GROWTH_RADII)
+    np.testing.assert_allclose(volumes, np.broadcast_to(c * GROWTH_RADII ** k, (3, 9)),
+                               rtol=1e-13, atol=0)
+
+
+def test_growth_reads_a_ball_volume_that_underflows_without_a_warning():
+    # at mass 1e-320 the first nodes' ball volume underflows to 0, which the
+    # log-log reading must not divide by (warnings are errors here)
+    arr = FlatArrangement(1, (Flat((1,), (0.0, 0.0, 0.0), 1e-320),))
+    with pytest.raises(ValueError, match="below the start of every sampled ray"):
+        growth_fit(arr, None, _pt(0.0, 0j), [60.0, 240.0], samples=64)
+
+
+def _linear_growth_chunk(arr, B, base_coords, dirs, radii):
+    """The growth chunk with the ball volume linear in the proxy between
+    nodes, as it was read over 512 nodes.  Kept as the reference the
+    log-log reading must not fall behind."""
+    proxy, volume = verify._covering_rays(arr, B, base_coords, dirs, float(radii[-1]))
+    idx = np.clip([row.searchsorted(radii) for row in proxy], 1, proxy.shape[1] - 1)
+    p_lo, p_hi = np.take_along_axis(proxy, idx - 1, 1), np.take_along_axis(proxy, idx, 1)
+    v_lo, v_hi = np.take_along_axis(volume, idx - 1, 1), np.take_along_axis(volume, idx, 1)
+    frac = np.clip((radii - p_lo) / np.where(p_hi > p_lo, p_hi - p_lo, 1.0), 0.0, 1.0)
+    return np.where(proxy[:, :1] >= radii, 0.0, v_lo + frac * (v_hi - v_lo))
+
+
+@pytest.mark.parametrize("name", ["flat-H", "eguchi-hanson"])
+def test_growth_exponent_is_no_less_accurate_than_linear_at_512_nodes(name, monkeypatch):
+    # against an 8192-node run of the linear scheme, on the same directions,
+    # the RAY_NODES log-log fit errs no more than the 512-node linear one
+    e = entry(name)
+    nodes = verify.RAY_NODES
+
+    def exponent(count, chunk):
+        with monkeypatch.context() as m:
+            m.setattr(verify, "RAY_NODES", count)
+            m.setattr(verify, "RAY_BLOCK", 8)  # 8192-node blocks stay small
+            m.setattr(verify, "_growth_chunk", chunk)
+            return growth_fit(e.arrangement, e.deformation, _pt(0.0, 0j), GROWTH_RADII,
+                              samples=256, rng=np.random.default_rng(216)).exponent
+
+    reference = exponent(8192, _linear_growth_chunk)
+    assert (abs(exponent(nodes, verify._growth_chunk) - reference)
+            <= abs(exponent(512, _linear_growth_chunk) - reference))
 
 
 # -- harness ------------------------------------------------------------------
