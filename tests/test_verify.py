@@ -964,8 +964,8 @@ def test_growth_chunk_reads_a_power_law_exactly(monkeypatch, c, k):
     # rays whose ball volume is c * proxy^k: log-log interpolation between the
     # nodes gives c R^k at every radius (linear interpolation missed by ~1e-3)
     def power_rays(arr, B, base_coords, dirs, T, rmax):
-        t = np.broadcast_to(np.geomspace(1e-4, T, verify.RAY_NODES), (dirs.shape[0],
-                                                                      verify.RAY_NODES))
+        t = np.geomspace(1e-4, T, verify.RAY_NODES)
+        t = np.broadcast_to(t, (dirs.shape[0], t.size))
         return t, c * t ** k
 
     monkeypatch.setattr(verify, "_rays", power_rays)
