@@ -371,9 +371,7 @@ def _frontier_points(arr, frontier):
     pseudo-inverse of U_S, (x, z) = pinv (l1_S, lc_S) the min-norm point, null
     = V_{rank:}^T (n, n - rank) a basis of the nullspace of U_S, s and v those
     of svr at (x, z), each (d,), and P = U null (d, n - rank).  One SVD serves
-    the strata of each |S| and one product each group of the same (|S|, rank):
-    every slice of a stack is the call that a single stratum's arrays make,
-    with the same layout, so the bits are those of one stratum at a time.
+    the strata of each |S| and one product each group of the same (|S|, rank).
     """
     f = arr.frame
     out = []
@@ -393,8 +391,7 @@ def _frontier_points(arr, frontier):
             x = (pinv @ f.l1[idx[sel]][..., None])[..., 0]
             z = (pinv @ f.lc[idx[sel]][..., None])[..., 0]
             null = vr[:, rank:].transpose(0, 2, 1)
-            s = (x[:, None, :] @ f.U.T)[:, 0] - f.l1
-            v = (z[:, None, :] @ f.U.T)[:, 0] - f.lc
+            s, v, _, _ = arr.svr(x, z)
             out.append((rows[sel], idx[sel], x, z, null, pinv, s, v, f.U @ null))
     return out
 
@@ -411,11 +408,8 @@ def _extend(arr, idx, todo, s, v, P, pinv, tol):
     s_k - G_jk s_j / |P_j|^2, G_jk = P_j . P_k; its closure adds the flats
     within atol_j of that point whose P_k is parallel to P_j, that is, whose
     u_k lies in the span of U_S and u_j.  These are (|J|, d) column
-    operations over the group's candidates at once.  At null width 1 each
-    G_jk is one product, made by one stacked outer product; past it,
-    G = P_J P^T stays one product per stratum, since a stacked product's
-    rows can differ from it in their last bits and G decides closures at
-    the tolerance.
+    operations over the group's candidates at once, G = P_J P^T one product
+    at every null width.
 
     A flat with u_j = c_j . U_S in the span of U_S (P_j = 0, so every flat
     at a point) is skipped when max(|s_j|, |v_j|), which differs from the
@@ -432,10 +426,7 @@ def _extend(arr, idx, todo, s, v, P, pinv, tol):
     off = todo & (pp > 1e-18)
     i, J = np.nonzero(off)  # candidate S_i + {j}, stratum by stratum
     if J.size:
-        if P.shape[2] == 1:
-            G = P[i, J] * P[i, :, 0]  # P_j . P_k, (|J|, d)
-        else:
-            G = np.concatenate([P[r, row] @ P[r].T for r, row in enumerate(off) if row.any()])
+        G = np.einsum("jm,jkm->jk", P[i, J], P[i])  # P_j . P_k, (|J|, d)
         c = 1.0 / pp[i, J]
         # s_k and v_k at the point of candidate j: u_k . null P_j^T = G_jk
         hit = (np.abs(s[i] - (s[i, J] * c)[:, None] * G)
@@ -464,8 +455,7 @@ def _witness_draws(arr, strata, c, tol):
     c, 3 m per stratum in turn (m its null width), as (x, z, ok): x + null
     c_x and z + null (c_re + i c_im), (k, n) each, and whether each lies
     farther than 1e3 tol from every flat not active, (k,).  Each group of the
-    same m is a stack of the products one stratum's arrays make."""
-    f = arr.frame
+    same m is one stacked product."""
     widths = [null.shape[1] for *_, null in strata]
     start = np.cumsum([0] + [3 * m for m in widths])
     cx = np.empty((len(strata), arr.dimension))
@@ -479,9 +469,7 @@ def _witness_draws(arr, strata, c, tol):
         cx[rows] = np.array([strata[i][1] for i in rows]) + (null @ C[:, :m, None])[..., 0]
         cz[rows] = np.array([strata[i][2] for i in rows]) + (
             null @ (C[:, m:2 * m] + 1j * C[:, 2 * m:])[..., None])[..., 0]
-    s = (cx[:, None, :] @ f.U.T)[:, 0] - f.l1
-    v = (cz[:, None, :] @ f.U.T)[:, 0] - f.lc
-    away = np.abs(s) + np.abs(v) > 1e3 * tol
+    away = flat_distances(arr, cx, cz) > 1e3 * tol
     for row, (active, *_) in zip(away, strata):
         row[list(active)] = True
     return cx, cz, away.all(axis=1)
@@ -492,39 +480,25 @@ def _witnesses(arr, strata, rng, tol):
     its point (x, z), perturbed off every other flat along the nullspace null
     of the active normals.
 
-    Each stratum in turn draws 3 m uniforms in [-1, 1) from rng until its
-    candidate (_witness_draws) lies off the other flats, 64 times at most.
-    The first draws of all the strata come from one rng call; from the
-    first refused one on, rng is wound back to it and that stratum draws
-    alone, so that the draws and rng's final state are those of one stratum
-    at a time.
+    Each round draws 3 m uniforms in [-1, 1) for every pending stratum (m
+    its null width) in one rng call and keeps the candidates (_witness_draws)
+    that lie off the other flats; the refused strata draw again in the next
+    round, 64 rounds at most.
     """
     d = len(arr.flats)
     points = [(x, z) for _, x, z, _ in strata]
     pending = [i for i, (active, _, _, null) in enumerate(strata)
                if null.shape[1] and len(active) < d]
-    while pending:
-        state = rng.bit_generator.state
-        widths = [3 * strata[i][3].shape[1] for i in pending]
-        cx, cz, ok = _witness_draws(
-            arr, [strata[i] for i in pending], rng.uniform(-1.0, 1.0, sum(widths)), tol)
-        first = int(np.argmin(ok)) if not ok.all() else len(pending)
-        for k, i in enumerate(pending[:first]):
-            points[i] = cx[k], cz[k]
-        if first == len(pending):
+    for _ in range(64):
+        if not pending:
             break
-        rng.bit_generator.state = state
-        rng.uniform(-1.0, 1.0, sum(widths[:first + 1]))  # up to the refused draw
-        i = pending[first]
-        for _ in range(63):
-            cx, cz, ok = _witness_draws(
-                arr, [strata[i]], rng.uniform(-1.0, 1.0, widths[first]), tol)
-            if ok[0]:
-                points[i] = cx[0], cz[0]
-                break
-        else:
-            raise ArrangementError("could not find a witness avoiding the other flats")
-        pending = pending[first + 1:]
+        c = rng.uniform(-1.0, 1.0, sum(3 * strata[i][3].shape[1] for i in pending))
+        cx, cz, ok = _witness_draws(arr, [strata[i] for i in pending], c, tol)
+        for i, x, z in compress(zip(pending, cx, cz), ok):
+            points[i] = x, z
+        pending = list(compress(pending, ~ok))
+    if pending:
+        raise ArrangementError("could not find a witness avoiding the other flats")
     return [Point3n(x, z) for x, z in points]
 
 
@@ -541,15 +515,14 @@ def intersection_strata(arr: FlatArrangement) -> list:
     DEFAULT.strata_subset_limit, so the count and the error depend only on
     that order.  Then the frontier's min-norm points, nullspaces and flat
     data come as stacks (_frontier_points): one SVD per |S|, and products
-    that run, slice by slice, the BLAS call one stratum would.  Each group
-    of the same (|S|, rank) is extended by every flat at once (_extend),
-    G = P_J P^T being one outer product at null width 1 and one product per
-    stratum past it; the closures join the next frontier in frontier order.
-    Only extensions by a flat whose normal lies in the span of S's normals,
-    and which the screen of S cannot rule out, take a least-squares solve.
-    The witness of S perturbs S's own min-norm point, so it does not depend
-    on the candidate that found S; the witnesses' first draws are one rng
-    call and one stacked distance test (_witnesses), and they are the only
+    stacked per group of the same (|S|, rank).  Each group is extended by
+    every flat at once (_extend), with one Gram product G = P_J P^T; the
+    closures join the next frontier in frontier order.  Only extensions by
+    a flat whose normal lies in the span of S's normals, and which the
+    screen of S cannot rule out, take a least-squares solve.  The witness of
+    S perturbs S's own min-norm point, so it does not depend on the
+    candidate that found S; each round of witness draws is one rng call and
+    one stacked distance test (_witnesses), and the witnesses are the only
     validated Point3n built, one per stratum.  Strata with the same active
     normals share one Smith form.
     """

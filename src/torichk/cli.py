@@ -55,6 +55,9 @@ def _parse_point(text, n, flag="--point"):
         vals = np.array([float(p) for p in parts])
     except ValueError as exc:
         raise ArrangementError(f"{flag}: {exc}") from exc
+    bad = next((p for p, v in zip(parts, vals) if not math.isfinite(v)), None)
+    if bad is not None:
+        raise ArrangementError(f"{flag}: coordinates must be finite, got {bad!r}")
     return Point3n.from_coords(vals)
 
 
@@ -235,6 +238,7 @@ def _cmd_growth(args):
 
 
 def _parse_range(text):
+    """START:STOP:COUNT as (start, stop, count); _grid_axis builds its values."""
     parts = text.split(":")
     if len(parts) != 3:
         raise ArrangementError(f"--range {text!r}: expected START:STOP:COUNT")
@@ -244,6 +248,11 @@ def _parse_range(text):
         raise ArrangementError(f"--range {text!r}: {exc}") from exc
     if count < 1:
         raise ArrangementError(f"--range {text!r}: COUNT must be positive")
+    return start, stop, count
+
+
+def _grid_axis(text, start, stop, count):
+    """The values of the --range text, START:STOP:COUNT."""
     with np.errstate(over="ignore", invalid="ignore"):
         values = np.linspace(start, stop, count)
     # catches nan/inf bounds and finite bounds whose step overflows
@@ -254,6 +263,9 @@ def _parse_range(text):
 
 # grid points evaluated per batch; bounds the memory of large grids
 GRID_BLOCK = 4096
+# most values a grid may hold, N points times 3n + n^2 + 2 columns: about
+# 1.2 GB at the 55-72 bytes per value that export-grid takes
+GRID_VALUES = 2 ** 24
 
 
 def _grid_rows(arr, B, w):
@@ -296,7 +308,13 @@ def _cmd_export_grid(args):
     if len(set(args.axis)) != len(args.axis):
         raise ArrangementError("--axis: swept axes must be distinct")
     idxs = [names.index(a) for a in args.axis]
-    grids = [_parse_range(r) for r in args.ranges]
+    ranges = [_parse_range(r) for r in args.ranges]
+    values = math.prod(count for *_, count in ranges) * (3 * n + n * n + 2)
+    if values > GRID_VALUES:
+        raise ArrangementError(
+            f"--range: the grid would hold {values} values (points times 3n + n^2 + 2 "
+            f"columns), more than {GRID_VALUES}")
+    grids = [_grid_axis(text, *r) for text, r in zip(args.ranges, ranges)]
     fixed = (np.asarray(_parse_point(args.fixed, n, flag="--fixed").coords())
              if args.fixed is not None else np.zeros(3 * n))
 

@@ -385,6 +385,9 @@ RAY_BLOCK = 32
 # them, which is exact for a power law, so 320 nodes hold the accuracy that
 # 512 gave with linear interpolation
 RAY_NODES = 320
+# most directions growth_fit draws, at 8 (3n + len(radii)) bytes each: under
+# 100 MB at n = 2 and five radii
+GROWTH_MAX_SAMPLES = 2 ** 20
 
 
 def _rays(arr, B, base_coords, dirs, T, rmax):
@@ -499,6 +502,8 @@ def growth_fit(arr: FlatArrangement, B, base: Point3n, radii, samples: int = 409
     """
     if samples < 8:
         raise ValueError(f"samples must be at least 8 (one per batch), got {samples}")
+    if samples > GROWTH_MAX_SAMPLES:
+        raise ValueError(f"samples must be at most {GROWTH_MAX_SAMPLES}, got {samples}")
     radii = np.asarray(radii, dtype=float)
     if (radii.ndim != 1 or radii.size < 2 or not np.all(np.isfinite(radii))
             or np.any(np.diff(radii) <= 0) or radii[0] <= 0):

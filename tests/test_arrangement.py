@@ -9,6 +9,7 @@ import json
 import tempfile
 from collections import Counter
 from contextlib import redirect_stdout
+from itertools import compress
 from pathlib import Path
 
 import numpy as np
@@ -408,10 +409,9 @@ def _reference_point(arr, S):
     return pinv @ f.l1[idx], pinv @ f.lc[idx], vt[rank:].T
 
 
-def _reference_witness(arr, active, x, z, null, rng, tol, refused=None):
+def _reference_witness(arr, active, x, z, null, rng, tol):
     """The point (x, z) of the flats active, perturbed off every other flat
-    along null, one draw at a time; refused(c), if given, refuses the draws c
-    besides."""
+    along null, one draw at a time."""
     others = [j for j in range(len(arr.flats)) if j not in active]
     m = null.shape[1]
     if m == 0 or not others:
@@ -419,8 +419,7 @@ def _reference_witness(arr, active, x, z, null, rng, tol, refused=None):
     for _ in range(64):
         c = rng.uniform(-1.0, 1.0, 3 * m)  # the draws for x, Re z and Im z in turn
         cand = x + null @ c[:m], z + null @ (c[m:2 * m] + 1j * c[2 * m:])
-        if ((flat_distances(arr, *cand)[others] > 1e3 * tol).all()
-                and not (refused is not None and refused(c))):
+        if (flat_distances(arr, *cand)[others] > 1e3 * tol).all():
             return Point3n(*cand)
     raise ArrangementError("could not find a witness avoiding the other flats")
 
@@ -775,14 +774,12 @@ class _CountedProducts(np.ndarray):
         return getattr(ufunc, method)(*(np.asarray(a) for a in inputs), **kw)
 
 
-def test_one_extension_per_frontier_group_and_products_per_stratum_past_null_width_one(
-        monkeypatch):
+def test_one_extension_per_frontier_group_and_no_product_per_stratum(monkeypatch):
     # the singletons take one _extend call, and each frontier one per group
-    # of its strata with the same (|S|, rank); G = P_J P^T is one product per
-    # stratum with a flat off its span only at a null width of 2 or more (a
-    # stacked outer product at width 1, nothing at a point); the closures
-    # still make the frontiers, in their order, of the reference, which
-    # extends one stratum at a time
+    # of its strata with the same (|S|, rank); G = P_J P^T is one Gram
+    # product over the group at every null width, with no matrix product per
+    # stratum; the closures still make the frontiers, in their order, of the
+    # reference, which extends one stratum at a time
     frontiers, singletons = [], []  # [(frontier, its groups)], [the singletons' calls]
     widths = Counter()  # null width -> strata extended
     extend, points = arrangement._extend, arrangement._frontier_points
@@ -790,12 +787,8 @@ def test_one_extension_per_frontier_group_and_products_per_stratum_past_null_wid
     def counted_extend(arr, idx, todo, s, v, P, pinv, tol):
         before = _CountedProducts.products
         out = extend(arr, idx, todo, s, v, P.view(_CountedProducts), pinv, tol)
-        U, m = arr.frame.U, P.shape[2]
-        rank = arr.dimension - m
-        off_span = sum(any(np.linalg.matrix_rank(U[S + [j]]) > rank
-                           for j in np.flatnonzero(row)) for S, row in zip(idx.tolist(), todo))
-        assert _CountedProducts.products - before == (off_span if m >= 2 else 0)
-        widths[m] += len(idx)
+        assert _CountedProducts.products == before
+        widths[P.shape[2]] += len(idx)
         (frontiers[-1][1] if frontiers else singletons).append(
             sorted(map(tuple, idx.tolist())))
         return out
@@ -854,50 +847,64 @@ def test_strata_subset_limit_counts_every_candidate(capsys, monkeypatch):
     assert captured.err.splitlines() == [f"error: {message}"]
 
 
-def test_witness_draws_refused_64_times_end_in_the_same_error():
+def test_witness_draws_refused_64_times_end_in_the_same_error(monkeypatch):
     # flat 2 runs 1e-7 from flat 1, inside the witness clearance 1e3 on_flat:
-    # every draw of stratum (1,) is refused, after stratum (0,) took its first
+    # every draw of stratum (1,) is refused, round after round, while the
+    # other strata take their first
     arr = FlatArrangement(2, (_flat((0, 1)), _flat((1, 0)), _flat((1, 0), (1e-7, 0.0, 0.0))))
     tol = DEFAULT.on_flat
     assert not _assert_matches_reference(arr)
     strata = [(S, *_reference_point(arr, S)) for S in [(0,), (1,), (2,), (0, 1), (0, 2)]]
-    got, want = np.random.default_rng(3), np.random.default_rng(3)
+    draws, rounds = arrangement._witness_draws, []
+
+    def counted(arr, strata, c, tol):
+        rounds.append(len(strata))
+        return draws(arr, strata, c, tol)
+    monkeypatch.setattr(arrangement, "_witness_draws", counted)
     message = "^could not find a witness avoiding the other flats$"
     with pytest.raises(ArrangementError, match=message):
-        arrangement._witnesses(arr, strata, got, tol)
+        arrangement._witnesses(arr, strata, np.random.default_rng(3), tol)
+    assert rounds == [3] + [2] * 63  # (1,) and (2,) refuse each other's clearance
     with pytest.raises(ArrangementError, match=message):
         for S, x, z, null in strata:
-            _reference_witness(arr, S, x, z, null, want, tol)
-    assert got.bit_generator.state == want.bit_generator.state
+            _reference_witness(arr, S, x, z, null, np.random.default_rng(3), tol)
 
 
-def test_refused_witness_draws_are_redrawn_as_one_stratum_at_a_time(monkeypatch):
+def test_refused_witness_draws_are_redrawn_in_later_rounds(monkeypatch):
     # a patched rule refuses, besides, every draw whose first uniform is
-    # positive, about half of them: the stacked first draws give way to one
-    # stratum at a time with the draws, witnesses and final rng state of the
-    # one-at-a-time loop
+    # positive, about half of them: each round draws the pending strata in
+    # one rng call, the strata accepted in the first round keep their slice
+    # of it, and the refused ones draw again until every stratum has a
+    # witness that sits on exactly its active flats
     draws, tol = arrangement._witness_draws, DEFAULT.on_flat
+    rounds, refused, redrawn = [], Counter(), 0
 
     def refusing(arr, strata, c, tol):
         cx, cz, ok = draws(arr, strata, c, tol)
         start = np.cumsum([0] + [3 * null.shape[1] for *_, null in strata])[:-1]
-        return cx, cz, ok & (c[start] <= 0.0)
+        rounds.append((strata, c, cx, cz, ok & (c[start] <= 0.0)))
+        refused.update((c[start] > 0.0).tolist())
+        return rounds[-1][2:]
     monkeypatch.setattr(arrangement, "_witness_draws", refusing)
-    refused = Counter()
-
-    def positive(c):
-        refused[c[0] > 0.0] += 1
-        return c[0] > 0.0
     for arr in [entry("n2-unimodular").arrangement] + _family()[:4]:
+        f = arr.frame
         strata = [(S, *_reference_point(arr, S)) for S, _, _ in _reference_strata(arr)[0]]
-        got, want = np.random.default_rng(5), np.random.default_rng(5)
-        points = arrangement._witnesses(arr, strata, got, tol)
+        rounds.clear()
+        points = arrangement._witnesses(arr, strata, np.random.default_rng(5), tol)
         assert len(points) == len(strata)
-        for p, (S, x, z, null) in zip(points, strata):
-            w = _reference_witness(arr, S, x, z, null, want, tol, refused=positive)
-            assert np.array_equal(p.x, w.x) and np.array_equal(p.z, w.z)
-        assert got.bit_generator.state == want.bit_generator.state
-    assert refused[True] > 50 and refused[False] > 50
+        for p, (S, *_) in zip(points, strata):
+            scale = max(1.0, float(f.sizes[list(S)].max()))
+            dist = flat_distances(arr, p.x, p.z)
+            assert tuple(np.flatnonzero(dist <= DEFAULT.on_flat * scale).tolist()) == S
+            assert (np.delete(dist, S) > 1e3 * tol).all()
+        assert len(rounds) <= 64 and rounds[-1][4].all()
+        redrawn += len(rounds) > 1
+        first, c, cx, cz, ok = rounds[0]
+        assert np.array_equal(c, np.random.default_rng(5).uniform(-1.0, 1.0, c.size))
+        by_active = {S: p for (S, *_), p in zip(strata, points)}
+        for (S, *_), x, z in compress(zip(first, cx, cz), ok):
+            assert np.array_equal(by_active[S].x, x) and np.array_equal(by_active[S].z, z)
+    assert redrawn and refused[True] > 50 and refused[False] > 50
 
 
 def test_strata_at_large_offsets_are_not_duplicated():

@@ -3,6 +3,7 @@
 import json
 import os
 import pathlib
+import resource
 import subprocess
 import sys
 import time
@@ -338,6 +339,28 @@ def test_growth_samples_below_one_per_batch_exit_two(capsys):
         assert err == f"error: samples must be at least 8 (one per batch), got {samples}\n"
 
 
+@pytest.mark.parametrize("argv, error", [
+    (["export-grid", "flat-H", "--axis", "x1", "--axis", "rez1", "--range=0:1:100000",
+      "--range=0:1:100000", "--out", "-"],
+     "error: --range: the grid would hold 60000000000 values (points times 3n + n^2 + 2 "
+     f"columns), more than {cli.GRID_VALUES}"),
+    (["growth", "flat-H", "--radii", "60,120", "--samples", "10000000000"],
+     f"error: samples must be at most {verify.GROWTH_MAX_SAMPLES}, got 10000000000"),
+], ids=["export-grid", "growth"])
+def test_a_count_past_what_memory_holds_is_refused_before_any_array(argv, error):
+    # these asked numpy for 74.5 GiB and 224 GiB and ended in its traceback;
+    # the child runs under a 1 GiB address-space limit, so an array built
+    # before the check fails there alone
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "torichk.cli", *argv],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"},
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30)))
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.splitlines() == [error]
+
+
 @pytest.mark.parametrize("radii", ["60,nan,960", "60,120,inf"])
 def test_growth_rejects_non_finite_radii(capsys, radii):
     code, out, err = _run(capsys, "growth", "taub-nut", "--radii", radii)
@@ -654,6 +677,11 @@ def test_point_parse_error_names_its_option(capsys, argv, flag):
     code, out, err = _run(capsys, *argv, f"{flag}=0,abc,0")
     assert code == 2 and out == ""
     assert err.startswith(f"error: {flag}: could not convert string to float: 'abc'")
+    # 1e999 parses, to inf
+    for value in ("inf", "nan", "1e999"):
+        code, out, err = _run(capsys, *argv, f"{flag}=0,{value},0")
+        assert code == 2 and out == ""
+        assert err == f"error: {flag}: coordinates must be finite, got {value!r}\n"
 
 
 @pytest.mark.parametrize("argv, flag, value", [

@@ -74,6 +74,13 @@ def test_per_flat_data_and_the_domain_rule_have_one_owner():
         and {getattr(node.left, "id", None), getattr(node.right, "id", None)} == {"s", "r"})
     assert len(svr_return) == 1
     assert s_plus_r == [f"arrangement.py:{svr_return[0]}"]
+    # the offsets come off in _per_flat alone, where they are plain names:
+    # no difference elsewhere takes a frame's l1 or lc as it stands
+    offsets_off = sorted(
+        f"{file}:{node.lineno}" for file, tree in trees.items() for node in ast.walk(tree)
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub)
+        and getattr(node.right, "attr", None) in ("l1", "lc"))
+    assert offsets_off == []
     thresholds = sorted(
         f"{file}:{node.lineno}" for file in ("cli.py", "verify.py")
         for node in ast.walk(trees[file])
