@@ -20,10 +20,10 @@ from .potential import (KahlerChartPoint, ReconstructedPotential, eval_F,
                         eval_F_z, eval_Phi, eval_connection, eval_metric,
                         legendre_solve, phi_batch, quotient_metric,
                         reconstruct_F_from_K)
-from .verify import (GrowthFit, ResidualReport, conformal_factor_check,
-                     growth_fit, hessian_identity_residual,
-                     monge_ampere_residual, polyharmonic_residual,
-                     ricci_residual, run_checks, sp_condition_residual)
+from .verify import (GrowthFit, ResidualReport, growth_fit,
+                     hessian_identity_residual, phi_harmonic_residual,
+                     polyharmonic_residual, ricci_residual, run_checks,
+                     sp_condition_residual)
 
 __version__ = "0.1.0"
 
@@ -35,11 +35,11 @@ __all__ = [
     "NoConvergenceError", "OnFlatError", "Point3n", "ReconstructedPotential",
     "ResidualReport", "SamplingError",
     "StencilClippedError", "Stratum", "Tolerances", "catalog",
-    "classification_report", "conformal_factor_check", "dump_arrangement",
+    "classification_report", "dump_arrangement",
     "entry", "entry_names", "eval_F", "eval_F_z", "eval_Phi",
     "eval_connection", "eval_metric", "flat_distances", "growth_fit",
     "hessian_identity_residual", "intersection_strata", "legendre_solve",
-    "load_arrangement", "monge_ampere_residual", "parse_arrangement", "phi_batch",
+    "load_arrangement", "parse_arrangement", "phi_batch", "phi_harmonic_residual",
     "polyharmonic_residual", "quotient_metric", "reconstruct_F_from_K",
     "ricci_residual", "run_checks", "sp_condition_residual", "translate",
     "__version__",

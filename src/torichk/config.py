@@ -25,7 +25,7 @@ class Tolerances:
     fd_step: float = 1e-4          # Hessian checks of F and K
     phi_fd_step: float = 1e-3      # Richardson base step for the Phi oracle
     poly_step: float = 5e-4        # 7-point Laplacian of F
-    harmonic_step: float = 5e-4    # 7-point Laplacian of the conformal factor
+    harmonic_step: float = 5e-4    # Richardson 7-point Laplacian of Phi's entries
     curvature_step: float = 1e-3   # nested Christoffel differences
     reconstruct_step: float = 1e-3
     stencil_clearance: float = 10.0  # required flat distance, in units of step
@@ -33,7 +33,6 @@ class Tolerances:
     # verification residual thresholds
     phi_fd_rel: float = 1e-6
     polyharmonic: float = 1e-5
-    monge_ampere: float = 1e-4
     hessian_identity: float = 1e-5
     sp_condition: float = 1e-4
     ricci: float = 1e-3

@@ -3,15 +3,15 @@
 Each operation here measures one defining identity with a finite-difference
 oracle that is independent of the closed-form code being checked:
 
-  * polyharmonicity of F on affine 3-planes (7-point Laplacian);
-  * the Monge-Ampere equation for n=1 charts and the Sp(n,C) block-Hessian
-    condition for general n (Hessians of the numerically Legendre-transformed
-    Kaehler potential);
+  * polyharmonicity of F on affine 3-planes p + R^3 (x) v (7-point Laplacian),
+    and the harmonicity of every entry of Phi = F_xx / 4 on the same planes,
+    at every n (a Richardson pair of 7-point Laplacians);
+  * the Sp(n,C) block-Hessian condition (Hessians of the numerically
+    Legendre-transformed Kaehler potential); at n=1, Sp(1,C) = SL(2,C) and
+    it is the Monge-Ampere equation K_uu-bar K_zz-bar - K_uz-bar K_zu-bar = 1;
   * the chart-level Hessian identities K_uu-bar = -4 (F_xx)^{-1} and
     K_uz-bar = 2 (F_xx)^{-1} F_xz-bar;
   * Ricci-flatness of the 4n-metric by nested central differences;
-  * the n=1 conformal-factor law Phi = b + sum a_k / (4 r_k) and its
-    harmonicity;
   * the volume-growth exponent by Monte-Carlo integration of det Phi over
     distance-proxy balls.
 
@@ -39,8 +39,8 @@ from .potential import (KahlerChartPoint, _newton, eval_F, eval_F_z, eval_Phi,
 
 __all__ = [
     "ResidualReport", "GrowthFit", "sample_points", "sample_chart_points",
-    "polyharmonic_residual", "monge_ampere_residual", "hessian_identity_residual",
-    "sp_condition_residual", "ricci_residual", "conformal_factor_check",
+    "polyharmonic_residual", "phi_harmonic_residual", "hessian_identity_residual",
+    "sp_condition_residual", "ricci_residual",
     "growth_fit", "run_checks", "check_names",
 ]
 
@@ -154,6 +154,16 @@ def rational_direction(n: int, rng) -> np.ndarray:
 # stack) for all of its points, and each of its residuals equals, bit for
 # bit, the one its point gives alone.
 
+def _plane(p: Point3n, v):
+    """The 3-plane p + R^3 (x) v^ of each point of p, v^ = v / |v|, as the map from
+    its arc-length coordinates C (..., K, 3) to the points (x + C_0 v^,
+    z + (C_1 + i C_2) v^); v is a direction in R^n, or one per point (..., n)."""
+    v = np.asarray(v, dtype=float)
+    vhat = (v / np.linalg.norm(v, axis=-1, keepdims=True))[..., None, :]
+    x, z = p.x[..., None, :], p.z[..., None, :]
+    return lambda C: Point3n(x + C[..., :1] * vhat, z + (C[..., 1:2] + 1j * C[..., 2:]) * vhat)
+
+
 def polyharmonic_residual(arr: FlatArrangement, B, p: Point3n, v,
                           step: float = DEFAULT.poly_step):
     """|Laplacian of F restricted to the 3-plane p + R^3 (x) v| at each point of p.
@@ -162,15 +172,25 @@ def polyharmonic_residual(arr: FlatArrangement, B, p: Point3n, v,
     sign included, gives the same plane and the same residual: the
     restriction is arc-length parametrized along the unit vector v / |v|.
     """
-    v = np.asarray(v, dtype=float)
-    vhat = (v / np.linalg.norm(v, axis=-1, keepdims=True))[..., None, :]
-    x, z = p.x[..., None, :], p.z[..., None, :]
+    at = _plane(p, v)
+    return np.abs(fd.laplacian3(lambda C: eval_F(arr, B, at(C)),
+                                np.zeros(p.x.shape[:-1] + (3,)), step))
 
-    def f(C):
-        return eval_F(arr, B, Point3n(x + C[..., :1] * vhat,
-                                      z + (C[..., 1:2] + 1j * C[..., 2:]) * vhat))
 
-    return np.abs(fd.laplacian3(f, np.zeros(p.x.shape[:-1] + (3,)), step))
+def phi_harmonic_residual(arr: FlatArrangement, B, p: Point3n, v,
+                          step: float = DEFAULT.harmonic_step):
+    """max over the entries of Phi of |Laplacian on the 3-plane p + R^3 (x) v|, per point.
+
+    F is harmonic on these planes and Phi = F_xx / 4 differentiates it with
+    constant coefficients, so every entry of Phi is harmonic there too, at
+    every n.  The Laplacian is a Richardson pair of 7-point stencils at steps
+    step and 2 step; v is read as in polyharmonic_residual.
+    """
+    at = _plane(p, v)
+    # the stencil nodes on the last axis: one eval_Phi call per stencil pair
+    lap = fd.richardson_laplacian3(lambda C: np.moveaxis(eval_Phi(arr, B, at(C)), -3, -1),
+                                   np.zeros(p.x.shape[:-1] + (3,)), step)
+    return np.abs(lap).max(axis=(-2, -1))
 
 
 def _k_blocks(arr, B, chart):
@@ -217,19 +237,6 @@ def _k_blocks(arr, B, chart):
     kzu = 0.25 * (np.swapaxes(Kac, -1, -2) - 1j * np.swapaxes(Kad, -1, -2))
     kzz = 0.25 * (Kcc + Kdd) + 0.25j * (Kcd - np.swapaxes(Kcd, -1, -2))
     return kuu, kuz, kzu, kzz
-
-
-def monge_ampere_residual(arr: FlatArrangement, B, chart):
-    """|K_uu-bar K_zz-bar - K_uz-bar K_zu-bar - 1| for n=1 chart points."""
-    if arr.dimension != 1:
-        raise ValueError("Monge-Ampere residual is the n=1 specialization")
-    kuu, kuz, kzu, kzz = (k[..., 0, 0] for k in _k_blocks(arr, B, chart))
-    # in real arithmetic, as numpy's scalar complex product and abs compute it
-    # for one chart; its complex array loops fuse multiply-adds and differ in
-    # the last bit
-    re = kuu * kzz.real - (kuz.real * kzu.real - kuz.imag * kzu.imag) - 1.0
-    im = kuu * kzz.imag - (kuz.real * kzu.imag + kuz.imag * kzu.real)
-    return np.hypot(re, im)
 
 
 def hessian_identity_residual(arr: FlatArrangement, B, chart):
@@ -303,67 +310,6 @@ def ricci_residual(arr: FlatArrangement, B, p: Point3n,
     ric -= (np.swapaxes(G0, -2, -1)[..., None]
             * np.swapaxes(G0, -3, -2)[..., :, :, None, :]).sum(axis=-4).sum(axis=-3)
     return np.abs(ric).max(axis=(-2, -1))
-
-
-def _conformal_law(arr, B, x3):
-    """The step-independent part of conformal_factor_check at x3 (..., 3), (...).
-
-    The max of (a) the deviation of eval_Phi from the closed multi-center
-    form and (c) any violation of boundedness of Phi - a_k/(4 r) near each
-    center.  The probes of (c) do not depend on x3; they are evaluated in
-    the same call as the points x3.
-    """
-    b = float(DeformationMatrix.of(B, 1).entries[0, 0])
-    centers = np.column_stack([arr.frame.l1, arr.frame.lc.real, arr.frame.lc.imag])
-    masses = arr.frame.a
-
-    # boundedness probes centers[k] + t * direction, with their mass term and bound
-    probes, terms, bounds = [], [], []
-    direction = np.array([0.57735026919, 0.57735026919, 0.57735026919])
-    for k in range(len(arr.flats)):
-        others = [j for j in range(len(arr.flats)) if j != k]
-        sep = min((np.linalg.norm(centers[j] - centers[k]) for j in others), default=None)
-        bound = b + sum(masses[j] / (4.0 * (np.linalg.norm(centers[j] - centers[k]) - 1e-2))
-                        for j in others) + 1e-9
-        for t in np.geomspace(1e-6, 1e-2, 5):
-            if sep is not None and t >= sep:
-                continue
-            probes.append(centers[k] + t * direction)
-            terms.append(masses[k] / (4.0 * t))
-            bounds.append(bound)
-    x3 = np.asarray(x3, dtype=float)
-    pts = x3.reshape(-1, 3)
-    values = eval_Phi(arr, B, Point3n.from_coords(
-        np.concatenate([pts, np.reshape(probes, (-1, 3))])))[..., 0, 0]
-
-    dists = np.linalg.norm(centers - pts[:, None, :], axis=-1)
-    closed = b + np.sum(masses / (4.0 * dists), axis=-1)
-    identity = np.abs(values[:len(pts)] - closed)
-    bounded = float(np.max(np.abs(values[len(pts):] - terms) - bounds, initial=0.0))
-    return np.maximum(identity, bounded).reshape(x3.shape[:-1])
-
-
-def _conformal_harmonic(arr, B, x3, step):
-    """|Laplacian of Phi| at x3 (..., 3): a Richardson pair at steps step and 2 step."""
-    return np.abs(fd.richardson_laplacian3(
-        lambda W: eval_Phi(arr, B, Point3n.from_coords(W))[..., 0, 0], x3, step))
-
-
-def conformal_factor_check(arr: FlatArrangement, B, x3,
-                           step: float = DEFAULT.harmonic_step):
-    """n=1 conformal-factor law: Phi = b + sum a_k/(4 |x - c_k|), harmonic off centers.
-
-    Returns, at each point of x3 (3,) or (..., 3), the max of (a) the
-    deviation of eval_Phi from the closed multi-center form, (b) the
-    Laplacian of Phi at the sample, a Richardson pair of 7-point Laplacians
-    at steps step and 2 step, and (c) any violation of boundedness of
-    Phi - a_k/(4 r) near each center.
-    """
-    if arr.dimension != 1:
-        raise ValueError("conformal factor law is the n=1 statement")
-    x3 = np.asarray(x3, dtype=float)
-    return np.maximum(_conformal_law(arr, B, x3),
-                      _conformal_harmonic(arr, B, x3, step))
 
 
 # --------------------------------------------------------------------------
@@ -614,13 +560,6 @@ def _polyharmonic_sample(arr, B, rng):
     return p, np.stack([rational_direction(arr.dimension, rng) for _ in range(len(p))])
 
 
-def _conformal_sample(arr, B, rng):
-    x3 = sample_points(arr, 20, rng).coords()
-    # the closed form and the boundedness probes do not depend on the
-    # step: they are measured once, with the sample set
-    return x3, _conformal_law(arr, B, x3)
-
-
 def _roundtrip_residual(arr, B, chart, step=DEFAULT.reconstruct_step):
     """|F at the chart point - F rebuilt by reconstruct_F_from_K from K alone|, per chart."""
     n = arr.dimension
@@ -721,8 +660,6 @@ _CHECKS = {
         lambda *a: _phi_fd_residual(*a))),
     "polyharmonic": _Check(2, DEFAULT.polyharmonic, False, _sampled(
         _polyharmonic_sample, lambda *a: polyharmonic_residual(*a), step=DEFAULT.poly_step)),
-    "monge-ampere": _Check(3, DEFAULT.monge_ampere, True, _sampled(
-        _charts(20), lambda *a: monge_ampere_residual(*a))),
     "hessian-identity": _Check(4, DEFAULT.hessian_identity, True, _sampled(
         _charts(10), lambda *a: hessian_identity_residual(*a))),
     "sp-condition": _Check(5, DEFAULT.sp_condition, False, _sampled(
@@ -731,10 +668,8 @@ _CHECKS = {
         lambda arr, B, rng: (sample_points(arr, 10, rng, clearance=max(
             0.35, DEFAULT.stencil_clearance * 2 * DEFAULT.curvature_step)),),
         lambda *a: ricci_residual(*a), step=DEFAULT.curvature_step)),
-    "conformal": _Check(7, DEFAULT.harmonic, True, _sampled(
-        _conformal_sample,
-        lambda arr, B, x3, law, h: np.maximum(law, _conformal_harmonic(arr, B, x3, h)),
-        step=DEFAULT.harmonic_step)),
+    "phi-harmonic": _Check(7, DEFAULT.harmonic, False, _sampled(
+        _polyharmonic_sample, lambda *a: phi_harmonic_residual(*a), step=DEFAULT.harmonic_step)),
     "growth": _Check(8, DEFAULT.growth_tolerance, True, _growth),
     "roundtrip": _Check(9, DEFAULT.roundtrip, False, _sampled(
         _charts(20), lambda *a: _roundtrip_residual(*a))),

@@ -2,6 +2,7 @@
 and every private module-level function or class is used somewhere."""
 
 import ast
+import dataclasses
 import importlib
 import pathlib
 import pkgutil
@@ -87,6 +88,16 @@ def test_per_flat_data_and_the_domain_rule_have_one_owner():
         if isinstance(node, ast.Attribute) and node.attr in ("on_flat", "branch")
         and getattr(node.value, "id", None) == "DEFAULT")
     assert thresholds == []
+
+
+def test_every_tolerance_field_is_read():
+    # a threshold or step that no code reads as DEFAULT.<field> outlived
+    # whatever used it
+    read = {node.attr
+            for path in sorted(pathlib.Path(torichk.__file__).parent.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "DEFAULT"}
+    assert [f.name for f in dataclasses.fields(torichk.Tolerances) if f.name not in read] == []
 
 
 def test_the_check_skeleton_has_one_owner():

@@ -14,10 +14,10 @@ from torichk import (DEFAULT, ArrangementError, DeformationMatrix, Flat, FlatArr
                      eval_metric, eval_Phi, legendre_solve)
 from torichk import (arrangement, classification_report, intersection_strata, potential,
                      verify)
-from torichk.verify import (ResidualReport, conformal_factor_check, growth_fit,
-                            hessian_identity_residual, monge_ampere_residual,
-                            polyharmonic_residual, ricci_residual, run_checks,
-                            sample_points, sp_condition_residual)
+from torichk.verify import (ResidualReport, growth_fit, hessian_identity_residual,
+                            phi_harmonic_residual, polyharmonic_residual,
+                            ricci_residual, run_checks, sample_points,
+                            sp_condition_residual)
 
 EH = entry("eguchi-hanson")
 FLAT_H = entry("flat-H")
@@ -86,6 +86,8 @@ def test_samplers_return_one_stack_whose_slices_measure_as_their_samples():
         assert np.array_equal(ricci_residual(arr, B, one), [ricci_residual(arr, B, pts[i])])
         assert np.array_equal(polyharmonic_residual(arr, B, one, v),
                               [polyharmonic_residual(arr, B, pts[i], v)])
+        assert np.array_equal(phi_harmonic_residual(arr, B, one, v),
+                              [phi_harmonic_residual(arr, B, pts[i], v)])
     for i in range(len(charts)):
         # each row is the sampler's own cold solve of that candidate
         alone = legendre_solve(arr, B, charts.u[i], charts.z[i])
@@ -94,8 +96,8 @@ def test_samplers_return_one_stack_whose_slices_measure_as_their_samples():
         assert charts.iterations[i] == alone.iterations
         one = charts[i:i + 1]
         assert len(one) == 1
-        for residual in (sp_condition_residual, monge_ampere_residual):
-            assert np.array_equal(residual(arr, B, one), [residual(arr, B, charts[i])])
+        assert np.array_equal(sp_condition_residual(arr, B, one),
+                              [sp_condition_residual(arr, B, charts[i])])
 
 
 def test_a_single_point_or_chart_is_not_a_stack():
@@ -167,7 +169,6 @@ def test_polyharmonic_truncation_halves_with_step():
 def test_chart_residuals_vanish_without_flats():
     # no flats, B = 1: K is exactly quadratic, so every identity is sharp
     sol = legendre_solve(CYL.arrangement, CYL.deformation, [0.7 + 0.2j], [1.1 - 0.4j])
-    assert monge_ampere_residual(CYL.arrangement, CYL.deformation, sol) < 1e-7
     assert hessian_identity_residual(CYL.arrangement, CYL.deformation, sol) < 1e-7
     assert sp_condition_residual(CYL.arrangement, CYL.deformation, sol) < 1e-7
 
@@ -178,16 +179,8 @@ def test_chart_residuals_small_on_curved_entries():
         arr, B = e.arrangement, e.deformation
         charts = verify.sample_chart_points(arr, B, 5, rng)
         for sol in charts:
-            assert monge_ampere_residual(arr, B, sol) < 1e-4
             assert hessian_identity_residual(arr, B, sol) < 1e-4
             assert sp_condition_residual(arr, B, sol) < 1e-4
-
-
-def test_monge_ampere_rejects_higher_rank():
-    with pytest.raises(ValueError, match="n=1"):
-        sol = KahlerChartPoint(u=np.zeros(2, complex), z=np.zeros(2, complex),
-                               x=np.zeros(2), K=0.0)
-        monge_ampere_residual(entry("n2-unimodular").arrangement, None, sol)
 
 
 def test_sp_condition_n2():
@@ -199,6 +192,7 @@ def test_sp_condition_n2():
 
 
 def test_monge_ampere_truncation_halves_with_step(monkeypatch):
+    # at n = 1 sp_condition_residual is |K_uu-bar K_zz-bar - K_uz-bar K_zu-bar - 1|;
     # the first chart with min(r, s + r) >= 0.5: the sampler's candidates
     # draw the same numbers whether or not they are accepted
     charts = verify.sample_chart_points(EH.arrangement, None, 10, np.random.default_rng(205))
@@ -207,7 +201,7 @@ def test_monge_ampere_truncation_halves_with_step(monkeypatch):
     residuals = []
     for step in (2e-2, 1e-2):
         monkeypatch.setattr(verify, "DEFAULT", dataclasses.replace(DEFAULT, fd_step=step))
-        residuals.append(monge_ampere_residual(EH.arrangement, None, sol))
+        residuals.append(sp_condition_residual(EH.arrangement, None, sol))
     coarse, fine = residuals
     assert coarse > 1e-7
     assert coarse / fine >= 3.0
@@ -243,7 +237,7 @@ def test_ricci_truncation_ratio():
     assert coarse / fine >= 3.0
 
 
-# -- conformal factor law -----------------------------------------------------
+# -- harmonicity of Phi -------------------------------------------------------
 
 def test_conformal_factor_values():
     # single unit-mass center: Phi = 1/(4 r)
@@ -255,16 +249,16 @@ def test_conformal_factor_values():
     assert got[0, 0] == pytest.approx(0.75, rel=1e-12)
 
 
-def test_conformal_factor_check_residuals():
-    assert conformal_factor_check(FLAT_H.arrangement, None,
-                                  [0.7, 0.3, -0.4]) < 1e-6
-    assert conformal_factor_check(EH.arrangement, None,
-                                  [0.2, 0.5, 0.1]) < 1e-6
-    assert conformal_factor_check(CYL.arrangement, CYL.deformation,
-                                  [1.0, 2.0, 3.0]) < 1e-12
-    with pytest.raises(ValueError, match="n=1"):
-        conformal_factor_check(entry("n2-unimodular").arrangement, None,
-                               [0.0, 0.0, 0.0])
+def test_phi_harmonic_residuals():
+    # Phi is constant without flats, so its Laplacian vanishes exactly
+    assert phi_harmonic_residual(CYL.arrangement, CYL.deformation,
+                                 _pt(1.0, 2.0 + 3.0j), [1.0]) == 0.0
+    assert phi_harmonic_residual(FLAT_H.arrangement, None, _pt(0.7, 0.3 - 0.4j), [1.0]) < 1e-6
+    assert phi_harmonic_residual(EH.arrangement, None, _pt(0.2, 0.5 + 0.1j), [-2.0]) < 1e-6
+    n2 = entry("n2-unimodular")
+    p = Point3n(np.array([0.37, -0.58]), np.array([-0.21 + 0.13j, 0.44 - 0.09j]))
+    for v in ([1.0, 0.0], [2.0, -1.0]):
+        assert phi_harmonic_residual(n2.arrangement, n2.deformation, p, v) < 1e-6
 
 
 # -- one evaluator call per stencil ------------------------------------------
@@ -369,34 +363,17 @@ def _centers(arr):
     return np.array([f.offsets for f in arr.flats], dtype=float).reshape(-1, 3)
 
 
-def _pointwise_conformal(arr, B, x3, step):
-    b = float(DeformationMatrix.of(B, 1).entries[0, 0])
-    centers = _centers(arr)
-    masses = arr.frame.a
+def _pointwise_phi_harmonic(arr, B, p, v, step):
+    vhat = v / np.linalg.norm(v)
 
-    def phi_scalar(w):
-        return float(eval_Phi(arr, B, Point3n(np.array([w[0]]),
-                                              np.array([w[1] + 1j * w[2]])))[0, 0])
+    def f(c):
+        return eval_Phi(arr, B, Point3n(p.x + c[0] * vhat,
+                                        p.z + (c[1] + 1j * c[2]) * vhat))
 
-    dists = np.linalg.norm(centers - x3, axis=1) if len(arr.flats) else np.zeros(0)
-    closed = b + float(np.sum(masses / (4.0 * dists))) if len(arr.flats) else b
-    identity = abs(phi_scalar(x3) - closed)
-    harmonic = abs((4.0 * _pointwise_laplacian3(phi_scalar, x3, step)
-                    - _pointwise_laplacian3(phi_scalar, x3, 2.0 * step)) / 3.0)
-    bounded = 0.0
-    direction = np.array([0.57735026919, 0.57735026919, 0.57735026919])
-    for k in range(len(arr.flats)):
-        others = [j for j in range(len(arr.flats)) if j != k]
-        sep = min((np.linalg.norm(centers[j] - centers[k]) for j in others), default=None)
-        bound = b + sum(masses[j] / (4.0 * (np.linalg.norm(centers[j] - centers[k]) - 1e-2))
-                        for j in others) + 1e-9
-        for t in np.geomspace(1e-6, 1e-2, 5):
-            w = centers[k] + t * direction
-            if sep is not None and t >= sep:
-                continue
-            phi_rem = phi_scalar(w) - masses[k] / (4.0 * t)
-            bounded = max(bounded, max(0.0, abs(phi_rem) - bound))
-    return float(max(identity, harmonic, bounded))
+    c = np.zeros(3)
+    lap = (4.0 * _pointwise_laplacian3(f, c, step)
+           - _pointwise_laplacian3(f, c, 2.0 * step)) / 3.0
+    return np.abs(lap).max()
 
 
 @pytest.mark.parametrize("name", [e.name for e in catalog()])
@@ -409,7 +386,6 @@ def test_stencil_residuals_equal_the_pointwise_loops(name):
     stack = sample_points(arr, 3, rng, clearance=0.35)
     pts = [stack[i] for i in range(len(stack))]
     dirs = [verify.rational_direction(arr.dimension, rng) for _ in pts]
-    x3 = stack.coords()
     want = [_pointwise_phi_fd(arr, B, p) for p in pts]
     assert [verify._phi_fd_residual(arr, B, p) for p in pts] == want
     assert np.array_equal(verify._phi_fd_residual(arr, B, stack), want)
@@ -421,11 +397,10 @@ def test_stencil_residuals_equal_the_pointwise_loops(name):
         want = [_pointwise_ricci(arr, B, p, h) for p in pts]
         assert [ricci_residual(arr, B, p, h) for p in pts] == want
         assert np.array_equal(ricci_residual(arr, B, stack, h), want)
-    if arr.dimension == 1:
-        for h in (DEFAULT.harmonic_step, 2 * DEFAULT.harmonic_step):
-            want = [_pointwise_conformal(arr, B, w, h) for w in x3]
-            assert [conformal_factor_check(arr, B, w, h) for w in x3] == want
-            assert np.array_equal(conformal_factor_check(arr, B, x3, h), want)
+    for h in (DEFAULT.harmonic_step, 2 * DEFAULT.harmonic_step):
+        want = [_pointwise_phi_harmonic(arr, B, p, v, h) for p, v in zip(pts, dirs)]
+        assert [phi_harmonic_residual(arr, B, p, v, h) for p, v in zip(pts, dirs)] == want
+        assert np.array_equal(phi_harmonic_residual(arr, B, stack, np.stack(dirs), h), want)
 
 
 def _pointwise_monge_ampere(arr, B, chart):
@@ -446,21 +421,18 @@ def test_chart_residuals_of_a_stack_equal_each_chart_alone(name):
                      arr, B, c, DEFAULT.reconstruct_step)]
     for residual in residuals:
         assert np.array_equal(residual(arr, B, stack), [residual(arr, B, c) for c in charts])
-    if arr.dimension == 1:
-        want = [_pointwise_monge_ampere(arr, B, c) for c in charts]
-        assert [monge_ampere_residual(arr, B, c) for c in charts] == want
-        assert np.array_equal(monge_ampere_residual(arr, B, stack), want)
 
 
-def test_conformal_probes_near_each_center_match_the_pointwise_loop():
-    # three centers, one pair closer than the largest probe radius
-    arr = FlatArrangement(1, (Flat((1,), (0.0, 0.0, 0.0), 1.0),
-                              Flat((1,), (5e-3, 0.0, 0.0), 2.0),
-                              Flat((1,), (2.0, 1.0, 0.0), 0.5)))
-    B = DeformationMatrix([[0.3]])
-    x3 = np.array([0.7, -0.2, 0.4])
-    got = conformal_factor_check(arr, B, x3)
-    assert got == _pointwise_conformal(arr, B, x3, DEFAULT.harmonic_step)
+@pytest.mark.parametrize("name", [e.name for e in catalog() if e.arrangement.dimension == 1])
+def test_monge_ampere_is_the_sp_condition_at_n_1(name):
+    # Sp(1, C) = SL(2, C): M^T J M = det(M) J for every 2 x 2 matrix M, so
+    # sp_condition_residual measures the Monge-Ampere equation det M = 1
+    e = entry(name)
+    arr, B = e.arrangement, e.deformation
+    for seed in (1, 2, 3):
+        stack = verify.sample_chart_points(arr, B, 20, np.random.default_rng(seed))
+        det = np.array([_pointwise_monge_ampere(arr, B, stack[i]) for i in range(len(stack))])
+        assert np.abs(det - sp_condition_residual(arr, B, stack)).max() <= 1e-12
 
 
 def test_one_evaluator_call_per_stencil(monkeypatch):
@@ -487,10 +459,10 @@ def test_one_evaluator_call_per_stencil(monkeypatch):
         verify._phi_fd_residual(arr, B, p)
         # Phi itself, then one call per Hessian of the Richardson pair
         assert calls == ["eval_Phi", "eval_F", "eval_F"]
-    calls.clear()
-    conformal_factor_check(EH.arrangement, EH.deformation, [0.2, 0.5, 0.1])
-    # the sample and every boundedness probe, then both Laplacian stencils
-    assert calls == ["eval_Phi", "eval_Phi"]
+        calls.clear()
+        phi_harmonic_residual(arr, B, p, np.ones(arr.dimension))
+        # both Laplacian stencils of the Richardson pair
+        assert calls == ["eval_Phi"]
 
 
 def test_chart_stencils_make_one_stacked_solve(monkeypatch):
@@ -533,12 +505,11 @@ _CHECK_CALLS = {
     "phi-fd": ["eval_Phi", "eval_F", "eval_F"],
     # one Laplacian stencil at h, one at 2h
     "polyharmonic": ["eval_F", "eval_F"],
-    "monge-ampere": ["_newton", "eval_F_z"],
     "hessian-identity": ["_newton", "eval_F_z", "eval_Phi"],
     "sp-condition": ["_newton", "eval_F_z"],
     "ricci": ["eval_metric", "eval_metric"],
-    # the closed form and the probes once, then the Laplacians at h and 2h
-    "conformal": ["eval_Phi", "eval_Phi", "eval_Phi"],
+    # one Richardson Laplacian pair at h, one at 2h
+    "phi-harmonic": ["eval_Phi", "eval_Phi"],
     # both five-point stencils of every chart, then F at the charts
     "roundtrip": ["_newton", "eval_F"],
     "classification": ["eval_Phi"],
@@ -559,7 +530,7 @@ def test_each_check_makes_one_stacked_call_per_stencil(name, monkeypatch):
         monkeypatch.setattr(verify, fn_name, counting(fn_name, getattr(verify, fn_name)))
     e = entry(name)
     n1 = e.arrangement.dimension == 1
-    n1_only = {"monge-ampere", "hessian-identity", "ricci", "conformal"}
+    n1_only = {"hessian-identity", "ricci"}
     for check, want in _CHECK_CALLS.items():
         if not n1 and check in n1_only:
             continue
@@ -691,15 +662,26 @@ def test_bad_selections_are_refused_before_any_check_runs(monkeypatch, checks, m
     assert ran == []
 
 
-@pytest.mark.parametrize("name", [e.name for e in catalog() if e.arrangement.dimension == 1])
-def test_conformal_passes_at_seeds_1_to_10(name):
-    # the Richardson pair removes the O(h^2) truncation that failed the
-    # 1e-6 bound at seed 3 on eguchi-hanson and multi-EH-3
+@pytest.mark.parametrize("name", [e.name for e in catalog()])
+def test_phi_harmonic_passes_at_seeds_1_to_10(name):
     e = entry(name)
     for seed in range(1, 11):
-        (rep,) = run_checks(e.arrangement, e.deformation, checks=["conformal"], seed=seed)
+        (rep,) = run_checks(e.arrangement, e.deformation, checks=["phi-harmonic"], seed=seed)
         assert rep.passed, (seed, rep.max_residual, rep.detail)
         assert rep.detail["order_ok"]
+
+
+def test_phi_harmonic_fails_where_phi_is_not_harmonic(monkeypatch):
+    # 1e-4 |x|^2 has Laplacian 2e-4 on every plane p + R^3 (x) v, v a unit vector
+    eval_phi = verify.eval_Phi
+
+    def perturbed(arr, B, p):
+        return eval_phi(arr, B, p) + 1e-4 * (p.x ** 2).sum(axis=-1)[..., None, None]
+
+    monkeypatch.setattr(verify, "eval_Phi", perturbed)
+    (rep,) = run_checks(EH.arrangement, EH.deformation, checks=["phi-harmonic"], seed=1)
+    assert not rep.passed
+    assert rep.max_residual == pytest.approx(2e-4, rel=1e-3)
 
 
 # -- volume growth ------------------------------------------------------------
@@ -1019,14 +1001,15 @@ def test_growth_exponent_is_no_less_accurate_than_linear_at_512_nodes(name, monk
 def test_run_checks_default_selection():
     reports = run_checks(CYL.arrangement, CYL.deformation, seed=1)
     assert [r.check_name for r in reports] == [
-        "phi-fd", "polyharmonic", "monge-ampere", "hessian-identity",
-        "sp-condition", "ricci", "conformal", "growth", "roundtrip"]
+        "phi-fd", "polyharmonic", "hessian-identity", "sp-condition", "ricci",
+        "phi-harmonic", "growth", "roundtrip"]
     assert all(r.passed for r in reports)
     n2 = entry("n2-unimodular")
     reports = run_checks(n2.arrangement, n2.deformation, seed=1,
                          expected=n2.expected_values())
     assert [r.check_name for r in reports] == [
-        "phi-fd", "polyharmonic", "sp-condition", "roundtrip", "classification"]
+        "phi-fd", "polyharmonic", "sp-condition", "phi-harmonic", "roundtrip",
+        "classification"]
     assert all(r.passed for r in reports)
 
 
