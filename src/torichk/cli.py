@@ -123,11 +123,12 @@ def _parser():
     p.add_argument("--seed", type=_seed, default=DEFAULT.default_seed)
     p.set_defaults(run=_cmd_verify)
 
-    p = sub.add_parser("growth", help="Monte-Carlo volume-growth exponent")
+    p = sub.add_parser("growth", help="volume-growth exponent over sampled rays")
     p.add_argument("target")
     p.add_argument("--radii", required=True,
                    help="comma-separated increasing radii")
-    p.add_argument("--samples", type=int, default=4096)
+    p.add_argument("--samples", type=int, default=None,
+                   help="ray directions (default 512 at n = 1, 4096 above)")
     p.add_argument("--seed", type=_seed, default=DEFAULT.default_seed)
     p.add_argument("--base", default=None,
                    help="3n comma-separated base-point coordinates (default origin)")

@@ -12,8 +12,9 @@ oracle that is independent of the closed-form code being checked:
   * the chart-level Hessian identities K_uu-bar = -4 (F_xx)^{-1} and
     K_uz-bar = 2 (F_xx)^{-1} F_xz-bar;
   * Ricci-flatness of the 4n-metric by nested central differences;
-  * the volume-growth exponent by Monte-Carlo integration of det Phi over
-    distance-proxy balls.
+  * the volume-growth exponent by integration of det Phi over distance-proxy
+    balls, averaged over rotated lattices of ray directions at n = 1 and
+    random directions above.
 
 Residuals converge under step refinement; a check with a step measures at it
 and at twice it and requires the expected decay before passing a verdict.
@@ -336,6 +337,46 @@ RAY_NODES = 320
 GROWTH_MAX_SAMPLES = 2 ** 20
 
 
+def _fibonacci_sphere(m):
+    """The spherical Fibonacci lattice of m points on S^2, (m, 3):
+    z_i = 1 - (2i + 1) / m at azimuth i pi (3 - sqrt 5)."""
+    i = np.arange(m)
+    z = 1.0 - (2 * i + 1) / m
+    rho, phi = np.sqrt(1.0 - z * z), i * (math.pi * (3.0 - math.sqrt(5.0)))
+    return np.stack([rho * np.cos(phi), rho * np.sin(phi), z], axis=1)
+
+
+def _rotation(rng):
+    """A Haar-random rotation in SO(3): the Q factor of a Gaussian matrix,
+    with the signs of R's diagonal moved into it, is Haar on O(3); negating
+    its first column where det Q = -1 maps that to Haar on SO(3)."""
+    q, r = np.linalg.qr(rng.standard_normal((3, 3)))
+    q *= np.sign(np.diag(r))
+    if np.linalg.det(q) < 0:
+        q[:, 0] = -q[:, 0]
+    return q
+
+
+def _growth_directions(n, samples, rng):
+    """Unit directions in R^3n, (samples, 3n), one per growth ray.
+
+    At n = 1, direction i belongs to lattice b = i % 8, the batch growth_fit
+    puts it in, so the rows [b::8] are lattice b: the Fibonacci lattice of
+    their count times its own Haar-random rotation, drawn from rng in b
+    order.  The batches are then independent randomizations, and their
+    spread gives an honest standard error.  Above n = 1 the directions are
+    uniformly random.
+    """
+    if n > 1:
+        dirs = rng.standard_normal((samples, 3 * n))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        return dirs
+    dirs = np.empty((samples, 3))
+    for b in range(8):
+        dirs[b::8] = _fibonacci_sphere(len(range(b, samples, 8))) @ _rotation(rng).T
+    return dirs
+
+
 def _rays(arr, B, base_coords, dirs, T, rmax):
     """Radial rays over the node grid geomspace(1e-4, T, RAY_NODES), one per direction.
 
@@ -439,13 +480,19 @@ def _growth_chunk(arr, B, base_coords, dirs, radii):
                     np.where(up, v_lo * ratio ** frac, frac * v_hi))
 
 
-def growth_fit(arr: FlatArrangement, B, base: Point3n, radii, samples: int = 4096,
+def growth_fit(arr: FlatArrangement, B, base: Point3n, radii, samples: int | None = None,
                rng=None) -> GrowthFit:
-    """Monte-Carlo fit of the volume-growth exponent d log V / d log R.
+    """Fit of the volume-growth exponent d log V / d log R over sampled rays.
 
-    The standard error is that of the slopes fitted to 8 interleaved batches
-    of the directions.
+    The ball volumes are averaged over the directions of _growth_directions:
+    at n = 1, 8 randomly rotated spherical Fibonacci lattices; above, uniformly
+    random directions.  samples defaults to 512 (8 lattices of 64) at n = 1
+    and to 4096 above.  The standard error is that of the slopes fitted to
+    the 8 interleaved batches of the directions, at n = 1 one lattice each.
     """
+    n = arr.dimension
+    if samples is None:
+        samples = 512 if n == 1 else 4096
     if samples < 8:
         raise ValueError(f"samples must be at least 8 (one per batch), got {samples}")
     if samples > GROWTH_MAX_SAMPLES:
@@ -454,11 +501,9 @@ def growth_fit(arr: FlatArrangement, B, base: Point3n, radii, samples: int = 409
     if (radii.ndim != 1 or radii.size < 2 or not np.all(np.isfinite(radii))
             or np.any(np.diff(radii) <= 0) or radii[0] <= 0):
         raise ValueError("radii must be a strictly increasing sequence of finite positive numbers")
-    n = arr.dimension
     if rng is None:
         rng = np.random.default_rng(DEFAULT.default_seed)
-    dirs = rng.standard_normal((samples, 3 * n))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    dirs = _growth_directions(n, samples, rng)
     base_coords = base.coords()
 
     # 512-direction chunks, each with its own T rounds and node grid, in order
@@ -582,7 +627,7 @@ def _growth(arr, B, report, expected, rng):
     law = report.volume_growth_exponent
     radii = np.geomspace(60.0, 960.0, 9)
     base = Point3n(np.zeros(arr.dimension), np.zeros(arr.dimension))
-    fit = growth_fit(arr, B, base, radii, samples=4096, rng=rng)
+    fit = growth_fit(arr, B, base, radii, rng=rng)
     return ([abs(fit.exponent - law)],
             {"exponent": fit.exponent, "expected": law, "std_error": fit.std_error,
              "volumes": fit.volumes.tolist(), "radii": fit.radii.tolist()},

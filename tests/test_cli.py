@@ -322,12 +322,18 @@ def test_growth_command(capsys):
     assert len(doc["volumes"]) == 5
 
 
+def test_growth_samples_default_to_the_growth_checks_count(capsys):
+    code, out, err = _run(capsys, "growth", "taub-nut", "--radii", "60,120,240,480,960")
+    assert code == 0
+    assert json.loads(out)["samples"] == 512
+
+
 def test_growth_insufficient_exits_one(capsys):
     code, out, err = _run(capsys, "growth", "eguchi-hanson",
                           "--radii", "4.6,5.2", "--samples", "32",
                           "--seed", "210")
     assert code == 1
-    assert err == ("check failed: growth-exponent standard error 4.081 exceeds 0.200; "
+    assert err == ("check failed: growth-exponent standard error 3.406 exceeds 0.200; "
                    "increase samples or radii\n")
 
 

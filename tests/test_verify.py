@@ -692,7 +692,7 @@ def test_growth_exponents_match_classification():
     base = _pt(0.0, 1e-3j)
     for e, want in ((FLAT_H, 4.0), (TN, 3.0)):
         fit = growth_fit(e.arrangement, e.deformation, base, radii,
-                         samples=2048, rng=np.random.default_rng(rng.integers(2**32)))
+                         rng=np.random.default_rng(rng.integers(2**32)))
         assert fit.exponent == pytest.approx(want, abs=0.2)
         assert fit.std_error <= 0.2
         assert fit.volumes.shape == radii.shape
@@ -708,9 +708,9 @@ def test_growth_invariant_under_common_rescaling():
         Flat(f.normal, f.offsets, 4.0 * f.mass) for f in TN.arrangement.flats))
     scaled_B = DeformationMatrix(4.0 * TN.deformation.entries)
     e1 = growth_fit(TN.arrangement, TN.deformation, base, radii,
-                    samples=2048, rng=np.random.default_rng(209)).exponent
+                    rng=np.random.default_rng(209)).exponent
     e2 = growth_fit(scaled_arr, scaled_B, base, radii,
-                    samples=2048, rng=np.random.default_rng(209)).exponent
+                    rng=np.random.default_rng(209)).exponent
     assert abs(e1 - e2) <= 0.1
 
 
@@ -731,6 +731,91 @@ def test_growth_needs_a_sample_per_batch():
         growth_fit(EH.arrangement, None, base, [60.0, 120.0, 240.0], samples=7)
     fit = growth_fit(EH.arrangement, None, base, [60.0, 120.0, 240.0], samples=8)
     assert math.isfinite(fit.std_error)
+
+
+def _fibonacci(m):
+    # z_i = 1 - (2i + 1) / m at azimuth i pi (3 - sqrt 5), unrotated
+    i = np.arange(m)
+    z = 1.0 - (2.0 * i + 1.0) / m
+    phi = i * math.pi * (3.0 - math.sqrt(5.0))
+    rho = np.sqrt(1.0 - z ** 2)
+    return np.column_stack([rho * np.cos(phi), rho * np.sin(phi), z])
+
+
+def _fit_directions(monkeypatch, e, **kwargs):
+    """growth_fit at the growth check's radii, and the directions its chunks got."""
+    seen = []
+    chunk = verify._growth_chunk
+
+    def recording(arr, B, base_coords, dirs, radii):
+        seen.append(dirs.copy())
+        return chunk(arr, B, base_coords, dirs, radii)
+
+    monkeypatch.setattr(verify, "_growth_chunk", recording)
+    n = e.arrangement.dimension
+    fit = growth_fit(e.arrangement, e.deformation, _pt(np.zeros(n), np.zeros(n)),
+                     GROWTH_RADII, **kwargs)
+    return fit, np.concatenate(seen)
+
+
+def test_n1_growth_directions_are_eight_rotated_fibonacci_lattices(monkeypatch):
+    fit, dirs = _fit_directions(monkeypatch, EH, rng=np.random.default_rng(217))
+    assert fit.samples == len(dirs) == 512
+    rotations = []
+    for b in range(8):
+        lattice, ref = dirs[b::8], _fibonacci(64)
+        np.testing.assert_allclose(lattice @ lattice.T, ref @ ref.T, rtol=0, atol=1e-13)
+        rot = np.linalg.lstsq(ref, lattice, rcond=None)[0].T  # lattice = ref @ rot.T
+        np.testing.assert_allclose(rot @ rot.T, np.eye(3), rtol=0, atol=1e-13)
+        assert np.linalg.det(rot) == pytest.approx(1.0, abs=1e-13)
+        rotations.append(rot)
+    for i in range(8):
+        for j in range(i):
+            assert np.abs(rotations[i] - rotations[j]).max() > 1e-3
+
+
+def test_n1_growth_directions_with_an_odd_count(monkeypatch):
+    # 10 directions are lattices of 2, 2, 1, 1, 1, 1, 1 and 1 points
+    fit, dirs = _fit_directions(monkeypatch, EH, samples=10, rng=np.random.default_rng(218))
+    assert [len(dirs[b::8]) for b in range(8)] == [2, 2, 1, 1, 1, 1, 1, 1]
+    for b in range(8):
+        lattice, ref = dirs[b::8], _fibonacci(len(dirs[b::8]))
+        np.testing.assert_allclose(lattice @ lattice.T, ref @ ref.T, rtol=0, atol=1e-13)
+    assert fit.samples == 10
+    assert math.isfinite(fit.std_error)
+
+
+@pytest.mark.parametrize("name", ["eguchi-hanson", "multi-EH-3"])
+def test_growth_std_error_is_honest_over_seeds(name):
+    # the exponent's spread over seeds 1-10 of the growth check is within 3
+    # times the median standard error it reports (the lattice batches are
+    # independent randomizations; a shared rotation would shrink the
+    # reported error far below the spread)
+    e = entry(name)
+    reps = [run_checks(e.arrangement, e.deformation, checks=["growth"], seed=seed)[0]
+            for seed in range(1, 11)]
+    assert all(rep.samples == 512 for rep in reps)
+    spread = np.std([rep.detail["exponent"] for rep in reps], ddof=1)
+    assert spread <= 3.0 * np.median([rep.detail["std_error"] for rep in reps])
+
+
+def test_growth_directions_above_n1_are_drawn_as_before(monkeypatch):
+    # above n = 1 the default is 4096 uniformly random directions, normalized
+    # Gaussian rows drawn in one call; the n = 2 growth digests rest on it
+    seen = []
+
+    def stub(arr, B, base_coords, dirs, radii):
+        seen.append(dirs.copy())
+        return np.ones((len(dirs), len(radii)))
+
+    monkeypatch.setattr(verify, "_growth_chunk", stub)
+    e = entry("n2-unimodular")
+    fit = growth_fit(e.arrangement, e.deformation, _pt(np.zeros(2), np.zeros(2)),
+                     GROWTH_RADII, rng=np.random.default_rng(219))
+    want = np.random.default_rng(219).standard_normal((4096, 6))
+    want /= np.linalg.norm(want, axis=1, keepdims=True)
+    assert fit.samples == 4096
+    assert np.array_equal(np.concatenate(seen), want)
 
 
 @pytest.mark.parametrize("name", ["taub-nut", "n2-unimodular"])
