@@ -8,10 +8,6 @@ there is no overflow and no floating-point tolerance anywhere.
 """
 
 
-def _identity(n):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
 def smith_normal_form(mat):
     """Return (D, S, T) with D = S @ mat @ T, S and T unimodular.
 
@@ -22,38 +18,14 @@ def smith_normal_form(mat):
     A = [[int(x) for x in row] for row in mat]
     m = len(A)
     n = len(A[0]) if m else 0
-    S = _identity(m)
-    T = _identity(n)
+    S = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+    T = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
-    def swap_rows(i, j):
-        A[i], A[j] = A[j], A[i]
-        S[i], S[j] = S[j], S[i]
-
-    def swap_cols(i, j):
-        for row in A:
-            row[i], row[j] = row[j], row[i]
-        for row in T:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(src, dst, q):
-        # row_dst += q * row_src
-        A[dst] = [a + q * b for a, b in zip(A[dst], A[src])]
-        S[dst] = [a + q * b for a, b in zip(S[dst], S[src])]
-
-    def add_col(src, dst, q):
-        # col_dst += q * col_src
-        for row in A:
-            row[dst] += q * row[src]
-        for row in T:
-            row[dst] += q * row[src]
-
-    def negate_row(i):
-        A[i] = [-a for a in A[i]]
-        S[i] = [-a for a in S[i]]
-
+    # a row operation acts on the rows of A and S, a column operation on
+    # the columns of A and T, that is, on every row of A + T
     t = 0
     while t < min(m, n):
-        # locate the smallest nonzero entry in the trailing submatrix
+        # the smallest nonzero entry of the trailing submatrix, first in row order
         pivot = None
         for i in range(t, m):
             for j in range(t, n):
@@ -61,46 +33,47 @@ def smith_normal_form(mat):
                     pivot = (i, j)
         if pivot is None:
             break
-        swap_rows(t, pivot[0])
-        swap_cols(t, pivot[1])
+        i, j = pivot
+        for M in (A, S):
+            M[t], M[i] = M[i], M[t]
+        for row in A + T:
+            row[t], row[j] = row[j], row[t]
 
+        p = A[t][t]
         dirty = False
         for i in range(t + 1, m):
             if A[i][t]:
-                q = -(A[i][t] // A[t][t])
-                add_row(t, i, q)
-                if A[i][t]:
-                    dirty = True
+                q = A[i][t] // p
+                for M in (A, S):
+                    M[i] = [a - q * b for a, b in zip(M[i], M[t])]
+                dirty = dirty or A[i][t] != 0
         for j in range(t + 1, n):
             if A[t][j]:
-                q = -(A[t][j] // A[t][t])
-                add_col(t, j, q)
-                if A[t][j]:
-                    dirty = True
+                q = A[t][j] // p
+                for row in A + T:
+                    row[j] -= q * row[t]
+                dirty = dirty or A[t][j] != 0
         if dirty:
             continue  # remainders survived; pick a smaller pivot
 
-        # divisibility fix: the pivot must divide the rest of the submatrix
-        stray = None
-        for i in range(t + 1, m):
-            for j in range(t + 1, n):
-                if A[i][j] % A[t][t]:
-                    stray = i
-                    break
-            if stray is not None:
-                break
-        if stray is not None:
-            add_row(stray, t, 1)
+        # divisibility fix: the pivot must divide the rest of the submatrix, as a
+        # unit always does; otherwise add the first row it does not divide to row t
+        stray = abs(p) > 1 and [i for i in range(t + 1, m) for a in A[i][t + 1:] if a % p]
+        if stray:
+            for M in (A, S):
+                M[t] = [a + b for a, b in zip(M[t], M[stray[0]])]
             continue
 
-        if A[t][t] < 0:
-            negate_row(t)
+        if p < 0:
+            for M in (A, S):
+                M[t] = [-a for a in M[t]]
         t += 1
 
     return A, S, T
 
 
 def invariant_factors(mat):
+    """The nonzero diagonal entries d_1 | d_2 | ... of mat's Smith normal form."""
     D, _, _ = smith_normal_form(mat)
     k = min(len(D), len(D[0]) if D else 0)
     return [D[i][i] for i in range(k) if D[i][i] != 0]

@@ -5,6 +5,24 @@ import numpy as np
 from torichk import lattice
 
 
+def _det(M):
+    """Exact determinant of a square integer matrix, by Bareiss elimination."""
+    M = [list(row) for row in M]
+    sign, prev = 1, 1
+    for k in range(len(M) - 1):
+        if not M[k][k]:
+            swap = next((i for i in range(k + 1, len(M)) if M[i][k]), None)
+            if swap is None:
+                return 0
+            M[k], M[swap] = M[swap], M[k]
+            sign = -sign
+        for i in range(k + 1, len(M)):
+            for j in range(k + 1, len(M)):
+                M[i][j] = (M[i][j] * M[k][k] - M[i][k] * M[k][j]) // prev
+        prev = M[k][k]
+    return sign * M[-1][-1] if M else 1
+
+
 def _verify_decomposition(A):
     D, S, T = lattice.smith_normal_form(A)
     A = np.array(A, dtype=object)
@@ -20,9 +38,8 @@ def _verify_decomposition(A):
     nz = [d for d in diag if d != 0]
     for a, b in zip(nz, nz[1:]):
         assert b % a == 0
-    # exact at these sizes (at most 4x4, small entries)
-    assert round(np.linalg.det(np.array(S, dtype=float))) in (1, -1)
-    assert round(np.linalg.det(np.array(T, dtype=float))) in (1, -1)
+    assert _det(S) in (1, -1)
+    assert _det(T) in (1, -1)
     return diag
 
 
@@ -50,10 +67,23 @@ def test_smith_classic_example():
     assert diag == [2, 2, 156]
 
 
+def test_exact_determinant():
+    assert _det([[1, 1], [1, -1]]) == -2
+    assert _det([[0, 1, 0], [1, 0, 0], [0, 0, 1]]) == -1
+    assert _det([[1, 2], [2, 4]]) == 0
+    assert _det([[7]]) == 7
+    rng = np.random.default_rng(20261021)
+    for _ in range(50):
+        k = int(rng.integers(1, 5))
+        M = rng.integers(-5, 6, (k, k))
+        assert _det(M.tolist()) == round(np.linalg.det(M.astype(float)))
+
+
 def test_smith_random_matrices():
+    # up to 8 rows: a stratum of up to 8 active flats at n <= 4
     rng = np.random.default_rng(20260815)
-    for _ in range(60):
-        rows = int(rng.integers(1, 5))
+    for _ in range(1000):
+        rows = int(rng.integers(1, 9))
         cols = int(rng.integers(1, 5))
         A = rng.integers(-9, 10, (rows, cols)).tolist()
         _verify_decomposition(A)

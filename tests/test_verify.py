@@ -191,7 +191,7 @@ def test_sp_condition_n2():
         assert sp_condition_residual(e.arrangement, e.deformation, sol) < 1e-4
 
 
-def test_monge_ampere_truncation_halves_with_step(monkeypatch):
+def test_sp_condition_truncation_halves_with_step(monkeypatch):
     # at n = 1 sp_condition_residual is |K_uu-bar K_zz-bar - K_uz-bar K_zu-bar - 1|;
     # the first chart with min(r, s + r) >= 0.5: the sampler's candidates
     # draw the same numbers whether or not they are accepted
@@ -239,7 +239,7 @@ def test_ricci_truncation_ratio():
 
 # -- harmonicity of Phi -------------------------------------------------------
 
-def test_conformal_factor_values():
+def test_phi_anchor_values():
     # single unit-mass center: Phi = 1/(4 r)
     assert eval_Phi(FLAT_H.arrangement, None, _pt(2.0, 0.0))[0, 0] == \
         pytest.approx(0.125, abs=1e-15)
