@@ -353,23 +353,23 @@ def reconstruct_F_from_K(kahler, u, z,
     fails loudly when the samples cannot support it.  u and z are one chart
     point (n,) or a stack of them (..., n).  kahler takes the stencil points
     u (..., K, n) and z (..., K, n) and returns their K values (..., K); it is
-    called once, with the 8n + 1 points u + 2h e_i, u + h e_i, u - h e_i,
-    u - 2h e_i for each i at h = step, then at h = step / 2, then u itself,
-    of every chart point.  The value is a float for one chart point and
-    (...) for a stack.
+    called once, with the 6n + 1 distinct points u + c e_i for c in +-2h,
+    +-h, +-h/2 at h = step, then u itself, of every chart point: the
+    stencils at spacings h and h / 2 share the nodes u +- h e_i.  The value
+    is a float for one chart point and (...) for a stack.
     """
     u = np.atleast_1d(np.asarray(u, dtype=complex))
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     n = u.shape[-1]
-    E = np.eye(n)
     spacings = (step, step / 2.0)
+    c = step * np.array([2.0, -2.0, 1.0, -1.0, 0.5, -0.5])
     uu = u[..., None, :]
-    U = np.concatenate([np.stack([uu + 2 * h * E, uu + h * E, uu - h * E, uu - 2 * h * E],
-                                 axis=-2).reshape(u.shape[:-1] + (4 * n, n))
-                        for h in spacings] + [uu], axis=-2)
+    U = np.concatenate([(uu[..., None, :] + c[:, None, None] * np.eye(n))
+                        .reshape(u.shape[:-1] + (6 * n, n)), uu], axis=-2)
     k = np.asarray(kahler(U, np.repeat(z[..., None, :], U.shape[-2], axis=-2)), dtype=float)
-    # each (..., 2, n): one row per spacing, one column per direction
-    kp2, kp1, km1, km2 = np.moveaxis(k[..., :-1].reshape(k.shape[:-1] + (2, n, 4)), -1, 0)
+    # the rows of c at +2s, +s, -s, -2s; each (..., 2, n): a row per spacing s
+    kp2, kp1, km1, km2 = np.moveaxis(
+        k[..., :-1].reshape(k.shape[:-1] + (6, n))[..., [[0, 2, 3, 1], [2, 4, 5, 3]], :], -2, 0)
     g = (-kp2 + 8.0 * kp1 - 8.0 * km1 + km2) / (12.0 * np.array(spacings)[:, None])
     g1, g2 = g[..., 0, :], g[..., 1, :]
     scale = np.maximum(1.0, np.abs(g1).max(axis=-1, initial=0.0))

@@ -194,6 +194,16 @@ def phi_harmonic_residual(arr: FlatArrangement, B, p: Point3n, v,
     return np.abs(lap).max(axis=(-2, -1))
 
 
+def _solve_nodes(arr, B, chart, u, z):
+    """(x, K) at the nodes u, z (..., K, n) around the charts (..., n) of a stack,
+    (..., K, n) and (..., K): one Newton stack, each node warm-started at its
+    chart's x."""
+    n = chart.x.shape[-1]
+    x0 = np.broadcast_to(chart.x[..., None, :], u.shape)
+    x, K = _newton(arr, B, u.reshape(-1, n), z.reshape(-1, n), x0.reshape(-1, n))[:2]
+    return x.reshape(u.shape), K.reshape(u.shape[:-1])
+
+
 def _k_blocks(arr, B, chart):
     """Wirtinger blocks (K_uu-bar, K_uz-bar, K_zu-bar, K_zz-bar) via a real Hessian.
 
@@ -202,10 +212,9 @@ def _k_blocks(arr, B, chart):
     dK/dRe u = -4x, and dK/dz = F_z at the solution.  Only first derivatives
     of K are analytic inputs here, so one central difference of this gradient
     yields Hessian blocks with far less cancellation than double differences
-    of K values.  The 6n points +-h e_i, h = DEFAULT.fd_step, of every chart
-    (u, z, x each (n,) or (..., n)) are solved as one stack warm-started at
-    their chart, and F_z is evaluated at them in one call.  Each block is
-    (..., n, n).
+    of K values.  The 6n neighbours in fd.star of every chart (u, z, x each
+    (n,) or (..., n)) at h = DEFAULT.fd_step are solved by _solve_nodes, and
+    F_z is evaluated at them in one call.  Each block is (..., n, n).
 
     K is independent of Im u on the chart, so the real Hessian over
     (Re u, Re z, Im z) determines every block:
@@ -214,17 +223,13 @@ def _k_blocks(arr, B, chart):
       K_zz-bar = (Kcc + Kdd)/4 + i (Kcd - Kdc)/4.
     """
     n = chart.x.shape[-1]
-    lead = chart.x.shape[:-1]
     step = DEFAULT.fd_step
-    E = step * np.eye(3 * n)
-    W = np.stack([E, -E], axis=1).reshape(6 * n, 3 * n)  # +e_0, -e_0, +e_1, ...
-    u = (chart.u[..., None, :] + W[:, :n]).reshape(-1, n)
-    z = (chart.z[..., None, :] + W[:, n:2 * n] + 1j * W[:, 2 * n:]).reshape(-1, n)
-    x0 = np.repeat(chart.x.reshape(-1, n), 6 * n, axis=0)
-    x = _newton(arr, B, u, z, x0)[0]
+    S = fd.star(np.concatenate([chart.u.real, chart.z.real, chart.z.imag], axis=-1),
+                step)[..., 1:, :]
+    z = S[..., n:2 * n] + 1j * S[..., 2 * n:]
+    x = _solve_nodes(arr, B, chart, S[..., :n], z)[0]
     fz = eval_F_z(arr, B, Point3n(x, z))
-    grad = np.concatenate([-4.0 * x, 2.0 * fz.real, -2.0 * fz.imag], axis=1)
-    grad = grad.reshape(lead + (6 * n, 3 * n))
+    grad = np.concatenate([-4.0 * x, 2.0 * fz.real, -2.0 * fz.imag], axis=-1)
     J = (grad[..., 0::2, :] - grad[..., 1::2, :]) / (2.0 * step)
     H = 0.5 * (J + np.swapaxes(J, -1, -2))
     Kaa = H[..., :n, :n]
@@ -605,17 +610,10 @@ def _polyharmonic_sample(arr, B, rng):
     return p, np.stack([rational_direction(arr.dimension, rng) for _ in range(len(p))])
 
 
-def _roundtrip_residual(arr, B, chart, step=DEFAULT.reconstruct_step):
+def _roundtrip_residual(arr, B, chart):
     """|F at the chart point - F rebuilt by reconstruct_F_from_K from K alone|, per chart."""
-    n = arr.dimension
-
-    def kfun(u, z):
-        # the stencil points (..., K, n) of each chart, warm-started at its x
-        x0 = np.broadcast_to(chart.x[..., None, :], u.shape)
-        K = _newton(arr, B, u.reshape(-1, n), z.reshape(-1, n), x0.reshape(-1, n))[1]
-        return K.reshape(u.shape[:-1])
-
-    rec = reconstruct_F_from_K(kfun, chart.u, chart.z, step)
+    rec = reconstruct_F_from_K(lambda u, z: _solve_nodes(arr, B, chart, u, z)[1],
+                               chart.u, chart.z)
     return np.abs(rec.value - eval_F(arr, B, Point3n(chart.x, chart.z)))
 
 

@@ -290,6 +290,14 @@ def test_deformation_matrix_validation():
     assert DeformationMatrix([[2.0, 1.0], [1.0, 2.0]]).order == 2
 
 
+def test_deformation_matrix_clips_a_small_negative_eigenvalue():
+    # eigenvalue -5e-13: within the tolerance, so clipped to 0, not refused
+    B = DeformationMatrix([[1.0, 1.0], [1.0, 1.0 - 1e-12]])
+    assert B.order == 1
+    assert np.array_equal(B.entries, B.entries.T)
+    assert np.linalg.eigvalsh(B.entries).min() >= 0.0
+
+
 def test_deformation_matrix_symmetrizes_finite_sums_bit_for_bit_and_refuses_an_overflow():
     rng = np.random.default_rng(4)
     for scale in (1e-300, 1.0, 1e300, 1e307):

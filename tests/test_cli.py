@@ -470,6 +470,12 @@ def test_negative_seed_is_a_usage_error(capsys, argv):
     assert "argument --seed: expected a non-negative integer, got '-1'" in err
 
 
+def test_a_seed_that_is_not_an_integer_is_a_usage_error(capsys):
+    code, out, err = _run(capsys, "verify", "flat-H", "--seed", "abc")
+    assert code == 2 and out == ""
+    assert "argument --seed: expected a non-negative integer, got 'abc'" in err
+
+
 def test_local_models_check_is_gone(capsys):
     code, out, err = _run(capsys, "verify", "flat-H", "--checks", "local-models")
     assert code == 2 and out == ""

@@ -111,6 +111,16 @@ def test_the_check_skeleton_has_one_owner():
     assert called.count("_report") + called.count("ResidualReport") == 1
 
 
+def test_the_chart_stencils_have_one_newton_call():
+    # every chart stencil is solved through one helper: a second copy of the
+    # broadcast, flatten, solve and reshape glue would call _newton again
+    tree = ast.parse((pathlib.Path(torichk.__file__).parent / "verify.py")
+                     .read_text(encoding="utf-8"))
+    called = [node.func.id for node in ast.walk(tree)
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)]
+    assert called.count("_newton") == 1
+
+
 def test_no_module_rebinds_a_global():
     # a value built once is cached with functools.cache, as the catalog,
     # DeformationMatrix.zero and the CLI parser are; no module rebinds a global

@@ -417,8 +417,7 @@ def test_chart_residuals_of_a_stack_equal_each_chart_alone(name):
     stack = verify.sample_chart_points(arr, B, 4, np.random.default_rng(216))
     charts = [stack[i] for i in range(len(stack))]
     residuals = [sp_condition_residual, hessian_identity_residual,
-                 lambda arr, B, c: verify._roundtrip_residual(
-                     arr, B, c, DEFAULT.reconstruct_step)]
+                 verify._roundtrip_residual]
     for residual in residuals:
         assert np.array_equal(residual(arr, B, stack), [residual(arr, B, c) for c in charts])
 
@@ -486,17 +485,17 @@ def test_chart_stencils_make_one_stacked_solve(monkeypatch):
         # the 6n gradient points, then F_z at their solutions
         assert calls == [("_newton", (6 * n, n)), ("eval_F_z", (6 * n, n))]
         calls.clear()
-        verify._roundtrip_residual(arr, B, chart, DEFAULT.reconstruct_step)
-        # both five-point stencils and the chart point itself
-        assert calls == [("_newton", (8 * n + 1, n))]
+        verify._roundtrip_residual(arr, B, chart)
+        # the 6n distinct nodes of both five-point stencils and the chart point
+        assert calls == [("_newton", (6 * n + 1, n))]
         # a stack of three charts: still one solve, with every chart's points
         stack = verify.sample_chart_points(arr, B, 3, np.random.default_rng(5))
         calls.clear()
         sp_condition_residual(arr, B, stack)
-        assert calls == [("_newton", (18 * n, n)), ("eval_F_z", (18 * n, n))]
+        assert calls == [("_newton", (18 * n, n)), ("eval_F_z", (3, 6 * n, n))]
         calls.clear()
-        verify._roundtrip_residual(arr, B, stack, DEFAULT.reconstruct_step)
-        assert calls == [("_newton", (3 * (8 * n + 1), n))]
+        verify._roundtrip_residual(arr, B, stack)
+        assert calls == [("_newton", (3 * (6 * n + 1), n))]
 
 
 # evaluator and Newton calls of one run of each check, whatever its sample count
@@ -599,6 +598,21 @@ def test_a_failing_chart_raises_what_the_per_chart_loop_raises(check, first_fail
     with pytest.raises(type(first)) as got:
         run_checks(arr, B, checks=[check], seed=1)
     assert got.value.args == first.args
+
+
+def test_a_stack_that_fails_only_as_a_stack_raises_its_own_error():
+    # every item passes alone, so no item's error can stand for the stack's
+    calls = []
+
+    def residual(a):
+        calls.append(len(a))
+        if len(a) > 1:
+            raise ValueError("the stack fails")
+        return np.zeros(len(a))
+
+    with pytest.raises(ValueError, match="the stack fails"):
+        verify._stacked(residual, (np.arange(3.0),))
+    assert calls == [3, 1, 1, 1]
 
 
 def _record_runs(monkeypatch):
