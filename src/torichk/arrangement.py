@@ -55,9 +55,15 @@ class Point3n:
         return len(self.x)
 
     def __getitem__(self, i) -> "Point3n":
-        """The points i of the leading batch axis: an index or a slice."""
+        """The points i of the leading batch axis: an index, a slice or an
+        index array.  Its rows are read-only rows of this stack, which is
+        already validated, so they are not validated again: an index or a
+        slice gives views, and the copy an index array makes is frozen."""
         len(self)
-        return Point3n(self.x[i], self.z[i])
+        p = object.__new__(Point3n)
+        object.__setattr__(p, "x", _as_readonly(self.x[i]))
+        object.__setattr__(p, "z", _as_readonly(self.z[i]))
+        return p
 
     def coords(self) -> np.ndarray:
         """Block coordinates (x_1..x_n, Re z_1..Re z_n, Im z_1..Im z_n), (..., 3n)."""
@@ -476,9 +482,9 @@ def _witness_draws(arr, strata, c, tol):
 
 
 def _witnesses(arr, strata, rng, tol):
-    """The witness of each stratum of [(active, x, z, null)], as a Point3n:
-    its point (x, z), perturbed off every other flat along the nullspace null
-    of the active normals.
+    """The witnesses of the strata [(active, x, z, null)], as one Point3n
+    stack (len(strata), n): each stratum's point (x, z), perturbed off every
+    other flat along the nullspace null of the active normals.
 
     Each round draws 3 m uniforms in [-1, 1) for every pending stratum (m
     its null width) in one rng call and keeps the candidates (_witness_draws)
@@ -499,7 +505,9 @@ def _witnesses(arr, strata, rng, tol):
         pending = list(compress(pending, ~ok))
     if pending:
         raise ArrangementError("could not find a witness avoiding the other flats")
-    return [Point3n(x, z) for x, z in points]
+    n = arr.dimension
+    return Point3n(np.array([x for x, _ in points]).reshape(-1, n),
+                   np.array([z for _, z in points], dtype=complex).reshape(-1, n))
 
 
 def intersection_strata(arr: FlatArrangement) -> list:
@@ -523,8 +531,9 @@ def intersection_strata(arr: FlatArrangement) -> list:
     S perturbs S's own min-norm point, so it does not depend on the
     candidate that found S; each round of witness draws is one rng call and
     one stacked distance test (_witnesses), and the witnesses are the only
-    validated Point3n built, one per stratum.  Strata with the same active
-    normals share one Smith form.
+    validated Point3n built, one stack whose rows the strata take.  Strata
+    whose active normals are the same set share one Smith form, whatever the
+    order of their rows: the invariant factors do not depend on it.
     """
     f = arr.frame
     d, n = len(arr.flats), arr.dimension
@@ -565,13 +574,13 @@ def intersection_strata(arr: FlatArrangement) -> list:
 
     order = sorted(found, key=lambda s: (len(s), s))
     witnesses = _witnesses(arr, [(S, *found[S]) for S in order], rng, tol)
-    factors = {}  # active normal rows -> their invariant factors
+    factors = {}  # sorted active normal rows -> their invariant factors
     strata = []
-    for S, witness in zip(order, witnesses):
-        rows = tuple(arr.flats[k].normal for k in S)
+    for i, S in enumerate(order):
+        rows = tuple(sorted(arr.flats[k].normal for k in S))
         if rows not in factors:
             factors[rows] = tuple(lattice.invariant_factors(rows))
-        strata.append(Stratum(active=S, witness=witness, invariant_factors=factors[rows]))
+        strata.append(Stratum(active=S, witness=witnesses[i], invariant_factors=factors[rows]))
     return strata
 
 

@@ -61,25 +61,58 @@ def _parse_point(text, n, flag="--point"):
     return Point3n.from_coords(vals)
 
 
-def _finite(value):
-    """value with every non-finite float inside it replaced by None."""
-    if isinstance(value, float):
-        return value if math.isfinite(value) else None
+_escape = json.encoder.encode_basestring_ascii  # json.dumps' string encoder
+
+
+def _json(value, pad="\n"):
+    """value as json.dumps(value, sort_keys=True, indent=2, allow_nan=False)
+    writes it, byte for byte, but with every non-finite float as null; pad
+    is the line break and indent of value's own line.
+
+    The scalar checks come in json's order, so a bool is not an int and a
+    float subclass such as numpy.float64 prints as a float; anything json
+    cannot write (numpy.int64, numpy.bool_, a set) raises TypeError.  The
+    containers may come first: no class is both a list or dict and a str,
+    int or float.  Every dict key must be a str (json's escaper refuses any
+    other), as in every document the CLI writes."""
+    inner = pad + "  "
     if isinstance(value, dict):
-        return {k: _finite(v) for k, v in value.items()}
+        if not value:
+            return "{}"
+        return "{" + inner + ("," + inner).join(
+            [_escape(k) + ": " + _json(value[k], inner) for k in sorted(value)]) + pad + "}"
     if isinstance(value, (list, tuple)):
-        return [_finite(v) for v in value]
-    return value
+        if not value:
+            return "[]"
+        # a row of plain floats whose sum is finite (so is each), or of plain
+        # ints (so no bool), is written by one map
+        kinds = set(map(type, value))
+        if kinds == {float} and math.isfinite(sum(value)):
+            items = map(float.__repr__, value)
+        elif kinds == {int}:
+            items = map(int.__repr__, value)
+        else:
+            items = [_json(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + pad + "]"
+    if isinstance(value, str):
+        return _escape(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return float.__repr__(value) if math.isfinite(value) else "null"
+    raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
 
 
 def _emit(doc):
-    """Write doc as strict JSON, where a non-finite float prints as null; the
-    document is walked only when it holds one."""
-    try:
-        text = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)
-    except ValueError:
-        text = json.dumps(_finite(doc), sort_keys=True, indent=2, allow_nan=False)
-    sys.stdout.write(text + "\n")
+    """Write doc as key-sorted, indented, strict JSON, where a non-finite
+    float prints as null."""
+    sys.stdout.write(_json(doc) + "\n")
 
 
 def _seed(text):

@@ -111,6 +111,25 @@ def test_point_coords_roundtrip():
         assert np.array_equal(Point3n.from_coords(q).coords().view(np.int64), q.view(np.int64))
 
 
+def test_rows_of_a_point_stack_are_read_only_rows_of_it():
+    rng = np.random.default_rng(7)
+    x, z = rng.normal(size=(4, 2)), rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2))
+    p = Point3n(x, z)
+    for i in (1, slice(1, 3), [0, 2]):
+        q = p[i]
+        assert np.array_equal(q.x, x[i]) and np.array_equal(q.z, z[i])
+        assert not (q.x.flags.writeable or q.z.flags.writeable)
+    with pytest.raises(TypeError, match="single"):
+        Point3n(x[0], z[0])[0]
+    # every witness is a row of its enumeration's validated stack
+    for arr in [e.arrangement for e in catalog()] + _family():
+        for s in intersection_strata(arr):
+            w = s.witness
+            assert w.x.shape == w.z.shape == (arr.dimension,)
+            assert not (w.x.flags.writeable or w.z.flags.writeable)
+            assert np.isfinite(w.x).all() and np.isfinite(w.z).all()
+
+
 def test_point_batch_validation():
     with pytest.raises(ValueError, match="equal shapes"):
         Point3n(np.zeros((3, 2)), np.zeros((2, 2)))
@@ -739,9 +758,9 @@ def _count_calls(monkeypatch, calls, owner, name):
 def test_one_svd_per_frontier_and_size_no_lstsq_and_one_smith_form_per_normal_set(monkeypatch):
     # each frontier takes one stacked SVD per size |S| of its strata, whose
     # rows are those strata, and extends every stratum by every flat at once:
-    # the family has no extension left for least squares; strata with the
-    # same active normals (parallel or translated flats) share one Smith
-    # form within an enumeration
+    # the family has no extension left for least squares; strata whose
+    # active normals are the same set (parallel or translated flats, in any
+    # row order) share one Smith form within an enumeration
     calls = Counter()
     frontiers = []  # (the frontier, the (rows, |S|) of each SVD it takes)
     _count_calls(monkeypatch, calls, np.linalg, "lstsq")
@@ -761,7 +780,7 @@ def test_one_svd_per_frontier_and_size_no_lstsq_and_one_smith_form_per_normal_se
     for arr in _family():
         report = classification_report(arr, DeformationMatrix.zero(arr.dimension))
         strata += len(report.strata)
-        normal_sets += len({tuple(arr.flats[k].normal for k in s.active)
+        normal_sets += len({tuple(sorted(arr.flats[k].normal for k in s.active))
                             for s in report.strata})
     assert normal_sets < strata
     assert calls == {"smith_normal_form": normal_sets}
@@ -830,12 +849,15 @@ def test_one_extension_per_frontier_group_and_no_product_per_stratum(monkeypatch
 
 
 def test_one_point_per_stratum(monkeypatch):
-    # solves, closures and witness candidates stay raw arrays; only each
-    # stratum's witness is a validated Point3n
+    # solves, closures and witness candidates stay raw arrays; the witnesses
+    # are one validated Point3n stack per enumeration, and each stratum's
+    # witness is a row of it, not validated again
     calls = Counter()
     _count_calls(monkeypatch, calls, Point3n, "__init__")
-    strata = sum(len(intersection_strata(arr)) for arr in _family())
-    assert calls == {"__init__": strata}
+    family = _family()
+    strata = [intersection_strata(arr) for arr in family]
+    assert calls == {"__init__": len(family)}
+    assert sum(map(len, strata)) > len(family)
 
 
 def test_strata_subset_limit_counts_every_candidate(capsys, monkeypatch):

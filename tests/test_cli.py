@@ -10,6 +10,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from torichk import (ArrangementError, DifferentiationError, DomainEscapeError,
                      EvaluationError, NoConvergenceError, Point3n, SamplingError, catalog,
@@ -782,3 +784,61 @@ def test_reused_parser_prints_what_a_fresh_one_prints(capsys, monkeypatch):
     # append options start from their default on every parse
     args = cli._parser().parse_args(cli._attach_signed_values(_GRID))
     assert args.axis == ["x1", "rez1"] and args.ranges == ["-1:1:3", "0.5:1:2"]
+
+
+def _nulled(value):
+    """value with every non-finite float inside it replaced by None: what the
+    CLI printed by giving json.dumps this copy."""
+    if isinstance(value, float):
+        return value if np.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: _nulled(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_nulled(v) for v in value]
+    return value
+
+
+_TEXT = st.text() | st.text(alphabet='"\\/\b\f\n\r\t\x00\x1f\x7f\u00e9\u2028\U0001f600')
+_INTS = st.integers() | st.sampled_from([2 ** 64, -2 ** 64 - 1, 3 ** 200])
+_EDGE_FLOATS = st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308,
+                                -1.7976931348623157e308, 0.1, 1e16, 1e-7])
+
+
+def _documents(floats):
+    scalars = st.none() | st.booleans() | _INTS | floats | _EDGE_FLOATS | _TEXT
+    return st.recursive(scalars, lambda kids: (
+        st.lists(kids, max_size=5) | st.lists(kids, max_size=5).map(tuple)
+        | st.lists(floats | _EDGE_FLOATS, max_size=5)
+        | st.dictionaries(_TEXT, kids, max_size=5)), max_leaves=20)
+
+
+def _dumps(doc):
+    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(_documents(st.floats(allow_nan=False, allow_infinity=False)))
+@example([1.7976931348623157e308, 1.7976931348623157e308])  # finite rows, infinite sum
+@example({"a": [1, True, 2], "b": (False, None, 1.0)})
+def test_the_emitter_writes_what_json_dumps_writes(doc):
+    assert cli._json(doc) == _dumps(doc)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(_documents(st.floats()))
+@example({"x": [[float("inf"), 1.5], {"y": float("nan")}], "z": -float("inf")})
+@example(float("nan"))
+def test_the_emitter_writes_a_non_finite_float_as_null_at_any_depth(doc):
+    assert cli._json(doc) == _dumps(_nulled(doc))
+
+
+@pytest.mark.parametrize("bad", [np.int64(1), np.bool_(True), {1, 2}],
+                         ids=["int64", "bool_", "set"])
+def test_the_emitter_refuses_what_json_dumps_refuses(bad):
+    for doc in (bad, [1.0, bad], {"a": {"b": (bad,)}}):
+        with pytest.raises(TypeError, match="is not JSON serializable"):
+            _dumps(doc)
+        with pytest.raises(TypeError, match="is not JSON serializable"):
+            cli._json(doc)
+    # numpy's float64 is a float, and prints as one
+    assert cli._json([np.float64(0.1), np.float64(-0.0)]) == _dumps([0.1, -0.0])

@@ -89,6 +89,17 @@ def test_smith_random_matrices():
         _verify_decomposition(A)
 
 
+def test_invariant_factors_do_not_see_row_order_or_row_signs():
+    # the strata share one Smith form per set of active normals, keyed by the
+    # sorted rows, whatever order their flats come in: that rests on this
+    rng = np.random.default_rng(20261021)
+    for _ in range(1000):
+        rows = int(rng.integers(1, 9))
+        A = rng.integers(-9, 10, (rows, int(rng.integers(1, 5))))
+        moved = (A * rng.choice((-1, 1), (rows, 1)))[rng.permutation(rows)]
+        assert lattice.invariant_factors(moved.tolist()) == lattice.invariant_factors(A.tolist())
+
+
 def test_invariant_factors_and_rank():
     assert lattice.invariant_factors([[1, 1], [1, -1]]) == [1, 2]
     assert len(lattice.invariant_factors([[1, 0], [0, 1], [1, 1]])) == 2

@@ -121,6 +121,21 @@ def test_the_chart_stencils_have_one_newton_call():
     assert called.count("_newton") == 1
 
 
+def test_the_cli_writes_json_through_one_emitter():
+    # json.dumps with an indent runs json's pure-Python encoder: cli.py calls
+    # no json.dump or json.dumps, and only _emit (and _json's own recursion)
+    # calls the emitter _json
+    tree = ast.parse((pathlib.Path(torichk.__file__).parent / "cli.py")
+                     .read_text(encoding="utf-8"))
+    dumps = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr in ("dump", "dumps")]
+    assert dumps == []
+    callers = sorted({fn.name for fn in tree.body if isinstance(fn, ast.FunctionDef)
+                      for node in ast.walk(fn) if isinstance(node, ast.Call)
+                      and getattr(node.func, "id", None) == "_json"})
+    assert callers == ["_emit", "_json"]
+
+
 def test_no_module_rebinds_a_global():
     # a value built once is cached with functools.cache, as the catalog,
     # DeformationMatrix.zero and the CLI parser are; no module rebinds a global
