@@ -58,8 +58,12 @@ class Point3n:
         """The points i of the leading batch axis: an index, a slice or an
         index array.  Its rows are read-only rows of this stack, which is
         already validated, so they are not validated again: an index or a
-        slice gives views, and the copy an index array makes is frozen."""
+        slice gives views, and the copy an index array makes is frozen.  A
+        tuple could reach the coordinate axis, so it is refused."""
         len(self)
+        if isinstance(i, tuple):
+            raise TypeError("a Point3n stack takes an index, a slice or an index array "
+                            "over its leading axis, not a tuple")
         p = object.__new__(Point3n)
         object.__setattr__(p, "x", _as_readonly(self.x[i]))
         object.__setattr__(p, "z", _as_readonly(self.z[i]))

@@ -84,6 +84,27 @@ def _check_domain(r, t, branch=True):
             raise error(int(at[-1]), float(q[at]))
 
 
+class _CheckedPoint(Point3n):
+    """The points of p carrying arr.svr at them, which _check_domain (both tests)
+    has passed.  eval_metric takes Phi and C from eval_Phi and eval_connection,
+    whose calls the benchmark's layer tracer counts; handed one of these, the
+    two share one svr and one domain test."""
+
+    def __init__(self, arr: FlatArrangement, p: Point3n, svr):
+        for name, value in (("x", p.x), ("z", p.z), ("arr", arr), ("svr", svr)):
+            object.__setattr__(self, name, value)
+
+
+def _checked_svr(arr: FlatArrangement, p: Point3n, branch=True):
+    """arr.svr at p, (s, v, r, t), once _check_domain(r, t, branch) has passed it;
+    a _CheckedPoint of arr gives the data it carries."""
+    if isinstance(p, _CheckedPoint) and p.arr is arr:
+        return p.svr
+    s, v, r, t = arr.svr(p.x, p.z)
+    _check_domain(r, t, branch)
+    return s, v, r, t
+
+
 def _off_domain(r, t):
     """Per point (...), whether _check_domain(r, t) refuses it."""
     return ((r.min(axis=-1, initial=np.inf) <= DEFAULT.on_flat)
@@ -96,8 +117,7 @@ def eval_F(arr: FlatArrangement, B, p: Point3n):
     Linear-in-x gauge terms are fixed to zero.  A point whose B terms
     overflow float64 raises EvaluationError."""
     a = arr.frame.a
-    s, _, r, t = arr.svr(p.x, p.z)
-    _check_domain(r, t)
+    s, _, r, t = _checked_svr(arr, p)
     flats = np.sum(a * (s * np.log(t) - r), axis=-1)
     Bm = DeformationMatrix.of(B, arr.dimension).entries
     q1 = np.einsum("...i,ij,...j->...", p.x, Bm, p.x)
@@ -116,8 +136,7 @@ def eval_F_z(arr: FlatArrangement, B, p: Point3n) -> np.ndarray:
     """Wirtinger gradient dF/dz_l = -sum_k a_k (u_k)_l conj(v_k)/(2(s_k+r_k)) - (B conj(z))_l,
     (..., n) complex."""
     U, a = arr.frame.U, arr.frame.a
-    _, v, r, t = arr.svr(p.x, p.z)
-    _check_domain(r, t)
+    _, v, r, t = _checked_svr(arr, p)
     Bm = DeformationMatrix.of(B, arr.dimension).entries
     w = a * v.conj() / (2.0 * t)
     # one-row gemv calls, as for a single point
@@ -135,8 +154,7 @@ def _phi(arr: FlatArrangement, Bm: np.ndarray, r: np.ndarray) -> np.ndarray:
 
 def eval_Phi(arr: FlatArrangement, B, p: Point3n) -> np.ndarray:
     """Closed-form Phi(p) = B + (1/4) sum_k a_k u_k u_k^T / r_k, (..., n, n) SPD off flats."""
-    _, _, r, t = arr.svr(p.x, p.z)
-    _check_domain(r, t, branch=False)
+    _, _, r, _ = _checked_svr(arr, p, branch=False)
     phi = _phi(arr, DeformationMatrix.of(B, arr.dimension).entries, r)
     return 0.5 * (phi + np.swapaxes(phi, -1, -2))
 
@@ -144,8 +162,7 @@ def eval_Phi(arr: FlatArrangement, B, p: Point3n) -> np.ndarray:
 def eval_connection(arr: FlatArrangement, B, p: Point3n) -> np.ndarray:
     """Mixed-derivative matrix C = F_xz of F at p, complex (..., n, n); B contributes nothing."""
     U, a = arr.frame.U, arr.frame.a
-    _, v, r, t = arr.svr(p.x, p.z)
-    _check_domain(r, t)
+    _, v, r, t = _checked_svr(arr, p)
     w = a * v.conj() / (2.0 * r * t)
     return np.einsum("...k,kj,kl->...jl", w, U.astype(complex), U.astype(complex))
 
@@ -158,6 +175,8 @@ def eval_metric(arr: FlatArrangement, B, p: Point3n) -> np.ndarray:
     BranchLocus on the connection's gauge (Dirac-string) locus, where this
     coordinate expression of the fiber form degenerates.
     """
+    # one svr and one domain test (on-flat first, then branch) for Phi and C
+    p = _CheckedPoint(arr, p, _checked_svr(arr, p))
     phi = eval_Phi(arr, B, p)
     C = eval_connection(arr, B, p)
     n = arr.dimension

@@ -24,7 +24,7 @@ import functools
 import math
 import time
 from collections.abc import Callable
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -84,66 +84,71 @@ def _clearance(arr: FlatArrangement, x, z):
                       t.min(axis=-1, initial=np.inf))
 
 
+def _rejection_sample(count: int, block, what: str) -> list:
+    """The samplers' one rejection loop: block(k) draws k candidates and returns
+    the accepted ones as a tuple of arrays, concatenated over the blocks.
+
+    A block holds as many candidates as are still missing, at most 200 * count
+    in all, so the samples and rng's state are those of drawing one at a time.
+    """
+    budget = 200 * count
+    blocks, kept, drawn = [], 0, 0
+    while not blocks or (kept < count and drawn < budget):  # count = 0: one empty block
+        k = min(count - kept, budget - drawn)
+        blocks.append(block(k))
+        kept, drawn = kept + len(blocks[-1][0]), drawn + k
+    if kept < count:
+        raise SamplingError(f"{what} failed to reach the requested count "
+                            f"({kept} of {count} after {drawn} candidates)")
+    return [np.concatenate(parts) for parts in zip(*blocks)]
+
+
 def sample_points(arr: FlatArrangement, count: int, rng,
                   clearance: float = 0.25) -> Point3n:
-    """A seeded batch (count, n) of points Euclidean-clear of flats and branch loci.
-
-    Candidates are drawn and tested in blocks of as many as are still
-    missing, at most 200 * count in all.  A block never holds a candidate
-    that drawing them one at a time would not draw, so the points and the
-    state rng is left in are those of the one-at-a-time loop.
-    """
-    n = arr.dimension
+    """A seeded batch (count, n) of points Euclidean-clear of flats and branch loci;
+    each candidate draws x, then Re z, then Im z in the box."""
     scale = _box_scale(arr)
-    x, z = np.empty((0, n)), np.empty((0, n), dtype=complex)
-    budget = 200 * count
-    while len(x) < count and budget > 0:
-        k = min(count - len(x), budget)
-        budget -= k
-        # per candidate: x, then Re z, then Im z, as the loop draws them
-        W = rng.uniform(-scale, scale, (k, 3, n))
-        cx, cz = W[:, 0], W[:, 1] + 1j * W[:, 2]
-        keep = _clearance(arr, cx, cz) >= clearance
-        x, z = np.concatenate([x, cx[keep]]), np.concatenate([z, cz[keep]])
-    if len(x) < count:
-        raise SamplingError("rejection sampling failed to reach the requested count")
-    return Point3n(x, z)
+
+    def block(k):
+        W = rng.uniform(-scale, scale, (k, 3, arr.dimension))
+        x, z = W[:, 0], W[:, 1] + 1j * W[:, 2]
+        keep = _clearance(arr, x, z) >= clearance
+        return x[keep], z[keep]
+    return Point3n(*_rejection_sample(count, block, "rejection sampling"))
 
 
 def sample_chart_points(arr: FlatArrangement, B, count: int, rng) -> KahlerChartPoint:
     """A seeded stack of count solved chart points whose x-solution is clear of flats.
 
-    The rule min(r, t) >= 0.2 (t = s + r of svr) bounds r itself, not r / |u|.
-    """
-    out = []
-    scale = _box_scale(arr)
-    for _ in range(200 * count):
-        if len(out) == count:
-            break
-        u = rng.uniform(-1.0, 1.0, arr.dimension) + 0j
-        z = rng.uniform(-scale, scale, arr.dimension) \
-            + 1j * rng.uniform(-scale, scale, arr.dimension)
-        try:
-            chart = legendre_solve(arr, B, u, z)
-        except (EvaluationError, NoConvergenceError, DomainEscapeError):
-            continue
-        _, _, r, t = arr.svr(chart.x, z)
-        if np.minimum(r, t).min(initial=np.inf) < 0.2:
-            continue
-        out.append(chart)
-    if len(out) < count:
-        raise SamplingError("chart sampling failed to reach the requested count")
-    return KahlerChartPoint(*(np.array([getattr(c, f.name) for c in out])
-                              for f in fields(KahlerChartPoint)))
+    Each candidate draws u in [-1, 1]^n, then Re z and Im z in the box, and is
+    solved by legendre_solve alone.  The rule min(r, t) >= 0.2 (t = s + r of
+    svr) bounds r itself, not r / |u|."""
+    n, scale = arr.dimension, _box_scale(arr)
+    h = np.array([[1.0], [scale], [scale]])
+
+    def block(k):
+        W = rng.uniform(-h, h, (k, 3, n))
+        u, z = W[:, 0] + 0j, W[:, 1] + 1j * W[:, 2]
+        x, K, res, its = np.zeros((k, n)), np.zeros(k), np.zeros(k), np.zeros(k, dtype=int)
+        keep = np.zeros(k, dtype=bool)
+        for i in range(k):
+            try:
+                chart = legendre_solve(arr, B, u[i], z[i])
+            except (EvaluationError, NoConvergenceError, DomainEscapeError):
+                continue
+            x[i], K[i], res[i], its[i] = chart.x, chart.K, chart.residual, chart.iterations
+            _, _, r, t = arr.svr(chart.x, z[i])
+            keep[i] = np.minimum(r, t).min(initial=np.inf) >= 0.2
+        return u[keep], z[keep], x[keep], K[keep], res[keep], its[keep]
+    return KahlerChartPoint(*_rejection_sample(count, block, "chart sampling"))
 
 
-def rational_direction(n: int, rng) -> np.ndarray:
-    """Nonzero small-integer direction vector in R^n."""
-    for _ in range(100):
-        v = rng.integers(-3, 4, n)
-        if np.any(v):
-            return v.astype(float)
-    raise RuntimeError("unreachable")
+def rational_direction(n: int, count: int, rng) -> np.ndarray:
+    """count nonzero small-integer direction vectors in R^n, (count, n) float."""
+    def block(k):
+        V = rng.integers(-3, 4, (k, n))
+        return (V[V.any(axis=-1)].astype(float),)
+    return _rejection_sample(count, block, "direction sampling")[0]
 
 
 # --------------------------------------------------------------------------
@@ -232,16 +237,12 @@ def _k_blocks(arr, B, chart):
     grad = np.concatenate([-4.0 * x, 2.0 * fz.real, -2.0 * fz.imag], axis=-1)
     J = (grad[..., 0::2, :] - grad[..., 1::2, :]) / (2.0 * step)
     H = 0.5 * (J + np.swapaxes(J, -1, -2))
-    Kaa = H[..., :n, :n]
-    Kac = H[..., :n, n:2 * n]
-    Kad = H[..., :n, 2 * n:]
-    Kcc = H[..., n:2 * n, n:2 * n]
-    Kcd = H[..., n:2 * n, 2 * n:]
-    Kdd = H[..., 2 * n:, 2 * n:]
-    kuu = 0.25 * Kaa
+    a, c, d = slice(None, n), slice(n, 2 * n), slice(2 * n, None)
+    Kac, Kad, Kcd = H[..., a, c], H[..., a, d], H[..., c, d]
+    kuu = 0.25 * H[..., a, a]
     kuz = 0.25 * (Kac + 1j * Kad)
     kzu = 0.25 * (np.swapaxes(Kac, -1, -2) - 1j * np.swapaxes(Kad, -1, -2))
-    kzz = 0.25 * (Kcc + Kdd) + 0.25j * (Kcd - np.swapaxes(Kcd, -1, -2))
+    kzz = 0.25 * (H[..., c, c] + H[..., d, d]) + 0.25j * (Kcd - np.swapaxes(Kcd, -1, -2))
     return kuu, kuz, kzu, kzz
 
 
@@ -606,8 +607,7 @@ def _phi_fd_residual(arr, B, p):
 
 
 def _polyharmonic_sample(arr, B, rng):
-    p = sample_points(arr, 50, rng, clearance=0.35)
-    return p, np.stack([rational_direction(arr.dimension, rng) for _ in range(len(p))])
+    return sample_points(arr, 50, rng, clearance=0.35), rational_direction(arr.dimension, 50, rng)
 
 
 def _roundtrip_residual(arr, B, chart):

@@ -130,6 +130,21 @@ def test_rows_of_a_point_stack_are_read_only_rows_of_it():
             assert np.isfinite(w.x).all() and np.isfinite(w.z).all()
 
 
+def test_a_tuple_index_of_a_point_stack_is_refused():
+    # a tuple index could reach the coordinate axis: p[0, 1] would be one
+    # coordinate of one point, p[:, 0] the first coordinates of three points
+    rng = np.random.default_rng(8)
+    x, z = rng.normal(size=(3, 2)), rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2))
+    p = Point3n(x, z)
+    for i in ((0, 1), (slice(None), 0)):
+        with pytest.raises(TypeError, match="an index, a slice or an index array"):
+            p[i]
+    for i in (1, slice(1, 3), [0, 2]):
+        q = p[i]
+        assert np.array_equal(q.x, x[i]) and np.array_equal(q.z, z[i])
+        assert not (q.x.flags.writeable or q.z.flags.writeable)
+
+
 def test_point_batch_validation():
     with pytest.raises(ValueError, match="equal shapes"):
         Point3n(np.zeros((3, 2)), np.zeros((2, 2)))

@@ -121,6 +121,28 @@ def test_the_chart_stencils_have_one_newton_call():
     assert called.count("_newton") == 1
 
 
+def test_the_samplers_share_one_rejection_loop():
+    # the 200 * count candidate budget is written once, in the shared loop,
+    # and every sampler draws through that loop: a sampler with a loop of its
+    # own would bring a budget of its own
+    tree = ast.parse((pathlib.Path(torichk.__file__).parent / "verify.py")
+                     .read_text(encoding="utf-8"))
+
+    def is_budget(node):
+        return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+                and {getattr(node.left, "value", None), getattr(node.left, "id", None),
+                     getattr(node.right, "value", None), getattr(node.right, "id", None)}
+                >= {200, "count"})
+
+    assert sum(map(is_budget, ast.walk(tree))) == 1
+    owners = {fn.name: fn for fn in tree.body if isinstance(fn, ast.FunctionDef)}
+    assert any(map(is_budget, ast.walk(owners["_rejection_sample"])))
+    for name in ("sample_points", "sample_chart_points", "rational_direction"):
+        called = {getattr(node.func, "id", None) for node in ast.walk(owners[name])
+                  if isinstance(node, ast.Call)}
+        assert "_rejection_sample" in called, name
+
+
 def test_the_cli_writes_json_through_one_emitter():
     # json.dumps with an indent runs json's pure-Python encoder: cli.py calls
     # no json.dump or json.dumps, and only _emit (and _json's own recursion)

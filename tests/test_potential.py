@@ -409,6 +409,36 @@ def test_batched_evaluators_raise_if_any_row_is_on_a_locus():
     assert exc.value.index == 1
 
 
+def test_eval_metric_shares_one_svr_and_keeps_the_error_order(monkeypatch):
+    # Phi and the connection read one svr and one domain test: the on-flat
+    # test first, then the branch test, each naming the flat and value that
+    # eval_Phi and eval_connection name alone
+    arr = EH.arrangement
+    X = np.array([[0.0], [3.0], [1.0], [0.5]])
+    Z = np.array([[1.0], [0.5j], [0.25], [2.0]])
+    svr, calls = FlatArrangement.svr, []
+
+    def counting(self, *args, **kwargs):
+        calls.append(1)
+        return svr(self, *args, **kwargs)
+
+    monkeypatch.setattr(FlatArrangement, "svr", counting)
+    g = eval_metric(arr, None, Point3n(X, Z))
+    assert len(calls) == 1 and g.shape == (4, 4, 4)
+    # row 2 on flat 1 (x = 1, z = 0), then on its cut (s < 0, v = 0)
+    Z[2, 0] = 0.0
+    on_flat = Point3n(X, Z)
+    X[2, 0] = 0.0
+    on_cut = Point3n(X, Z)
+    for p, alone, error in ((on_flat, eval_Phi, OnFlatError),
+                            (on_cut, eval_connection, BranchLocusError)):
+        with pytest.raises(error) as want:
+            alone(arr, None, p)
+        with pytest.raises(error) as got:
+            eval_metric(arr, None, p)
+        assert vars(got.value) == vars(want.value) and str(got.value) == str(want.value)
+
+
 @pytest.mark.parametrize("e", catalog(), ids=lambda e: e.name)
 def test_batched_eval_F_matches_row_by_row(e):
     arr, B = e.arrangement, e.deformation

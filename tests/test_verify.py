@@ -2,14 +2,16 @@
 
 import dataclasses
 import math
+import re
 import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from torichk import (DEFAULT, ArrangementError, DeformationMatrix, Flat, FlatArrangement,
-                     KahlerChartPoint, Point3n,
+from torichk import (DEFAULT, ArrangementError, DeformationMatrix, DomainEscapeError,
+                     EvaluationError, Flat, FlatArrangement, KahlerChartPoint,
+                     NoConvergenceError, Point3n,
                      SamplingError, StencilClippedError, catalog, entry, eval_F,
                      eval_metric, eval_Phi, legendre_solve)
 from torichk import (arrangement, classification_report, intersection_strata, potential,
@@ -126,14 +128,117 @@ def test_block_sampler_fails_at_the_same_budget(count, clearance):
     assert got_rng.bit_generator.state == draws.bit_generator.state
 
 
+# The chart sampler and the plane directions draw through the same block loop
+# as sample_points; their references draw one candidate at a time too.
+
+def _sample_chart_points_one_at_a_time(arr, B, count, rng):
+    n = arr.dimension
+    scale = verify._box_scale(arr)
+    out = []
+    for _ in range(200 * count):
+        if len(out) == count:
+            break
+        u = rng.uniform(-1.0, 1.0, n) + 0j
+        z = rng.uniform(-scale, scale, n) + 1j * rng.uniform(-scale, scale, n)
+        try:
+            chart = legendre_solve(arr, B, u, z)
+        except (EvaluationError, NoConvergenceError, DomainEscapeError):
+            continue
+        _, _, r, t = arr.svr(chart.x, z)
+        if np.minimum(r, t).min(initial=np.inf) < 0.2:
+            continue
+        out.append(chart)
+    if len(out) < count:
+        raise SamplingError("chart sampling failed to reach the requested count")
+    return out
+
+
+def _rational_directions_one_at_a_time(n, count, rng):
+    # each direction is redrawn while it is zero; also returns the redraws
+    out, redraws = [], 0
+    for _ in range(count):
+        v = rng.integers(-3, 4, n)
+        while not v.any():
+            redraws += 1
+            v = rng.integers(-3, 4, n)
+        out.append(v.astype(float))
+    return out, redraws
+
+
+@pytest.mark.parametrize("name", [e.name for e in catalog()])
+def test_chart_sampler_draws_what_the_one_at_a_time_loop_draws(name):
+    e = entry(name)
+    arr, B = e.arrangement, e.deformation
+    for count in (1, 3, 10, 20):
+        got_rng, want_rng = np.random.default_rng([count, 7]), np.random.default_rng([count, 7])
+        got = verify.sample_chart_points(arr, B, count, got_rng)
+        want = _sample_chart_points_one_at_a_time(arr, B, count, want_rng)
+        assert len(got) == len(want) == count
+        for field in dataclasses.fields(KahlerChartPoint):
+            column = np.array([getattr(c, field.name) for c in want])
+            assert getattr(got, field.name).dtype == column.dtype, field.name
+            assert np.array_equal(getattr(got, field.name), column), field.name
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+def test_chart_sampler_fails_after_its_whole_budget():
+    # no flats and B = diag(1, 0): every Legendre solve fails, so all
+    # 200 * count candidates are drawn, 3n uniforms each
+    arr, B, count = FlatArrangement(2, ()), np.diag([1.0, 0.0]), 4
+    rng, want_rng = np.random.default_rng(1), np.random.default_rng(1)
+    with pytest.raises(SamplingError, match=r"^chart sampling failed to reach the "
+                       r"requested count \(0 of 4 after 800 candidates\)$"):
+        verify.sample_chart_points(arr, B, count, rng)
+    with pytest.raises(SamplingError):
+        _sample_chart_points_one_at_a_time(arr, B, count, want_rng)
+    assert rng.bit_generator.state == want_rng.bit_generator.state
+    draws = np.random.default_rng(1)
+    draws.uniform(size=200 * count * 3 * arr.dimension)
+    assert rng.bit_generator.state == draws.bit_generator.state
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_directions_are_the_one_at_a_time_draws(n):
+    redraws = 0
+    for seed in range(6):
+        for count in (1, 7, 50):
+            got_rng, want_rng = np.random.default_rng([seed, n]), np.random.default_rng([seed, n])
+            got = verify.rational_direction(n, count, got_rng)
+            want, redrawn = _rational_directions_one_at_a_time(n, count, want_rng)
+            redraws += redrawn
+            assert got.dtype == float and got.shape == (count, n)
+            assert np.array_equal(got, want)
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state
+    if n == 1:
+        # one draw in 7 is zero at n = 1, so the redraw path ran
+        assert redraws > 0
+
+
+def test_sampling_error_names_the_budget_it_ran_out_of():
+    # some candidates are clear enough, too few of them: the message counts
+    # the kept points, the requested count and every candidate drawn
+    arr, count, clearance = FLAT_H.arrangement, 20, 3.2
+    with pytest.raises(SamplingError) as exc:
+        sample_points(arr, count, np.random.default_rng(217), clearance=clearance)
+    text = str(exc.value)
+    assert text.startswith("rejection sampling failed to reach the requested count (")
+    kept, requested, drawn = map(int, re.fullmatch(
+        r".*\((\d+) of (\d+) after (\d+) candidates\)", text).groups())
+    W = np.random.default_rng(217).uniform(
+        -verify._box_scale(arr), verify._box_scale(arr), (200 * count, 3, arr.dimension))
+    clear = verify._clearance(arr, W[:, 0], W[:, 1] + 1j * W[:, 2]) >= clearance
+    assert (kept, requested, drawn) == (int(clear.sum()), count, 200 * count)
+    assert 0 < kept < count
+
+
 # -- triharmonicity -----------------------------------------------------------
 
 def test_polyharmonic_small_on_catalog_entries():
     rng = np.random.default_rng(200)
     for e in (FLAT_H, EH, entry("n2-unimodular")):
         arr, B = e.arrangement, e.deformation
-        for p in sample_points(arr, 10, rng, clearance=0.4):
-            v = verify.rational_direction(arr.dimension, rng)
+        for p, v in zip(sample_points(arr, 10, rng, clearance=0.4),
+                        verify.rational_direction(arr.dimension, 10, rng)):
             assert polyharmonic_residual(arr, B, p, v) < 1e-5
 
 
@@ -385,7 +490,7 @@ def test_stencil_residuals_equal_the_pointwise_loops(name):
     rng = np.random.default_rng(214)
     stack = sample_points(arr, 3, rng, clearance=0.35)
     pts = [stack[i] for i in range(len(stack))]
-    dirs = [verify.rational_direction(arr.dimension, rng) for _ in pts]
+    dirs = verify.rational_direction(arr.dimension, len(pts), rng)
     want = [_pointwise_phi_fd(arr, B, p) for p in pts]
     assert [verify._phi_fd_residual(arr, B, p) for p in pts] == want
     assert np.array_equal(verify._phi_fd_residual(arr, B, stack), want)
